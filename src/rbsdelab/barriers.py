@@ -5,7 +5,8 @@ Four obstacles constrain the solution: a lower and an upper node-indexed
 upper predictable obstacle acting on the left limit ``Y_{t-}`` at the
 atoms of two increasing clocks.  The predictable constraints collapse,
 on the lattice, to interval constraints at the level preceding each
-atom; :func:`effective_barriers` performs that merge.
+atom; :class:`BarrierSet` performs that merge once, and
+:func:`effective_barriers` reads it.
 
 The envelope transform of a sampled function ``g`` along a clock
 ``rho`` with penalty weight ``n`` is
@@ -149,13 +150,6 @@ def _clock_profile(rho):
     return rho.lattice.times, rho.weights_by_time()
 
 
-def _grid_index(times, t):
-    idx = int(np.argmin(np.abs(times - float(t))))
-    if abs(times[idx] - float(t)) > 1e-9 * max(1.0, abs(times[-1])):
-        raise ValueError(f"{t!r} is not a grid time")
-    return idx
-
-
 def envelope_n(g, rho, n, t):
     """Envelope value at grid time ``t`` for penalty weight ``n``.
 
@@ -165,7 +159,7 @@ def envelope_n(g, rho, n, t):
     """
     times, w = _clock_profile(rho)
     prof = envelope_profile(times, g, w, n)
-    return float(prof.values[_grid_index(times, t)])
+    return float(prof.values[rho.lattice.grid.level_of(t)])
 
 
 def envelope_star_profile(times, g, weights):
@@ -191,7 +185,7 @@ def envelope_star(g, rho, t):
     """Hard envelope at grid time ``t``: ``g(t)`` on an atom, else -inf."""
     times, w = _clock_profile(rho)
     prof = envelope_star_profile(times, g, w)
-    return float(prof.values[_grid_index(times, t)])
+    return float(prof.values[rho.lattice.grid.level_of(t)])
 
 
 class BarrierSet:
@@ -206,9 +200,22 @@ class BarrierSet:
     ``witness`` optionally carries the decomposition data of a process
     known to satisfy all four constraints (consumed by the penalization
     scheme); it is stored as-is and never interpreted here.
+
+    The merged interval of every level is computed here, once, and
+    served by :func:`effective_barriers`.
     """
 
-    __slots__ = ("lattice", "L", "U", "l", "u", "delta", "alpha", "witness")
+    __slots__ = (
+        "lattice",
+        "L",
+        "U",
+        "l",
+        "u",
+        "delta",
+        "alpha",
+        "witness",
+        "_merged",
+    )
 
     def __init__(self, L, U, l, u, delta, alpha, witness=None):
         lattice = L.lattice
@@ -232,16 +239,41 @@ class BarrierSet:
             raise ValueError(
                 "obstacles are not terminally normalized; use BarrierSet.build"
             )
-        # -inf disables a lower constraint and +inf an upper one; the
-        # opposite signs would force infinite solutions, so reject them
-        if any(np.any(L.level(i) == np.inf) for i in range(lattice.steps)):
-            raise ValueError("lower node obstacle takes the value +inf")
-        if any(np.any(U.level(i) == -np.inf) for i in range(lattice.steps)):
-            raise ValueError("upper node obstacle takes the value -inf")
-        if any(np.any(l.atom(i) == np.inf) for i in range(lattice.steps)):
-            raise ValueError("lower predictable obstacle takes the value +inf")
-        if any(np.any(u.atom(i) == -np.inf) for i in range(lattice.steps)):
-            raise ValueError("upper predictable obstacle takes the value -inf")
+        merged = []
+        for i in range(lattice.steps):
+            low = L.level(i)
+            high = U.level(i)
+            floor = l.atom(i)
+            cap = u.atom(i)
+            # -inf disables a lower constraint and +inf an upper one; the
+            # opposite signs would force infinite solutions, so reject them
+            if np.any(low == np.inf):
+                raise ValueError("lower node obstacle takes the value +inf")
+            if np.any(high == -np.inf):
+                raise ValueError("upper node obstacle takes the value -inf")
+            if np.any(floor == np.inf):
+                raise ValueError(
+                    "lower predictable obstacle takes the value +inf"
+                )
+            if np.any(cap == -np.inf):
+                raise ValueError(
+                    "upper predictable obstacle takes the value -inf"
+                )
+            # a predictable obstacle acts on the left limit at the next
+            # grid time, so it joins the node obstacle where its clock
+            # charges; a level no clock charges keeps the node arrays
+            on = delta.support(i)
+            if on.any():
+                low = _frozen(np.maximum(low, np.where(on, floor, -np.inf)))
+            on = alpha.support(i)
+            if on.any():
+                high = _frozen(np.minimum(high, np.where(on, cap, np.inf)))
+            bad = low > high
+            if bad.any():
+                node = int(np.argmax(bad))
+                raise InfeasibleBarriers(i, node, low[node], high[node])
+            merged.append((low, high))
+        merged.append((xi_low, xi_low))
         self.lattice = lattice
         self.L = L
         self.U = U
@@ -250,8 +282,7 @@ class BarrierSet:
         self.delta = delta
         self.alpha = alpha
         self.witness = witness
-        for j in range(lattice.steps):
-            effective_barriers(self, j)
+        self._merged = tuple(merged)
 
     @classmethod
     def build(
@@ -313,26 +344,11 @@ def effective_barriers(bars, level):
     The lower effective obstacle is the node obstacle joined with the
     lower predictable obstacle wherever the lower clock charges the
     next grid time; the upper one mirrors this.  At the terminal level
-    both equal the terminal values.  Raises
-    :class:`InfeasibleBarriers` when the interval is empty at a node.
+    both equal the terminal values.  The intervals are computed and
+    checked nonempty when ``bars`` is constructed (which raises
+    :class:`InfeasibleBarriers` otherwise); this is a lookup.
     """
-    steps = bars.lattice.steps
-    if level == steps:
-        xi = bars.xi
-        return xi, xi
-    low = bars.L.level(level)
-    high = bars.U.level(level)
-    low = np.maximum(
-        low, np.where(bars.delta.support(level), bars.l.atom(level), -np.inf)
-    )
-    high = np.minimum(
-        high, np.where(bars.alpha.support(level), bars.u.atom(level), np.inf)
-    )
-    bad = low > high
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise InfeasibleBarriers(level, node, low[node], high[node])
-    return _frozen(low), _frozen(high)
+    return bars._merged[level]
 
 
 def check_left_constraint(Y, g, rho):

@@ -24,7 +24,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .barriers import (
@@ -353,19 +352,7 @@ def _build_witness(cfg, lat):
     if node is None:
         return None, None
     levels = _shape_levels(node, lat, "witness")
-    gamma, vplus, vminus = [], [], []
-    for i in range(lat.steps):
-        upv, downv = levels[i + 1][1:], levels[i + 1][:-1]
-        gamma.append((upv - downv) / (2.0 * lat.sqrt_dt))
-        drift = 0.5 * (upv + downv) - levels[i]
-        vminus.append(np.maximum(drift, 0.0))
-        vplus.append(np.maximum(-drift, 0.0))
-    spec = SemimartingaleSpec(
-        float(levels[0][0]),
-        IncreasingProcess(lat, vplus),
-        IncreasingProcess(lat, vminus),
-        PredictableProcess(lat, gamma),
-    )
+    spec = SemimartingaleSpec.from_levels(lat, levels)
     try:
         spec.reconstruct()
     except InconsistentSemimartingale as exc:
@@ -592,7 +579,6 @@ def write_manifest(outdir, config_bytes, subcommand, artifacts, started):
         "versions": {
             "rbsdelab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "timings": {"total_s": round(time.perf_counter() - started, 6)},
@@ -727,21 +713,19 @@ def _parser():
         "lattice: scenarios in, CSV artifacts out.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_config in (
-        ("solve", True),
-        ("penalize", True),
-        ("snell", True),
-        ("envelope", True),
-        ("verify", False),
-    ):
+    for name in ("solve", "penalize", "snell", "envelope", "verify"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="scenario JSON")
+        p.add_argument(
+            "--config", required=name != "verify", help="scenario JSON"
+        )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--cases", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--schedule-max", type=int, default=None)
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--depth", type=int, default=None)
+            p.add_argument("--cases", type=int, default=None)
+            p.add_argument("--tol", type=float, default=None)
+        if name in ("penalize", "verify"):
+            p.add_argument("--schedule-max", type=int, default=None)
     return parser
 
 

@@ -31,6 +31,8 @@ from .lattice import (
     IncreasingProcess,
     PredictableProcess,
     _frozen,
+    expectation_level,
+    increment_level,
 )
 
 __all__ = [
@@ -69,15 +71,6 @@ def _as_adapted(lattice, x):
     if isinstance(x, AdaptedProcess):
         return x
     return AdaptedProcess.constant(lattice, float(x))
-
-
-def _level_of(lattice, t):
-    lvl = int(round(float(t) / lattice.dt))
-    if not 0 <= lvl <= lattice.steps or abs(
-        lattice.times[lvl] - float(t)
-    ) > 1e-9 * max(1.0, lattice.grid.horizon):
-        raise ValueError(f"{t!r} is not a grid time")
-    return lvl
 
 
 class GrowthBounds:
@@ -148,6 +141,28 @@ class SemimartingaleSpec:
         self.vplus = vplus
         self.vminus = vminus
         self.gamma = gamma
+
+    @classmethod
+    def from_levels(cls, lattice, levels):
+        """Decomposition of the node-indexed process with these levels.
+
+        ``levels[i]`` holds the ``i + 1`` node values of level ``i``.
+        The slope is the children's divided difference; the one-step
+        drift (expected next value minus current value) goes to
+        ``vminus`` where positive and to ``vplus`` where negative.
+        """
+        gamma, vplus, vminus = [], [], []
+        for i in range(lattice.steps):
+            gamma.append(increment_level(levels[i + 1], lattice.sqrt_dt))
+            drift = expectation_level(levels[i + 1]) - levels[i]
+            vminus.append(np.maximum(drift, 0.0))
+            vplus.append(np.maximum(-drift, 0.0))
+        return cls(
+            float(levels[0][0]),
+            IncreasingProcess(lattice, vplus),
+            IncreasingProcess(lattice, vminus),
+            PredictableProcess(lattice, gamma),
+        )
 
     @property
     def lattice(self):
@@ -253,7 +268,7 @@ class Driver:
         table = [_frozen(np.asarray(v, dtype=float)) for v in values]
 
         def f(t, y, z):
-            return np.broadcast_to(table[_level_of(lattice, t)], y.shape)
+            return np.broadcast_to(table[lattice.grid.level_of(t)], y.shape)
 
         return cls(f=f, label="tabulated", **kw)
 
@@ -370,7 +385,7 @@ def build_dominated_driver(bounds, spec, orientation=1):
     sgn = float(orientation)
 
     def f(t, y, z):
-        lvl = _level_of(lattice, t)
+        lvl = lattice.grid.level_of(t)
         g = spec.gamma.atom(lvl)
         base = (
             bounds.eta.level(lvl)
@@ -380,7 +395,7 @@ def build_dominated_driver(bounds, spec, orientation=1):
         return sgn * base
 
     def f_rest(t, y, z):
-        lvl = _level_of(lattice, t)
+        lvl = lattice.grid.level_of(t)
         g = spec.gamma.atom(lvl)
         return sgn * (
             bounds.eta.level(lvl) + 4.0 * bounds.C.level(lvl) * g * g

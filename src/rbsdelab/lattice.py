@@ -22,6 +22,8 @@ two children, and the integrand of the martingale part is the exact
 divided difference; no quadrature error enters anywhere.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -70,6 +72,20 @@ class TimeGrid:
     @property
     def dt(self):
         return self.horizon / self.steps
+
+    def level_of(self, t):
+        """Index ``k`` of the grid time ``t_k`` equal to ``t``.
+
+        Raises ``ValueError`` when ``t`` is not a grid time (up to a
+        relative ``1e-9`` of the horizon).
+        """
+        q = float(t) / self.dt
+        k = round(q) if math.isfinite(q) else -1
+        if not 0 <= k <= self.steps or abs(
+            self.times[k] - float(t)
+        ) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError(f"{t!r} is not a grid time")
+        return k
 
     def __repr__(self):
         return f"TimeGrid(horizon={self.horizon!r}, steps={self.steps})"
@@ -421,8 +437,13 @@ def all_paths(steps):
 
 
 def path_nodes(ups):
-    """Node index visited at each level along a path of 0/1 up-moves."""
+    """Node index visited at each level along paths of 0/1 up-moves.
+
+    ``ups`` is one path, shape ``(steps,)``, or one path per row, shape
+    ``(P, steps)`` as from :func:`all_paths`; the result has one more
+    column, starting at node 0.
+    """
     u = np.asarray(ups, dtype=np.int64)
-    out = np.zeros(u.size + 1, dtype=np.int64)
-    np.cumsum(u, out=out[1:])
+    out = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(u, axis=-1, out=out[..., 1:])
     return out

@@ -15,7 +15,6 @@ game 2^20 rule pairs.
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .lattice import AdaptedProcess, all_paths, path_nodes
 
@@ -96,47 +95,30 @@ class StoppingRule:
         return len(ups)
 
 
-def _flat_node_index(steps):
-    """Per-path flat interior-node indices, shape (2^steps, steps).
+def _payoff_matrix(process_levels, xi, nodes):
+    """Payoff-if-stopped-at-level matrix, shape (paths, steps + 1).
 
-    Interior node (i, j) gets flat index i(i+1)/2 + j; entry (p, i) is
-    the flat index of the node path ``p`` occupies at level ``i``.
+    ``nodes`` is the per-path node matrix from :func:`path_nodes`.
     """
-    paths = all_paths(steps)
-    nodes = np.concatenate(
-        [
-            np.zeros((paths.shape[0], 1), dtype=np.int64),
-            np.cumsum(paths, axis=1, dtype=np.int64),
-        ],
-        axis=1,
-    )[:, :steps]
-    base = (np.arange(steps, dtype=np.int64) * (np.arange(steps) + 1)) // 2
-    return base[None, :] + nodes, paths
-
-
-def _payoff_matrix(process_levels, xi, paths):
-    """Payoff-if-stopped-at-level matrix, shape (paths, steps + 1)."""
-    steps = paths.shape[1]
-    nodes = np.concatenate(
-        [
-            np.zeros((paths.shape[0], 1), dtype=np.int64),
-            np.cumsum(paths, axis=1, dtype=np.int64),
-        ],
-        axis=1,
-    )
+    steps = nodes.shape[1] - 1
     cols = [process_levels[i][nodes[:, i]] for i in range(steps)]
     cols.append(np.asarray(xi, dtype=float)[nodes[:, steps]])
     return np.stack(cols, axis=1)
 
 
-def _first_stop_levels(flat, n_rules, chunk=None):
+def _first_stop_levels(nodes, n_rules, chunk=None):
     """First marked level per (rule, path) for rules 0..n_rules-1.
 
-    Yields ``(rule_offset, stop_levels)`` blocks, ``stop_levels`` of
-    shape (block, paths) with value ``steps`` when a rule never marks
-    the path.
+    ``nodes`` is the per-path node matrix from :func:`path_nodes`.
+    Interior node (i, j) is rule bit i(i+1)/2 + j.  Yields
+    ``(rule_offset, stop_levels)`` blocks, ``stop_levels`` of shape
+    (block, paths) with value ``steps`` when a rule never marks the
+    path.
     """
-    n_paths, steps = flat.shape
+    n_paths = nodes.shape[0]
+    steps = nodes.shape[1] - 1
+    level = np.arange(steps, dtype=np.int64)
+    flat = (level * (level + 1)) // 2 + nodes[:, :steps]
     if chunk is None:
         chunk = max(1, 2 ** 22 // max(1, n_paths * (steps + 1)))
     for lo in range(0, n_rules, chunk):
@@ -169,7 +151,7 @@ def stopping_rule_value(L, xi, rule):
     terminal payoff ``xi`` when the rule never fires."""
     steps = L.lattice.steps
     paths = all_paths(steps)
-    pay = _payoff_matrix(L.levels, xi, paths)
+    pay = _payoff_matrix(L.levels, xi, path_nodes(paths))
     total = 0.0
     for p in range(paths.shape[0]):
         total += pay[p, rule.stop_level(paths[p])]
@@ -187,11 +169,11 @@ def exhaustive_stopping_value(L, xi, max_depth=5):
         raise TypeError("L must be an AdaptedProcess")
     steps = L.lattice.steps
     bits = _interior_bits(steps, max_depth, _MAX_RULE_BITS)
-    flat, paths = _flat_node_index(steps)
-    pay = _payoff_matrix(L.levels, xi, paths)
-    n_paths = paths.shape[0]
+    nodes = path_nodes(all_paths(steps))
+    pay = _payoff_matrix(L.levels, xi, nodes)
+    n_paths = nodes.shape[0]
     best = -np.inf
-    for _, stop in _first_stop_levels(flat, 2 ** bits):
+    for _, stop in _first_stop_levels(nodes, 2 ** bits):
         vals = np.take_along_axis(
             pay[None, :, :], stop[:, :, None], axis=2
         )[:, :, 0].sum(axis=1) / n_paths
@@ -215,15 +197,15 @@ def exhaustive_dynkin_value(L, U, xi, max_depth=4, tol=1e-12):
     if U.lattice.grid != L.lattice.grid:
         raise ValueError("L and U live on different grids")
     bits = _interior_bits(steps, max_depth, _MAX_RULE_BITS // 2)
-    flat, paths = _flat_node_index(steps)
-    pay_low = _payoff_matrix(L.levels, xi, paths)
-    pay_high = _payoff_matrix(U.levels, xi, paths)
-    n_paths = paths.shape[0]
+    nodes = path_nodes(all_paths(steps))
+    pay_low = _payoff_matrix(L.levels, xi, nodes)
+    pay_high = _payoff_matrix(U.levels, xi, nodes)
+    n_paths = nodes.shape[0]
     n_rules = 2 ** bits
 
     # cache every rule's stop levels and its stopped payoffs per path
     stop_all = np.empty((n_rules, n_paths), dtype=np.int64)
-    for lo, stop in _first_stop_levels(flat, n_rules):
+    for lo, stop in _first_stop_levels(nodes, n_rules):
         stop_all[lo : lo + stop.shape[0]] = stop
     path_ids = np.arange(n_paths)[None, :]
     low_at_stop = pay_low[path_ids, stop_all]
@@ -256,7 +238,9 @@ def quadratic_closed_form(c, xi):
     The exponential change of variable turns the backward recursion
     into a plain expectation, giving ``ln E[exp(2c xi)] / (2c)`` with
     the binomial terminal weights.  Computed in log space so large
-    ``c * xi`` cannot overflow.  Requires ``c > 0``.
+    ``c * xi`` cannot overflow: the largest exponent is shifted out and
+    its own (unit) term is kept apart in a ``log1p``.  Requires
+    ``c > 0``.
     """
     c = float(c)
     if not c > 0.0:
@@ -266,7 +250,12 @@ def quadratic_closed_form(c, xi):
     logw = np.array(
         [math.log(math.comb(n, j)) for j in range(n + 1)]
     ) - n * math.log(2.0)
-    return float(logsumexp(2.0 * c * xi + logw) / (2.0 * c))
+    a = 2.0 * c * xi + logw
+    top = a.max()
+    at_top = a == top
+    ties = np.count_nonzero(at_top)
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, a - top))) / ties
+    return float((np.log1p(rest) + math.log(ties) + top) / (2.0 * c))
 
 
 def envelope_brute_force(times, g, weights, n):

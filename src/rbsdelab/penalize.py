@@ -36,7 +36,7 @@ from .lattice import (
     IncreasingProcess,
     PredictableProcess,
 )
-from .solver import solve_rbsde
+from .solver import _checked_terminal, solve_rbsde
 
 __all__ = [
     "ScheduleExhausted",
@@ -250,8 +250,11 @@ class PenalizedFamily:
         return rows
 
     def extend(self, n):
-        """Solve both equations at one more weight and re-verify order."""
-        if n <= self.n_schedule[-1]:
+        """Solve both equations at one more weight and re-verify order.
+
+        The first weight of an empty family is checked against itself.
+        """
+        if self.n_schedule and n <= self.n_schedule[-1]:
             raise ValueError("schedule must increase")
         low = solve_penalized_lower(
             self.lattice, self.bounds, self.spec, self.barriers, n
@@ -260,10 +263,10 @@ class PenalizedFamily:
             self.lattice, self.bounds, self.spec, self.barriers, n
         )
         _check_pair(
-            self.lower_solutions[-1].Y,
+            self.lower_solutions[-1].Y if self.n_schedule else low.Y,
             low.Y,
             high.Y,
-            self.upper_solutions[-1].Y,
+            self.upper_solutions[-1].Y if self.n_schedule else high.Y,
             self.witness,
             self.barriers,
             n,
@@ -331,33 +334,12 @@ def build_family(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     _, S = _normalized_witness(spec, barriers.xi)
-    lows, highs = [], []
-    for n in schedule:
-        low = solve_penalized_lower(lattice, bounds, spec, barriers, n)
-        high = solve_penalized_upper(lattice, bounds, spec, barriers, n)
-        _check_pair(
-            lows[-1].Y if lows else low.Y,
-            low.Y,
-            high.Y,
-            highs[-1].Y if highs else high.Y,
-            S,
-            barriers,
-            n,
-            sandwich_tol,
-        )
-        lows.append(low)
-        highs.append(high)
-    return PenalizedFamily(
-        lattice,
-        bounds,
-        spec,
-        barriers,
-        schedule,
-        lows,
-        highs,
-        S,
-        sandwich_tol,
+    family = PenalizedFamily(
+        lattice, bounds, spec, barriers, [], [], [], S, sandwich_tol
     )
+    for n in schedule:
+        family.extend(n)
+    return family
 
 
 def squeeze_limits(family, tol=1e-8, n_max=2 ** 16, strict=True):
@@ -450,14 +432,7 @@ def reduce_and_solve(
         raise ValueError(
             "reduction needs a witness decomposition on the obstacle set"
         )
-    if xi is not None:
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 0:
-            xi = np.full(lattice.steps + 1, float(xi))
-        if not np.array_equal(xi, barriers.xi):
-            raise ValueError(
-                "xi differs from the obstacles' normalized terminal values"
-            )
+    _checked_terminal(barriers, xi)
     bounds = driver.bounds
     if exact_limits:
         Ybar, Yunder = exact_squeeze_barriers(lattice, bounds, spec, barriers)
@@ -482,5 +457,4 @@ def reduce_and_solve(
             f"by {gap!r} at the root (usual cause: growth bounds that do "
             f"not dominate the generator on the obstacle range)"
         )
-    return sol
     return sol

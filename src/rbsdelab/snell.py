@@ -212,11 +212,7 @@ def snell_stopping_time_atom(lattice, t_prime, xi_prime, L, xi, witness=None):
     known one step ahead).  The output satisfies
     ``xi_prime <= Y`` at that level, exactly.
     """
-    times = lattice.times
-    k = int(round((float(t_prime) - times[0]) / lattice.dt))
-    tol = 1e-9 * max(1.0, times[-1])
-    if not (0 <= k <= lattice.steps) or abs(times[k] - float(t_prime)) > tol:
-        raise ValueError(f"{t_prime!r} is not a grid time")
+    k = lattice.grid.level_of(t_prime)
     if k == 0:
         raise ValueError(
             "the constraint acts on a left limit; it cannot sit at time 0"

@@ -37,6 +37,7 @@ from .lattice import (
     all_paths,
     expectation_level,
     increment_level,
+    path_nodes,
 )
 
 __all__ = [
@@ -285,6 +286,21 @@ def implicit_step(E, Z, t, driver, dA, dt):
     return float(y[0])
 
 
+def _checked_terminal(barriers, xi):
+    """Terminal values: ``barriers.xi``, or the given ``xi`` (a scalar
+    is broadcast), which must equal them."""
+    if xi is None:
+        return barriers.xi
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 0:
+        xi = np.full(barriers.xi.shape, float(xi))
+    if not np.array_equal(xi, barriers.xi):
+        raise ValueError(
+            "xi differs from the obstacles' normalized terminal values"
+        )
+    return xi
+
+
 def solve_rbsde(lattice, driver, barriers, xi=None):
     """Backward induction over the whole lattice.
 
@@ -298,21 +314,9 @@ def solve_rbsde(lattice, driver, barriers, xi=None):
     steps = lattice.steps
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
-    xi_norm = barriers.xi
-    if xi is None:
-        xi = xi_norm
-    else:
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 0:
-            xi = np.full(steps + 1, float(xi))
-        if not np.array_equal(xi, xi_norm):
-            raise ValueError(
-                "xi differs from the obstacles' normalized terminal values"
-            )
-
     bounds = driver.bounds
     y_levels = [None] * (steps + 1)
-    y_levels[steps] = np.asarray(xi, dtype=float)
+    y_levels[steps] = _checked_terminal(barriers, xi)
     z_slots = [None] * steps
     drift_slots = [None] * steps
     kp_slots = [None] * steps
@@ -513,10 +517,8 @@ def budget_defect(sol):
     lat = sol.lattice
     steps = lat.steps
     paths = all_paths(steps)
-    n_paths = paths.shape[0]
-    nodes = np.zeros((n_paths, steps + 1), dtype=np.int64)
-    np.cumsum(paths, axis=1, out=nodes[:, 1:])
-    acc = np.full(n_paths, sol.Y.level(0)[0])
+    nodes = path_nodes(paths)
+    acc = np.full(paths.shape[0], sol.Y.level(0)[0])
     for j in range(steps):
         idx = nodes[:, j]
         db = (2.0 * paths[:, j] - 1.0) * lat.sqrt_dt

@@ -152,19 +152,7 @@ def random_witness_instance(rng, steps, tight=True, two_sided=True):
         return a * np.sin(freq * w) + b * w + c * t
 
     levels = [shape(lat.times[i], lat.brownian(i)) for i in range(steps + 1)]
-    gamma, vplus, vminus = [], [], []
-    for i in range(steps):
-        upv, downv = levels[i + 1][1:], levels[i + 1][:-1]
-        gamma.append((upv - downv) / (2.0 * lat.sqrt_dt))
-        drift = 0.5 * (upv + downv) - levels[i]
-        vminus.append(np.maximum(drift, 0.0))
-        vplus.append(np.maximum(-drift, 0.0))
-    spec = SemimartingaleSpec(
-        float(levels[0][0]),
-        IncreasingProcess(lat, vplus),
-        IncreasingProcess(lat, vminus),
-        PredictableProcess(lat, gamma),
-    )
+    spec = SemimartingaleSpec.from_levels(lat, levels)
     xi = np.asarray(levels[steps], dtype=float)
     margin = rng.uniform(0.2, 0.6)
     L = AdaptedProcess(

@@ -252,6 +252,90 @@ def test_effective_barriers_ignore_value_off_support(lat):
         assert np.all(np.isneginf(low))
 
 
+def test_effective_barriers_are_the_merge_stored_at_construction(lat):
+    # node-dependent clocks and predictable obstacles, both sides, with
+    # levels the clocks leave uncharged
+    rng = np.random.default_rng(5)
+    steps = lat.steps
+    xi = rng.normal(0.0, 0.1, steps + 1)
+    L = AdaptedProcess(
+        lat, [rng.uniform(-2.0, -1.0, i + 1) for i in range(steps + 1)]
+    ).with_terminal(xi)
+    U = AdaptedProcess(
+        lat, [rng.uniform(1.0, 2.0, i + 1) for i in range(steps + 1)]
+    ).with_terminal(xi)
+    l = PredictableProcess(
+        lat, [rng.uniform(-1.5, 0.0, i + 1) for i in range(steps)]
+    )
+    u = PredictableProcess(
+        lat, [rng.uniform(0.0, 1.5, i + 1) for i in range(steps)]
+    )
+    charged = {1, 3}
+    delta = IncreasingProcess(
+        lat,
+        [
+            np.where(np.arange(i + 1) % 2 == 0, 1.0, 0.0)
+            if i in charged
+            else np.zeros(i + 1)
+            for i in range(steps)
+        ],
+    )
+    alpha = IncreasingProcess(
+        lat,
+        [
+            np.where(np.arange(i + 1) % 2 == 1, 0.5, 0.0)
+            if i in charged
+            else np.zeros(i + 1)
+            for i in range(steps)
+        ],
+    )
+    bars = BarrierSet(L, U, l, u, delta, alpha)
+    for j in range(steps):
+        low, high = effective_barriers(bars, j)
+        expect_low = L.level(j).copy()
+        expect_high = U.level(j).copy()
+        for k in range(j + 1):
+            if delta.atom(j)[k] > 0.0:
+                expect_low[k] = max(expect_low[k], l.atom(j)[k])
+            if alpha.atom(j)[k] > 0.0:
+                expect_high[k] = min(expect_high[k], u.atom(j)[k])
+        assert np.array_equal(low, expect_low)
+        assert np.array_equal(high, expect_high)
+        assert not low.flags.writeable and not high.flags.writeable
+        if j not in charged:
+            assert low is L.level(j)
+            assert high is U.level(j)
+    assert np.any(effective_barriers(bars, 1)[0] != L.level(1))
+    assert np.any(effective_barriers(bars, 3)[1] != U.level(3))
+    low, high = effective_barriers(bars, steps)
+    assert low is bars.xi and high is bars.xi
+
+
+def test_infeasible_predictable_obstacle_raises_at_construction(lat):
+    # the floor at t3 crosses the upper node obstacle at node 2 only
+    xi = np.zeros(lat.steps + 1)
+    floor = np.array([0.0, 0.5, 3.0])
+    l = PredictableProcess(
+        lat,
+        [
+            floor if i == 2 else np.full(i + 1, -np.inf)
+            for i in range(lat.steps)
+        ],
+    )
+    with pytest.raises(InfeasibleBarriers) as err:
+        BarrierSet.build(
+            lat,
+            xi,
+            U=AdaptedProcess.constant(lat, 1.0),
+            l=l,
+            delta=IncreasingProcess.from_time_atoms(lat, {3: 1.0}),
+        )
+    assert err.value.level == 2
+    assert err.value.node == 2
+    assert err.value.low == 3.0
+    assert err.value.high == 1.0
+
+
 def test_infeasible_barriers_name_the_node(lat):
     xi = np.zeros(lat.steps + 1)
     L = AdaptedProcess.constant(lat, 0.0)

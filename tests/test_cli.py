@@ -5,14 +5,20 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbsdelab
 from rbsdelab.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _parser,
     main,
 )
 
@@ -161,6 +167,46 @@ def test_missing_terminal_without_witness_exits_1(tmp_path, capsys):
 def test_bad_flags_exit_1(capsys):
     assert main(["solve", "--no-such-flag"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+# the flags each subcommand acts on; every other use is rejected
+_ACTING_FLAGS = {
+    "solve": (),
+    "penalize": ("--schedule-max",),
+    "snell": (),
+    "envelope": (),
+    "verify": ("--seed", "--depth", "--cases", "--tol", "--schedule-max"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_ACTING_FLAGS))
+def test_flags_only_where_they_act(tmp_path, subcommand, capsys):
+    cfg = write_config(tmp_path, base_scenario())
+    head = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    for flag in ("--seed", "--depth", "--cases", "--tol", "--schedule-max"):
+        if flag in _ACTING_FLAGS[subcommand]:
+            _parser().parse_args(head + [flag, "3"])
+        else:
+            assert main(head + [flag, "3"]) == EXIT_CONFIG
+            assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    paths = [str(Path(rbsdelab.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probe = "import sys, rbsdelab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_crossed_obstacles_exit_2(tmp_path, capsys):

@@ -104,6 +104,18 @@ def test_reconstruct_detects_non_recombining(lat):
     assert err.value.gap > 0.0
 
 
+def test_from_levels_reconstructs_the_levels(lat):
+    rng = np.random.default_rng(8)
+    levels = [rng.normal(0.0, 1.0, i + 1) for i in range(lat.steps + 1)]
+    spec = SemimartingaleSpec.from_levels(lat, levels)
+    S = spec.reconstruct()
+    for i in range(lat.steps + 1):
+        assert np.allclose(S.level(i), levels[i], rtol=0.0, atol=1e-12)
+    for i in range(lat.steps):
+        # the signed drift is split, never charged to both parts
+        assert np.all(spec.vplus.atom(i) * spec.vminus.atom(i) == 0.0)
+
+
 def test_running_max_envelope_dominates_paths(lat):
     rng = np.random.default_rng(4)
     X = AdaptedProcess(

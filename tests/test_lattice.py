@@ -226,6 +226,22 @@ def test_path_nodes():
     assert np.array_equal(path_nodes([]), [0])
 
 
+def test_path_nodes_of_a_path_batch_match_row_by_row():
+    P = all_paths(5)
+    nodes = path_nodes(P)
+    assert nodes.shape == (32, 6)
+    assert np.array_equal(nodes, np.stack([path_nodes(row) for row in P]))
+
+
+def test_grid_level_of():
+    grid = TimeGrid(1.5, 6)
+    assert [grid.level_of(t) for t in grid.times] == list(range(7))
+    assert grid.level_of(0.75 + 1e-12) == 3
+    for t in (0.3, -0.25, 1.75, 1e300, np.inf, np.nan):
+        with pytest.raises(ValueError, match="not a grid time"):
+            grid.level_of(t)
+
+
 def test_path_enumeration_consistency(lat):
     # along_path over every enumerated path visits each node the
     # binomial number of times
