@@ -14,15 +14,15 @@ penalty terms with weight ``n``.  Each is solved one-sided:
 
 Containment by the witness (lower solutions below it, upper ones
 above) and monotonicity in ``n`` are then verified, not assumed, with
-a small tolerance absorbing bisection residue.  The squeeze estimates
-the two monotone limits along a doubling schedule; since a binding
-penalty converges only like ``1/n``, the squeeze honestly reports
-exhaustion when the requested tolerance is out of reach.  Where the
-exact limits are wanted, they are computed directly: the limit of each
-one-sided penalized family is the solve in which its penalized
-constraint is enforced exactly through the merged obstacles, so the
-default route uses those hard-constraint solves and keeps the finite-n
-family as an exhibit.
+a small tolerance absorbing the rounding left in the implicit steps.
+The squeeze estimates the two monotone limits along a doubling
+schedule; since a binding penalty converges only like ``1/n``, the
+squeeze honestly reports exhaustion when the requested tolerance is
+out of reach.  Where the exact limits are wanted, they are computed
+directly: the limit of each one-sided penalized family is the solve in
+which its penalized constraint is enforced exactly through the merged
+obstacles, so the default route uses those hard-constraint solves and
+keeps the finite-n family as an exhibit.
 """
 
 from dataclasses import replace
@@ -31,11 +31,7 @@ import numpy as np
 
 from .barriers import BarrierSet, dom_membership
 from .drivers import SemimartingaleSpec, build_dominated_driver
-from .lattice import (
-    AdaptedProcess,
-    IncreasingProcess,
-    PredictableProcess,
-)
+from .lattice import IncreasingProcess, PredictableProcess
 from .solver import _checked_terminal, solve_rbsde
 
 __all__ = [
@@ -53,7 +49,7 @@ __all__ = [
 
 DEFAULT_SCHEDULE = (0,) + tuple(2 ** k for k in range(17))
 
-# slack absorbing bisection residue in ordering checks
+# slack absorbing the implicit steps' rounding in ordering checks
 _ORDER_TOL = 1e-9
 
 

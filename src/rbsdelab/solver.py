@@ -6,7 +6,7 @@ One backward step at level ``j`` does three things, per node:
    martingale slope (both exact two-point formulas);
 2. solves the scalar implicit equation
    ``y = E + f(t, y, Z) dt + g(t, y, y) dA (+ structural terms)``
-   by monotone bracketing and bisection; a generator's declared
+   by monotone bracketing and a safeguarded secant; a generator's declared
    squared-slope component is not frozen into an Euler term but
    integrated by its exact one-step exponential average, which keeps
    the step strictly monotone in the next level's values at any step
@@ -54,10 +54,15 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# absolute bisection tolerance on the unknown, and iteration caps
-_BISECT_TOL = 1e-12
-_BISECT_MAX = 200
+# bracket width at which a node's root is done, relative to its scale
+# |y| + |base|; the smallest normal float floors that scale so a root
+# at 0 is done too
+_ULPS = 2.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# caps on the bracket expansions and on the root-finding steps (any
+# three steps at least halve the bracket)
 _EXPAND_MAX = 64
+_SECANT_MAX = 300
 # roots further than this (relative) from the starting value sit where
 # float cancellation erases the drift term entirely, so a vanishing
 # residual there proves nothing: treat them as divergence
@@ -65,21 +70,25 @@ _SANE_SPAN = 1e12
 
 
 class ImplicitStepDivergence(Exception):
-    """Bracketing failed; the implicit step has no reachable root.
+    """The implicit step has no reachable root.
 
+    Raised when bracketing fails, when the root lies so far from the
+    base value that float cancellation erases the drift, or when the
+    root finder reaches its step cap with the bracket still open.
     Usually means the drift grows at least linearly in ``y`` with
     ``rate * dt >= 1`` (too coarse a grid) or a clock rate violating
-    the monotonicity requirement.
+    the monotonicity requirement.  ``span`` is the distance the message
+    names: the last expansion step, the root's distance from the base
+    value, or the width of the open bracket.
     """
 
-    def __init__(self, level, node, span):
+    def __init__(self, level, node, span, what=None):
         self.level = int(level)
         self.node = int(node)
         self.span = float(span)
-        super().__init__(
-            f"no sign change within +-{self.span!r} of the base value at "
-            f"(level {self.level}, node {self.node})"
-        )
+        if what is None:
+            what = f"no sign change within +-{self.span!r} of the base value"
+        super().__init__(f"{what} at (level {self.level}, node {self.node})")
 
 
 class NonFiniteDriver(Exception):
@@ -174,12 +183,39 @@ def _tilt_increment(coef, w, sqrt_dt):
     return np.where(live, out, 0.0)
 
 
+def _narrowed(y, f_y, lo, f_lo, hi, f_hi):
+    """Bracket after a probe: ``y`` replaces ``lo`` where ``phi(y) <= 0``
+    and ``hi`` where ``phi(y) >= 0`` (both where it is a root)."""
+    left = f_y <= 0.0
+    right = f_y >= 0.0
+    return (
+        np.where(left, y, lo),
+        np.where(left, f_y, f_lo),
+        np.where(right, y, hi),
+        np.where(right, f_y, f_hi),
+    )
+
+
 def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     """Vectorized solve of ``y = base + F(y)`` per node.
 
     ``F(y) = f_drift(t, y, Z) dt + g_fn(t, y, y) dA + penalty(level, y)``
     with absent pieces skipped.  Returns the root array; raises
     :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
+
+    ``phi(y) = y - base - F(y)`` is increasing, so walking outwards
+    from the two points where it is already known (``base`` and the
+    fixed-point image ``base + F(base)``) brackets the root.  The
+    bracket is then shrunk by Illinois steps (regula falsi that halves
+    the value kept at an end retained twice running; Dowell and
+    Jarratt, BIT 1971), replaced by the secant through the last two
+    points on one side of the root wherever that lands inside the
+    bracket, and by a bisection step wherever the last two steps did
+    not halve the bracket.  No step lands closer than half the stopping
+    width to either end.  A node is done when its bracket is at most
+    ``_ULPS * (|y| + |base|)`` wide; ``phi == 0`` closes it outright.
+    Every generator value is checked, and reaching ``_SECANT_MAX``
+    steps with a bracket still open raises.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
@@ -192,69 +228,111 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
             out = out + np.asarray(g_fn(t, y, y), dtype=float) * dA
         if penalty is not None:
             out = out + np.asarray(penalty(level, y), dtype=float)
-        return np.broadcast_to(out, base.shape)
-
-    def bad_node(values):
-        return int(np.argmin(np.isfinite(values)))
-
-    Fb = F(base)
-    if not np.all(np.isfinite(Fb)):
-        raise NonFiniteDriver(level, bad_node(Fb))
-    y0 = base + Fb
-    F0 = F(y0)
-    if not np.all(np.isfinite(F0)):
-        raise NonFiniteDriver(level, bad_node(F0))
-    if np.array_equal(F0, Fb):
-        # drift does not depend on the unknown here: y0 is the exact root
-        return y0
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise NonFiniteDriver(level, int(np.argmin(finite)))
+        return out
 
     def phi(y):
         return y - base - F(y)
 
-    lo = np.minimum(base, y0) - 1.0
-    hi = np.maximum(base, y0) + 1.0
-    span = np.ones_like(base)
-    for _ in range(_EXPAND_MAX):
-        bad = phi(lo) > 0.0
-        if not bad.any():
-            break
-        span = np.where(bad, 2.0 * span, span)
-        lo = np.where(bad, lo - span, lo)
-    else:
-        node = int(np.argmax(phi(lo) > 0.0))
-        raise ImplicitStepDivergence(level, node, float(span.max()))
-    span = np.ones_like(base)
-    for _ in range(_EXPAND_MAX):
-        bad = phi(hi) < 0.0
-        if not bad.any():
-            break
-        span = np.where(bad, 2.0 * span, span)
-        hi = np.where(bad, hi + span, hi)
-    else:
-        node = int(np.argmax(phi(hi) < 0.0))
-        raise ImplicitStepDivergence(level, node, float(span.max()))
+    Fb = F(base)
+    y0 = base + Fb
+    F0 = F(y0)
+    if np.array_equal(F0, Fb):
+        # drift does not depend on the unknown here: y0 is the exact root
+        return y0
 
-    for _ in range(_BISECT_MAX):
-        if float(np.max(hi - lo)) <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        neg = phi(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    y = 0.5 * (lo + hi)
+    # phi is known at base (-Fb) and at y0 = base + Fb; call them p < q.
+    # A node with phi(p) > 0 has its root below p, one with phi(p) <= 0
+    # and phi(q) < 0 above q: walk each such node away from the pair,
+    # doubling the step, until phi changes sign.  Every probe either
+    # closes the bracket or becomes its new near end.
+    swap = y0 < base
+    p = np.minimum(base, y0)
+    q = np.maximum(base, y0)
+    f_y0 = y0 - base - F0
+    f_p = np.where(swap, f_y0, -Fb)
+    f_q = np.where(swap, -Fb, f_y0)
+    down = f_p > 0.0
+    up = ~down & (f_q < 0.0)
+    lo = np.where(up, q, p)
+    f_lo = np.where(up, f_q, f_p)
+    hi = np.where(down, p, q)
+    f_hi = np.where(down, f_p, f_q)
+    span = q - p
+    probes = 0
+    while down.any() or up.any():
+        if probes == _EXPAND_MAX:
+            node = int(np.argmax(down | up))
+            raise ImplicitStepDivergence(level, node, float(span[node]))
+        probes += 1
+        y = np.where(down, hi - span, np.where(up, lo + span, lo))
+        lo, f_lo, hi, f_hi = _narrowed(y, phi(y), lo, f_lo, hi, f_hi)
+        down = f_lo > 0.0
+        up = f_hi < 0.0
+        span = 2.0 * span
+
+    floor = np.abs(base) + _TINY
+    width = hi - lo
+    y = lo + 0.5 * width
+    # phi at the ends; f_lo and f_hi also carry the Illinois halvings
+    t_lo, t_hi = f_lo, f_hi
+    secant = np.full_like(width, np.nan)  # same-side candidate, NaN if none
+    shrunk = np.full_like(width, np.inf)  # half the width two steps back
+    halved = shrunk
+    side = np.zeros_like(width)  # sign of phi at the last iterate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECANT_MAX):
+            tol = _ULPS * (floor + np.abs(y))
+            if (width <= tol).all():
+                break
+            x = lo - f_lo * (width / (f_hi - f_lo))
+            x = np.where((secant > lo) & (secant < hi), secant, x)
+            # no step closer than half the stopping width to either end;
+            # fmax also drops the NaN of a 0/0 step
+            nudge = 0.5 * tol
+            x = np.fmin(np.fmax(x, lo + nudge), hi - nudge)
+            bisect = (width > shrunk) | (width <= tol)
+            y = np.where(bisect, lo + 0.5 * width, x)
+            f_y = phi(y)
+            # secant through y and the end it replaces: both lie on one
+            # side of the root, so on a piecewise-linear phi (a penalty
+            # kink) two points of the root's piece give it exactly
+            left = f_y <= 0.0
+            old = np.where(left, lo, hi)
+            secant = y - f_y * ((y - old) / (f_y - np.where(left, t_lo, t_hi)))
+            # Illinois: halve the value of an end kept twice running
+            sign = np.sign(f_y)
+            keep = np.where(sign == side, 0.5, 1.0)
+            f_lo = np.where(left, f_y, f_lo * keep)
+            f_hi = np.where(f_y >= 0.0, f_y, f_hi * keep)
+            lo, t_lo, hi, t_hi = _narrowed(y, f_y, lo, t_lo, hi, t_hi)
+            side = sign
+            shrunk = halved
+            halved = 0.5 * width
+            width = hi - lo
+        else:
+            node = int(np.argmax(width > tol))
+            gap = float(width[node])
+            raise ImplicitStepDivergence(
+                level,
+                node,
+                gap,
+                f"root bracket still {gap!r} wide after {_SECANT_MAX} steps",
+            )
 
     # one fixed-point polish; keep whichever candidate has the smaller
     # residual, element-wise
     yp = base + F(y)
-    better = np.abs(phi(yp)) < np.abs(phi(y))
+    better = np.abs(phi(yp)) < np.abs(y - yp)
     y = np.where(better, yp, y)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteDriver(level, bad_node(y))
     runaway = np.abs(y - base) > _SANE_SPAN * (1.0 + np.abs(base))
     if runaway.any():
         node = int(np.argmax(runaway))
+        span = float(abs(y[node] - base[node]))
         raise ImplicitStepDivergence(
-            level, node, float(np.abs(y - base)[node])
+            level, node, span, f"root {span!r} away from the base value"
         )
     return y
 

@@ -33,7 +33,6 @@ from .lattice import (
     PredictableProcess,
     TimeGrid,
     all_paths,
-    expectation_level,
     path_nodes,
 )
 from .oracle import (

@@ -238,6 +238,18 @@ def test_divergent_implicit_step_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_root_finder_at_its_step_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # a step cap reached with the bracket still open is a failure, not
+    # an answer
+    from rbsdelab import solver
+
+    monkeypatch.setattr(solver, "_SECANT_MAX", 1)
+    cfg = write_config(tmp_path, base_scenario())
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert "after 1 steps at (level 4, node 0)" in capsys.readouterr().err
+
+
 def test_drifting_witness_fails_snell_audit_with_exit_3(tmp_path, capsys):
     doc = base_scenario()
     doc["witness"] = {"kind": "shape", "linear": 0.3, "time": 0.5}

@@ -17,7 +17,6 @@ from rbsdelab.lattice import (
 )
 from rbsdelab.penalize import (
     DEFAULT_SCHEDULE,
-    PenalizedFamily,
     SandwichViolation,
     ScheduleExhausted,
     build_family,

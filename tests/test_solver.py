@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from rbsdelab import solver
 from rbsdelab.barriers import BarrierSet, effective_barriers
 from rbsdelab.drivers import Driver
 from rbsdelab.lattice import (
@@ -87,6 +91,118 @@ def test_implicit_step_divergence():
     drv = Driver(f=lambda t, y, z: y * y)
     with pytest.raises(ImplicitStepDivergence):
         implicit_step(1.0, 0.0, 0.0, drv, 0.0, 1.0)
+
+
+def counting(f):
+    """``f`` with a count of its calls in ``.calls``."""
+
+    def counted(t, y, z):
+        counted.calls += 1
+        return f(t, y, z)
+
+    counted.calls = 0
+    return counted
+
+
+def nan_on(lo, hi):
+    """Rate ``0.5 y``, NaN for ``lo < y < hi``."""
+    return lambda t, y, z: np.where((y > lo) & (y < hi), np.nan, 0.5 * y)
+
+
+@pytest.mark.parametrize(
+    "band", [(0.526, 0.5265), (0.5264, np.inf)], ids=["at_root", "above_root"]
+)
+def test_nan_inside_the_search_raises(band):
+    # root 0.5/0.95 = 0.52632: a band around it, or covering everything
+    # above it, lies on the path of any search for it
+    with pytest.raises(NonFiniteDriver) as info:
+        implicit_step(0.5, 0.0, 0.0, Driver(f=nan_on(*band)), 0.0, 0.1)
+    assert (info.value.level, info.value.node) == (-1, 0)
+
+
+def test_nan_band_beside_the_root_is_never_read_as_a_sign():
+    # a NaN on (0.51, 0.515) taken for a sign moves a bracketing search
+    # onto a wrong root (0.52550 for bisection of [-0.5, 1.525])
+    root = 0.5 / 0.95
+    try:
+        drv = Driver(f=nan_on(0.51, 0.515))
+        y = implicit_step(0.5, 0.0, 0.0, drv, 0.0, 0.1)
+    except NonFiniteDriver:
+        return
+    assert abs(y - root) <= 4.0 * np.spacing(root)
+
+
+@pytest.mark.parametrize("E", [1.0, 1e4, 1e6, 1e9, 0.0])
+def test_implicit_step_reaches_float_resolution_at_any_scale(E):
+    # an absolute stopping width falls below float spacing once
+    # |y| ~ 1e4, so only a width relative to the scale is reachable
+    f = counting(lambda t, y, z: 0.5 * y)
+    y = implicit_step(E, 0.0, 0.0, Driver(f=f), 0.0, 0.1)
+    root = E / 0.95
+    assert abs(y - root) <= 4.0 * np.spacing(root)
+    assert f.calls <= 12
+
+
+def test_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
+    monkeypatch.setattr(solver, "_SECANT_MAX", 1)
+    with pytest.raises(ImplicitStepDivergence) as info:
+        implicit_step(1.0, 0.0, 0.0, Driver.linear(0.5, 0.0, 0.0), 0.0, 0.1)
+    assert (info.value.level, info.value.node) == (-1, 0)
+    assert 0.0 < info.value.span < 1.0
+    assert "after 1 steps" in str(info.value)
+
+
+def _affine_case(rng, dt):
+    a = rng.uniform(-0.5, 0.5) / dt
+    c = rng.normal()
+    E = rng.normal() * 10.0 ** rng.uniform(-3.0, 6.0)
+
+    def rate(t, y, z):
+        return a * y + c
+
+    qE, qc, qa, qdt = map(Fraction, (E, c, a, dt))
+    return E, rate, (qE + qc * qdt) / (1 - qa * qdt)
+
+
+def _kinked_case(rng, dt):
+    # penalty n * mass * (l - y)^+ (or its upper mirror) on a constant
+    # rate, as in the penalized ladder, n up to 2**16
+    k = 2.0 ** rng.integers(0, 17) * rng.uniform(0.5, 2.0) / dt
+    c = rng.normal()
+    E = rng.normal() * 10.0 ** rng.uniform(-3.0, 6.0)
+    kink = E + rng.normal() * max(1.0, abs(E))
+    side = 1.0 if rng.uniform() < 0.5 else -1.0
+
+    def rate(t, y, z):
+        return c + side * k * np.maximum(side * (kink - y), 0.0)
+
+    free = Fraction(E) + Fraction(c) * Fraction(dt)
+    if side * (Fraction(kink) - free) <= 0:
+        root = free  # penalty inactive at the root
+    else:
+        kdt = Fraction(k) * Fraction(dt)
+        root = (free + kdt * Fraction(kink)) / (1 + kdt)
+    return E, rate, root
+
+
+@pytest.mark.parametrize("case", [_affine_case, _kinked_case])
+def test_root_finder_property(case):
+    """Closed-form roots to 4 ulps of the scale ``|E| + |root|``, in no
+    more calls than bisection of the former bracket needs to reach
+    that width."""
+    rng = np.random.default_rng(2020)
+    dt = 0.01
+    for _ in range(200):
+        E, rate, root = case(rng, dt)
+        f = counting(rate)
+        y = implicit_step(E, 0.0, 0.0, Driver(f=f), 0.0, dt)
+        scale = abs(E) + abs(float(root))
+        width = 4.0 * np.spacing(scale)
+        assert abs(Fraction(y) - root) <= width, (E, y, float(root))
+        y0 = E + float(rate(0.0, np.array([E]), 0.0)[0]) * dt
+        bracket = abs(y0 - E) + 2.0
+        halvings = max(0, math.ceil(math.log2(bracket / width)))
+        assert f.calls <= 2 + halvings, (E, f.calls, halvings)
 
 
 def test_non_finite_driver_names_the_node(lat):
