@@ -208,12 +208,11 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     fixed-point image ``base + F(base)``) brackets the root.  The
     bracket is then shrunk by Illinois steps (regula falsi that halves
     the value kept at an end retained twice running; Dowell and
-    Jarratt, BIT 1971), replaced by the secant through the last two
-    points on one side of the root wherever that lands inside the
-    bracket, and by a bisection step wherever the last two steps did
-    not halve the bracket.  No step lands closer than half the stopping
-    width to either end.  A node is done when its bracket is at most
-    ``_ULPS * (|y| + |base|)`` wide; ``phi == 0`` closes it outright.
+    Jarratt, BIT 1971), replaced by a bisection step wherever the last
+    two steps did not halve the bracket.  No step lands closer than
+    half the stopping width to either end.  A node is done when its
+    bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
+    closes it outright.
     Every generator value is checked, and reaching ``_SECANT_MAX``
     steps with a bracket still open raises.
     """
@@ -247,7 +246,9 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     # A node with phi(p) > 0 has its root below p, one with phi(p) <= 0
     # and phi(q) < 0 above q: walk each such node away from the pair,
     # doubling the step, until phi changes sign.  Every probe either
-    # closes the bracket or becomes its new near end.
+    # closes the bracket or becomes its new near end.  The first step is
+    # floored at the stopping width: q == p wherever Fb is below half an
+    # ulp of base.
     swap = y0 < base
     p = np.minimum(base, y0)
     q = np.maximum(base, y0)
@@ -260,7 +261,8 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     f_lo = np.where(up, f_q, f_p)
     hi = np.where(down, p, q)
     f_hi = np.where(down, f_p, f_q)
-    span = q - p
+    floor = np.abs(base) + _TINY
+    span = np.maximum(q - p, _ULPS * floor)
     probes = 0
     while down.any() or up.any():
         if probes == _EXPAND_MAX:
@@ -273,12 +275,8 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
         up = f_hi < 0.0
         span = 2.0 * span
 
-    floor = np.abs(base) + _TINY
     width = hi - lo
     y = lo + 0.5 * width
-    # phi at the ends; f_lo and f_hi also carry the Illinois halvings
-    t_lo, t_hi = f_lo, f_hi
-    secant = np.full_like(width, np.nan)  # same-side candidate, NaN if none
     shrunk = np.full_like(width, np.inf)  # half the width two steps back
     halved = shrunk
     side = np.zeros_like(width)  # sign of phi at the last iterate
@@ -288,7 +286,6 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
             if (width <= tol).all():
                 break
             x = lo - f_lo * (width / (f_hi - f_lo))
-            x = np.where((secant > lo) & (secant < hi), secant, x)
             # no step closer than half the stopping width to either end;
             # fmax also drops the NaN of a 0/0 step
             nudge = 0.5 * tol
@@ -296,18 +293,12 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
             bisect = (width > shrunk) | (width <= tol)
             y = np.where(bisect, lo + 0.5 * width, x)
             f_y = phi(y)
-            # secant through y and the end it replaces: both lie on one
-            # side of the root, so on a piecewise-linear phi (a penalty
-            # kink) two points of the root's piece give it exactly
-            left = f_y <= 0.0
-            old = np.where(left, lo, hi)
-            secant = y - f_y * ((y - old) / (f_y - np.where(left, t_lo, t_hi)))
             # Illinois: halve the value of an end kept twice running
             sign = np.sign(f_y)
             keep = np.where(sign == side, 0.5, 1.0)
-            f_lo = np.where(left, f_y, f_lo * keep)
-            f_hi = np.where(f_y >= 0.0, f_y, f_hi * keep)
-            lo, t_lo, hi, t_hi = _narrowed(y, f_y, lo, t_lo, hi, t_hi)
+            lo, f_lo, hi, f_hi = _narrowed(
+                y, f_y, lo, f_lo * keep, hi, f_hi * keep
+            )
             side = sign
             shrunk = halved
             halved = 0.5 * width

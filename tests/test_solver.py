@@ -152,6 +152,20 @@ def test_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
     assert "after 1 steps" in str(info.value)
 
 
+def test_drift_below_half_an_ulp_of_base_is_bracketed():
+    # at node 0, F(base) rounds away in base + F(base), so the two known
+    # points coincide; node 1 keeps the early exact-root return from firing
+    drv = Driver.linear(-1.0, 0.0, 1.0)
+    base = np.array([1.0 + 2.0**-52, 2.0])
+    dt = 0.01
+    y = solver._implicit_core(
+        base, np.zeros(2), 0.0, dt, 0, drv.f, None, None, None
+    )
+    for b, got in zip(base, y):
+        root = (Fraction(b) + Fraction(dt)) / (1 + Fraction(dt))
+        assert abs(Fraction(got) - root) <= np.spacing(float(root))
+
+
 def _affine_case(rng, dt):
     a = rng.uniform(-0.5, 0.5) / dt
     c = rng.normal()
