@@ -35,8 +35,6 @@ from .lattice import (
     AdaptedProcess,
     PredictableProcess,
     IncreasingProcess,
-    conditional_expectation,
-    martingale_increment_coefficient,
     all_paths,
     path_nodes,
 )
@@ -45,9 +43,7 @@ from .barriers import (
     EnvelopeResult,
     InfeasibleBarriers,
     envelope_profile,
-    envelope_n,
     envelope_star_profile,
-    envelope_star,
     effective_barriers,
     check_left_constraint,
     dom_membership,
@@ -78,6 +74,7 @@ from .penalize import (
     PenalizedFamily,
     ScheduleExhausted,
     SandwichViolation,
+    ReductionDisagreement,
     DEFAULT_SCHEDULE,
     solve_penalized_lower,
     solve_penalized_upper,
@@ -120,17 +117,13 @@ __all__ = [
     "AdaptedProcess",
     "PredictableProcess",
     "IncreasingProcess",
-    "conditional_expectation",
-    "martingale_increment_coefficient",
     "all_paths",
     "path_nodes",
     "BarrierSet",
     "EnvelopeResult",
     "InfeasibleBarriers",
     "envelope_profile",
-    "envelope_n",
     "envelope_star_profile",
-    "envelope_star",
     "effective_barriers",
     "check_left_constraint",
     "dom_membership",
@@ -155,6 +148,7 @@ __all__ = [
     "PenalizedFamily",
     "ScheduleExhausted",
     "SandwichViolation",
+    "ReductionDisagreement",
     "DEFAULT_SCHEDULE",
     "solve_penalized_lower",
     "solve_penalized_upper",

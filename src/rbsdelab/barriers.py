@@ -39,9 +39,7 @@ __all__ = [
     "InfeasibleBarriers",
     "EnvelopeResult",
     "envelope_profile",
-    "envelope_n",
     "envelope_star_profile",
-    "envelope_star",
     "BarrierSet",
     "effective_barriers",
     "check_left_constraint",
@@ -143,25 +141,6 @@ def envelope_profile(times, g, weights, n):
     return EnvelopeResult(n, values, left)
 
 
-def _clock_profile(rho):
-    """Times and per-time weights of a time-indexed clock."""
-    if not isinstance(rho, IncreasingProcess):
-        raise TypeError("rho must be an IncreasingProcess")
-    return rho.lattice.times, rho.weights_by_time()
-
-
-def envelope_n(g, rho, n, t):
-    """Envelope value at grid time ``t`` for penalty weight ``n``.
-
-    ``g`` holds per-time samples (length N+1) and ``rho`` must be a
-    time-indexed clock.  Returns -inf when ``rho`` has no atom in
-    ``[0, t]``.
-    """
-    times, w = _clock_profile(rho)
-    prof = envelope_profile(times, g, w, n)
-    return float(prof.values[rho.lattice.grid.level_of(t)])
-
-
 def envelope_star_profile(times, g, weights):
     """Hard (infinite-penalty) envelope: ``g`` on atoms, -inf elsewhere.
 
@@ -179,13 +158,6 @@ def envelope_star_profile(times, g, weights):
     values = np.where(w > 0.0, gv, -np.inf)
     left = np.full_like(t, -np.inf)
     return EnvelopeResult(math.inf, values, left)
-
-
-def envelope_star(g, rho, t):
-    """Hard envelope at grid time ``t``: ``g(t)`` on an atom, else -inf."""
-    times, w = _clock_profile(rho)
-    prof = envelope_star_profile(times, g, w)
-    return float(prof.values[rho.lattice.grid.level_of(t)])
 
 
 class BarrierSet:

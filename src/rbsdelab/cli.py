@@ -9,8 +9,9 @@ are serialized via ``repr``, so identical config and seed produce
 byte-identical CSV files.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible obstacles,
-3 numerical failure (divergence, non-finite generator, exhausted
-penalty schedule, or a failed verification suite).
+3 numerical failure (divergence, non-finite generator, a broken
+penalized ordering, a reduction that disagrees with the direct solve, or
+a failed verification suite).
 """
 
 import argparse
@@ -48,8 +49,8 @@ from .lattice import (
 )
 from .penalize import (
     DEFAULT_SCHEDULE,
+    ReductionDisagreement,
     SandwichViolation,
-    ScheduleExhausted,
     build_family,
     reduce_and_solve,
 )
@@ -163,15 +164,25 @@ def _build_lattice(cfg):
         raise ConfigError(f"grid: {exc}") from exc
 
 
+# the keys each obstacle generator kind takes besides ``kind``
+_KIND_KEYS = {
+    "constant": {"value"},
+    "table": {"levels"},
+    "payoff": {"form", "strike"},
+    "shape": {"sin", "freq", "linear", "time", "offset"},
+}
+
+
 def _shape_levels(node, lat, path):
     """Evaluate one obstacle generator to per-level arrays."""
-    _check_keys(
-        node,
-        {"kind", "value", "levels", "values", "form", "strike", "sin",
-         "freq", "linear", "time", "offset"},
-        path,
-    )
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path} must be an object")
     kind = node.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(
+            f"{path}.kind must be one of constant, table, payoff, shape"
+        )
+    _check_keys(node, {"kind"} | _KIND_KEYS[kind], path)
     if kind == "constant":
         v = _number(node, "value", path, required=True)
         return [np.full(i + 1, v) for i in range(lat.steps + 1)]
@@ -206,20 +217,16 @@ def _shape_levels(node, lat, path):
                 for i in range(lat.steps + 1)
             ]
         raise ConfigError(f"{path}.form must be 'put' or 'call'")
-    if kind == "shape":
-        a = _number(node, "sin", path, default=0.0)
-        w = _number(node, "freq", path, default=1.0)
-        b = _number(node, "linear", path, default=0.0)
-        c = _number(node, "time", path, default=0.0)
-        d = _number(node, "offset", path, default=0.0)
-        return [
-            a * np.sin(w * lat.brownian(i)) + b * lat.brownian(i)
-            + c * lat.times[i] + d
-            for i in range(lat.steps + 1)
-        ]
-    raise ConfigError(
-        f"{path}.kind must be one of constant, table, payoff, shape"
-    )
+    a = _number(node, "sin", path, default=0.0)
+    w = _number(node, "freq", path, default=1.0)
+    b = _number(node, "linear", path, default=0.0)
+    c = _number(node, "time", path, default=0.0)
+    d = _number(node, "offset", path, default=0.0)
+    return [
+        a * np.sin(w * lat.brownian(i)) + b * lat.brownian(i)
+        + c * lat.times[i] + d
+        for i in range(lat.steps + 1)
+    ]
 
 
 def _terminal_values(cfg, lat, witness_levels):
@@ -240,11 +247,11 @@ def _terminal_values(cfg, lat, witness_levels):
 
 
 def _atom_list_predictable(entries, lat, path, fill):
-    slots = [np.full(i + 1, fill) for i in range(lat.steps)]
     if entries is None:
         return None
     if not isinstance(entries, list):
         raise ConfigError(f"{path} must be a list of atoms")
+    slots = [np.full(i + 1, fill) for i in range(lat.steps)]
     for idx, entry in enumerate(entries):
         _check_keys(entry, {"time", "value", "values"}, f"{path}[{idx}]")
         k = _integer(entry, "time", f"{path}[{idx}]", required=True)
@@ -370,7 +377,6 @@ class ScenarioConfig:
         "barriers",
         "witness",
         "schedule",
-        "squeeze_tol",
         "seed",
         "outputs",
     )
@@ -423,7 +429,7 @@ class ScenarioConfig:
         self.witness = witness
 
         pen = cfg.get("penalization", {})
-        _check_keys(pen, {"schedule", "tol"}, "penalization")
+        _check_keys(pen, {"schedule"}, "penalization")
         schedule = pen.get("schedule")
         if schedule is None:
             self.schedule = DEFAULT_SCHEDULE
@@ -443,7 +449,6 @@ class ScenarioConfig:
                     "strictly increasing"
                 )
             self.schedule = tuple(schedule)
-        self.squeeze_tol = _number(pen, "tol", "penalization", default=1e-8)
         self.seed = _integer(cfg, "seed", "config", default=7)
 
         out = cfg.get("outputs", {})
@@ -620,13 +625,7 @@ def run_penalize(scn, outdir, schedule_max=None):
     )
     conv_path = outdir / scn.outputs["convergence"]
     write_convergence_csv(conv_path, family)
-    sol = reduce_and_solve(
-        scn.lattice,
-        scn.driver,
-        scn.barriers,
-        schedule=schedule,
-        squeeze_tol=scn.squeeze_tol,
-    )
+    sol = reduce_and_solve(scn.lattice, scn.driver, scn.barriers)
     sol_path = outdir / scn.outputs["solution"]
     write_solution_csv(sol_path, sol, scn.barriers)
     print(
@@ -786,11 +785,10 @@ def main(argv=None):
     except (
         ImplicitStepDivergence,
         NonFiniteDriver,
-        ScheduleExhausted,
         SandwichViolation,
         HypothesisAViolated,
         InconsistentSemimartingale,
-        RuntimeError,
+        ReductionDisagreement,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

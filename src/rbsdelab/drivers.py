@@ -78,20 +78,18 @@ class GrowthBounds:
 
     ``eta + C * z**2`` bounds ``|f|`` (with the first argument clamped
     between the node obstacles), ``beta`` bounds ``|g|``, and ``A`` is
-    the clock ``g`` integrates against.  ``phi`` optionally records the
-    nondecreasing rescaling the bounds were built with.
+    the clock ``g`` integrates against.
     """
 
-    __slots__ = ("lattice", "eta", "C", "beta", "A", "phi")
+    __slots__ = ("lattice", "eta", "C", "beta", "A")
 
-    def __init__(self, eta, C, beta, A=None, phi=None):
+    def __init__(self, eta, C, beta, A=None):
         lattice = eta.lattice
         self.lattice = lattice
         self.eta = eta
         self.C = _as_adapted(lattice, C)
         self.beta = _as_adapted(lattice, beta)
         self.A = A if A is not None else IncreasingProcess.zero(lattice)
-        self.phi = phi
         for name in ("eta", "C", "beta"):
             proc = getattr(self, name)
             for i, lv in enumerate(proc.levels):
@@ -101,13 +99,12 @@ class GrowthBounds:
                     )
 
     @classmethod
-    def constants(cls, lattice, eta, C, beta=0.0, A=None, phi=None):
+    def constants(cls, lattice, eta, C, beta=0.0, A=None):
         return cls(
             AdaptedProcess.constant(lattice, eta),
             AdaptedProcess.constant(lattice, C),
             AdaptedProcess.constant(lattice, beta),
             A=A,
-            phi=phi,
         )
 
     def __repr__(self):
@@ -189,7 +186,7 @@ class SemimartingaleSpec:
             gap = np.abs(nxt[1 : i + 1] - up[: i])
             if gap.size and gap.max() > tol * max(1.0, np.abs(nxt).max()):
                 node = int(np.argmax(gap)) + 1
-                raise InconsistentSemimartingale(i + 1, node, gap.max() if gap.size else 0.0)
+                raise InconsistentSemimartingale(i + 1, node, gap.max())
             levels.append(nxt)
         return AdaptedProcess(lat, levels)
 
@@ -351,7 +348,7 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
         )
 
     return GrowthBounds(
-        scaled(eta_tilde), scaled(C_tilde), scaled(eta_hat), A=A, phi=phi
+        scaled(eta_tilde), scaled(C_tilde), scaled(eta_hat), A=A
     )
 
 

@@ -32,8 +32,6 @@ __all__ = [
     "AdaptedProcess",
     "PredictableProcess",
     "IncreasingProcess",
-    "conditional_expectation",
-    "martingale_increment_coefficient",
     "expectation_level",
     "increment_level",
     "all_paths",
@@ -218,13 +216,6 @@ class AdaptedProcess:
             v = np.full(self.lattice.steps + 1, float(v))
         return AdaptedProcess(self.lattice, list(self.levels[:-1]) + [v])
 
-    def along_path(self, ups):
-        """Values along one path given its 0/1 up-move indicators."""
-        nodes = path_nodes(ups)
-        return np.array(
-            [self.levels[i][nodes[i]] for i in range(len(nodes))]
-        )
-
     def __repr__(self):
         return (
             f"AdaptedProcess(steps={self.lattice.steps}, "
@@ -369,19 +360,6 @@ class IncreasingProcess:
             out[i + 1] = a[0] if a.size else 0.0
         return out
 
-    def cumulative_along(self, ups):
-        """Running total along one path, length ``steps + 1``, starts at 0."""
-        nodes = path_nodes(ups)
-        jumps = np.array(
-            [self.atoms[i][nodes[i]] for i in range(self.lattice.steps)]
-        )
-        out = np.zeros(self.lattice.steps + 1)
-        np.cumsum(jumps, out=out[1:])
-        return out
-
-    def total_along(self, ups):
-        return float(self.cumulative_along(ups)[-1])
-
     def __repr__(self):
         tot = sum(float(a.max()) if a.size else 0.0 for a in self.atoms)
         return (
@@ -390,30 +368,22 @@ class IncreasingProcess:
         )
 
 
-def conditional_expectation(process, level, node):
-    """Expected next-step value seen from node ``(level, node)``."""
-    nxt = process.levels[level + 1]
-    return 0.5 * (nxt[node] + nxt[node + 1])
-
-
-def martingale_increment_coefficient(process, level, node):
-    """Integrand making ``X_{i+1} - E[X_{i+1}]`` a walk increment.
-
-    With children ``d`` (down) and ``u`` (up), the unique coefficient is
-    ``(u - d) / (2 sqrt(dt))``.
-    """
-    nxt = process.levels[level + 1]
-    return (nxt[node + 1] - nxt[node]) / (2.0 * process.lattice.sqrt_dt)
-
-
 def expectation_level(values_next):
-    """Vectorized one-step expectation: level ``i+1`` -> level ``i``."""
+    """One-step expectation at every node: level ``i+1`` -> level ``i``.
+
+    Entry ``j`` is the midpoint of the children ``j`` and ``j + 1``.
+    """
     v = np.asarray(values_next, dtype=float)
     return 0.5 * (v[:-1] + v[1:])
 
 
 def increment_level(values_next, sqrt_dt):
-    """Vectorized martingale coefficients: level ``i+1`` -> level ``i``."""
+    """Martingale coefficients at every node: level ``i+1`` -> level ``i``.
+
+    With children ``d`` (down) and ``u`` (up), the unique integrand
+    making ``X_{i+1} - E[X_{i+1}]`` a walk increment is
+    ``(u - d) / (2 sqrt(dt))``.
+    """
     v = np.asarray(values_next, dtype=float)
     return (v[1:] - v[:-1]) / (2.0 * sqrt_dt)
 

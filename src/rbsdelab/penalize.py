@@ -18,25 +18,26 @@ a small tolerance absorbing the rounding left in the implicit steps.
 The squeeze estimates the two monotone limits along a doubling
 schedule; since a binding penalty converges only like ``1/n``, the
 squeeze honestly reports exhaustion when the requested tolerance is
-out of reach.  Where the exact limits are wanted, they are computed
-directly: the limit of each one-sided penalized family is the solve in
-which its penalized constraint is enforced exactly through the merged
-obstacles, so the default route uses those hard-constraint solves and
-keeps the finite-n family as an exhibit.
+out of reach.  The reduction does not take that route: the limit of
+each one-sided penalized family is the solve in which its penalized
+constraint is enforced exactly through the merged obstacles, so the
+reduction uses those hard-constraint solves and the finite-n family
+stays an exhibit of the convergence.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from .barriers import BarrierSet, dom_membership
+from .barriers import BarrierSet, effective_barriers
 from .drivers import SemimartingaleSpec, build_dominated_driver
 from .lattice import IncreasingProcess, PredictableProcess
-from .solver import _checked_terminal, solve_rbsde
+from .solver import solve_rbsde
 
 __all__ = [
     "ScheduleExhausted",
     "SandwichViolation",
+    "ReductionDisagreement",
     "DEFAULT_SCHEDULE",
     "PenalizedFamily",
     "solve_penalized_lower",
@@ -64,6 +65,15 @@ class ScheduleExhausted(Exception):
             f"weight {self.n_last} (binding penalties converge like 1/n; "
             f"use the exact hard-constraint limits instead)"
         )
+
+
+class ReductionDisagreement(RuntimeError):
+    """The reduced solve failed a cross-check against the original
+    problem; ``gap`` is the size of the failure."""
+
+    def __init__(self, message, gap):
+        super().__init__(message)
+        self.gap = float(gap)
 
 
 class SandwichViolation(Exception):
@@ -402,24 +412,15 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     return upper.Y, lower.Y
 
 
-def reduce_and_solve(
-    lattice,
-    driver,
-    barriers,
-    xi=None,
-    schedule=DEFAULT_SCHEDULE,
-    exact_limits=True,
-    squeeze_tol=1e-8,
-    agreement_tol=1e-6,
-):
+def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     """Solve the predictable-obstacle problem through its reduction.
 
-    Builds the squeeze pair (exactly by default, or numerically along
-    ``schedule``), then solves the plain two-obstacle problem between
-    the pair with the original generator.  The result is cross-checked
-    against the original constraints and against the direct
-    merged-obstacle solve; disagreement raises ``RuntimeError`` since
-    it would mean the two routes diverged.
+    Builds the squeeze pair exactly (:func:`exact_squeeze_barriers`),
+    then solves the plain two-obstacle problem between the pair with
+    the original generator.  The result is cross-checked against the
+    original constraints and against the direct merged-obstacle solve;
+    a failed check raises :class:`ReductionDisagreement`, since it
+    would mean the two routes diverged.
     """
     if driver.bounds is None:
         raise ValueError("reduction needs the generator's growth bounds")
@@ -428,29 +429,30 @@ def reduce_and_solve(
         raise ValueError(
             "reduction needs a witness decomposition on the obstacle set"
         )
-    _checked_terminal(barriers, xi)
-    bounds = driver.bounds
-    if exact_limits:
-        Ybar, Yunder = exact_squeeze_barriers(lattice, bounds, spec, barriers)
-    else:
-        family = build_family(
-            lattice, bounds, spec, barriers, schedule=schedule
-        )
-        Ybar, Yunder, _ = squeeze_limits(
-            family, tol=squeeze_tol, n_max=max(schedule)
-        )
+    Ybar, Yunder = exact_squeeze_barriers(
+        lattice, driver.bounds, spec, barriers
+    )
     reduced_bars = BarrierSet.build(lattice, barriers.xi, L=Yunder, U=Ybar)
     sol = solve_rbsde(lattice, driver, reduced_bars)
-    if not dom_membership(sol.Y, barriers):
-        raise RuntimeError(
-            "reduced solve violates the original obstacle constraints"
+    excursion = 0.0
+    for i in range(lattice.steps):
+        low, high = effective_barriers(barriers, i)
+        y = sol.Y.level(i)
+        excursion = max(
+            excursion, float(np.max(low - y)), float(np.max(y - high))
+        )
+    if excursion > 0.0:
+        raise ReductionDisagreement(
+            f"reduced solve leaves the original obstacles by {excursion!r}",
+            excursion,
         )
     direct = solve_rbsde(lattice, driver, barriers)
     gap = abs(sol.value() - direct.value())
     if gap > agreement_tol:
-        raise RuntimeError(
+        raise ReductionDisagreement(
             f"reduction disagrees with the direct merged-obstacle solve "
             f"by {gap!r} at the root (usual cause: growth bounds that do "
-            f"not dominate the generator on the obstacle range)"
+            f"not dominate the generator on the obstacle range)",
+            gap,
         )
     return sol

@@ -355,37 +355,22 @@ def implicit_step(E, Z, t, driver, dA, dt):
     return float(y[0])
 
 
-def _checked_terminal(barriers, xi):
-    """Terminal values: ``barriers.xi``, or the given ``xi`` (a scalar
-    is broadcast), which must equal them."""
-    if xi is None:
-        return barriers.xi
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        xi = np.full(barriers.xi.shape, float(xi))
-    if not np.array_equal(xi, barriers.xi):
-        raise ValueError(
-            "xi differs from the obstacles' normalized terminal values"
-        )
-    return xi
-
-
-def solve_rbsde(lattice, driver, barriers, xi=None):
+def solve_rbsde(lattice, driver, barriers):
     """Backward induction over the whole lattice.
 
-    ``xi`` defaults to the obstacle set's normalized terminal values
-    and must equal them when given.  Per level: expectation and slope
-    from the solved next level, the implicit drift step (structural
-    squared-slope, source and penalty terms included), then the clamp
-    onto the merged obstacle interval with the projection residuals
-    recorded as reflection increments.
+    The terminal values are the obstacle set's normalized ones,
+    ``barriers.xi``.  Per level: expectation and slope from the solved
+    next level, the implicit drift step (structural squared-slope,
+    source and penalty terms included), then the clamp onto the merged
+    obstacle interval with the projection residuals recorded as
+    reflection increments.
     """
     steps = lattice.steps
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
     bounds = driver.bounds
     y_levels = [None] * (steps + 1)
-    y_levels[steps] = _checked_terminal(barriers, xi)
+    y_levels[steps] = barriers.xi
     z_slots = [None] * steps
     drift_slots = [None] * steps
     kp_slots = [None] * steps

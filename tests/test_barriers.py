@@ -9,9 +9,7 @@ from rbsdelab.barriers import (
     check_left_constraint,
     dom_membership,
     effective_barriers,
-    envelope_n,
     envelope_profile,
-    envelope_star,
     envelope_star_profile,
 )
 from rbsdelab.lattice import (
@@ -126,28 +124,30 @@ def test_envelope_result_frozen():
         prof.values[0] = 0.0
 
 
-def test_envelope_scalar_accessors(lat):
+def test_envelope_of_a_clock_at_grid_times(lat):
     rho = IncreasingProcess.from_time_atoms(lat, {1: 1.0, 3: 2.0})
-    g = GVALS
-    assert envelope_n(g, rho, 1.0, 0.5) == 0.75
-    assert envelope_n(g, rho, 1.0, 1.0) == 1.75
-    assert envelope_star(g, rho, 0.75) == 2.0
-    assert envelope_star(g, rho, 0.5) == -np.inf
-    with pytest.raises(ValueError):
-        envelope_n(g, rho, 1.0, 0.3)  # not a grid time
-    with pytest.raises(TypeError):
-        envelope_n(g, PredictableProcess.constant(lat, 1.0), 1.0, 0.5)
+    weights = rho.weights_by_time()
+    assert np.array_equal(weights, WEIGHTS)
+    prof = envelope_profile(lat.times, GVALS, weights, 1.0)
+    star = envelope_star_profile(lat.times, GVALS, weights)
+    assert prof.values[lat.grid.level_of(0.5)] == 0.75
+    assert prof.values[lat.grid.level_of(1.0)] == 1.75
+    assert star.values[lat.grid.level_of(0.75)] == 2.0
+    assert star.values[lat.grid.level_of(0.5)] == -np.inf
 
 
 def test_envelope_star_dominated_by_finite_n(lat):
     # the hard envelope is the monotone limit from below of the finite-n
-    # ones: star <= envelope_n for every n, equality on atoms
+    # ones: star <= finite-n for every n, equality on atoms
     rho = IncreasingProcess.from_time_atoms(lat, {2: 1.0})
+    weights = rho.weights_by_time()
     g = np.array([0.0, 0.0, 4.0, 0.0, 0.0])
-    for t in lat.times:
-        s = envelope_star(g, rho, t)
-        for n in (0.0, 1.0, 10.0, 1e6):
-            assert s <= envelope_n(g, rho, n, t) + 1e-9
+    star = envelope_star_profile(lat.times, g, weights).values
+    for n in (0.0, 1.0, 10.0, 1e6):
+        finite = envelope_profile(lat.times, g, weights, n).values
+        assert np.all(star <= finite + 1e-9)
+        on = weights > 0.0
+        assert np.array_equal(star[on], finite[on])
 
 
 def test_barrier_build_defaults(lat):

@@ -136,6 +136,7 @@ def test_terminal_blank_step_columns(tmp_path):
         lambda d: d.update(penalization={"schedule": [4, 2, 1]}),
         lambda d: d.update(terminal={"kind": "payoff", "form": "straddle",
                                      "strike": 1.0}),
+        lambda d: d.update(terminal={"kind": ["shape"]}),
     ],
 )
 def test_bad_configs_exit_1(tmp_path, mangle, capsys):
@@ -145,6 +146,37 @@ def test_bad_configs_exit_1(tmp_path, mangle, capsys):
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+_TABLE_LEVELS = [[0.1 * j for j in range(i + 1)] for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "place, node, key",
+    [
+        ("terminal", {"kind": "constant", "value": 1.0, "strike": 5.0},
+         "strike"),
+        ("L", {"kind": "table", "levels": _TABLE_LEVELS, "sin": 3.0}, "sin"),
+        ("L", {"kind": "payoff", "form": "put", "strike": 1.0,
+               "levels": _TABLE_LEVELS}, "levels"),
+        ("U", {"kind": "shape", "offset": 2.0, "value": 2.0}, "value"),
+        ("terminal", {"kind": "shape", "sin": 0.4, "values": [0.0] * 6},
+         "values"),
+        ("penalization", {"schedule": [0, 1, 2], "tol": 1e-6}, "tol"),
+    ],
+    ids=["constant", "table", "payoff", "shape", "shape-values",
+         "penalization"],
+)
+def test_keys_of_another_kind_exit_1(tmp_path, capsys, place, node, key):
+    doc = base_scenario()
+    if place in ("L", "U"):
+        doc["barriers"][place] = node
+    else:
+        doc[place] = node
+    cfg = write_config(tmp_path, doc)
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_invalid_json_exits_1(tmp_path, capsys):
@@ -307,6 +339,18 @@ def test_penalize_writes_both_tables(tmp_path):
     assert (out / "solution.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["artifacts"]) == ["penalization.csv", "solution.csv"]
+
+
+def test_reduction_disagreement_exits_3(tmp_path, capsys):
+    # zero growth bounds cannot dominate a constant drift of 1, so the
+    # reduced solve disagrees with the direct one
+    doc = witness_scenario()
+    doc["driver"] = {"name": "constant", "params": {"value": 1.0}}
+    doc["bounds"] = {"eta": 0.0, "C": 0.0}
+    cfg = write_config(tmp_path, doc)
+    code = main(["penalize", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert "reduction disagrees" in capsys.readouterr().err
 
 
 def test_penalize_without_witness_exits_1(tmp_path, capsys):

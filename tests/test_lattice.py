@@ -8,10 +8,8 @@ from rbsdelab.lattice import (
     PredictableProcess,
     TimeGrid,
     all_paths,
-    conditional_expectation,
     expectation_level,
     increment_level,
-    martingale_increment_coefficient,
     path_nodes,
 )
 
@@ -57,11 +55,10 @@ def test_walk_is_martingale(lat):
     B = lat.brownian_process()
     h = lat.sqrt_dt
     for i in range(lat.steps):
-        for j in range(i + 1):
-            e = conditional_expectation(B, i, j)
-            assert abs(e - B.level(i)[j]) <= 4 * np.spacing(abs(e) + h)
-            m = martingale_increment_coefficient(B, i, j)
-            assert abs(m - 1.0) <= 8 * np.spacing(1.0)
+        E = expectation_level(B.level(i + 1))
+        assert np.all(np.abs(E - B.level(i)) <= 4 * np.spacing(np.abs(E) + h))
+        M = increment_level(B.level(i + 1), h)
+        assert np.all(np.abs(M - 1.0) <= 8 * np.spacing(1.0))
 
 
 def test_adapted_shape_checks(lat):
@@ -107,7 +104,8 @@ def test_with_terminal(lat):
 def test_along_path(lat):
     B = lat.brownian_process()
     ups = np.array([1, 0, 1, 1, 0, 0])
-    vals = B.along_path(ups)
+    nodes = path_nodes(ups)
+    vals = [B.level(i)[nodes[i]] for i in range(lat.steps + 1)]
     walk = np.concatenate([[0.0], np.cumsum(2.0 * ups - 1.0) * lat.sqrt_dt])
     assert np.allclose(vals, walk)
 
@@ -172,13 +170,15 @@ def test_clock_node_dependent_weights(lat):
 
 def test_clock_along_path(lat):
     D = IncreasingProcess.from_time_atoms(lat, {2: 0.25, 5: 0.75})
-    ups = np.zeros(lat.steps, dtype=int)
-    cum = D.cumulative_along(ups)
+    ups = np.array([0, 1, 1, 0, 1, 0])
+    nodes = path_nodes(ups)
+    jumps = [D.atom(i)[nodes[i]] for i in range(lat.steps)]
+    cum = np.concatenate([[0.0], np.cumsum(jumps)])
     assert cum[0] == 0.0
     assert cum[2] == 0.25
     assert cum[4] == 0.25
     assert cum[5] == 1.0
-    assert D.total_along(ups) == 1.0
+    assert cum[-1] == 1.0
 
 
 def test_level_operators_match_nodewise(lat):
@@ -187,11 +187,13 @@ def test_level_operators_match_nodewise(lat):
         lat, [rng.standard_normal(i + 1) for i in range(lat.steps + 1)]
     )
     for i in range(lat.steps):
-        E = expectation_level(X.level(i + 1))
-        Z = increment_level(X.level(i + 1), lat.sqrt_dt)
+        nxt = X.level(i + 1)
+        E = expectation_level(nxt)
+        Z = increment_level(nxt, lat.sqrt_dt)
         for j in range(i + 1):
-            assert E[j] == conditional_expectation(X, i, j)
-            assert Z[j] == martingale_increment_coefficient(X, i, j)
+            down, up = nxt[j], nxt[j + 1]
+            assert E[j] == 0.5 * (down + up)
+            assert Z[j] == (up - down) / (2.0 * lat.sqrt_dt)
 
 
 def test_tower_property(lat):
@@ -243,7 +245,7 @@ def test_grid_level_of():
 
 
 def test_path_enumeration_consistency(lat):
-    # along_path over every enumerated path visits each node the
+    # path_nodes over every enumerated path visits each node the
     # binomial number of times
     from math import comb
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbsdelab.barriers import BarrierSet, dom_membership
+from rbsdelab.barriers import BarrierSet, dom_membership, effective_barriers
 from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
@@ -17,6 +17,7 @@ from rbsdelab.lattice import (
 )
 from rbsdelab.penalize import (
     DEFAULT_SCHEDULE,
+    ReductionDisagreement,
     SandwichViolation,
     ScheduleExhausted,
     build_family,
@@ -257,19 +258,17 @@ def test_reduction_matches_the_direct_solve():
 
 
 def test_reduction_numeric_route_agrees_with_exact_route():
-    # inert predictable obstacles: the chains converge immediately and
-    # the two squeeze routes must coincide
+    # inert predictable obstacles: the chains converge immediately, so
+    # solving between the numerical squeeze limits must give the
+    # reduction's value
     lat, bounds, spec, bars = witness_instance(tight=False)
     drv = Driver.linear(0.0, 0.3, -0.2, bounds=bounds)
-    via_exact = reduce_and_solve(lat, drv, bars, exact_limits=True)
-    via_chain = reduce_and_solve(
-        lat,
-        drv,
-        bars,
-        exact_limits=False,
-        schedule=(0, 1, 2),
-        squeeze_tol=1e-4,
-    )
+    via_exact = reduce_and_solve(lat, drv, bars)
+    family = build_family(lat, bounds, spec, bars, schedule=(0, 1, 2))
+    Ybar, Yunder, converged = squeeze_limits(family, tol=1e-4, n_max=2)
+    assert converged
+    between = BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar)
+    via_chain = solve_rbsde(lat, drv, between)
     assert abs(via_exact.value() - via_chain.value()) < 1e-9
 
 
@@ -280,10 +279,38 @@ def test_reduction_validation():
     plain = BarrierSet.build(lat, bars.xi, L=bars.L, U=bars.U)
     with pytest.raises(ValueError):
         reduce_and_solve(lat, Driver.zero().with_bounds(bounds), plain)
-    with pytest.raises(ValueError):
-        reduce_and_solve(
-            lat, Driver.zero().with_bounds(bounds), bars, xi=bars.xi + 1.0
-        )
+
+
+def test_reduction_under_bounds_that_do_not_dominate_is_named():
+    # zero growth bounds cannot dominate a drift of 1, so the reduced
+    # solve and the direct one disagree at the root
+    lat, _, _, bars = witness_instance()
+    weak = GrowthBounds.constants(lat, eta=0.0, C=0.0)
+    drv = Driver.linear(0.0, 0.0, 1.0, bounds=weak)
+    with pytest.raises(ReductionDisagreement) as info:
+        reduce_and_solve(lat, drv, bars)
+    assert info.value.gap > 1e-6
+    assert f"by {info.value.gap!r} at the root" in str(info.value)
+
+
+def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
+    # a squeeze pair lifted above the upper obstacle must be caught by
+    # the membership check, with the excursion as the gap
+    from rbsdelab import penalize
+
+    lat, bounds, _, bars = witness_instance()
+    lifted = AdaptedProcess.constant(lat, 5.0).with_terminal(bars.xi)
+    monkeypatch.setattr(
+        penalize, "exact_squeeze_barriers", lambda *args: (lifted, lifted)
+    )
+    drv = Driver.zero().with_bounds(bounds)
+    with pytest.raises(ReductionDisagreement) as info:
+        reduce_and_solve(lat, drv, bars)
+    lowest_cap = min(
+        float(effective_barriers(bars, i)[1].min()) for i in range(lat.steps)
+    )
+    assert info.value.gap == 5.0 - lowest_cap
+    assert "leaves the original obstacles" in str(info.value)
 
 
 def test_default_schedule_shape():

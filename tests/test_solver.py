@@ -342,13 +342,6 @@ def test_predictable_atom_clamps_the_pre_jump_value(lat):
     assert np.all(sol.Kplus.atom(2) == 0.75)
 
 
-def test_terminal_mismatch_rejected(lat):
-    xi = np.zeros(lat.steps + 1)
-    bars = free_barriers(lat, xi)
-    with pytest.raises(ValueError):
-        solve_rbsde(lat, Driver.zero(), bars, xi=xi + 1.0)
-
-
 def test_comparison_orders_nested_drivers(lat):
     xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
     bars = band_barriers(lat, xi, width=0.4)
