@@ -54,7 +54,6 @@ from .drivers import (
     SemimartingaleSpec,
     InconsistentSemimartingale,
     NonMonotonePhi,
-    running_max_envelope,
     dominate_growth,
     build_dominated_driver,
     audit_assumptions,
@@ -132,7 +131,6 @@ __all__ = [
     "SemimartingaleSpec",
     "InconsistentSemimartingale",
     "NonMonotonePhi",
-    "running_max_envelope",
     "dominate_growth",
     "build_dominated_driver",
     "audit_assumptions",

@@ -33,6 +33,8 @@ from .lattice import (
     IncreasingProcess,
     PredictableProcess,
     _frozen,
+    entry_levels,
+    level_offset,
 )
 
 __all__ = [
@@ -173,8 +175,9 @@ class BarrierSet:
     known to satisfy all four constraints (consumed by the penalization
     scheme); it is stored as-is and never interpreted here.
 
-    The merged interval of every level is computed here, once, and
-    served by :func:`effective_barriers`.
+    The merged interval of every node is computed here, once: ``low``
+    and ``high`` are the merged bands, as adapted processes, and
+    :func:`effective_barriers` serves their level views.
     """
 
     __slots__ = (
@@ -186,7 +189,8 @@ class BarrierSet:
         "delta",
         "alpha",
         "witness",
-        "_merged",
+        "low",
+        "high",
     )
 
     def __init__(self, L, U, l, u, delta, alpha, witness=None):
@@ -211,41 +215,46 @@ class BarrierSet:
             raise ValueError(
                 "obstacles are not terminally normalized; use BarrierSet.build"
             )
-        merged = []
-        for i in range(lattice.steps):
-            low = L.level(i)
-            high = U.level(i)
-            floor = l.atom(i)
-            cap = u.atom(i)
-            # -inf disables a lower constraint and +inf an upper one; the
-            # opposite signs would force infinite solutions, so reject them
-            if np.any(low == np.inf):
-                raise ValueError("lower node obstacle takes the value +inf")
-            if np.any(high == -np.inf):
-                raise ValueError("upper node obstacle takes the value -inf")
-            if np.any(floor == np.inf):
-                raise ValueError(
-                    "lower predictable obstacle takes the value +inf"
-                )
-            if np.any(cap == -np.inf):
-                raise ValueError(
-                    "upper predictable obstacle takes the value -inf"
-                )
-            # a predictable obstacle acts on the left limit at the next
-            # grid time, so it joins the node obstacle where its clock
-            # charges; a level no clock charges keeps the node arrays
-            on = delta.support(i)
-            if on.any():
-                low = _frozen(np.maximum(low, np.where(on, floor, -np.inf)))
-            on = alpha.support(i)
-            if on.any():
-                high = _frozen(np.minimum(high, np.where(on, cap, np.inf)))
-            bad = low > high
-            if bad.any():
-                node = int(np.argmax(bad))
-                raise InfeasibleBarriers(i, node, low[node], high[node])
-            merged.append((low, high))
-        merged.append((xi_low, xi_low))
+        # a predictable obstacle acts on the left limit at the next grid
+        # time, so it joins the node obstacle where its clock charges; a
+        # band no clock charges is the node obstacle itself
+        n = level_offset(lattice.steps)
+
+        def band(node, pred, clock, join):
+            on = np.flatnonzero(clock.values > 0.0)
+            if not on.size:
+                return node
+            out = node.values.copy()
+            out[on] = join(out[on], pred.values[on])
+            return AdaptedProcess(lattice, out)
+
+        low = band(L, l, delta, np.maximum)
+        high = band(U, u, alpha, np.minimum)
+        # -inf disables a lower constraint and +inf an upper one; the
+        # opposite signs would force infinite solutions, so reject them.
+        # The first defect by level is raised, ties in this order.
+        defects = (
+            (L.values[:n] == np.inf, "lower node obstacle takes the value +inf"),
+            (U.values[:n] == -np.inf, "upper node obstacle takes the value -inf"),
+            (l.values == np.inf, "lower predictable obstacle takes the value +inf"),
+            (u.values == -np.inf, "upper predictable obstacle takes the value -inf"),
+            (low.values[:n] > high.values[:n], None),
+        )
+        found = [
+            (int(np.argmax(bad)), order)
+            for order, (bad, _) in enumerate(defects)
+            if bad.any()
+        ]
+        if found:
+            levels = entry_levels(lattice.steps)
+            k, order = min(found, key=lambda f: (levels[f[0]], f[1]))
+            what = defects[order][1]
+            if what is not None:
+                raise ValueError(what)
+            i = int(levels[k])
+            raise InfeasibleBarriers(
+                i, k - level_offset(i), low.values[k], high.values[k]
+            )
         self.lattice = lattice
         self.L = L
         self.U = U
@@ -254,7 +263,8 @@ class BarrierSet:
         self.delta = delta
         self.alpha = alpha
         self.witness = witness
-        self._merged = tuple(merged)
+        self.low = low
+        self.high = high
 
     @classmethod
     def build(
@@ -318,9 +328,10 @@ def effective_barriers(bars, level):
     next grid time; the upper one mirrors this.  At the terminal level
     both equal the terminal values.  The intervals are computed and
     checked nonempty when ``bars`` is constructed (which raises
-    :class:`InfeasibleBarriers` otherwise); this is a lookup.
+    :class:`InfeasibleBarriers` otherwise); this returns level views of
+    the stored bands.
     """
-    return bars._merged[level]
+    return bars.low.level(level), bars.high.level(level)
 
 
 def check_left_constraint(Y, g, rho):
@@ -332,13 +343,9 @@ def check_left_constraint(Y, g, rho):
     """
     if Y.lattice.grid != rho.lattice.grid:
         raise ValueError("processes live on different grids")
-    for i in range(Y.lattice.steps):
-        on = rho.support(i)
-        if not on.any():
-            continue
-        if np.any(g.atom(i)[on] > Y.level(i)[on]):
-            return False
-    return True
+    on = rho.values > 0.0
+    left = Y.values[: on.size]
+    return not np.any(g.values[on] > left[on])
 
 
 def dom_membership(Y, bars):
@@ -348,14 +355,11 @@ def dom_membership(Y, bars):
     predictable obstacles at every clock atom through the left limit.
     The terminal value of ``Y`` is unconstrained here.
     """
-    for i in range(Y.lattice.steps):
-        yl = Y.level(i)
-        if np.any(bars.L.level(i) > yl) or np.any(yl > bars.U.level(i)):
-            return False
+    n = level_offset(Y.lattice.steps)
+    y = Y.values[:n]
+    if np.any(bars.L.values[:n] > y) or np.any(y > bars.U.values[:n]):
+        return False
     if not check_left_constraint(Y, bars.l, bars.delta):
         return False
-    for i in range(Y.lattice.steps):
-        on = bars.alpha.support(i)
-        if on.any() and np.any(Y.level(i)[on] > bars.u.atom(i)[on]):
-            return False
-    return True
+    on = bars.alpha.values > 0.0
+    return not np.any(y[on] > bars.u.values[on])

@@ -31,8 +31,8 @@ from .lattice import (
     IncreasingProcess,
     PredictableProcess,
     _frozen,
-    expectation_level,
-    increment_level,
+    entry_levels,
+    level_offset,
 )
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "SemimartingaleSpec",
     "Driver",
     "AuditReport",
-    "running_max_envelope",
     "dominate_growth",
     "build_dominated_driver",
     "audit_assumptions",
@@ -91,12 +90,11 @@ class GrowthBounds:
         self.beta = _as_adapted(lattice, beta)
         self.A = A if A is not None else IncreasingProcess.zero(lattice)
         for name in ("eta", "C", "beta"):
-            proc = getattr(self, name)
-            for i, lv in enumerate(proc.levels):
-                if np.any(lv < 0.0) or not np.all(np.isfinite(lv)):
-                    raise ValueError(
-                        f"{name} must be finite and >= 0 (level {i})"
-                    )
+            v = getattr(self, name).values
+            bad = (v < 0.0) | ~np.isfinite(v)
+            if bad.any():
+                i = entry_levels(lattice.steps + 1)[np.argmax(bad)]
+                raise ValueError(f"{name} must be finite and >= 0 (level {i})")
 
     @classmethod
     def constants(cls, lattice, eta, C, beta=0.0, A=None):
@@ -148,17 +146,16 @@ class SemimartingaleSpec:
         drift (expected next value minus current value) goes to
         ``vminus`` where positive and to ``vplus`` where negative.
         """
-        gamma, vplus, vminus = [], [], []
-        for i in range(lattice.steps):
-            gamma.append(increment_level(levels[i + 1], lattice.sqrt_dt))
-            drift = expectation_level(levels[i + 1]) - levels[i]
-            vminus.append(np.maximum(drift, 0.0))
-            vplus.append(np.maximum(-drift, 0.0))
+        x = np.concatenate(levels, dtype=float)
+        k = np.arange(level_offset(lattice.steps))
+        child = k + entry_levels(lattice.steps) + 1  # the down child
+        down, up = x[child], x[child + 1]
+        drift = 0.5 * (down + up) - x[k]
         return cls(
-            float(levels[0][0]),
-            IncreasingProcess(lattice, vplus),
-            IncreasingProcess(lattice, vminus),
-            PredictableProcess(lattice, gamma),
+            float(x[0]),
+            IncreasingProcess(lattice, np.maximum(-drift, 0.0)),
+            IncreasingProcess(lattice, np.maximum(drift, 0.0)),
+            PredictableProcess(lattice, (up - down) / (2.0 * lattice.sqrt_dt)),
         )
 
     @property
@@ -276,7 +273,7 @@ class Driver:
         return f"Driver({self.label})"
 
 
-def running_max_envelope(X):
+def _running_max_envelope(X):
     """Tightest node-indexed process dominating the running maximum.
 
     Forward recursion: a node's value is its own sample joined with the
@@ -319,14 +316,10 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     lattice = L.lattice
     size = AdaptedProcess(
         lattice,
-        [
-            2.0 * (np.maximum(U.level(i), 0.0) + np.maximum(-L.level(i), 0.0))
-            for i in range(lattice.steps + 1)
-        ],
+        2.0 * (np.maximum(U.values, 0.0) + np.maximum(-L.values, 0.0)),
     )
-    D = running_max_envelope(size)
-    probe_pts = np.concatenate([lv for lv in D.levels])
-    probe_pts = probe_pts[np.isfinite(probe_pts)]
+    D = _running_max_envelope(size)
+    probe_pts = D.values[np.isfinite(D.values)]
     # realized sizes may all coincide; spread the probe over [0, max]
     if probe_pts.size:
         probe_pts = np.concatenate(
@@ -340,11 +333,7 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
 
     def scaled(proc):
         return AdaptedProcess(
-            lattice,
-            [
-                np.asarray(phi(D.level(i)), dtype=float) * proc.level(i)
-                for i in range(lattice.steps + 1)
-            ],
+            lattice, np.asarray(phi(D.values), dtype=float) * proc.values
         )
 
     return GrowthBounds(
@@ -369,16 +358,11 @@ def build_dominated_driver(bounds, spec, orientation=1):
     lattice = bounds.lattice
     if spec.lattice.grid != lattice.grid:
         raise ValueError("bounds and witness decomposition on different grids")
-    absC = AdaptedProcess(
-        lattice,
-        [np.abs(bounds.C.level(i)) for i in range(lattice.steps + 1)],
+    env = _running_max_envelope(
+        AdaptedProcess(lattice, np.abs(bounds.C.values))
     )
-    env = running_max_envelope(absC)
     # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
-    m = AdaptedProcess(
-        lattice,
-        [1.0 + 8.0 * env.level(i) for i in range(lattice.steps + 1)],
-    )
+    m = AdaptedProcess(lattice, 1.0 + 8.0 * env.values)
     sgn = float(orientation)
 
     def f(t, y, z):

@@ -6,16 +6,21 @@ up-moves so far, ``0 <= j <= i``; its children at level ``i + 1`` are
 ``j`` (down) and ``j + 1`` (up), each with probability one half.  The
 walk value at node ``(i, j)`` is ``(2 j - i) * sqrt(dt)``.
 
-Two storage conventions coexist:
+Every process stores its values in one packed read-only array, level
+after level: level ``i`` (``i + 1`` entries, ascending in up-moves)
+starts at offset ``i (i + 1) / 2`` (:func:`level_offset`), so node
+``(i, j)`` is entry ``i (i + 1) / 2 + j`` and its children are the
+entries ``i + 1`` and ``i + 2`` further on.
 
-- *adapted* processes carry one array per level, level ``i`` having
-  ``i + 1`` entries, so entry ``(i, j)`` is the value observed at time
-  ``t_i``;
-- *predictable* processes attribute their entry ``i`` to the time
-  ``t_{i+1}`` but make it measurable at ``t_i``: the array stored at
-  slot ``i`` has ``i + 1`` entries (one per node of level ``i``).  The
-  left limit of an adapted process at ``t_{i+1}`` is likewise read at
-  level ``i``.
+- *adapted* processes pack levels ``0..N``, entry ``(i, j)`` being the
+  value observed at time ``t_i``;
+- *predictable* processes pack levels ``0..N-1``: the slot at level
+  ``i`` is attributed to the time ``t_{i+1}`` but measurable at
+  ``t_i``.  The left limit of an adapted process at ``t_{i+1}`` is
+  likewise read at level ``i``.
+
+``level(i)``, ``atom(i)`` and ``terminal()`` return views into the
+packed array.
 
 Conditional expectation one step ahead is the exact midpoint of the
 two children, and the integrand of the martingale part is the exact
@@ -36,6 +41,8 @@ __all__ = [
     "increment_level",
     "all_paths",
     "path_nodes",
+    "level_offset",
+    "entry_levels",
 ]
 
 # hard cap for exhaustive path enumeration: 2^20 paths
@@ -122,11 +129,6 @@ class Lattice:
     def dt(self):
         return self.grid.dt
 
-    def node_count(self, level):
-        if not 0 <= level <= self.steps:
-            raise IndexError(f"level {level} outside [0, {self.steps}]")
-        return level + 1
-
     def brownian(self, level):
         """Walk values at every node of ``level`` (ascending in up-moves)."""
         if not 0 <= level <= self.steps:
@@ -144,39 +146,87 @@ class Lattice:
         return f"Lattice({self.grid!r})"
 
 
-def _check_levels(lattice, levels, count, what):
-    if len(levels) != count:
-        raise ValueError(
-            f"{what} needs {count} level arrays, got {len(levels)}"
+def level_offset(i):
+    """Offset ``i (i + 1) / 2`` of level ``i`` in a packed process, also
+    elementwise; ``count`` levels take ``level_offset(count)`` entries."""
+    return i * (i + 1) // 2
+
+
+def _level_view(values, i):
+    """Level ``i`` of a packed process, as a view into ``values``.
+    Runs on every level read, so the offset is plain arithmetic here."""
+    start = i * (i + 1) // 2
+    out = values[start : start + i + 1]
+    if i < 0 or out.size != i + 1:
+        raise IndexError(f"level {i} outside the process")
+    return out
+
+
+def entry_levels(count):
+    """Level of every entry of a process packed over ``count`` levels."""
+    return np.repeat(np.arange(count), np.arange(1, count + 1))
+
+
+def _sampled(lattice, fn, count, shift):
+    """``fn(t_{i + shift}, walk at level i)`` for the levels below
+    ``count``, scalars broadcast."""
+    return [
+        np.broadcast_to(
+            np.asarray(fn(lattice.times[i + shift], lattice.brownian(i)), float),
+            (i + 1,),
         )
-    out = []
-    for i, arr in enumerate(levels):
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (i + 1,):
+        for i in range(count)
+    ]
+
+
+def _packed(levels, count, what):
+    """``levels`` (``count`` arrays, level ``i`` of shape ``(i + 1,)``,
+    or their packed concatenation) checked and packed into one read-only
+    float array: per-level arrays are concatenated, a packed float array
+    is frozen in place.  Errors name the first offending level."""
+    if isinstance(levels, np.ndarray) and levels.ndim == 1:
+        size = level_offset(count)
+        if levels.size != size:
             raise ValueError(
-                f"{what} level {i} must have shape ({i + 1},), got {a.shape}"
+                f"{what} needs {size} packed entries, got {levels.size}"
             )
-        if np.isnan(a).any():
-            raise ValueError(f"{what} level {i} contains NaN")
-        out.append(_frozen(a))
-    return tuple(out)
+        out = np.ascontiguousarray(levels, dtype=float)
+    else:
+        levels = list(levels)
+        if len(levels) != count:
+            raise ValueError(
+                f"{what} needs {count} level arrays, got {len(levels)}"
+            )
+        for i, arr in enumerate(levels):
+            shape = np.shape(arr)
+            if shape != (i + 1,):
+                raise ValueError(
+                    f"{what} level {i} must have shape ({i + 1},), got {shape}"
+                )
+        out = np.concatenate(levels, dtype=float)
+    if np.isnan(out.min()):  # the minimum is NaN if any entry is
+        level = entry_levels(count)[np.argmax(np.isnan(out))]
+        raise ValueError(f"{what} level {level} contains NaN")
+    out.setflags(write=False)
+    return out
 
 
 class AdaptedProcess:
     """Node-indexed process: one value per lattice node.
 
-    ``levels[i]`` has ``i + 1`` entries; entry ``j`` is the value at
-    node ``(i, j)``.  Values may be +-inf (extended-real obstacles) but
-    never NaN.  Arrays are stored read-only.
+    ``levels`` holds one array per level ``0..N``, level ``i`` having
+    ``i + 1`` entries (entry ``j`` is the value at node ``(i, j)``), or
+    their packed concatenation.  Values may be +-inf (extended-real
+    obstacles) but never NaN.  They are stored packed, read-only, in
+    ``values``; a packed array passed in becomes that storage and is
+    frozen in place, so pass a copy to keep a writable one.
     """
 
-    __slots__ = ("lattice", "levels")
+    __slots__ = ("lattice", "values")
 
     def __init__(self, lattice, levels):
         self.lattice = lattice
-        self.levels = _check_levels(
-            lattice, list(levels), lattice.steps + 1, "AdaptedProcess"
-        )
+        self.values = _packed(levels, lattice.steps + 1, "AdaptedProcess")
 
     @classmethod
     def from_function(cls, lattice, fn):
@@ -186,77 +236,65 @@ class AdaptedProcess:
         level and must return an array of matching shape (scalars are
         broadcast).
         """
-        levels = []
-        for i in range(lattice.steps + 1):
-            b = lattice.brownian(i)
-            v = np.broadcast_to(
-                np.asarray(fn(lattice.times[i], b), dtype=float), b.shape
-            )
-            levels.append(v)
-        return cls(lattice, levels)
+        return cls(lattice, _sampled(lattice, fn, lattice.steps + 1, 0))
 
     @classmethod
     def constant(cls, lattice, value):
-        value = float(value)
         return cls(
-            lattice,
-            [np.full(i + 1, value) for i in range(lattice.steps + 1)],
+            lattice, np.full(level_offset(lattice.steps + 1), float(value))
         )
 
     def level(self, i):
-        return self.levels[i]
+        return _level_view(self.values, i)
 
     def terminal(self):
-        return self.levels[-1]
+        return self.values[level_offset(self.lattice.steps) :]
 
     def with_terminal(self, values):
         """Copy of the process with the last level replaced."""
+        steps = self.lattice.steps
         v = np.asarray(values, dtype=float)
         if v.ndim == 0:
-            v = np.full(self.lattice.steps + 1, float(v))
-        return AdaptedProcess(self.lattice, list(self.levels[:-1]) + [v])
+            v = np.full(steps + 1, float(v))
+        elif v.shape != (steps + 1,):
+            raise ValueError(
+                f"AdaptedProcess level {steps} must have shape "
+                f"({steps + 1},), got {v.shape}"
+            )
+        head = self.values[: level_offset(steps)]
+        return AdaptedProcess(self.lattice, np.concatenate([head, v]))
 
     def __repr__(self):
         return (
             f"AdaptedProcess(steps={self.lattice.steps}, "
-            f"t0={self.levels[0][0]!r})"
+            f"t0={self.values[0]!r})"
         )
 
 
 class PredictableProcess:
     """Process attributed to ``t_{i+1}`` but known at ``t_i``.
 
-    ``atoms[i]`` has ``i + 1`` entries (the nodes of level ``i``) and
-    represents the value effective at time ``t_{i+1}``.  There is no
-    entry for time 0.  Values may be +-inf but never NaN.
+    ``atoms`` holds one array per slot ``0..N-1``, slot ``i`` having
+    ``i + 1`` entries (the nodes of level ``i``) and representing the
+    value effective at time ``t_{i+1}``, or their packed concatenation.
+    There is no entry for time 0.  Values may be +-inf but never NaN;
+    they are stored packed, read-only, in ``values``.
     """
 
-    __slots__ = ("lattice", "atoms")
+    __slots__ = ("lattice", "values")
 
     def __init__(self, lattice, atoms):
         self.lattice = lattice
-        self.atoms = _check_levels(
-            lattice, list(atoms), lattice.steps, "PredictableProcess"
-        )
+        self.values = _packed(atoms, lattice.steps, "PredictableProcess")
 
     @classmethod
     def from_function(cls, lattice, fn):
         """Build from ``fn(t_next, b)`` with ``b`` the level-``i`` walk."""
-        atoms = []
-        for i in range(lattice.steps):
-            b = lattice.brownian(i)
-            v = np.broadcast_to(
-                np.asarray(fn(lattice.times[i + 1], b), dtype=float), b.shape
-            )
-            atoms.append(v)
-        return cls(lattice, atoms)
+        return cls(lattice, _sampled(lattice, fn, lattice.steps, 1))
 
     @classmethod
     def constant(cls, lattice, value):
-        value = float(value)
-        return cls(
-            lattice, [np.full(i + 1, value) for i in range(lattice.steps)]
-        )
+        return cls(lattice, np.full(level_offset(lattice.steps), float(value)))
 
     @classmethod
     def from_time_values(cls, lattice, pairs, fill=-np.inf):
@@ -265,87 +303,85 @@ class PredictableProcess:
         ``pairs`` maps time index ``k`` (1-based: the value acts at
         ``t_k``) to a scalar.
         """
-        atoms = [np.full(i + 1, float(fill)) for i in range(lattice.steps)]
-        for k, val in dict(pairs).items():
-            k = int(k)
-            if not 1 <= k <= lattice.steps:
-                raise ValueError(
-                    f"time index {k} outside [1, {lattice.steps}]"
-                )
-            atoms[k - 1][:] = float(val)
-        return cls(lattice, atoms)
+        return cls(lattice, _time_slots(lattice, pairs, float(fill)))
 
     def atom(self, i):
         """Entries effective at time ``t_{i+1}`` (level-``i`` nodes)."""
-        return self.atoms[i]
+        return _level_view(self.values, i)
 
     def __repr__(self):
         return f"PredictableProcess(steps={self.lattice.steps})"
 
 
+def _time_slots(lattice, pairs, fill, check=None):
+    """Packed slots holding ``pairs[k]`` at every node of slot ``k - 1``
+    and ``fill`` elsewhere; ``check`` vets each value."""
+    out = np.full(level_offset(lattice.steps), fill)
+    for k, val in dict(pairs).items():
+        k = int(k)
+        if not 1 <= k <= lattice.steps:
+            raise ValueError(f"time index {k} outside [1, {lattice.steps}]")
+        val = float(val)
+        if check is not None:
+            check(val)
+        out[level_offset(k - 1) : level_offset(k)] = val
+    return out
+
+
 class IncreasingProcess:
     """Nondecreasing predictable clock given by its jumps.
 
-    ``atoms[i]`` holds the nonnegative mass placed at time ``t_{i+1}``,
-    one entry per node of level ``i``.  The process starts at 0 and is
-    purely atomic on the grid; a continuous part would put mass on
-    every interval, which is the `lebesgue` constructor.
+    ``atoms`` holds the nonnegative mass placed at time ``t_{i+1}`` in
+    slot ``i``, one entry per node of level ``i`` (per-slot arrays or
+    their packed concatenation, stored packed in ``values``).  The
+    process starts at 0 and is purely atomic on the grid; a continuous
+    part would put mass on every interval, which is the `lebesgue`
+    constructor.
     """
 
-    __slots__ = ("lattice", "atoms")
+    __slots__ = ("lattice", "values")
 
     def __init__(self, lattice, atoms):
         self.lattice = lattice
-        checked = _check_levels(
-            lattice, list(atoms), lattice.steps, "IncreasingProcess"
-        )
-        for i, a in enumerate(checked):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"clock mass at slot {i} must be finite")
-            if np.any(a < 0.0):
-                raise ValueError(f"clock mass at slot {i} must be >= 0")
-        self.atoms = checked
+        v = _packed(atoms, lattice.steps, "IncreasingProcess")
+        if not (v.min() >= 0.0 and v.max() < np.inf):
+            bad = ~np.isfinite(v) | (v < 0.0)
+            i = entry_levels(lattice.steps)[np.argmax(bad)]
+            slot = _level_view(v, i)
+            what = ">= 0" if np.all(np.isfinite(slot)) else "finite"
+            raise ValueError(f"clock mass at slot {i} must be {what}")
+        self.values = v
 
     @classmethod
     def zero(cls, lattice):
-        return cls(
-            lattice, [np.zeros(i + 1) for i in range(lattice.steps)]
-        )
+        return cls(lattice, np.zeros(level_offset(lattice.steps)))
 
     @classmethod
     def lebesgue(cls, lattice):
         """Clock with mass ``dt`` at every grid time (discrete dt)."""
-        dt = lattice.dt
-        return cls(
-            lattice, [np.full(i + 1, dt) for i in range(lattice.steps)]
-        )
+        return cls(lattice, np.full(level_offset(lattice.steps), lattice.dt))
 
     @classmethod
     def from_time_atoms(cls, lattice, pairs):
         """Deterministic atoms: ``pairs`` maps 1-based time index to mass."""
-        atoms = [np.zeros(i + 1) for i in range(lattice.steps)]
-        for k, w in dict(pairs).items():
-            k = int(k)
-            if not 1 <= k <= lattice.steps:
-                raise ValueError(
-                    f"time index {k} outside [1, {lattice.steps}]"
-                )
-            w = float(w)
+
+        def nonnegative(w):
             if w < 0.0:
                 raise ValueError("clock mass must be >= 0")
-            atoms[k - 1][:] = w
-        return cls(lattice, atoms)
+
+        return cls(lattice, _time_slots(lattice, pairs, 0.0, nonnegative))
 
     def atom(self, i):
-        return self.atoms[i]
+        return _level_view(self.values, i)
 
     def support(self, i):
         """Boolean mask of nodes at level ``i`` charging time ``t_{i+1}``."""
-        return self.atoms[i] > 0.0
+        return self.atom(i) > 0.0
 
     def is_time_indexed(self):
         """True when every slot is constant across its level's nodes."""
-        return all(np.all(a == a[0]) for a in self.atoms if a.size)
+        first = level_offset(entry_levels(self.lattice.steps))
+        return bool(np.all(self.values == self.values[first]))
 
     def weights_by_time(self):
         """Per-time masses for a time-indexed clock, shape (steps + 1,).
@@ -356,12 +392,12 @@ class IncreasingProcess:
         if not self.is_time_indexed():
             raise ValueError("clock mass varies across nodes of a level")
         out = np.zeros(self.lattice.steps + 1)
-        for i, a in enumerate(self.atoms):
-            out[i + 1] = a[0] if a.size else 0.0
+        out[1:] = self.values[level_offset(np.arange(self.lattice.steps))]
         return out
 
     def __repr__(self):
-        tot = sum(float(a.max()) if a.size else 0.0 for a in self.atoms)
+        starts = level_offset(np.arange(self.lattice.steps))
+        tot = sum(np.maximum.reduceat(self.values, starts).tolist())
         return (
             f"IncreasingProcess(steps={self.lattice.steps}, "
             f"max_total={tot!r})"

@@ -4,8 +4,9 @@ Everything here is deliberately naive: stopping problems are solved by
 enumerating every marking of the tree's interior nodes, games by
 enumerating every pair of markings, envelopes by a quadratic rescan,
 and the pure-quadratic-driver value by its log-sum-exp closed form.
-The only imports are the lattice containers, so these references share
-no logic with the solvers they are used to check.
+The only imports are the lattice containers and their packed layout,
+so these references share no logic with the solvers they are used to
+check.
 
 Enumeration is exponential in the square of the depth, hence the hard
 caps: a depth-5 tree already has 2^15 stopping rules and a depth-4
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .lattice import AdaptedProcess, all_paths, path_nodes
+from .lattice import AdaptedProcess, all_paths, level_offset, path_nodes
 
 __all__ = [
     "DepthTooLarge",
@@ -95,15 +96,16 @@ class StoppingRule:
         return len(ups)
 
 
-def _payoff_matrix(process_levels, xi, nodes):
-    """Payoff-if-stopped-at-level matrix, shape (paths, steps + 1).
+def _payoff_matrix(L, xi, nodes):
+    """Payoff-if-stopped-at-level matrix, shape (paths, steps + 1):
+    ``L`` before the last level, ``xi`` at it.
 
     ``nodes`` is the per-path node matrix from :func:`path_nodes`.
     """
     steps = nodes.shape[1] - 1
-    cols = [process_levels[i][nodes[:, i]] for i in range(steps)]
-    cols.append(np.asarray(xi, dtype=float)[nodes[:, steps]])
-    return np.stack(cols, axis=1)
+    n = level_offset(steps)
+    payoff = np.concatenate([L.values[:n], np.asarray(xi, dtype=float)])
+    return payoff[level_offset(np.arange(steps + 1)) + nodes]
 
 
 def _first_stop_levels(nodes, n_rules, chunk=None):
@@ -118,7 +120,7 @@ def _first_stop_levels(nodes, n_rules, chunk=None):
     n_paths = nodes.shape[0]
     steps = nodes.shape[1] - 1
     level = np.arange(steps, dtype=np.int64)
-    flat = (level * (level + 1)) // 2 + nodes[:, :steps]
+    flat = level_offset(level) + nodes[:, :steps]
     if chunk is None:
         chunk = max(1, 2 ** 22 // max(1, n_paths * (steps + 1)))
     for lo in range(0, n_rules, chunk):
@@ -151,7 +153,7 @@ def stopping_rule_value(L, xi, rule):
     terminal payoff ``xi`` when the rule never fires."""
     steps = L.lattice.steps
     paths = all_paths(steps)
-    pay = _payoff_matrix(L.levels, xi, path_nodes(paths))
+    pay = _payoff_matrix(L, xi, path_nodes(paths))
     total = 0.0
     for p in range(paths.shape[0]):
         total += pay[p, rule.stop_level(paths[p])]
@@ -170,7 +172,7 @@ def exhaustive_stopping_value(L, xi, max_depth=5):
     steps = L.lattice.steps
     bits = _interior_bits(steps, max_depth, _MAX_RULE_BITS)
     nodes = path_nodes(all_paths(steps))
-    pay = _payoff_matrix(L.levels, xi, nodes)
+    pay = _payoff_matrix(L, xi, nodes)
     n_paths = nodes.shape[0]
     best = -np.inf
     for _, stop in _first_stop_levels(nodes, 2 ** bits):
@@ -198,8 +200,8 @@ def exhaustive_dynkin_value(L, U, xi, max_depth=4, tol=1e-12):
         raise ValueError("L and U live on different grids")
     bits = _interior_bits(steps, max_depth, _MAX_RULE_BITS // 2)
     nodes = path_nodes(all_paths(steps))
-    pay_low = _payoff_matrix(L.levels, xi, nodes)
-    pay_high = _payoff_matrix(U.levels, xi, nodes)
+    pay_low = _payoff_matrix(L, xi, nodes)
+    pay_high = _payoff_matrix(U, xi, nodes)
     n_paths = nodes.shape[0]
     n_rules = 2 ** bits
 

@@ -29,9 +29,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .barriers import BarrierSet, effective_barriers
+from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec, build_dominated_driver
-from .lattice import IncreasingProcess, PredictableProcess
+from .lattice import IncreasingProcess, PredictableProcess, level_offset
 from .solver import solve_rbsde
 
 __all__ = [
@@ -103,20 +103,20 @@ def _normalized_witness(spec, xi):
     steps = lat.steps
     S = spec.reconstruct()
     xi = np.asarray(xi, dtype=float)
-    prev = S.level(steps - 1)
-    slope = (xi[1:] - xi[:-1]) / (2.0 * lat.sqrt_dt)
-    gap = 0.5 * (xi[1:] + xi[:-1]) - prev
-    vplus = [spec.vplus.atom(i) for i in range(steps - 1)]
-    vplus.append(np.maximum(-gap, 0.0))
-    vminus = [spec.vminus.atom(i) for i in range(steps - 1)]
-    vminus.append(np.maximum(gap, 0.0))
-    gamma = [spec.gamma.atom(i) for i in range(steps - 1)]
-    gamma.append(slope)
+    gap = 0.5 * (xi[1:] + xi[:-1]) - S.level(steps - 1)
+    last = level_offset(steps - 1)
+
+    def rebuilt(proc, slot):
+        return np.concatenate([proc.values[:last], slot])
+
     spec2 = SemimartingaleSpec(
         spec.s0,
-        IncreasingProcess(lat, vplus),
-        IncreasingProcess(lat, vminus),
-        PredictableProcess(lat, gamma),
+        IncreasingProcess(lat, rebuilt(spec.vplus, np.maximum(-gap, 0.0))),
+        IncreasingProcess(lat, rebuilt(spec.vminus, np.maximum(gap, 0.0))),
+        PredictableProcess(
+            lat,
+            rebuilt(spec.gamma, (xi[1:] - xi[:-1]) / (2.0 * lat.sqrt_dt)),
+        ),
     )
     return spec2, spec2.reconstruct()
 
@@ -166,7 +166,7 @@ def solve_penalized_lower(lattice, bounds, spec, barriers, n):
     )
     bars = BarrierSet.build(lattice, barriers.xi, L=barriers.L)
     sol = solve_rbsde(lattice, driver, bars)
-    assert all(np.all(a == 0.0) for a in sol.Kminus.atoms)
+    assert not sol.Kminus.values.any()
     return sol
 
 
@@ -183,7 +183,7 @@ def solve_penalized_upper(lattice, bounds, spec, barriers, n):
     )
     bars = BarrierSet.build(lattice, barriers.xi, U=barriers.U)
     sol = solve_rbsde(lattice, driver, bars)
-    assert all(np.all(a == 0.0) for a in sol.Kplus.atoms)
+    assert not sol.Kplus.values.any()
     return sol
 
 
@@ -290,10 +290,7 @@ class PenalizedFamily:
 
 
 def _sup_gap(A, B):
-    return max(
-        float(np.max(np.abs(A.level(i) - B.level(i))))
-        for i in range(A.lattice.steps + 1)
-    )
+    return float(np.max(np.abs(A.values - B.values)))
 
 
 def _check_pair(prev_low, low, high, prev_high, S, barriers, n, tol):
@@ -434,13 +431,13 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     )
     reduced_bars = BarrierSet.build(lattice, barriers.xi, L=Yunder, U=Ybar)
     sol = solve_rbsde(lattice, driver, reduced_bars)
-    excursion = 0.0
-    for i in range(lattice.steps):
-        low, high = effective_barriers(barriers, i)
-        y = sol.Y.level(i)
-        excursion = max(
-            excursion, float(np.max(low - y)), float(np.max(y - high))
-        )
+    n = level_offset(lattice.steps)
+    y = sol.Y.values[:n]
+    excursion = max(
+        0.0,
+        float(np.max(barriers.low.values[:n] - y)),
+        float(np.max(y - barriers.high.values[:n])),
+    )
     if excursion > 0.0:
         raise ReductionDisagreement(
             f"reduced solve leaves the original obstacles by {excursion!r}",

@@ -30,6 +30,7 @@ from .lattice import (
     PredictableProcess,
     expectation_level,
     increment_level,
+    level_offset,
 )
 from .solver import SkorokhodReport, Solution
 
@@ -175,14 +176,13 @@ def snell_envelope(inst):
         y_levels[j] = np.maximum(E, low)
         z_slots[j] = increment_level(nxt, lat.sqrt_dt)
         kp_slots[j] = np.maximum(low - E, 0.0)
-    zeros = [np.zeros(i + 1) for i in range(steps)]
     return Solution(
         Y=AdaptedProcess(lat, y_levels),
         Z=PredictableProcess(lat, z_slots),
         Kplus=IncreasingProcess(lat, kp_slots),
-        Kminus=IncreasingProcess(lat, zeros),
+        Kminus=IncreasingProcess.zero(lat),
         residuals=SkorokhodReport(0.0, 0.0, 0.0),
-        drift=PredictableProcess(lat, [np.zeros(i + 1) for i in range(steps)]),
+        drift=PredictableProcess.constant(lat, 0.0),
     )
 
 
@@ -225,8 +225,8 @@ def snell_stopping_time_atom(lattice, t_prime, xi_prime, L, xi, witness=None):
             f"xi_prime must have one value per node of level {k - 1}"
         )
     delta = IncreasingProcess.from_time_atoms(lattice, {k: 1.0})
-    slots = [np.full(i + 1, -np.inf) for i in range(lattice.steps)]
-    slots[k - 1] = xi_prime
+    slots = np.full(level_offset(lattice.steps), -np.inf)
+    slots[level_offset(k - 1) : level_offset(k)] = xi_prime
     l = PredictableProcess(lattice, slots)
     inst = SnellInstance(L, l, delta, xi, witness=witness)
     return snell_envelope(inst)

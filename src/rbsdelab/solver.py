@@ -37,6 +37,7 @@ from .lattice import (
     all_paths,
     expectation_level,
     increment_level,
+    level_offset,
     path_nodes,
 )
 
@@ -369,25 +370,25 @@ def solve_rbsde(lattice, driver, barriers):
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
     bounds = driver.bounds
-    y_levels = [None] * (steps + 1)
-    y_levels[steps] = barriers.xi
-    z_slots = [None] * steps
-    drift_slots = [None] * steps
-    kp_slots = [None] * steps
-    km_slots = [None] * steps
+    # packed buffers: each level is written in place, and each buffer is
+    # frozen by its process at the end
+    n = level_offset(steps)
+    Y = np.empty(level_offset(steps + 1))
+    Y[n:] = barriers.xi
+    Z, drift, Kplus, Kminus = (np.empty(n) for _ in range(4))
     fplus = 0.0
     fminus = 0.0
     defect = 0.0
 
     for j in range(steps - 1, -1, -1):
-        nxt = y_levels[j + 1]
+        nxt = Y[level_offset(j + 1) : level_offset(j + 2)]
         E = expectation_level(nxt)
-        Z = increment_level(nxt, lattice.sqrt_dt)
+        z = increment_level(nxt, lattice.sqrt_dt)
         t = lattice.times[j]
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
-            base = base + _tilt_increment(coef, Z - center, lattice.sqrt_dt)
+            base = base + _tilt_increment(coef, z - center, lattice.sqrt_dt)
             f_drift = driver.f_rest
         else:
             f_drift = driver.f
@@ -398,7 +399,7 @@ def solve_rbsde(lattice, driver, barriers):
         dA = bounds.A.atom(j) if bounds is not None else None
         y_raw = _implicit_core(
             base,
-            Z,
+            z,
             t,
             lattice.dt,
             level=j,
@@ -412,11 +413,12 @@ def solve_rbsde(lattice, driver, barriers):
         dkp = np.maximum(low - y_raw, 0.0)
         dkm = np.maximum(y_raw - high, 0.0)
 
-        y_levels[j] = y
-        z_slots[j] = Z
-        drift_slots[j] = y_raw - E
-        kp_slots[j] = dkp
-        km_slots[j] = dkm
+        level = slice(level_offset(j), level_offset(j + 1))
+        Y[level] = y
+        Z[level] = z
+        drift[level] = y_raw - E
+        Kplus[level] = dkp
+        Kminus[level] = dkm
         # mask the gap before multiplying: 0 * inf is NaN otherwise
         gap_low = np.where(dkp > 0.0, y - low, 0.0)
         gap_high = np.where(dkm > 0.0, high - y, 0.0)
@@ -425,12 +427,12 @@ def solve_rbsde(lattice, driver, barriers):
         defect = max(defect, float(np.max(dkp * dkm, initial=0.0)))
 
     return Solution(
-        Y=AdaptedProcess(lattice, y_levels),
-        Z=PredictableProcess(lattice, z_slots),
-        Kplus=IncreasingProcess(lattice, kp_slots),
-        Kminus=IncreasingProcess(lattice, km_slots),
+        Y=AdaptedProcess(lattice, Y),
+        Z=PredictableProcess(lattice, Z),
+        Kplus=IncreasingProcess(lattice, Kplus),
+        Kminus=IncreasingProcess(lattice, Kminus),
         residuals=SkorokhodReport(fplus, fminus, defect),
-        drift=PredictableProcess(lattice, drift_slots),
+        drift=PredictableProcess(lattice, drift),
     )
 
 
@@ -486,13 +488,9 @@ def comparison_check(
     """
     lat = sol_big.lattice
     steps = lat.steps
-    up_ok = True
-    low_ok = True
-    for i in range(steps):
-        if np.any(sol_small.Y.level(i) > bars_big.U.level(i) + tol):
-            up_ok = False
-        if np.any(bars_small.L.level(i) > sol_big.Y.level(i) + tol):
-            low_ok = False
+    n = level_offset(steps)
+    up_ok = not np.any(sol_small.Y.values[:n] > bars_big.U.values[:n] + tol)
+    low_ok = not np.any(bars_small.L.values[:n] > sol_big.Y.values[:n] + tol)
 
     def rate(driver, j, t, y, z):
         out = np.asarray(driver.f(t, y, z), dtype=float) * lat.dt
@@ -519,42 +517,24 @@ def comparison_check(
         if gap > tol:
             drift_ok = False
 
-    ordered = True
-    max_order = 0.0
-    for i in range(steps + 1):
-        gap = float(
-            np.max(sol_small.Y.level(i) - sol_big.Y.level(i), initial=-np.inf)
+    max_order = float(np.max(sol_small.Y.values - sol_big.Y.values))
+    # the upper reflections compare where the effective upper obstacles
+    # coincide
+    same = bars_big.high.values[:n] == bars_small.high.values[:n]
+    max_km = float(
+        np.max(
+            (sol_small.Kminus.values - sol_big.Kminus.values)[same],
+            initial=-np.inf,
         )
-        max_order = max(max_order, gap)
-        if gap > tol:
-            ordered = False
-
-    kminus_ok = True
-    max_km = 0.0
-    for j in range(steps):
-        _, high_big = effective_barriers(bars_big, j)
-        _, high_small = effective_barriers(bars_small, j)
-        same = high_big == high_small
-        if not same.any():
-            continue
-        gap = float(
-            np.max(
-                (sol_small.Kminus.atom(j) - sol_big.Kminus.atom(j))[same],
-                initial=-np.inf,
-            )
-        )
-        max_km = max(max_km, gap)
-        if gap > tol:
-            kminus_ok = False
-
+    )
     return ComparisonReport(
         upper_envelope_ok=up_ok,
         lower_envelope_ok=low_ok,
         drift_domination_ok=drift_ok,
-        ordered=ordered,
-        kminus_ok=kminus_ok,
-        max_order_violation=max(max_order, 0.0),
-        max_kminus_violation=max(max_km, 0.0),
+        ordered=not max_order > tol,
+        kminus_ok=not max_km > tol,
+        max_order_violation=max(0.0, max_order),
+        max_kminus_violation=max(0.0, max_km),
         max_drift_violation=max(max_drift, 0.0),
     )
 

@@ -33,6 +33,7 @@ from .lattice import (
     PredictableProcess,
     TimeGrid,
     all_paths,
+    level_offset,
     path_nodes,
 )
 from .oracle import (
@@ -44,6 +45,7 @@ from .oracle import (
 )
 from .penalize import (
     DEFAULT_SCHEDULE,
+    ReductionDisagreement,
     SandwichViolation,
     build_family,
     reduce_and_solve,
@@ -285,29 +287,25 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7, tol=0.0):
         )
         nodewise = check_left_constraint(Y, g, rho)
 
-        per_path = True
+        # the packed entries every path visits before the horizon
+        nodes = path_nodes(all_paths(steps))[:, :steps]
+        flat = level_offset(np.arange(steps)) + nodes
+        g_paths = g.values[flat]
+        w_paths = rho.values[flat]
+        left_limits = Y.values[flat]
+        # atoms of the clock along every path, tested directly
+        on = w_paths > 0.0
+        per_path = not np.any(g_paths[on] > left_limits[on])
         pointwise = True
-        for ups in all_paths(steps):
-            nodes = path_nodes(ups)
-            g_path = np.array(
-                [g.atom(i)[nodes[i]] for i in range(steps)]
-            )
-            w_path = np.concatenate(
-                [[0.0], [rho.atom(i)[nodes[i]] for i in range(steps)]]
-            )
-            left_limits = np.array(
-                [Y.level(i)[nodes[i]] for i in range(steps)]
-            )
-            # atoms of the clock along this path, tested directly
-            on = w_path[1:] > 0.0
-            if np.any(g_path[on] > left_limits[on]):
-                per_path = False
+        for g_path, w_path, left in zip(g_paths, w_paths, left_limits):
             # the same constraint through the hard envelope, tested at
             # every time (it is -inf off the support)
             star = envelope_star_profile(
-                lat.times, np.concatenate([[-np.inf], g_path]), w_path
+                lat.times,
+                np.concatenate([[-np.inf], g_path]),
+                np.concatenate([[0.0], w_path]),
             )
-            if np.any(star.values[1:] > left_limits):
+            if np.any(star.values[1:] > left):
                 pointwise = False
         if not (nodewise == per_path == pointwise):
             failures += 1
@@ -333,9 +331,7 @@ def verify_snell(cases=100, max_depth=4, put_depths=range(3, 13), seed=7, tol=1e
         levels = [rng.uniform(-1.0, 1.0, i + 1) for i in range(steps + 1)]
         L = AdaptedProcess(lat, levels)
         xi = rng.uniform(-1.0, 1.0, steps + 1)
-        top = max(
-            max(float(np.max(lv)) for lv in levels), float(np.max(xi))
-        )
+        top = max(float(np.max(L.values)), float(np.max(xi)))
         witness = SemimartingaleSpec(
             top,
             IncreasingProcess.zero(lat),
@@ -512,17 +508,14 @@ def verify_reduction(cases=50, depth=8, seed=7, tol=1e-6, log=None):
         # the squeeze is only valid under bounds that really dominate
         # the generator: |a y + b z + c| <= eta + C z^2 over the
         # obstacle range of y
-        S = spec.reconstruct()
-        ymax = 1.0 + max(
-            float(np.max(np.abs(S.level(i)))) for i in range(depth + 1)
-        )
+        ymax = 1.0 + float(np.max(np.abs(spec.reconstruct().values)))
         C = float(rng.uniform(0.2, 0.8))
         eta = abs(a) * ymax + abs(c) + b * b / (4.0 * C) + 0.1
         bounds = GrowthBounds.constants(lat, eta=eta, C=C)
         drv = Driver.linear(a, b, c, bounds=bounds)
         try:
             sol = reduce_and_solve(lat, drv, bars, agreement_tol=tol)
-        except RuntimeError:
+        except ReductionDisagreement:
             failures += 1
             continue
         direct = solve_rbsde(lat, drv, bars)

@@ -161,6 +161,11 @@ def test_barrier_build_defaults(lat):
     low, high = effective_barriers(bars, lat.steps)
     assert np.array_equal(low, xi)
     assert np.array_equal(high, xi)
+    # no clock charges: each merged band is its node obstacle's storage
+    for j in range(lat.steps + 1):
+        low, high = effective_barriers(bars, j)
+        assert np.shares_memory(low, bars.L.level(j))
+        assert np.shares_memory(high, bars.U.level(j))
 
 
 def test_barrier_terminal_must_be_finite(lat):
@@ -303,12 +308,13 @@ def test_effective_barriers_are_the_merge_stored_at_construction(lat):
         assert np.array_equal(high, expect_high)
         assert not low.flags.writeable and not high.flags.writeable
         if j not in charged:
-            assert low is L.level(j)
-            assert high is U.level(j)
+            assert np.array_equal(low, L.level(j))
+            assert np.array_equal(high, U.level(j))
     assert np.any(effective_barriers(bars, 1)[0] != L.level(1))
     assert np.any(effective_barriers(bars, 3)[1] != U.level(3))
     low, high = effective_barriers(bars, steps)
-    assert low is bars.xi and high is bars.xi
+    assert np.array_equal(low, bars.xi) and np.array_equal(high, bars.xi)
+    assert not low.flags.writeable and not high.flags.writeable
 
 
 def test_infeasible_predictable_obstacle_raises_at_construction(lat):
@@ -334,6 +340,28 @@ def test_infeasible_predictable_obstacle_raises_at_construction(lat):
     assert err.value.node == 2
     assert err.value.low == 3.0
     assert err.value.high == 1.0
+
+
+def test_the_first_defect_by_level_is_raised():
+    # two defects of two kinds: whichever sits at the lower level wins
+    lat = Lattice(TimeGrid(1.0, 6))
+    xi = np.zeros(lat.steps + 1)
+    U = AdaptedProcess.constant(lat, 1.0)
+
+    def lower(defects):
+        levels = [np.full(i + 1, -1.0) for i in range(lat.steps + 1)]
+        for i, value in defects.items():
+            levels[i][0] = value
+        return AdaptedProcess(lat, levels)
+
+    # a +inf lower obstacle at level 1 before an infeasible level 3
+    with pytest.raises(ValueError, match=r"takes the value \+inf"):
+        BarrierSet.build(lat, xi, L=lower({1: np.inf, 3: 2.0}), U=U)
+    # an infeasible level 2 before a +inf lower obstacle at level 4
+    with pytest.raises(InfeasibleBarriers) as err:
+        BarrierSet.build(lat, xi, L=lower({2: 2.0, 4: np.inf}), U=U)
+    assert err.value.level == 2
+    assert err.value.node == 0
 
 
 def test_infeasible_barriers_name_the_node(lat):

@@ -7,10 +7,10 @@ from rbsdelab.drivers import (
     InconsistentSemimartingale,
     NonMonotonePhi,
     SemimartingaleSpec,
+    _running_max_envelope,
     audit_assumptions,
     build_dominated_driver,
     dominate_growth,
-    running_max_envelope,
 )
 from rbsdelab.lattice import (
     AdaptedProcess,
@@ -19,6 +19,8 @@ from rbsdelab.lattice import (
     PredictableProcess,
     TimeGrid,
     all_paths,
+    expectation_level,
+    increment_level,
     path_nodes,
 )
 
@@ -114,6 +116,12 @@ def test_from_levels_reconstructs_the_levels(lat):
     for i in range(lat.steps):
         # the signed drift is split, never charged to both parts
         assert np.all(spec.vplus.atom(i) * spec.vminus.atom(i) == 0.0)
+        # and both come from the level operators, bit for bit
+        nxt = levels[i + 1]
+        drift = expectation_level(nxt) - levels[i]
+        assert np.array_equal(spec.gamma.atom(i), increment_level(nxt, lat.sqrt_dt))
+        assert np.array_equal(spec.vminus.atom(i), np.maximum(drift, 0.0))
+        assert np.array_equal(spec.vplus.atom(i), np.maximum(-drift, 0.0))
 
 
 def test_running_max_envelope_dominates_paths(lat):
@@ -121,7 +129,7 @@ def test_running_max_envelope_dominates_paths(lat):
     X = AdaptedProcess(
         lat, [rng.normal(0, 1, i + 1) for i in range(lat.steps + 1)]
     )
-    D = running_max_envelope(X)
+    D = _running_max_envelope(X)
     for ups in all_paths(lat.steps):
         nodes = path_nodes(ups)
         run = -np.inf
@@ -146,7 +154,7 @@ def test_running_max_envelope_exact_for_time_indexed(lat):
     X = AdaptedProcess(
         lat, [np.full(i + 1, seq[i]) for i in range(lat.steps + 1)]
     )
-    D = running_max_envelope(X)
+    D = _running_max_envelope(X)
     run = np.maximum.accumulate(seq)
     for i in range(lat.steps + 1):
         assert np.all(D.level(i) == run[i])

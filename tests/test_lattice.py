@@ -44,11 +44,8 @@ def test_walk_values(lat):
     h = lat.sqrt_dt
     assert np.array_equal(lat.brownian(0), [0.0])
     assert np.allclose(lat.brownian(2), [-2 * h, 0.0, 2 * h])
-    assert lat.node_count(3) == 4
     with pytest.raises(IndexError):
         lat.brownian(7)
-    with pytest.raises(IndexError):
-        lat.node_count(-1)
 
 
 def test_walk_is_martingale(lat):
@@ -62,15 +59,49 @@ def test_walk_is_martingale(lat):
 
 
 def test_adapted_shape_checks(lat):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs 7 level arrays, got 3"):
         AdaptedProcess(lat, [np.zeros(i + 1) for i in range(3)])
     bad = [np.zeros(i + 1) for i in range(lat.steps + 1)]
     bad[2] = np.zeros(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"level 2 must have shape \(3,\)"):
         AdaptedProcess(lat, bad)
+    # NaN at levels 2 and 4: the first one is named
     bad[2] = np.array([0.0, np.nan, 0.0])
-    with pytest.raises(ValueError):
+    bad[4] = np.full(5, np.nan)
+    with pytest.raises(ValueError, match="level 2 contains NaN"):
         AdaptedProcess(lat, bad)
+
+
+def test_process_layout(lat):
+    # one read-only array per process; level i is the view at offset
+    # i (i + 1) / 2
+    rng = np.random.default_rng(2)
+    X = AdaptedProcess(
+        lat, [rng.normal(size=i + 1) for i in range(lat.steps + 1)]
+    )
+    P = PredictableProcess(
+        lat, [rng.normal(size=i + 1) for i in range(lat.steps)]
+    )
+    D = IncreasingProcess(
+        lat, [rng.uniform(size=i + 1) for i in range(lat.steps)]
+    )
+    n = lat.steps
+    assert X.values.shape == ((n + 1) * (n + 2) // 2,)
+    assert P.values.shape == D.values.shape == (n * (n + 1) // 2,)
+    views = [(X.values, X.level(i), i) for i in range(lat.steps + 1)]
+    views += [(X.values, X.terminal(), lat.steps)]
+    views += [(P.values, P.atom(i), i) for i in range(lat.steps)]
+    views += [(D.values, D.atom(i), i) for i in range(lat.steps)]
+    for packed, view, i in views:
+        assert not packed.flags.writeable and not view.flags.writeable
+        assert view.base is packed and np.shares_memory(view, packed)
+        offset = (view.ctypes.data - packed.ctypes.data) // packed.itemsize
+        assert offset == i * (i + 1) // 2 and view.shape == (i + 1,)
+    for bad in (-1, lat.steps + 1):
+        with pytest.raises(IndexError):
+            X.level(bad)
+    with pytest.raises(IndexError):
+        P.atom(lat.steps)
 
 
 def test_adapted_is_frozen(lat):
@@ -130,14 +161,19 @@ def test_predictable_from_time_values(lat):
 
 
 def test_clock_validation(lat):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot 0 must be >= 0"):
         IncreasingProcess(
             lat, [np.full(i + 1, -0.1) for i in range(lat.steps)]
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot 0 must be finite"):
         IncreasingProcess(
             lat, [np.full(i + 1, np.inf) for i in range(lat.steps)]
         )
+    # negative mass at slot 3 only, at its last node
+    atoms = [np.ones(i + 1) for i in range(lat.steps)]
+    atoms[3][3] = -1.0
+    with pytest.raises(ValueError, match="slot 3 must be >= 0"):
+        IncreasingProcess(lat, atoms)
 
 
 def test_clock_constructors(lat):

@@ -313,6 +313,26 @@ def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
     assert "leaves the original obstacles" in str(info.value)
 
 
+def test_verify_reduction_counts_disagreements_only(monkeypatch):
+    # a disagreement is a failed case; any other error is a bug and
+    # must surface, even one that subclasses RuntimeError
+    from rbsdelab import verify
+
+    def disagree(*args, **kwargs):
+        raise ReductionDisagreement("forced", 1.0)
+
+    monkeypatch.setattr(verify, "reduce_and_solve", disagree)
+    report = verify.verify_reduction(cases=2, depth=3)
+    assert report["failures"] == 2
+
+    def broken(*args, **kwargs):
+        raise RecursionError("forced")
+
+    monkeypatch.setattr(verify, "reduce_and_solve", broken)
+    with pytest.raises(RecursionError):
+        verify.verify_reduction(cases=2, depth=3)
+
+
 def test_default_schedule_shape():
     assert DEFAULT_SCHEDULE[0] == 0
     assert DEFAULT_SCHEDULE[1] == 1
