@@ -148,17 +148,18 @@ def envelope_star_profile(times, g, weights):
 
     For a clock with finitely many atoms the left limit is -inf
     everywhere, since a left neighborhood of any time is eventually
-    atom-free.
+    atom-free.  ``g`` and ``weights`` may also be ``(P, N+1)``: one
+    function and clock per row, and one result row each.
     """
     t = np.asarray(times, dtype=float)
     gv = np.asarray(g, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if t.ndim != 1 or gv.shape != t.shape or w.shape != t.shape:
-        raise ValueError("times, g, weights must be equal-length 1-d arrays")
+    if t.ndim != 1 or gv.ndim > 2 or gv.shape[-1:] != t.shape or w.shape != gv.shape:
+        raise ValueError("g, weights must be equal-shape rows as long as times")
     if np.isnan(gv).any():
         raise ValueError("g contains NaN")
     values = np.where(w > 0.0, gv, -np.inf)
-    left = np.full_like(t, -np.inf)
+    left = np.full_like(gv, -np.inf)
     return EnvelopeResult(math.inf, values, left)
 
 

@@ -46,6 +46,8 @@ from .lattice import (
     Lattice,
     PredictableProcess,
     TimeGrid,
+    _varying_level,
+    level_offset,
 )
 from .penalize import (
     DEFAULT_SCHEDULE,
@@ -513,23 +515,13 @@ def write_solution_csv(path, sol, bars):
 
 
 def write_convergence_csv(path, family):
+    gaps = [("", "")] + [(_fmt(lo), _fmt(hi)) for _, lo, hi in family.gaps()]
     rows = []
-    table = family.gaps()
-    lower0 = family.lower_solutions[0]
-    upper0 = family.upper_solutions[0]
-    rows.append(
-        ["lower", str(family.n_schedule[0]), "", _fmt(lower0.value())]
-    )
-    rows.append(
-        ["upper", str(family.n_schedule[0]), "", _fmt(upper0.value())]
-    )
-    for k, (n, lo_gap, hi_gap) in enumerate(table, start=1):
-        rows.append(
-            ["lower", str(n), _fmt(lo_gap), _fmt(family.lower_solutions[k].value())]
-        )
-        rows.append(
-            ["upper", str(n), _fmt(hi_gap), _fmt(family.upper_solutions[k].value())]
-        )
+    for n, (lo, hi), low, high in zip(
+        family.n_schedule, gaps, family.lower_solutions, family.upper_solutions
+    ):
+        rows.append(["lower", str(n), lo, _fmt(low.value())])
+        rows.append(["upper", str(n), hi, _fmt(high.value())])
     _write_rows(path, ["side", "n", "sup_gap", "y0"], rows)
 
 
@@ -658,15 +650,15 @@ def run_envelope(scn, outdir):
         weights = scn.barriers.delta.weights_by_time()
     except ValueError as exc:
         raise ConfigError(f"envelope tables need a time-indexed clock: {exc}")
+    l = scn.barriers.l.values
+    i = _varying_level(l, lat.steps)
+    if i is not None:
+        raise ConfigError(
+            "envelope tables need a time-indexed lower predictable "
+            f"obstacle (values vary across nodes at time index {i + 1})"
+        )
     g = np.full(lat.steps + 1, -np.inf)
-    for i in range(lat.steps):
-        slot = scn.barriers.l.atom(i)
-        if slot.size and not np.all(slot == slot[0]):
-            raise ConfigError(
-                "envelope tables need a time-indexed lower predictable "
-                f"obstacle (values vary across nodes at time index {i + 1})"
-            )
-        g[i + 1] = slot[0]
+    g[1:] = l[level_offset(np.arange(lat.steps))]
     path = outdir / scn.outputs["envelope"]
     write_envelope_csv(path, lat.times, g, weights)
     print(f"envelope: {lat.steps + 1} grid times -> {path}")

@@ -167,6 +167,13 @@ def entry_levels(count):
     return np.repeat(np.arange(count), np.arange(1, count + 1))
 
 
+def _varying_level(values, count):
+    """First of ``count`` packed levels whose nodes differ, or ``None``."""
+    levels = entry_levels(count)
+    varies = values != values[level_offset(levels)]
+    return int(levels[np.argmax(varies)]) if varies.any() else None
+
+
 def _sampled(lattice, fn, count, shift):
     """``fn(t_{i + shift}, walk at level i)`` for the levels below
     ``count``, scalars broadcast."""
@@ -380,8 +387,7 @@ class IncreasingProcess:
 
     def is_time_indexed(self):
         """True when every slot is constant across its level's nodes."""
-        first = level_offset(entry_levels(self.lattice.steps))
-        return bool(np.all(self.values == self.values[first]))
+        return _varying_level(self.values, self.lattice.steps) is None
 
     def weights_by_time(self):
         """Per-time masses for a time-indexed clock, shape (steps + 1,).
@@ -407,10 +413,11 @@ class IncreasingProcess:
 def expectation_level(values_next):
     """One-step expectation at every node: level ``i+1`` -> level ``i``.
 
-    Entry ``j`` is the midpoint of the children ``j`` and ``j + 1``.
+    Entry ``j`` is the midpoint of the children ``j`` and ``j + 1``;
+    the nodes are the last axis, any leading axes are a batch.
     """
     v = np.asarray(values_next, dtype=float)
-    return 0.5 * (v[:-1] + v[1:])
+    return 0.5 * (v[..., :-1] + v[..., 1:])
 
 
 def increment_level(values_next, sqrt_dt):
@@ -418,10 +425,10 @@ def increment_level(values_next, sqrt_dt):
 
     With children ``d`` (down) and ``u`` (up), the unique integrand
     making ``X_{i+1} - E[X_{i+1}]`` a walk increment is
-    ``(u - d) / (2 sqrt(dt))``.
+    ``(u - d) / (2 sqrt(dt))``.  Batched like :func:`expectation_level`.
     """
     v = np.asarray(values_next, dtype=float)
-    return (v[1:] - v[:-1]) / (2.0 * sqrt_dt)
+    return (v[..., 1:] - v[..., :-1]) / (2.0 * sqrt_dt)
 
 
 def all_paths(steps):

@@ -12,9 +12,11 @@ penalty terms with weight ``n``.  Each is solved one-sided:
   the witness dominates it;
 - the upper equation mirrors this below the upper node obstacle.
 
-Containment by the witness (lower solutions below it, upper ones
-above) and monotonicity in ``n`` are then verified, not assumed, with
-a small tolerance absorbing the rounding left in the implicit steps.
+A weight schedule takes one backward pass per side: the weights are
+a batch axis of the solve.  Containment by the witness (lower
+solutions below it, upper ones above) and monotonicity in ``n`` are
+then verified for every weight at once, not assumed, with a small
+tolerance absorbing the rounding left in the implicit steps.
 The squeeze estimates the two monotone limits along a doubling
 schedule; since a binding penalty converges only like ``1/n``, the
 squeeze honestly reports exhaustion when the requested tolerance is
@@ -32,7 +34,7 @@ import numpy as np
 from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec, build_dominated_driver
 from .lattice import IncreasingProcess, PredictableProcess, level_offset
-from .solver import solve_rbsde
+from .solver import _backward, solve_rbsde
 
 __all__ = [
     "ScheduleExhausted",
@@ -121,70 +123,73 @@ def _normalized_witness(spec, xi):
     return spec2, spec2.reconstruct()
 
 
-def _lower_penalty(l, delta, n):
-    n = float(n)
+def _first_break(weights, groups):
+    """Raise :class:`SandwichViolation` at the first ordering break.
 
-    def penalty(level, y):
-        mass = delta.atom(level)
-        return n * np.maximum(l.atom(level) - y, 0.0) * mass
-
-    return penalty
-
-
-def _upper_penalty(u, alpha, n):
-    n = float(n)
-
-    def penalty(level, y):
-        mass = alpha.atom(level)
-        return -n * np.maximum(y - u.atom(level), 0.0) * mass
-
-    return penalty
-
-
-def _check_upper_dominates(Y, S, tol, what, n):
-    for i in range(Y.lattice.steps + 1):
-        gap = Y.level(i) - S.level(i)
+    ``groups`` holds ``(levels, rows)`` pairs, each row a triple
+    ``(what, gap, tol)`` with ``gap`` packed over ``levels`` levels,
+    one line per weight.  A row breaks at a level whose largest gap
+    exceeds ``tol``.  The scan goes weight by weight, then group, level
+    and row, and names the level's largest gap (the first on ties).
+    """
+    broken, names = [], []
+    for levels, rows in groups:
+        starts = level_offset(np.arange(levels))
+        top = [np.maximum.reduceat(g, starts, axis=-1) > tol for _, g, tol in rows]
+        broken.append(np.stack(top, axis=-1).reshape(len(weights), -1))
+        names += [(i, what, gap) for i in range(levels) for what, gap, _ in rows]
+    broken = np.concatenate(broken, axis=1)
+    if broken.any():
+        w, c = divmod(int(np.argmax(broken)), broken.shape[1])
+        i, what, gap = names[c]
+        gap = gap[w, level_offset(i) : level_offset(i + 1)]
         k = int(np.argmax(gap))
-        if gap[k] > tol:
-            raise SandwichViolation(what, n, i, k, gap[k])
+        raise SandwichViolation(what, weights[w], i, k, gap[k])
+
+
+def _solve_penalized(lattice, bounds, spec2, barriers, weights, orientation):
+    """One-sided penalized solves at every weight, in one backward pass
+    with the weights as batch axis (``spec2``: the normalized witness).
+
+    ``orientation=-1`` is the lower equation of the module docstring,
+    ``+1`` the upper one.
+    """
+    if any(n < 0 for n in weights):
+        raise ValueError("penalty weight must be >= 0")
+    up = orientation == -1
+    side = 1.0 if up else -1.0
+    signed = side * np.asarray(weights, dtype=float)[:, None]
+    kink, mass = (barriers.l, barriers.delta) if up else (barriers.u, barriers.alpha)
+    node = {"L": barriers.L} if up else {"U": barriers.U}
+
+    def penalty(level, y):
+        push = np.maximum(side * (kink.atom(level) - y), 0.0)
+        return signed * push * mass.atom(level)
+
+    driver = replace(
+        build_dominated_driver(bounds, spec2, orientation=orientation),
+        penalty=penalty,
+        label=f"penalized-{'lower' if up else 'upper'}",
+    )
+    bars = BarrierSet.build(lattice, barriers.xi, **node)
+    sols = _backward(lattice, driver, bars, (len(weights),))
+    assert not any((s.Kminus if up else s.Kplus).values.any() for s in sols)
+    return sols
 
 
 def solve_penalized_lower(lattice, bounds, spec, barriers, n):
-    """One lower penalized solve at penalty weight ``n``.
-
-    Reflects on the lower node obstacle only (the upper reflection
-    process is zero by construction) under the sign-flipped dominating
-    drift, with the penalty pushing up at the lower clock's atoms.
-    """
-    if n < 0:
-        raise ValueError("penalty weight must be >= 0")
+    """One lower penalized solve at penalty weight ``n``: reflected on
+    the lower node obstacle, penalty pushing up at the lower clock's
+    atoms, upper reflection zero."""
     spec2, _ = _normalized_witness(spec, barriers.xi)
-    driver = replace(
-        build_dominated_driver(bounds, spec2, orientation=-1),
-        penalty=_lower_penalty(barriers.l, barriers.delta, n),
-        label=f"penalized-lower(n={n})",
-    )
-    bars = BarrierSet.build(lattice, barriers.xi, L=barriers.L)
-    sol = solve_rbsde(lattice, driver, bars)
-    assert not sol.Kminus.values.any()
-    return sol
+    return _solve_penalized(lattice, bounds, spec2, barriers, [n], -1)[0]
 
 
 def solve_penalized_upper(lattice, bounds, spec, barriers, n):
     """Mirror image: reflect below the upper node obstacle, penalty
     pushing down at the upper clock's atoms, lower reflection zero."""
-    if n < 0:
-        raise ValueError("penalty weight must be >= 0")
     spec2, _ = _normalized_witness(spec, barriers.xi)
-    driver = replace(
-        build_dominated_driver(bounds, spec2, orientation=1),
-        penalty=_upper_penalty(barriers.u, barriers.alpha, n),
-        label=f"penalized-upper(n={n})",
-    )
-    bars = BarrierSet.build(lattice, barriers.xi, U=barriers.U)
-    sol = solve_rbsde(lattice, driver, bars)
-    assert not sol.Kplus.values.any()
-    return sol
+    return _solve_penalized(lattice, bounds, spec2, barriers, [n], 1)[0]
 
 
 class PenalizedFamily:
@@ -193,7 +198,9 @@ class PenalizedFamily:
     ``lower_solutions[k]`` / ``upper_solutions[k]`` correspond to
     ``n_schedule[k]``; ``Yunder`` / ``Ybar`` are the current limit
     estimates (largest weight solved).  The construction context is
-    kept so the schedule can be extended in place by the squeeze.
+    kept so the schedule can be extended in place by the squeeze;
+    ``spec`` is the witness decomposition normalized to the terminal
+    values, and ``witness`` the process it rebuilds.
     """
 
     __slots__ = (
@@ -244,16 +251,13 @@ class PenalizedFamily:
         Returns a list of ``(n, lower_gap, upper_gap)`` rows, one per
         entry after the first.
         """
-        rows = []
-        for k in range(1, len(self.n_schedule)):
-            lo = _sup_gap(
-                self.lower_solutions[k].Y, self.lower_solutions[k - 1].Y
-            )
-            hi = _sup_gap(
-                self.upper_solutions[k].Y, self.upper_solutions[k - 1].Y
-            )
-            rows.append((self.n_schedule[k], lo, hi))
-        return rows
+        if len(self.n_schedule) < 2:
+            return []
+        lo, hi = (
+            np.abs(np.diff(_stacked(sols), axis=0)).max(axis=1)
+            for sols in (self.lower_solutions, self.upper_solutions)
+        )
+        return list(zip(self.n_schedule[1:], lo.tolist(), hi.tolist()))
 
     def extend(self, n):
         """Solve both equations at one more weight and re-verify order.
@@ -262,25 +266,24 @@ class PenalizedFamily:
         """
         if self.n_schedule and n <= self.n_schedule[-1]:
             raise ValueError("schedule must increase")
-        low = solve_penalized_lower(
-            self.lattice, self.bounds, self.spec, self.barriers, n
-        )
-        high = solve_penalized_upper(
-            self.lattice, self.bounds, self.spec, self.barriers, n
-        )
-        _check_pair(
-            self.lower_solutions[-1].Y if self.n_schedule else low.Y,
-            low.Y,
-            high.Y,
-            self.upper_solutions[-1].Y if self.n_schedule else high.Y,
+        self._append([n])
+
+    def _append(self, weights):
+        # both sides in one pass each, then the ladder from the last rung
+        args = (self.lattice, self.bounds, self.spec, self.barriers, weights)
+        lows = _solve_penalized(*args, -1)
+        highs = _solve_penalized(*args, 1)
+        _check_ladder(
+            (self.lower_solutions[-1:] or lows[:1]) + lows,
+            (self.upper_solutions[-1:] or highs[:1]) + highs,
             self.witness,
             self.barriers,
-            n,
+            weights,
             self.sandwich_tol,
         )
-        self.n_schedule.append(n)
-        self.lower_solutions.append(low)
-        self.upper_solutions.append(high)
+        self.n_schedule += weights
+        self.lower_solutions += lows
+        self.upper_solutions += highs
 
     def __repr__(self):
         return (
@@ -289,59 +292,53 @@ class PenalizedFamily:
         )
 
 
-def _sup_gap(A, B):
-    return float(np.max(np.abs(A.values - B.values)))
+def _stacked(sols):
+    """The solutions' ``Y`` as rows of one array."""
+    return np.stack([s.Y.values for s in sols])
 
 
-def _check_pair(prev_low, low, high, prev_high, S, barriers, n, tol):
-    """One rung of the ordering ladder:
-    obstacle <= previous lower <= lower <= witness <= upper <= previous
-    upper <= obstacle, everything within ``tol``."""
+def _check_ladder(lows, highs, S, barriers, weights, tol):
+    """Ordering ladder of every rung: obstacle <= previous lower <= lower
+    <= witness <= upper <= previous upper <= obstacle, within ``tol``
+    (the clamp makes the node obstacles exact; checked anyway).
+    ``lows[k + 1]`` / ``highs[k + 1]`` solve at ``weights[k]``, above
+    the rung ``lows[0]`` / ``highs[0]``."""
+    lo, hi = _stacked(lows), _stacked(highs)
     steps = S.lattice.steps
-    for i in range(steps + 1):
-        rows = (
-            ("lower solutions nondecreasing in n", prev_low.level(i), low.level(i)),
-            ("lower solution below witness", low.level(i), S.level(i)),
-            ("witness below upper solution", S.level(i), high.level(i)),
-            ("upper solutions nonincreasing in n", high.level(i), prev_high.level(i)),
-        )
-        for what, a, b in rows:
-            gap = a - b
-            k = int(np.argmax(gap))
-            if gap[k] > tol:
-                raise SandwichViolation(what, n, i, k, gap[k])
-    # node obstacles hold bitwise via the clamp; check anyway
-    for i in range(steps):
-        gap = barriers.L.level(i) - low.level(i)
-        k = int(np.argmax(gap))
-        if gap[k] > 0.0:
-            raise SandwichViolation("lower obstacle", n, i, k, gap[k])
-        gap = high.level(i) - barriers.U.level(i)
-        k = int(np.argmax(gap))
-        if gap[k] > 0.0:
-            raise SandwichViolation("upper obstacle", n, i, k, gap[k])
+    n = level_offset(steps)
+    chains = (
+        ("lower solutions nondecreasing in n", lo[:-1] - lo[1:], tol),
+        ("lower solution below witness", lo[1:] - S.values, tol),
+        ("witness below upper solution", S.values - hi[1:], tol),
+        ("upper solutions nonincreasing in n", hi[1:] - hi[:-1], tol),
+    )
+    obstacles = (
+        ("lower obstacle", barriers.L.values[:n] - lo[1:, :n], 0.0),
+        ("upper obstacle", hi[1:, :n] - barriers.U.values[:n], 0.0),
+    )
+    _first_break(weights, ((steps + 1, chains), (steps, obstacles)))
 
 
 def build_family(
     lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE, sandwich_tol=1e-9
 ):
-    """Solve both penalized equations along a weight schedule.
-
-    Verifies, entry by entry, the full ordering ladder between the
-    node obstacles, the two monotone chains and the witness; raises
-    :class:`SandwichViolation` with the first offending node.
+    """Solve both penalized equations along a weight schedule, one
+    backward pass per side, then verify the full ordering ladder between
+    the node obstacles, the two monotone chains and the witness; a
+    break raises :class:`SandwichViolation` at the first offending
+    weight, then level and node.  Solver errors come before any ladder
+    check, whichever weight they occur at.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2:
         raise ValueError("schedule needs at least two entries")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    _, S = _normalized_witness(spec, barriers.xi)
+    spec2, S = _normalized_witness(spec, barriers.xi)
     family = PenalizedFamily(
-        lattice, bounds, spec, barriers, [], [], [], S, sandwich_tol
+        lattice, bounds, spec2, barriers, [], [], [], S, sandwich_tol
     )
-    for n in schedule:
-        family.extend(n)
+    family._append(schedule)
     return family
 
 
@@ -384,28 +381,23 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     upper limit mirrors it.  Returns ``(Ybar, Yunder)``.
     """
     spec2, S = _normalized_witness(spec, barriers.xi)
-    low_bars = BarrierSet.build(
-        lattice,
-        barriers.xi,
-        L=barriers.L,
-        l=barriers.l,
-        delta=barriers.delta,
+    lower, upper = (
+        solve_rbsde(
+            lattice,
+            build_dominated_driver(bounds, spec2, orientation=side),
+            BarrierSet.build(lattice, barriers.xi, **pieces),
+        )
+        for side, pieces in (
+            (-1, {"L": barriers.L, "l": barriers.l, "delta": barriers.delta}),
+            (1, {"U": barriers.U, "u": barriers.u, "alpha": barriers.alpha}),
+        )
     )
-    lower = solve_rbsde(
-        lattice, build_dominated_driver(bounds, spec2, orientation=-1), low_bars
+    rows = (
+        ("lower limit below witness", lower.Y.values - S.values),
+        ("witness below upper limit", S.values - upper.Y.values),
     )
-    high_bars = BarrierSet.build(
-        lattice,
-        barriers.xi,
-        U=barriers.U,
-        u=barriers.u,
-        alpha=barriers.alpha,
-    )
-    upper = solve_rbsde(
-        lattice, build_dominated_driver(bounds, spec2, orientation=1), high_bars
-    )
-    _check_upper_dominates(lower.Y, S, _ORDER_TOL, "lower limit below witness", "inf")
-    _check_upper_dominates(S, upper.Y, _ORDER_TOL, "witness below upper limit", "inf")
+    levels = lattice.steps + 1
+    _first_break(("inf",), [(levels, [(w, g[None], _ORDER_TOL)]) for w, g in rows])
     return upper.Y, lower.Y
 
 

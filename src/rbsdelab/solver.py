@@ -201,7 +201,9 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     """Vectorized solve of ``y = base + F(y)`` per node.
 
     ``F(y) = f_drift(t, y, Z) dt + g_fn(t, y, y) dA + penalty(level, y)``
-    with absent pieces skipped.  Returns the root array; raises
+    with absent pieces skipped.  The nodes of the level are the last
+    axis of ``base``, leading axes a batch, and errors name the node
+    within its level.  Returns the root array; raises
     :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
 
     ``phi(y) = y - base - F(y)`` is increasing, so walking outwards
@@ -230,7 +232,7 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
             out = out + np.asarray(penalty(level, y), dtype=float)
         finite = np.isfinite(out)
         if not finite.all():
-            raise NonFiniteDriver(level, int(np.argmin(finite)))
+            raise NonFiniteDriver(level, np.argmin(finite) % out.shape[-1])
         return out
 
     def phi(y):
@@ -267,8 +269,10 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     probes = 0
     while down.any() or up.any():
         if probes == _EXPAND_MAX:
-            node = int(np.argmax(down | up))
-            raise ImplicitStepDivergence(level, node, float(span[node]))
+            k = int(np.argmax(down | up))
+            raise ImplicitStepDivergence(
+                level, k % span.shape[-1], float(span.flat[k])
+            )
         probes += 1
         y = np.where(down, hi - span, np.where(up, lo + span, lo))
         lo, f_lo, hi, f_hi = _narrowed(y, phi(y), lo, f_lo, hi, f_hi)
@@ -305,11 +309,11 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
             halved = 0.5 * width
             width = hi - lo
         else:
-            node = int(np.argmax(width > tol))
-            gap = float(width[node])
+            k = int(np.argmax(width > tol))
+            gap = float(width.flat[k])
             raise ImplicitStepDivergence(
                 level,
-                node,
+                k % width.shape[-1],
                 gap,
                 f"root bracket still {gap!r} wide after {_SECANT_MAX} steps",
             )
@@ -321,10 +325,10 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     y = np.where(better, yp, y)
     runaway = np.abs(y - base) > _SANE_SPAN * (1.0 + np.abs(base))
     if runaway.any():
-        node = int(np.argmax(runaway))
-        span = float(abs(y[node] - base[node]))
+        k = int(np.argmax(runaway))
+        span = float(abs(y.flat[k] - base.flat[k]))
         raise ImplicitStepDivergence(
-            level, node, span, f"root {span!r} away from the base value"
+            level, k % y.shape[-1], span, f"root {span!r} away from the base value"
         )
     return y
 
@@ -366,22 +370,28 @@ def solve_rbsde(lattice, driver, barriers):
     obstacle interval with the projection residuals recorded as
     reflection increments.
     """
+    return _backward(lattice, driver, barriers)[0]
+
+
+def _backward(lattice, driver, barriers, batch=()):
+    """:func:`solve_rbsde` over a batch: each level has shape ``batch +
+    (i + 1,)``, which the driver's callables see, so a ``(B, 1)``
+    penalty weight solves ``B`` weights.  One solution per entry."""
     steps = lattice.steps
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
     bounds = driver.bounds
-    # packed buffers: each level is written in place, and each buffer is
+    # packed buffers: each level is written in place, and each row is
     # frozen by its process at the end
     n = level_offset(steps)
-    Y = np.empty(level_offset(steps + 1))
-    Y[n:] = barriers.xi
-    Z, drift, Kplus, Kminus = (np.empty(n) for _ in range(4))
-    fplus = 0.0
-    fminus = 0.0
-    defect = 0.0
+    Y = np.empty(batch + (level_offset(steps + 1),))
+    Y[..., n:] = barriers.xi
+    Z, drift, Kplus, Kminus = (np.empty(batch + (n,)) for _ in range(4))
+    # reflection certificates, maxima per batch entry
+    fplus, fminus, defect = (np.zeros(batch) for _ in range(3))
 
     for j in range(steps - 1, -1, -1):
-        nxt = Y[level_offset(j + 1) : level_offset(j + 2)]
+        nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
         E = expectation_level(nxt)
         z = increment_level(nxt, lattice.sqrt_dt)
         t = lattice.times[j]
@@ -414,26 +424,29 @@ def solve_rbsde(lattice, driver, barriers):
         dkm = np.maximum(y_raw - high, 0.0)
 
         level = slice(level_offset(j), level_offset(j + 1))
-        Y[level] = y
-        Z[level] = z
-        drift[level] = y_raw - E
-        Kplus[level] = dkp
-        Kminus[level] = dkm
+        Y[..., level] = y
+        Z[..., level] = z
+        drift[..., level] = y_raw - E
+        Kplus[..., level] = dkp
+        Kminus[..., level] = dkm
         # mask the gap before multiplying: 0 * inf is NaN otherwise
         gap_low = np.where(dkp > 0.0, y - low, 0.0)
         gap_high = np.where(dkm > 0.0, high - y, 0.0)
-        fplus = max(fplus, float(np.max(dkp * gap_low, initial=0.0)))
-        fminus = max(fminus, float(np.max(dkm * gap_high, initial=0.0)))
-        defect = max(defect, float(np.max(dkp * dkm, initial=0.0)))
+        fplus = np.maximum(fplus, np.max(dkp * gap_low, axis=-1, initial=0.0))
+        fminus = np.maximum(fminus, np.max(dkm * gap_high, axis=-1, initial=0.0))
+        defect = np.maximum(defect, np.max(dkp * dkm, axis=-1, initial=0.0))
 
-    return Solution(
-        Y=AdaptedProcess(lattice, Y),
-        Z=PredictableProcess(lattice, Z),
-        Kplus=IncreasingProcess(lattice, Kplus),
-        Kminus=IncreasingProcess(lattice, Kminus),
-        residuals=SkorokhodReport(fplus, fminus, defect),
-        drift=PredictableProcess(lattice, drift),
-    )
+    return [
+        Solution(
+            AdaptedProcess(lattice, Y[k]),
+            PredictableProcess(lattice, Z[k]),
+            IncreasingProcess(lattice, Kplus[k]),
+            IncreasingProcess(lattice, Kminus[k]),
+            SkorokhodReport(float(fplus[k]), float(fminus[k]), float(defect[k])),
+            PredictableProcess(lattice, drift[k]),
+        )
+        for k in np.ndindex(batch)
+    ]
 
 
 @dataclass(frozen=True)

@@ -296,17 +296,14 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7, tol=0.0):
         # atoms of the clock along every path, tested directly
         on = w_paths > 0.0
         per_path = not np.any(g_paths[on] > left_limits[on])
-        pointwise = True
-        for g_path, w_path, left in zip(g_paths, w_paths, left_limits):
-            # the same constraint through the hard envelope, tested at
-            # every time (it is -inf off the support)
-            star = envelope_star_profile(
-                lat.times,
-                np.concatenate([[-np.inf], g_path]),
-                np.concatenate([[0.0], w_path]),
-            )
-            if np.any(star.values[1:] > left):
-                pointwise = False
+        # the same constraint through the hard envelope of every path,
+        # tested at every time (it is -inf off the support)
+        star = envelope_star_profile(
+            lat.times,
+            np.pad(g_paths, ((0, 0), (1, 0)), constant_values=-np.inf),
+            np.pad(w_paths, ((0, 0), (1, 0))),
+        )
+        pointwise = not np.any(star.values[:, 1:] > left_limits)
         if not (nodewise == per_path == pointwise):
             failures += 1
     return _report(
@@ -478,9 +475,7 @@ def verify_sandwich(cases=100, max_depth=6, seed=7, tol=1e-9, schedule=DEFAULT_S
             continue
         solved += len(fam.n_schedule)
         if log is not None:
-            for s in fam.lower_solutions:
-                log.add(s)
-            for s in fam.upper_solutions:
+            for s in fam.lower_solutions + fam.upper_solutions:
                 log.add(s)
     return _report(
         6,

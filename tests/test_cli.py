@@ -428,7 +428,9 @@ def test_envelope_needs_time_indexed_clock(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     code = main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert "time-indexed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "time-indexed" in err
+    assert "at time index 2)" in err
 
 
 # ---------------------------------------------------------------- verify

@@ -58,6 +58,17 @@ def test_walk_is_martingale(lat):
         assert np.all(np.abs(M - 1.0) <= 8 * np.spacing(1.0))
 
 
+def test_level_operators_batch_over_leading_axes():
+    rng = np.random.default_rng(5)
+    batch = rng.normal(size=(3, 2, 6))
+    E = expectation_level(batch)
+    M = increment_level(batch, 0.3)
+    assert E.shape == M.shape == (3, 2, 5)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(E[idx], expectation_level(batch[idx]))
+        assert np.array_equal(M[idx], increment_level(batch[idx], 0.3))
+
+
 def test_adapted_shape_checks(lat):
     with pytest.raises(ValueError, match="needs 7 level arrays, got 3"):
         AdaptedProcess(lat, [np.zeros(i + 1) for i in range(3)])

@@ -27,7 +27,7 @@ from rbsdelab.penalize import (
     solve_penalized_upper,
     squeeze_limits,
 )
-from rbsdelab.solver import solve_rbsde
+from rbsdelab.solver import NonFiniteDriver, solve_rbsde
 
 
 def witness_instance(steps=5, seed=3, tight=True):
@@ -165,6 +165,22 @@ def test_family_schedule_validation():
         fam.extend(2)
 
 
+def test_empty_family_grows_one_weight_at_a_time():
+    from rbsdelab.penalize import PenalizedFamily, _normalized_witness
+
+    lat, bounds, spec, bars = witness_instance()
+    spec2, S = _normalized_witness(spec, bars.xi)
+    fam = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S, 1e-9)
+    assert fam.gaps() == []
+    for n in (0, 4, 16):
+        fam.extend(n)
+    batched = build_family(lat, bounds, spec, bars, schedule=(0, 4, 16))
+    assert fam.n_schedule == batched.n_schedule
+    for (n, lo, hi), (m, lo2, hi2) in zip(fam.gaps(), batched.gaps()):
+        assert n == m
+        assert abs(lo - lo2) <= 1e-14 and abs(hi - hi2) <= 1e-14
+
+
 def test_sandwich_violation_names_the_break():
     # a node obstacle pushed above the candidate forces the lower
     # chain over the witness, which the ladder must reject
@@ -186,6 +202,89 @@ def test_sandwich_violation_names_the_break():
     with pytest.raises(SandwichViolation) as info:
         build_family(lat, bounds, spec, bad, schedule=(0, 1))
     assert "witness" in str(info.value)
+
+
+def test_first_broken_rung_is_raised_before_later_ones():
+    # floors lifted above the witness: by 0.1 at time 2, which breaks
+    # the lower chain from weight 8 at level 1, and by 0.04 at time 1,
+    # which breaks it from weight 16 at level 0.  The family must name
+    # the lightest broken weight, not the earliest level.
+    lat, bounds, spec, bars = witness_instance()
+    S = spec.reconstruct()
+    slots = [np.full(i + 1, -np.inf) for i in range(lat.steps)]
+    slots[0] = S.level(0) + 0.04
+    slots[1] = S.level(1) + 0.1
+    bad = BarrierSet.build(
+        lat,
+        bars.xi,
+        L=bars.L,
+        U=bars.U,
+        l=PredictableProcess(lat, slots),
+        u=bars.u,
+        delta=IncreasingProcess.from_time_atoms(lat, {1: 1.0, 2: 1.0}),
+        alpha=bars.alpha,
+        witness=spec,
+    )
+    what = "lower solution below witness"
+    for schedule, first in (
+        ((0, 1, 2, 4, 8, 16), (what, 8, 1, 1)),
+        ((0, 16), (what, 16, 0, 0)),
+    ):
+        with pytest.raises(SandwichViolation) as info:
+            build_family(lat, bounds, spec, bad, schedule=schedule)
+        e = info.value
+        assert (e.what, e.n, e.level, e.node) == first
+
+
+def test_overflowing_weight_names_its_node_within_the_level():
+    # a heavy floor atom on a binding penalty: weight 2**1023 overflows
+    lat, bounds, spec, bars = witness_instance(tight=True)
+    heavy = BarrierSet.build(
+        lat,
+        bars.xi,
+        L=bars.L,
+        U=bars.U,
+        l=bars.l,
+        u=bars.u,
+        delta=IncreasingProcess.from_time_atoms(lat, {lat.steps // 2: 100.0}),
+        alpha=bars.alpha,
+        witness=spec,
+    )
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteDriver) as single:
+            solve_penalized_lower(lat, bounds, spec, heavy, 2**1023)
+        with pytest.raises(NonFiniteDriver) as family:
+            build_family(lat, bounds, spec, heavy, schedule=(0, 2**1023))
+    e = family.value
+    assert (e.level, e.node) == (single.value.level, single.value.node)
+    assert 0 <= e.node <= e.level
+
+
+def test_batched_family_matches_single_rung_solves(monkeypatch):
+    from rbsdelab import penalize
+
+    lat, bounds, spec, bars = witness_instance()
+    passes = []
+    backward = penalize._backward
+
+    def counted(*args, **kwargs):
+        passes.append(args[3])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(penalize, "_backward", counted)
+    fam = build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
+    # one pass per side, the whole schedule as the batch
+    assert passes == [(len(DEFAULT_SCHEDULE),)] * 2
+    for k, n in enumerate(DEFAULT_SCHEDULE):
+        for solve, sols in (
+            (solve_penalized_lower, fam.lower_solutions),
+            (solve_penalized_upper, fam.upper_solutions),
+        ):
+            single = solve(lat, bounds, spec, bars, n).Y.values
+            batched = sols[k].Y.values
+            assert np.all(
+                np.abs(batched - single) <= 1e-14 * (1.0 + np.abs(single))
+            )
 
 
 def test_squeeze_converges_on_loose_tolerance():
