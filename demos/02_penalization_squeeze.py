@@ -9,8 +9,11 @@ the upper solutions decrease, and a known semimartingale (the
 pinned between the two chains at every node.  The two monotone limits
 are also computable exactly as hard-constraint one-sided solves, which
 is what the reduction uses; here we print the ladder so the squeeze is
-visible, then check the numeric limits against the exact ones and
-against the fully reduced solve.
+visible, run the numerical squeeze to a tolerance, check its limits
+against the exact ones, and check the fully reduced solve against the
+direct one.  The growth bounds of the penalized generators are raw
+constants rescaled by a nondecreasing function of the obstacles'
+running size, which is how growth of any order in y is dominated.
 
 Run:  python3 demos/02_penalization_squeeze.py
 """
@@ -21,16 +24,17 @@ from rbsdelab import (
     AdaptedProcess,
     BarrierSet,
     Driver,
-    GrowthBounds,
     IncreasingProcess,
     Lattice,
     PredictableProcess,
     SemimartingaleSpec,
     TimeGrid,
     build_family,
+    dominate_growth,
     exact_squeeze_barriers,
     reduce_and_solve,
     solve_rbsde,
+    squeeze_limits,
 )
 
 STEPS = 5
@@ -43,20 +47,7 @@ def witness_pieces(lat):
         return 0.3 * np.sin(1.5 * w) + 0.2 * w - 0.1 * t + 0.2
 
     levels = [shape(lat.times[i], lat.brownian(i)) for i in range(STEPS + 1)]
-    gamma, vplus, vminus = [], [], []
-    for i in range(STEPS):
-        upv, downv = levels[i + 1][1:], levels[i + 1][:-1]
-        gamma.append((upv - downv) / (2.0 * lat.sqrt_dt))
-        drift = 0.5 * (upv + downv) - levels[i]
-        vminus.append(np.maximum(drift, 0.0))
-        vplus.append(np.maximum(-drift, 0.0))
-    spec = SemimartingaleSpec(
-        float(levels[0][0]),
-        IncreasingProcess(lat, vplus),
-        IncreasingProcess(lat, vminus),
-        PredictableProcess(lat, gamma),
-    )
-    return spec, levels
+    return SemimartingaleSpec.from_levels(lat, levels), levels
 
 
 def main():
@@ -93,17 +84,16 @@ def main():
         lat, levels[STEPS], L=L, U=U, l=low_entry, u=high_entry,
         delta=delta, alpha=alpha, witness=spec,
     )
-    bounds = GrowthBounds.constants(lat, eta=1.5, C=0.5)
+    # raw growth constants times phi of the obstacles' running size
+    phi = lambda r: 1.0 + r
+    bounds = dominate_growth(phi, 0.5, 0.2, 0.0, L, U)
 
     schedule = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
     family = build_family(lat, bounds, spec, bars, schedule=schedule)
     exact_hi, exact_lo = exact_squeeze_barriers(lat, bounds, spec, bars)
 
-    def sup_dist(sol, limit):
-        return max(
-            float(np.max(np.abs(sol.Y.level(i) - limit.level(i))))
-            for i in range(STEPS + 1)
-        )
+    def sup_dist(Y, limit):
+        return float(np.max(np.abs(Y.values - limit.values)))
 
     print("exact limits (hard-constraint one-sided solves):")
     print(f"  lower limit Y0 = {exact_lo.level(0)[0]:+.8f}")
@@ -112,10 +102,20 @@ def main():
     print()
     print("penalty weight | sup |lower_n - limit| | sup |upper_n - limit|")
     for k, n in enumerate(family.n_schedule):
-        lo_err = sup_dist(family.lower_solutions[k], exact_lo)
-        hi_err = sup_dist(family.upper_solutions[k], exact_hi)
+        lo_err = sup_dist(family.lower_solutions[k].Y, exact_lo)
+        hi_err = sup_dist(family.upper_solutions[k].Y, exact_hi)
         print(f"     {n:6d}    |     {lo_err:.6e}     |     {hi_err:.6e}")
     print("(errors shrink like 1/n once the soft constraint binds)")
+
+    # the numerical squeeze doubles the weight until both chains move
+    # by at most tol per doubling; at 1/n that takes a few thousand
+    tol = 1e-4
+    Ybar, Yunder = squeeze_limits(family, tol=tol)
+    print()
+    print(f"numerical squeeze (tol {tol:g}, stopped at n = "
+          f"{family.n_schedule[-1]}):")
+    print(f"  sup |lower - exact limit| = {sup_dist(Yunder, exact_lo):.3e}")
+    print(f"  sup |upper - exact limit| = {sup_dist(Ybar, exact_hi):.3e}")
 
     # the reduction solves the original two-sided problem by folding the
     # exact limits into ordinary obstacles; cross-check it against the

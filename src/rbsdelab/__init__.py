@@ -46,7 +46,6 @@ from .barriers import (
     envelope_star_profile,
     effective_barriers,
     check_left_constraint,
-    dom_membership,
 )
 from .drivers import (
     Driver,
@@ -56,7 +55,6 @@ from .drivers import (
     NonMonotonePhi,
     dominate_growth,
     build_dominated_driver,
-    audit_assumptions,
 )
 from .solver import (
     Solution,
@@ -64,7 +62,6 @@ from .solver import (
     ComparisonReport,
     ImplicitStepDivergence,
     NonFiniteDriver,
-    implicit_step,
     solve_rbsde,
     comparison_check,
     budget_defect,
@@ -75,8 +72,6 @@ from .penalize import (
     SandwichViolation,
     ReductionDisagreement,
     DEFAULT_SCHEDULE,
-    solve_penalized_lower,
-    solve_penalized_upper,
     build_family,
     squeeze_limits,
     exact_squeeze_barriers,
@@ -86,8 +81,6 @@ from .snell import (
     SnellInstance,
     HypothesisAViolated,
     snell_envelope,
-    snell_lebesgue,
-    snell_stopping_time_atom,
 )
 from .oracle import (
     DepthTooLarge,
@@ -125,7 +118,6 @@ __all__ = [
     "envelope_star_profile",
     "effective_barriers",
     "check_left_constraint",
-    "dom_membership",
     "Driver",
     "GrowthBounds",
     "SemimartingaleSpec",
@@ -133,13 +125,11 @@ __all__ = [
     "NonMonotonePhi",
     "dominate_growth",
     "build_dominated_driver",
-    "audit_assumptions",
     "Solution",
     "SkorokhodReport",
     "ComparisonReport",
     "ImplicitStepDivergence",
     "NonFiniteDriver",
-    "implicit_step",
     "solve_rbsde",
     "comparison_check",
     "budget_defect",
@@ -148,8 +138,6 @@ __all__ = [
     "SandwichViolation",
     "ReductionDisagreement",
     "DEFAULT_SCHEDULE",
-    "solve_penalized_lower",
-    "solve_penalized_upper",
     "build_family",
     "squeeze_limits",
     "exact_squeeze_barriers",
@@ -157,8 +145,6 @@ __all__ = [
     "SnellInstance",
     "HypothesisAViolated",
     "snell_envelope",
-    "snell_lebesgue",
-    "snell_stopping_time_atom",
     "DepthTooLarge",
     "NoValue",
     "exhaustive_stopping_value",

@@ -45,7 +45,6 @@ __all__ = [
     "BarrierSet",
     "effective_barriers",
     "check_left_constraint",
-    "dom_membership",
 ]
 
 
@@ -347,20 +346,3 @@ def check_left_constraint(Y, g, rho):
     on = rho.values > 0.0
     left = Y.values[: on.size]
     return not np.any(g.values[on] > left[on])
-
-
-def dom_membership(Y, bars):
-    """Does ``Y`` satisfy all four obstacle constraints?
-
-    Node obstacles are tested at every node before the terminal time;
-    predictable obstacles at every clock atom through the left limit.
-    The terminal value of ``Y`` is unconstrained here.
-    """
-    n = level_offset(Y.lattice.steps)
-    y = Y.values[:n]
-    if np.any(bars.L.values[:n] > y) or np.any(y > bars.U.values[:n]):
-        return False
-    if not check_left_constraint(Y, bars.l, bars.delta):
-        return False
-    on = bars.alpha.values > 0.0
-    return not np.any(y[on] > bars.u.values[on])

@@ -15,17 +15,17 @@ hints the backward solver exploits:
   constraint penalties.
 
 Growth data consists of node-indexed processes bounding the generator
-(slope-quadratic bound for ``f``, flat bound for ``g``) plus the clock,
-and is consumed by two things: the sampling audit, and the construction
-of the dominating generator whose drift beats every generator within
-the declared bounds after recentering the slope.
+(slope-quadratic bound for ``f``, flat bound for ``g``) plus the clock.
+:func:`dominate_growth` rescales raw bounds by a nondecreasing function
+of the obstacles' running size (growth of any order in the unknown),
+and the bounds feed the construction of the dominating generator whose
+drift beats every generator within them after recentering the slope.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barriers import dom_membership
 from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
@@ -41,10 +41,8 @@ __all__ = [
     "GrowthBounds",
     "SemimartingaleSpec",
     "Driver",
-    "AuditReport",
     "dominate_growth",
     "build_dominated_driver",
-    "audit_assumptions",
 ]
 
 
@@ -399,109 +397,4 @@ def build_dominated_driver(bounds, spec, orientation=1):
         f_rest=f_rest,
         source=source,
         label=f"dominated(orientation={orientation:+d})",
-    )
-
-
-@dataclass
-class AuditReport:
-    """Outcome of the sampling audit of a generator's declared bounds."""
-
-    probes: int
-    drift_bound_failures: list
-    clock_bound_failures: list
-    monotonicity_failures: list
-    witness_in_domain: object  # True / False / None when not checked
-
-    @property
-    def passed(self):
-        return (
-            not self.drift_bound_failures
-            and not self.clock_bound_failures
-            and not self.monotonicity_failures
-            and self.witness_in_domain is not False
-        )
-
-    def summary(self):
-        w = (
-            "skipped"
-            if self.witness_in_domain is None
-            else ("ok" if self.witness_in_domain else "FAIL")
-        )
-        return (
-            f"probes={self.probes} "
-            f"drift_bound_failures={len(self.drift_bound_failures)} "
-            f"clock_bound_failures={len(self.clock_bound_failures)} "
-            f"monotonicity_failures={len(self.monotonicity_failures)} "
-            f"witness={w}"
-        )
-
-
-def audit_assumptions(driver, barriers=None, spec=None, probes=1000, seed=0):
-    """Falsification pass over a generator's declared growth data.
-
-    Samples random (time, node, y, z) tuples with log-spaced magnitudes
-    up to 1e3 and records every probe where the drift rate escapes its
-    slope-quadratic bound (first argument clamped between the node
-    obstacles when given), where the clock rate escapes its flat bound,
-    or where ``y -> y + g(t, y, y) * dA`` decreases.  When both a
-    witness decomposition and obstacles are supplied, membership of the
-    reconstructed witness is checked too.  Sampling can only falsify.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    bounds = driver.bounds
-    rng = np.random.default_rng(seed)
-    drift_fail, clock_fail, mono_fail = [], [], []
-    if bounds is not None:
-        lattice = bounds.lattice
-        lv = rng.integers(0, lattice.steps, size=probes)
-        mag_y = 10.0 ** rng.uniform(-3.0, 3.0, size=probes)
-        mag_z = 10.0 ** rng.uniform(-3.0, 3.0, size=probes)
-        ys = np.where(rng.random(probes) < 0.5, -mag_y, mag_y)
-        zs = np.where(rng.random(probes) < 0.5, -mag_z, mag_z)
-        for k in range(probes):
-            i = int(lv[k])
-            node = int(rng.integers(0, i + 1))
-            t = lattice.times[i]
-            y = ys[k]
-            if barriers is not None:
-                y = min(
-                    max(y, barriers.L.level(i)[node]),
-                    barriers.U.level(i)[node],
-                )
-            z = zs[k]
-            yv = np.array([y])
-            zv = np.array([z])
-            cap = (
-                bounds.eta.level(i)[node]
-                + bounds.C.level(i)[node] * z * z
-            )
-            fv = float(np.asarray(driver.f(t, yv, zv)).ravel()[0])
-            if not np.isfinite(fv) or abs(fv) > cap * (1.0 + 1e-12) + 1e-12:
-                drift_fail.append((i, node, y, z, fv, cap))
-            if driver.g is not None:
-                gv = float(np.asarray(driver.g(t, yv, yv)).ravel()[0])
-                bcap = bounds.beta.level(i)[node]
-                if not np.isfinite(gv) or abs(gv) > bcap * (1.0 + 1e-12) + 1e-12:
-                    clock_fail.append((i, node, y, gv, bcap))
-                if i < lattice.steps:
-                    dA = bounds.A.atom(i)[node]
-                    if dA > 0.0:
-                        y2 = y + 10.0 ** rng.uniform(-6.0, 0.0)
-                        g2 = float(
-                            np.asarray(
-                                driver.g(t, np.array([y2]), np.array([y2]))
-                            ).ravel()[0]
-                        )
-                        if y2 + g2 * dA < y + gv * dA - 1e-9:
-                            mono_fail.append((i, node, y, y2, dA))
-    witness = None
-    if spec is not None and barriers is not None:
-        witness = dom_membership(spec.reconstruct(), barriers)
-    return AuditReport(
-        probes=probes,
-        drift_bound_failures=drift_fail,
-        clock_bound_failures=clock_fail,
-        monotonicity_failures=mono_fail,
-        witness_in_domain=witness,
     )

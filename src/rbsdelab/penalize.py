@@ -42,8 +42,6 @@ __all__ = [
     "ReductionDisagreement",
     "DEFAULT_SCHEDULE",
     "PenalizedFamily",
-    "solve_penalized_lower",
-    "solve_penalized_upper",
     "build_family",
     "squeeze_limits",
     "exact_squeeze_barriers",
@@ -175,21 +173,6 @@ def _solve_penalized(lattice, bounds, spec2, barriers, weights, orientation):
     sols = _backward(lattice, driver, bars, (len(weights),))
     assert not any((s.Kminus if up else s.Kplus).values.any() for s in sols)
     return sols
-
-
-def solve_penalized_lower(lattice, bounds, spec, barriers, n):
-    """One lower penalized solve at penalty weight ``n``: reflected on
-    the lower node obstacle, penalty pushing up at the lower clock's
-    atoms, upper reflection zero."""
-    spec2, _ = _normalized_witness(spec, barriers.xi)
-    return _solve_penalized(lattice, bounds, spec2, barriers, [n], -1)[0]
-
-
-def solve_penalized_upper(lattice, bounds, spec, barriers, n):
-    """Mirror image: reflect below the upper node obstacle, penalty
-    pushing down at the upper clock's atoms, lower reflection zero."""
-    spec2, _ = _normalized_witness(spec, barriers.xi)
-    return _solve_penalized(lattice, bounds, spec2, barriers, [n], 1)[0]
 
 
 class PenalizedFamily:
@@ -342,15 +325,15 @@ def build_family(
     return family
 
 
-def squeeze_limits(family, tol=1e-8, n_max=2 ** 16, strict=True):
+def squeeze_limits(family, tol=1e-8, n_max=2 ** 16):
     """Estimate the monotone limits along a doubling schedule.
 
-    Returns ``(Ybar, Yunder, converged)`` once the last consecutive
-    sup-norm movement of both chains is at most ``tol``, extending the
-    family by doubling up to ``n_max``.  A binding penalty moves like
-    ``1/n``, so tight tolerances are often unreachable: with ``strict``
-    (the default) that raises :class:`ScheduleExhausted`, otherwise the
-    current estimates are returned with ``converged=False``.
+    Returns ``(Ybar, Yunder)`` once the last consecutive sup-norm
+    movement of both chains is at most ``tol``, extending the family by
+    doubling up to ``n_max``.  A binding penalty moves like ``1/n``, so
+    tight tolerances are often unreachable: that raises
+    :class:`ScheduleExhausted`, and the family keeps every weight solved
+    so far.
     """
 
     def last_gap():
@@ -361,13 +344,11 @@ def squeeze_limits(family, tol=1e-8, n_max=2 ** 16, strict=True):
     gap = last_gap()
     while gap > tol:
         n_next = max(2 * family.n_schedule[-1], 1)
-        if n_next > n_max or n_next <= family.n_schedule[-1]:
-            if strict:
-                raise ScheduleExhausted(gap, family.n_schedule[-1])
-            return family.Ybar, family.Yunder, False
+        if n_next > n_max:
+            raise ScheduleExhausted(gap, family.n_schedule[-1])
         family.extend(n_next)
         gap = last_gap()
-    return family.Ybar, family.Yunder, True
+    return family.Ybar, family.Yunder
 
 
 def exact_squeeze_barriers(lattice, bounds, spec, barriers):

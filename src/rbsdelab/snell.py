@@ -30,7 +30,6 @@ from .lattice import (
     PredictableProcess,
     expectation_level,
     increment_level,
-    level_offset,
 )
 from .solver import SkorokhodReport, Solution
 
@@ -38,8 +37,6 @@ __all__ = [
     "HypothesisAViolated",
     "SnellInstance",
     "snell_envelope",
-    "snell_lebesgue",
-    "snell_stopping_time_atom",
 ]
 
 
@@ -184,49 +181,3 @@ def snell_envelope(inst):
         residuals=SkorokhodReport(0.0, 0.0, 0.0),
         drift=PredictableProcess.constant(lat, 0.0),
     )
-
-
-def snell_lebesgue(inst):
-    """Envelope under a clock charging every grid time.
-
-    The left-limit constraint then reads: at every level, the solution
-    dominates the next time's obstacle sample.  Requires the instance's
-    clock to have full support; delegates to :func:`snell_envelope`.
-    """
-    for i in range(inst.lattice.steps):
-        on = inst.delta.support(i)
-        if not on.all():
-            k = int(np.argmin(on))
-            raise ValueError(
-                f"clock has no atom at (level {i}, node {k}); "
-                "full support is required here"
-            )
-    return snell_envelope(inst)
-
-
-def snell_stopping_time_atom(lattice, t_prime, xi_prime, L, xi, witness=None):
-    """Envelope with a single left-limit constraint at one grid time.
-
-    ``xi_prime`` holds one value per node of the level preceding
-    ``t_prime`` (it constrains the left limit there, so it must be
-    known one step ahead).  The output satisfies
-    ``xi_prime <= Y`` at that level, exactly.
-    """
-    k = lattice.grid.level_of(t_prime)
-    if k == 0:
-        raise ValueError(
-            "the constraint acts on a left limit; it cannot sit at time 0"
-        )
-    xi_prime = np.asarray(xi_prime, dtype=float)
-    if xi_prime.ndim == 0:
-        xi_prime = np.full(k, float(xi_prime))
-    if xi_prime.shape != (k,):
-        raise ValueError(
-            f"xi_prime must have one value per node of level {k - 1}"
-        )
-    delta = IncreasingProcess.from_time_atoms(lattice, {k: 1.0})
-    slots = np.full(level_offset(lattice.steps), -np.inf)
-    slots[level_offset(k - 1) : level_offset(k)] = xi_prime
-    l = PredictableProcess(lattice, slots)
-    inst = SnellInstance(L, l, delta, xi, witness=witness)
-    return snell_envelope(inst)

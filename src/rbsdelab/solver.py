@@ -47,7 +47,6 @@ __all__ = [
     "SkorokhodReport",
     "Solution",
     "ComparisonReport",
-    "implicit_step",
     "solve_rbsde",
     "comparison_check",
     "budget_defect",
@@ -331,33 +330,6 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
             level, k % y.shape[-1], span, f"root {span!r} away from the base value"
         )
     return y
-
-
-def implicit_step(E, Z, t, driver, dA, dt):
-    """Solve ``y = E + f(t, y, Z) dt + g(t, y, y) dA`` for one node.
-
-    The generator is taken at face value (no structural terms): the
-    drift rate is integrated with ``dt`` as written, so a generator
-    with rate ``c z**2`` steps to exactly ``E + c Z**2 dt``.
-    """
-    dt = float(dt)
-    dA = float(dA)
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if dA < 0.0:
-        raise ValueError("dA must be >= 0")
-    y = _implicit_core(
-        np.array([float(E)]),
-        np.array([float(Z)]),
-        float(t),
-        dt,
-        level=-1,
-        f_drift=driver.f,
-        g_fn=driver.g,
-        dA=np.array([dA]),
-        penalty=None,
-    )
-    return float(y[0])
 
 
 def solve_rbsde(lattice, driver, barriers):

@@ -7,7 +7,6 @@ from rbsdelab.barriers import (
     BarrierSet,
     InfeasibleBarriers,
     check_left_constraint,
-    dom_membership,
     effective_barriers,
     envelope_profile,
     envelope_star_profile,
@@ -393,27 +392,3 @@ def test_check_left_constraint(lat):
     # the violation is invisible to a clock that never charges t3
     rho_off = IncreasingProcess.from_time_atoms(lat, {1: 1.0})
     assert check_left_constraint(Y, g_bad, rho_off)
-
-
-def test_dom_membership(lat):
-    xi = lat.brownian(lat.steps)
-    B = lat.brownian_process()
-    bars = BarrierSet.build(
-        lat,
-        xi,
-        L=AdaptedProcess.from_function(lat, lambda t, b: b - 1.0),
-        U=AdaptedProcess.from_function(lat, lambda t, b: b + 1.0),
-        l=PredictableProcess.from_function(lat, lambda t, b: b - 0.5),
-        u=PredictableProcess.from_function(lat, lambda t, b: b + 0.5),
-        delta=IncreasingProcess.lebesgue(lat),
-        alpha=IncreasingProcess.lebesgue(lat),
-    )
-    assert dom_membership(B, bars)
-    shifted = AdaptedProcess(
-        lat, [B.level(i) + 0.75 for i in range(lat.steps + 1)]
-    )
-    assert not dom_membership(shifted, bars)  # breaks u at left limits
-    outside = AdaptedProcess(
-        lat, [B.level(i) + 1.5 for i in range(lat.steps + 1)]
-    )
-    assert not dom_membership(outside, bars)  # breaks U outright

@@ -8,7 +8,6 @@ from rbsdelab.drivers import (
     NonMonotonePhi,
     SemimartingaleSpec,
     _running_max_envelope,
-    audit_assumptions,
     build_dominated_driver,
     dominate_growth,
 )
@@ -228,47 +227,3 @@ def test_dominated_driver_structure_consistent(lat):
     for i in range(lat.steps):
         expect = dv + 0.2 * lat.dt
         assert np.allclose(drv.source(i), expect)
-
-
-def test_audit_passes_within_bounds(lat):
-    bounds = GrowthBounds.constants(lat, eta=0.5, C=1.0)
-    drv = Driver.quadratic(0.5).with_bounds(bounds)
-    report = audit_assumptions(drv, probes=400, seed=3)
-    assert report.passed
-    assert report.witness_in_domain is None
-    assert "drift_bound_failures=0" in report.summary()
-
-
-def test_audit_catches_violation(lat):
-    bounds = GrowthBounds.constants(lat, eta=0.0, C=0.1)
-    drv = Driver.quadratic(5.0).with_bounds(bounds)  # way over C
-    report = audit_assumptions(drv, probes=200, seed=3)
-    assert not report.passed
-    assert report.drift_bound_failures
-
-
-def test_audit_checks_witness(lat):
-    from rbsdelab.barriers import BarrierSet
-
-    spec = constant_spec(lat, s0=0.0, slope=1.0)
-    S = spec.reconstruct()
-    xi = S.terminal()
-    inside = BarrierSet.build(
-        lat,
-        xi,
-        L=AdaptedProcess(lat, [S.level(i) - 1 for i in range(lat.steps + 1)]),
-        U=AdaptedProcess(lat, [S.level(i) + 1 for i in range(lat.steps + 1)]),
-    )
-    drv = Driver.zero().with_bounds(GrowthBounds.constants(lat, 0.1, 0.1))
-    ok = audit_assumptions(drv, barriers=inside, spec=spec, probes=50)
-    assert ok.witness_in_domain is True
-    outside = BarrierSet.build(
-        lat,
-        xi,
-        L=AdaptedProcess(
-            lat, [S.level(i) + 0.5 for i in range(lat.steps)] + [xi]
-        ),
-    )
-    bad = audit_assumptions(drv, barriers=outside, spec=spec, probes=50)
-    assert bad.witness_in_domain is False
-    assert not bad.passed

@@ -1,6 +1,9 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there,
+and every public function is reached from outside the tests."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,52 @@ def test_unused_import_scan_sees_plain_aliased_and_exported_names():
 def test_no_unused_imports(module):
     found = unused_imports((SRC / module).read_text())
     assert not found, f"{module}: unused imports (line, name): {found}"
+
+
+def loaded_names(source):
+    """Names ``source`` reads: bare names and attribute names in load
+    context.  Imports, definitions and string literals (such as the
+    entries of ``__all__``) are not reads."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+            node.ctx, ast.Load
+        ):
+            loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return loaded
+
+
+def test_loaded_name_scan_skips_imports_definitions_and_exports():
+    source = (
+        "from .solver import solve, check\n"
+        "import numpy as np\n"
+        "__all__ = ['helper']\n"
+        "def helper():\n"
+        "    return np.linalg.norm(solve())\n"
+    )
+    assert loaded_names(source) == {"np", "linalg", "norm", "solve"}
+
+
+def test_every_public_function_is_reached():
+    """Each function in ``rbsdelab.__all__`` is read by package code
+    outside ``__init__.py``, read by a demo, or named in the README; a
+    name only its tests reach is surface to delete, not to export."""
+    import rbsdelab
+
+    root = SRC.parent.parent
+    readme = (root / "README.md").read_text()
+    reached = set().union(
+        *(
+            loaded_names(p.read_text())
+            for p in sorted(SRC.glob("*.py")) + sorted(root.glob("demos/*.py"))
+            if p.name != "__init__.py"
+        )
+    )
+    unreached = [
+        name
+        for name in rbsdelab.__all__
+        if inspect.isfunction(getattr(rbsdelab, name))
+        and name not in reached
+        and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert not unreached, f"public functions only tests reach: {unreached}"

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from rbsdelab.barriers import BarrierSet, dom_membership, effective_barriers
+from rbsdelab.barriers import (
+    BarrierSet,
+    check_left_constraint,
+    effective_barriers,
+)
 from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
@@ -14,17 +18,18 @@ from rbsdelab.lattice import (
     Lattice,
     PredictableProcess,
     TimeGrid,
+    level_offset,
 )
 from rbsdelab.penalize import (
     DEFAULT_SCHEDULE,
     ReductionDisagreement,
     SandwichViolation,
     ScheduleExhausted,
+    _normalized_witness,
+    _solve_penalized,
     build_family,
     exact_squeeze_barriers,
     reduce_and_solve,
-    solve_penalized_lower,
-    solve_penalized_upper,
     squeeze_limits,
 )
 from rbsdelab.solver import NonFiniteDriver, solve_rbsde
@@ -94,28 +99,33 @@ def witness_instance(steps=5, seed=3, tight=True):
     return lat, bounds, spec, bars
 
 
+def penalized(lat, bounds, spec, bars, n, orientation):
+    """One penalized solve at weight ``n``: ``orientation=-1`` the lower
+    equation, ``+1`` the upper one."""
+    spec2, _ = _normalized_witness(spec, bars.xi)
+    return _solve_penalized(lat, bounds, spec2, bars, [n], orientation)[0]
+
+
 def test_one_sided_solves_have_one_sided_reflection():
     lat, bounds, spec, bars = witness_instance()
-    for n in (0, 1, 8):
-        low = solve_penalized_lower(lat, bounds, spec, bars, n)
+    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1, 8))
+    for low in fam.lower_solutions:
         assert all(not low.Kminus.atom(j).any() for j in range(lat.steps))
-        high = solve_penalized_upper(lat, bounds, spec, bars, n)
+    for high in fam.upper_solutions:
         assert all(not high.Kplus.atom(j).any() for j in range(lat.steps))
 
 
 def test_negative_weight_rejected():
     lat, bounds, spec, bars = witness_instance()
     with pytest.raises(ValueError):
-        solve_penalized_lower(lat, bounds, spec, bars, -1)
+        penalized(lat, bounds, spec, bars, -1, -1)
     with pytest.raises(ValueError):
-        solve_penalized_upper(lat, bounds, spec, bars, -2)
+        penalized(lat, bounds, spec, bars, -2, 1)
 
 
 def test_zero_weight_is_the_unpenalized_solve():
     lat, bounds, spec, bars = witness_instance()
-    low = solve_penalized_lower(lat, bounds, spec, bars, 0)
-    from rbsdelab.penalize import _normalized_witness
-
+    low = penalized(lat, bounds, spec, bars, 0, -1)
     spec2, _ = _normalized_witness(spec, bars.xi)
     plain = solve_rbsde(
         lat,
@@ -166,7 +176,7 @@ def test_family_schedule_validation():
 
 
 def test_empty_family_grows_one_weight_at_a_time():
-    from rbsdelab.penalize import PenalizedFamily, _normalized_witness
+    from rbsdelab.penalize import PenalizedFamily
 
     lat, bounds, spec, bars = witness_instance()
     spec2, S = _normalized_witness(spec, bars.xi)
@@ -252,7 +262,7 @@ def test_overflowing_weight_names_its_node_within_the_level():
     )
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteDriver) as single:
-            solve_penalized_lower(lat, bounds, spec, heavy, 2**1023)
+            penalized(lat, bounds, spec, heavy, 2**1023, -1)
         with pytest.raises(NonFiniteDriver) as family:
             build_family(lat, bounds, spec, heavy, schedule=(0, 2**1023))
     e = family.value
@@ -276,11 +286,11 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
     # one pass per side, the whole schedule as the batch
     assert passes == [(len(DEFAULT_SCHEDULE),)] * 2
     for k, n in enumerate(DEFAULT_SCHEDULE):
-        for solve, sols in (
-            (solve_penalized_lower, fam.lower_solutions),
-            (solve_penalized_upper, fam.upper_solutions),
+        for side, sols in (
+            (-1, fam.lower_solutions),
+            (1, fam.upper_solutions),
         ):
-            single = solve(lat, bounds, spec, bars, n).Y.values
+            single = penalized(lat, bounds, spec, bars, n, side).Y.values
             batched = sols[k].Y.values
             assert np.all(
                 np.abs(batched - single) <= 1e-14 * (1.0 + np.abs(single))
@@ -290,8 +300,9 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
 def test_squeeze_converges_on_loose_tolerance():
     lat, bounds, spec, bars = witness_instance()
     fam = build_family(lat, bounds, spec, bars, schedule=(0, 1))
-    Ybar, Yunder, converged = squeeze_limits(fam, tol=1e-3, n_max=2**20)
-    assert converged
+    Ybar, Yunder = squeeze_limits(fam, tol=1e-3, n_max=2**20)
+    rows = fam.gaps()
+    assert max(rows[-1][1], rows[-1][2]) <= 1e-3
     for i in range(lat.steps + 1):
         assert np.all(Yunder.level(i) <= Ybar.level(i) + 1e-9)
 
@@ -302,16 +313,18 @@ def test_squeeze_exhaustion_is_loud_or_soft():
     with pytest.raises(ScheduleExhausted) as info:
         squeeze_limits(fam, tol=1e-14, n_max=64)
     assert info.value.gap > 0.0
-    fam2 = build_family(lat, bounds, spec, bars, schedule=(0, 1))
-    _, _, converged = squeeze_limits(fam2, tol=1e-14, n_max=64, strict=False)
-    assert not converged
+    # the family keeps every weight it reached: the current estimates
+    # stay readable after the loud failure
+    assert fam.n_schedule == [0, 1, 2, 4, 8, 16, 32, 64]
+    assert info.value.n_last == 64
+    n, lo, hi = fam.gaps()[-1]
+    assert max(lo, hi) == info.value.gap
 
 
 def test_binding_penalty_moves_like_one_over_n():
     lat, bounds, spec, bars = witness_instance(tight=True)
     sols = {
-        n: solve_penalized_lower(lat, bounds, spec, bars, n)
-        for n in (256, 512, 1024)
+        n: penalized(lat, bounds, spec, bars, n, -1) for n in (256, 512, 1024)
     }
     exact_bar, exact_under = exact_squeeze_barriers(lat, bounds, spec, bars)
     errs = {
@@ -353,7 +366,14 @@ def test_reduction_matches_the_direct_solve():
     sol = reduce_and_solve(lat, drv, bars)
     direct = solve_rbsde(lat, drv, bars)
     assert abs(sol.value() - direct.value()) <= 1e-6
-    assert dom_membership(sol.Y, bars)
+    # all four original constraints, the terminal value unconstrained
+    n = level_offset(lat.steps)
+    y = sol.Y.values[:n]
+    assert np.all(bars.L.values[:n] <= y) and np.all(y <= bars.U.values[:n])
+    assert check_left_constraint(sol.Y, bars.l, bars.delta)
+    negated = AdaptedProcess(lat, -sol.Y.values)
+    cap = PredictableProcess(lat, -bars.u.values)
+    assert check_left_constraint(negated, cap, bars.alpha)
 
 
 def test_reduction_numeric_route_agrees_with_exact_route():
@@ -364,8 +384,7 @@ def test_reduction_numeric_route_agrees_with_exact_route():
     drv = Driver.linear(0.0, 0.3, -0.2, bounds=bounds)
     via_exact = reduce_and_solve(lat, drv, bars)
     family = build_family(lat, bounds, spec, bars, schedule=(0, 1, 2))
-    Ybar, Yunder, converged = squeeze_limits(family, tol=1e-4, n_max=2)
-    assert converged
+    Ybar, Yunder = squeeze_limits(family, tol=1e-4, n_max=2)
     between = BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar)
     via_chain = solve_rbsde(lat, drv, between)
     assert abs(via_exact.value() - via_chain.value()) < 1e-9

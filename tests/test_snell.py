@@ -16,8 +16,6 @@ from rbsdelab.snell import (
     HypothesisAViolated,
     SnellInstance,
     snell_envelope,
-    snell_lebesgue,
-    snell_stopping_time_atom,
 )
 from rbsdelab.solver import budget_defect, solve_rbsde
 
@@ -221,16 +219,6 @@ def test_envelope_is_smallest_among_dominating_supermartingales():
             assert np.all(dominating[i] >= sol.Y.level(i) - 1e-12)
 
 
-def test_lebesgue_clock_must_charge_everywhere():
-    lat = Lattice(TimeGrid(1.0, 4))
-    L = AdaptedProcess.constant(lat, -np.inf).with_terminal(np.zeros(5))
-    partial = IncreasingProcess.from_time_atoms(lat, {2: 1.0})
-    floor = PredictableProcess.constant(lat, 0.0)
-    inst = SnellInstance(L, floor, partial, np.zeros(5))
-    with pytest.raises(ValueError, match="level 0"):
-        snell_lebesgue(inst)
-
-
 def test_lebesgue_floor_binds_at_every_level():
     lat = Lattice(TimeGrid(1.0, 4))
     L = AdaptedProcess.constant(lat, -np.inf).with_terminal(np.zeros(5))
@@ -238,22 +226,20 @@ def test_lebesgue_floor_binds_at_every_level():
     floor = PredictableProcess.constant(lat, 0.25)
     inst = SnellInstance(L, floor, full, np.zeros(5))
     with pytest.warns(UserWarning):
-        sol = snell_lebesgue(inst)
+        sol = snell_envelope(inst)
     for i in range(lat.steps):
         assert np.all(sol.Y.level(i) >= 0.25)
     assert sol.value() == 0.25
 
 
-def test_stopping_time_atom_validation():
-    lat = Lattice(TimeGrid(1.0, 4))
-    L = AdaptedProcess.constant(lat, -np.inf).with_terminal(np.zeros(5))
-    xi = np.zeros(5)
-    with pytest.raises(ValueError, match="grid time"):
-        snell_stopping_time_atom(lat, 0.37, 1.0, L, xi)
-    with pytest.raises(ValueError, match="time 0"):
-        snell_stopping_time_atom(lat, 0.0, 1.0, L, xi)
-    with pytest.raises(ValueError, match="one value per node"):
-        snell_stopping_time_atom(lat, 0.5, np.zeros(7), L, xi)
+def atom_floor(lat, k, values):
+    """Floor on the left limit at grid time ``k`` only, and its clock."""
+    slots = [np.full(i + 1, -np.inf) for i in range(lat.steps)]
+    slots[k - 1] = np.broadcast_to(values, (k,))
+    return (
+        PredictableProcess(lat, slots),
+        IncreasingProcess.from_time_atoms(lat, {k: 1.0}),
+    )
 
 
 def test_stopping_time_atom_clamps_one_level():
@@ -261,9 +247,9 @@ def test_stopping_time_atom_clamps_one_level():
     L = AdaptedProcess.constant(lat, -np.inf).with_terminal(np.zeros(5))
     xi = np.zeros(5)
     with pytest.warns(UserWarning):
-        sol = snell_stopping_time_atom(lat, 0.75, 0.6, L, xi)
-    # the scalar broadcasts over level 2; everything upstream is its
-    # plain expectation and downstream the constraint has no force
+        sol = snell_envelope(SnellInstance(L, *atom_floor(lat, 3, 0.6), xi))
+    # the floor acts on level 2 only; everything upstream is its plain
+    # expectation and downstream the constraint has no force
     assert np.all(sol.Y.level(2) == 0.6)
     assert np.all(sol.Y.level(3) == 0.0)
     assert sol.value() == 0.6
@@ -277,8 +263,8 @@ def test_stopping_time_atom_inactive_when_low():
     with pytest.warns(UserWarning):
         plain = snell_envelope(SnellInstance(L, None, None, xi))
     with pytest.warns(UserWarning):
-        tied = snell_stopping_time_atom(
-            lat, 0.5, np.full(2, -100.0), L, xi
+        tied = snell_envelope(
+            SnellInstance(L, *atom_floor(lat, 2, np.full(2, -100.0)), xi)
         )
     for i in range(lat.steps + 1):
         assert np.array_equal(plain.Y.level(i), tied.Y.level(i))

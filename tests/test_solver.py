@@ -19,7 +19,6 @@ from rbsdelab.solver import (
     NonFiniteDriver,
     budget_defect,
     comparison_check,
-    implicit_step,
     solve_rbsde,
 )
 
@@ -58,39 +57,39 @@ def band_barriers(lattice, xi, width):
     )
 
 
-def test_implicit_step_takes_the_generator_literally():
-    # rate 0.5 z**2 over dt=0.25 with slope 2 adds exactly 0.5*4*0.25
-    y = implicit_step(1.0, 2.0, 0.0, Driver.quadratic(0.5), 0.0, 0.25)
-    assert y == 1.0 + 0.5 * 4.0 * 0.25
+def implicit_step(E, f, dt, g=None, dA=None):
+    """One node's implicit step ``y = E + f(t, y, 0) dt + g(t, y, y) dA``
+    at time 0, errors naming level -1."""
+    if dA is not None:
+        dA = np.array([dA])
+    y = solver._implicit_core(
+        np.array([E]), np.zeros(1), 0.0, dt, -1, f, g, dA, None
+    )
+    return float(y[0])
 
 
 def test_implicit_step_linear_root():
     drv = Driver.linear(0.5, 0.0, 0.3)
-    y = implicit_step(2.0, 0.0, 0.0, drv, 0.0, 0.25)
+    y = implicit_step(2.0, drv.f, 0.25)
     # y = E + (a y + c) dt  =>  y = (E + c dt) / (1 - a dt)
     assert abs(y - (2.0 + 0.3 * 0.25) / (1.0 - 0.5 * 0.25)) < 1e-10
 
 
 def test_implicit_step_clock_rate():
-    drv = Driver(
-        f=lambda t, y, z: np.zeros_like(y),
+    y = implicit_step(
+        1.0,
+        lambda t, y, z: np.zeros_like(y),
+        0.25,
         g=lambda t, y_left, y: np.full_like(y, 2.0),
+        dA=0.5,
     )
-    assert implicit_step(1.0, 0.0, 0.0, drv, 0.5, 0.25) == 2.0
-
-
-def test_implicit_step_validation():
-    with pytest.raises(ValueError):
-        implicit_step(0.0, 0.0, 0.0, Driver.zero(), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        implicit_step(0.0, 0.0, 0.0, Driver.zero(), -0.1, 0.5)
+    assert y == 2.0
 
 
 def test_implicit_step_divergence():
     # y = 1 + y**2 has no real root; the bracket search must give up
-    drv = Driver(f=lambda t, y, z: y * y)
     with pytest.raises(ImplicitStepDivergence):
-        implicit_step(1.0, 0.0, 0.0, drv, 0.0, 1.0)
+        implicit_step(1.0, lambda t, y, z: y * y, 1.0)
 
 
 def counting(f):
@@ -116,7 +115,7 @@ def test_nan_inside_the_search_raises(band):
     # root 0.5/0.95 = 0.52632: a band around it, or covering everything
     # above it, lies on the path of any search for it
     with pytest.raises(NonFiniteDriver) as info:
-        implicit_step(0.5, 0.0, 0.0, Driver(f=nan_on(*band)), 0.0, 0.1)
+        implicit_step(0.5, nan_on(*band), 0.1)
     assert (info.value.level, info.value.node) == (-1, 0)
 
 
@@ -125,8 +124,7 @@ def test_nan_band_beside_the_root_is_never_read_as_a_sign():
     # onto a wrong root (0.52550 for bisection of [-0.5, 1.525])
     root = 0.5 / 0.95
     try:
-        drv = Driver(f=nan_on(0.51, 0.515))
-        y = implicit_step(0.5, 0.0, 0.0, drv, 0.0, 0.1)
+        y = implicit_step(0.5, nan_on(0.51, 0.515), 0.1)
     except NonFiniteDriver:
         return
     assert abs(y - root) <= 4.0 * np.spacing(root)
@@ -137,7 +135,7 @@ def test_implicit_step_reaches_float_resolution_at_any_scale(E):
     # an absolute stopping width falls below float spacing once
     # |y| ~ 1e4, so only a width relative to the scale is reachable
     f = counting(lambda t, y, z: 0.5 * y)
-    y = implicit_step(E, 0.0, 0.0, Driver(f=f), 0.0, 0.1)
+    y = implicit_step(E, f, 0.1)
     root = E / 0.95
     assert abs(y - root) <= 4.0 * np.spacing(root)
     assert f.calls <= 12
@@ -146,7 +144,7 @@ def test_implicit_step_reaches_float_resolution_at_any_scale(E):
 def test_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
     monkeypatch.setattr(solver, "_SECANT_MAX", 1)
     with pytest.raises(ImplicitStepDivergence) as info:
-        implicit_step(1.0, 0.0, 0.0, Driver.linear(0.5, 0.0, 0.0), 0.0, 0.1)
+        implicit_step(1.0, Driver.linear(0.5, 0.0, 0.0).f, 0.1)
     assert (info.value.level, info.value.node) == (-1, 0)
     assert 0.0 < info.value.span < 1.0
     assert "after 1 steps" in str(info.value)
@@ -209,7 +207,7 @@ def test_root_finder_property(case):
     for _ in range(200):
         E, rate, root = case(rng, dt)
         f = counting(rate)
-        y = implicit_step(E, 0.0, 0.0, Driver(f=f), 0.0, dt)
+        y = implicit_step(E, f, dt)
         scale = abs(E) + abs(float(root))
         width = 4.0 * np.spacing(scale)
         assert abs(Fraction(y) - root) <= width, (E, y, float(root))
