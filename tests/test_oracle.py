@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rbsdelab.lattice import (
     TimeGrid,
     all_paths,
     expectation_level,
+    path_nodes,
 )
 from rbsdelab.oracle import (
     DepthTooLarge,
@@ -208,3 +210,121 @@ def test_enumeration_covers_all_rules():
     xi2 = np.array([0.0, 2.0])
     assert exhaustive_stopping_value(L, xi2) == 1.0
     assert all_paths(1).shape == (2, 1)
+
+
+def literal_game(L, U, xi):
+    """Both one-sided optima of the stopping game, one ordered pair of
+    markings at a time, every marking decoded on its own."""
+    steps = L.lattice.steps
+    paths = all_paths(steps)
+    nodes = path_nodes(paths)
+    rules = [
+        StoppingRule.from_bitmask(steps, mask)
+        for mask in range(2 ** (steps * (steps + 1) // 2))
+    ]
+    stops = [[rule.stop_level(ups) for ups in paths] for rule in rules]
+
+    def paid(proc, level, p):
+        if level == steps:
+            return xi[nodes[p, steps]]
+        return proc.level(level)[nodes[p, level]]
+
+    J = np.empty((len(rules), len(rules)))
+    for a, stop_low in enumerate(stops):
+        for b, stop_high in enumerate(stops):
+            total = 0.0
+            for p in range(len(paths)):
+                if stop_low[p] <= stop_high[p]:
+                    total += paid(L, stop_low[p], p)
+                else:
+                    total += paid(U, stop_high[p], p)
+            J[a, b] = total / len(paths)
+    return J.min(axis=1).max(), J.max(axis=0).min()
+
+
+def test_dynkin_matches_a_literal_pair_loop():
+    rng = np.random.default_rng(21)
+    for depth in (1, 1, 2, 2, 2, 3, 3):
+        lat = Lattice(TimeGrid(1.0, depth))
+        low = [rng.normal(0, 1, i + 1) for i in range(depth)]
+        # crossed (U below L) and touching (U equal to L) nodes included
+        shift = rng.choice([-0.6, 0.0, 0.4, 1.2], size=depth * (depth + 1) // 2)
+        high = [
+            lo + shift[i * (i + 1) // 2 : i * (i + 1) // 2 + i + 1]
+            for i, lo in enumerate(low)
+        ]
+        xi = rng.normal(0, 1, depth + 1)
+        L = adapted(lat, low + [xi])
+        U = adapted(lat, high + [xi])
+        maxmin, minmax = literal_game(L, U, xi)
+        if abs(maxmin - minmax) > 1e-12:
+            with pytest.raises(NoValue) as err:
+                exhaustive_dynkin_value(L, U, xi)
+            assert abs(err.value.maxmin - maxmin) <= 1e-14
+            assert abs(err.value.minmax - minmax) <= 1e-14
+        else:
+            assert abs(exhaustive_dynkin_value(L, U, xi) - maxmin) <= 1e-14
+        # with stopper priority every node's one-shot game has a pure
+        # saddle, so crossed obstacles still leave a value; a negative
+        # tolerance always raises and exposes both optima
+        with pytest.raises(NoValue) as err:
+            exhaustive_dynkin_value(L, U, xi, tol=-1.0)
+        assert abs(err.value.maxmin - maxmin) <= 1e-14
+        assert abs(err.value.minmax - minmax) <= 1e-14
+
+
+def envelope_index_loop(times, g, weights, n):
+    t = np.asarray(times, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n = float(n)
+    values = np.full_like(t, -np.inf)
+    left = np.full_like(t, -np.inf)
+    for k in range(t.size):
+        cand = np.where(
+            w[: k + 1] > 0.0, gv[: k + 1] - n * (t[k] - t[: k + 1]), -np.inf
+        )
+        values[k] = cand.max(initial=-np.inf)
+        left[k] = cand[:k].max(initial=-np.inf)
+    return values, left
+
+
+def test_envelope_rescan_matches_the_index_loop():
+    rng = np.random.default_rng(13)
+    profiles = [
+        ([0.0], [1.5], [2.0], 3.0),  # a single point
+        ([0.0], [1.5], [0.0], 3.0),  # a single point without weight
+        ([0.0, 0.5, 2.0], [1.0, -np.inf, 4.0], [0.0, 0.0, 0.0], 1.0),
+        ([0.0, 1.0, 1.0, 2.0], [3.0, -np.inf, 5.0, 1.0], [1.0, 1.0, 0.0, 2.0], 0.0),
+    ]
+    for _ in range(200):
+        m = int(rng.integers(1, 80))
+        times = np.cumsum(rng.uniform(0.0, 0.5, m))  # repeats possible
+        g = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), m)
+        g[rng.random(m) < 0.1] = -np.inf
+        w = np.where(rng.random(m) < 0.5, rng.exponential(1.0, m), 0.0)
+        if rng.random() < 0.05:
+            w[:] = 0.0
+        n = 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-2, 4)
+        profiles.append((times, g, w, n))
+    for times, g, w, n in profiles:
+        values, left = envelope_brute_force(times, g, w, n)
+        ref_values, ref_left = envelope_index_loop(times, g, w, n)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(left, ref_left)
+
+
+def test_depth_four_game_stays_small():
+    rng = np.random.default_rng(4)
+    lat = Lattice(TimeGrid(1.0, 4))
+    low = [rng.normal(0, 1, i + 1) for i in range(4)]
+    xi = rng.normal(0, 1, 5)
+    L = adapted(lat, low + [xi])
+    U = adapted(lat, [lo + 0.5 for lo in low] + [xi])
+    tracemalloc.start()
+    try:
+        exhaustive_dynkin_value(L, U, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

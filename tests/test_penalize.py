@@ -307,6 +307,16 @@ def test_squeeze_converges_on_loose_tolerance():
         assert np.all(Yunder.level(i) <= Ybar.level(i) + 1e-9)
 
 
+def test_squeeze_tolerance_has_no_default():
+    lat, bounds, spec, bars = witness_instance()
+    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1))
+    with pytest.raises(TypeError):
+        squeeze_limits(fam)
+    with pytest.raises(TypeError):
+        squeeze_limits(fam, 1e-3)
+    assert fam.n_schedule == [0, 1]
+
+
 def test_squeeze_exhaustion_is_loud_or_soft():
     lat, bounds, spec, bars = witness_instance()
     fam = build_family(lat, bounds, spec, bars, schedule=(0, 1))
