@@ -296,26 +296,24 @@ def _clock(entries, lat, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _build_driver(cfg, lat, bounds):
+def _build_driver(cfg, bounds):
     node = cfg.get("driver")
     if node is None:
-        return Driver.zero().with_bounds(bounds) if bounds else Driver.zero()
+        return Driver.zero(bounds=bounds)
     _check_keys(node, {"name", "params"}, "driver")
     name = node.get("name")
     params = node.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("driver.params must be an object")
-    extra = {"bounds": bounds} if bounds is not None else {}
     try:
         if name == "zero":
             _check_keys(params, set(), "driver.params")
-            drv = Driver.zero()
-            return drv.with_bounds(bounds) if bounds else drv
+            return Driver.zero(bounds=bounds)
         if name == "constant":
             _check_keys(params, {"value"}, "driver.params")
             return Driver.constant(
                 _number(params, "value", "driver.params", required=True),
-                **extra,
+                bounds=bounds,
             )
         if name == "linear":
             _check_keys(params, {"a", "b", "c"}, "driver.params")
@@ -323,13 +321,13 @@ def _build_driver(cfg, lat, bounds):
                 _number(params, "a", "driver.params", default=0.0),
                 _number(params, "b", "driver.params", default=0.0),
                 _number(params, "c", "driver.params", default=0.0),
-                **extra,
+                bounds=bounds,
             )
         if name == "quadratic":
             _check_keys(params, {"c"}, "driver.params")
             return Driver.quadratic(
                 _number(params, "c", "driver.params", required=True),
-                **extra,
+                bounds=bounds,
             )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"driver: {exc}") from exc
@@ -426,7 +424,7 @@ class ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"barriers: {exc}") from exc
         self.lattice = lat
-        self.driver = _build_driver(cfg, lat, bounds)
+        self.driver = _build_driver(cfg, bounds)
         self.bounds = bounds
         self.witness = witness
 

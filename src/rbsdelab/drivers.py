@@ -1,18 +1,23 @@
 """Generators, their growth data, and the dominating generator.
 
-A generator is a pair of rate functions: ``f(t, y, z)`` integrated
-against time, and ``g(t, y_left, y)`` integrated against an increasing
-clock.  Alongside the analytic form, a generator may carry structural
-hints the backward solver exploits:
+A generator is a pair of rate functions of the lattice level ``j``:
+``f(j, y, z)`` integrated against time, and ``g(j, y_left, y)``
+integrated against an increasing clock.  A generator that needs the
+time reads ``lattice.times[j]``.  Alongside the analytic form, a
+generator may carry structural hints the backward solver exploits:
 
 - ``quad``: a squared-slope component ``q * (z - center)**2``, stepped
   by its exact one-step exponential average instead of an Euler term
   (this is what makes pure squared-slope generators land on their
   log-expectation closed form to machine precision);
-- ``source``: a per-node increment independent of the unknown (bounded
-  variation and clock terms of the penalized equations);
+- ``source``: a per-node increment independent of the unknown and the
+  slope (bounded variation and clock terms of the penalized equations,
+  and any rate that depends on the node alone, times ``dt``);
 - ``penalty``: a per-node increment, nonincreasing in the unknown, for
   constraint penalties.
+
+Per step from level ``j``, the drift is
+``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``.
 
 Growth data consists of node-indexed processes bounding the generator
 (slope-quadratic bound for ``f``, flat bound for ``g``) plus the clock.
@@ -22,7 +27,7 @@ and the bounds feed the construction of the dominating generator whose
 drift beats every generator within them after recentering the slope.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
     PredictableProcess,
-    _frozen,
     entry_levels,
     level_offset,
 )
@@ -196,8 +200,10 @@ class SemimartingaleSpec:
 class Driver:
     """Generator of the backward equation.
 
-    ``f(t, y, z)`` must accept a scalar time and equal-shape arrays and
-    return a broadcastable array; same for ``g(t, y_left, y)``.  The
+    ``f(j, y, z)`` must accept a level index and equal-shape arrays and
+    return a broadcastable array; same for ``g(j, y_left, y)``.  Per
+    step from level ``j`` the drift is
+    ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``.  The
     optional structural fields are described in the module docstring;
     when ``quad`` is given, ``f_rest`` must hold the remainder so that
     ``f == f_rest + q * (z - center)**2`` at every node.
@@ -220,14 +226,14 @@ class Driver:
             )
 
     @classmethod
-    def zero(cls):
-        return cls(f=lambda t, y, z: np.zeros_like(y), label="zero")
+    def zero(cls, **kw):
+        return cls(f=lambda j, y, z: np.zeros_like(y), label="zero", **kw)
 
     @classmethod
     def constant(cls, value, **kw):
         value = float(value)
         return cls(
-            f=lambda t, y, z: np.full_like(y, value),
+            f=lambda j, y, z: np.full_like(y, value),
             label=f"constant({value!r})",
             **kw,
         )
@@ -237,7 +243,7 @@ class Driver:
         """Rate ``a*y + b*z + c``."""
         a, b, c = float(a), float(b), float(c)
         return cls(
-            f=lambda t, y, z: a * y + b * z + c,
+            f=lambda j, y, z: a * y + b * z + c,
             label=f"linear({a!r},{b!r},{c!r})",
             **kw,
         )
@@ -247,25 +253,12 @@ class Driver:
         """Rate ``c * z**2``, stepped exactly via its exponential average."""
         c = float(c)
         return cls(
-            f=lambda t, y, z: c * z * z,
+            f=lambda j, y, z: c * z * z,
             quad=lambda level: (c, 0.0),
-            f_rest=lambda t, y, z: np.zeros_like(y),
+            f_rest=lambda j, y, z: np.zeros_like(y),
             label=f"quadratic({c!r})",
             **kw,
         )
-
-    @classmethod
-    def tabulated(cls, lattice, values, **kw):
-        """Per-node rate table, independent of the unknown and the slope."""
-        table = [_frozen(np.asarray(v, dtype=float)) for v in values]
-
-        def f(t, y, z):
-            return np.broadcast_to(table[lattice.grid.level_of(t)], y.shape)
-
-        return cls(f=f, label="tabulated", **kw)
-
-    def with_bounds(self, bounds):
-        return replace(self, bounds=bounds)
 
     def __repr__(self):
         return f"Driver({self.label})"
@@ -345,7 +338,10 @@ def build_dominated_driver(bounds, spec, orientation=1):
     Drift rate ``eta + 4*C*gamma**2 + (m/2)*(z - gamma)**2`` with ``m``
     one plus eight times the running maximum (node envelope) of ``|C|``,
     plus the per-step increments of both bounded-variation parts of the
-    witness and the clock term ``beta * dA``.  ``orientation=+1`` gives
+    witness and the clock term ``beta * dA``.  Only the squared-slope
+    part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
+    the node alone, so it enters ``source`` times ``dt`` with the
+    increments, and ``f_rest`` is zero.  ``orientation=+1`` gives
     the downward-pushing equation solved below the upper obstacle;
     ``orientation=-1`` flips every sign for the mirror equation.  The
     squared-slope part is declared exact (see the module docstring), so
@@ -362,31 +358,23 @@ def build_dominated_driver(bounds, spec, orientation=1):
     # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
     m = AdaptedProcess(lattice, 1.0 + 8.0 * env.values)
     sgn = float(orientation)
+    dt = lattice.dt
 
-    def f(t, y, z):
-        lvl = lattice.grid.level_of(t)
-        g = spec.gamma.atom(lvl)
-        base = (
-            bounds.eta.level(lvl)
-            + 4.0 * bounds.C.level(lvl) * g * g
-            + 0.5 * m.level(lvl) * (z - g) ** 2
-        )
-        return sgn * base
+    def f(j, y, z):
+        return sgn * 0.5 * m.level(j) * (z - spec.gamma.atom(j)) ** 2
 
-    def f_rest(t, y, z):
-        lvl = lattice.grid.level_of(t)
-        g = spec.gamma.atom(lvl)
-        return sgn * (
-            bounds.eta.level(lvl) + 4.0 * bounds.C.level(lvl) * g * g
-        ) * np.ones_like(y)
+    def f_rest(j, y, z):
+        return np.zeros_like(y)
 
     def quad(level):
         return sgn * 0.5 * m.level(level), spec.gamma.atom(level)
 
     def source(level):
+        g = spec.gamma.atom(level)
         dv = spec.vplus.atom(level) + spec.vminus.atom(level)
+        rate = bounds.eta.level(level) + 4.0 * bounds.C.level(level) * g * g
         return sgn * (
-            dv + bounds.beta.level(level) * bounds.A.atom(level)
+            dv + bounds.beta.level(level) * bounds.A.atom(level) + rate * dt
         )
 
     return Driver(

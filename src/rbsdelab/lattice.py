@@ -27,8 +27,6 @@ two children, and the integrand of the martingale part is the exact
 divided difference; no quadrature error enters anywhere.
 """
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -78,20 +76,6 @@ class TimeGrid:
     def dt(self):
         return self.horizon / self.steps
 
-    def level_of(self, t):
-        """Index ``k`` of the grid time ``t_k`` equal to ``t``.
-
-        Raises ``ValueError`` when ``t`` is not a grid time (up to a
-        relative ``1e-9`` of the horizon).
-        """
-        q = float(t) / self.dt
-        k = round(q) if math.isfinite(q) else -1
-        if not 0 <= k <= self.steps or abs(
-            self.times[k] - float(t)
-        ) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"{t!r} is not a grid time")
-        return k
-
     def __repr__(self):
         return f"TimeGrid(horizon={self.horizon!r}, steps={self.steps})"
 
@@ -136,12 +120,6 @@ class Lattice:
         j = np.arange(level + 1, dtype=float)
         return (2.0 * j - level) * self.sqrt_dt
 
-    def brownian_process(self):
-        """The walk itself as an :class:`AdaptedProcess`."""
-        return AdaptedProcess(
-            self, [self.brownian(i) for i in range(self.steps + 1)]
-        )
-
     def __repr__(self):
         return f"Lattice({self.grid!r})"
 
@@ -172,18 +150,6 @@ def _varying_level(values, count):
     levels = entry_levels(count)
     varies = values != values[level_offset(levels)]
     return int(levels[np.argmax(varies)]) if varies.any() else None
-
-
-def _sampled(lattice, fn, count, shift):
-    """``fn(t_{i + shift}, walk at level i)`` for the levels below
-    ``count``, scalars broadcast."""
-    return [
-        np.broadcast_to(
-            np.asarray(fn(lattice.times[i + shift], lattice.brownian(i)), float),
-            (i + 1,),
-        )
-        for i in range(count)
-    ]
 
 
 def _packed(levels, count, what):
@@ -236,16 +202,6 @@ class AdaptedProcess:
         self.values = _packed(levels, lattice.steps + 1, "AdaptedProcess")
 
     @classmethod
-    def from_function(cls, lattice, fn):
-        """Build from ``fn(t, b)`` evaluated on every node.
-
-        ``fn`` receives the time and the vector of walk values of one
-        level and must return an array of matching shape (scalars are
-        broadcast).
-        """
-        return cls(lattice, _sampled(lattice, fn, lattice.steps + 1, 0))
-
-    @classmethod
     def constant(cls, lattice, value):
         return cls(
             lattice, np.full(level_offset(lattice.steps + 1), float(value))
@@ -293,11 +249,6 @@ class PredictableProcess:
     def __init__(self, lattice, atoms):
         self.lattice = lattice
         self.values = _packed(atoms, lattice.steps, "PredictableProcess")
-
-    @classmethod
-    def from_function(cls, lattice, fn):
-        """Build from ``fn(t_next, b)`` with ``b`` the level-``i`` walk."""
-        return cls(lattice, _sampled(lattice, fn, lattice.steps, 1))
 
     @classmethod
     def constant(cls, lattice, value):

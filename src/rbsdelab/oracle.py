@@ -45,7 +45,7 @@ class DepthTooLarge(Exception):
 class NoValue(Exception):
     """The enumerated game's two one-sided optima disagree.
 
-    Carries both optima so callers can log and skip the instance.
+    Carries both optima, so a caller can report the gap between them.
     """
 
     def __init__(self, maxmin, minmax):

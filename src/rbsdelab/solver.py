@@ -5,8 +5,9 @@ One backward step at level ``j`` does three things, per node:
 1. aggregates the next level into the one-step expectation and the
    martingale slope (both exact two-point formulas);
 2. solves the scalar implicit equation
-   ``y = E + f(t, y, Z) dt + g(t, y, y) dA (+ structural terms)``
-   by monotone bracketing and a safeguarded secant; a generator's declared
+   ``y = E + f(j, y, Z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``
+   (every generator part takes the level ``j``, not the time) by
+   monotone bracketing and a safeguarded secant; a generator's declared
    squared-slope component is not frozen into an Euler term but
    integrated by its exact one-step exponential average, which keeps
    the step strictly monotone in the next level's values at any step
@@ -118,13 +119,6 @@ class SkorokhodReport:
     flat_off_minus: float
     singularity_defect: float
 
-    def within(self, tol):
-        return (
-            self.flat_off_plus <= tol
-            and self.flat_off_minus <= tol
-            and self.singularity_defect <= tol
-        )
-
 
 class Solution:
     """Output of one backward solve.
@@ -196,10 +190,11 @@ def _narrowed(y, f_y, lo, f_lo, hi, f_hi):
     )
 
 
-def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
+def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     """Vectorized solve of ``y = base + F(y)`` per node.
 
-    ``F(y) = f_drift(t, y, Z) dt + g_fn(t, y, y) dA + penalty(level, y)``
+    ``F(y) = f_drift(level, y, Z) dt + g_fn(level, y, y) dA +
+    penalty(level, y)``
     with absent pieces skipped.  The nodes of the level are the last
     axis of ``base``, leading axes a batch, and errors name the node
     within its level.  Returns the root array; raises
@@ -224,9 +219,9 @@ def _implicit_core(base, Z, t, dt, level, f_drift, g_fn, dA, penalty):
     def F(y):
         out = np.zeros_like(base)
         if f_drift is not None:
-            out = out + np.asarray(f_drift(t, y, Z), dtype=float) * dt
+            out = out + np.asarray(f_drift(level, y, Z), dtype=float) * dt
         if use_g:
-            out = out + np.asarray(g_fn(t, y, y), dtype=float) * dA
+            out = out + np.asarray(g_fn(level, y, y), dtype=float) * dA
         if penalty is not None:
             out = out + np.asarray(penalty(level, y), dtype=float)
         finite = np.isfinite(out)
@@ -366,7 +361,6 @@ def _backward(lattice, driver, barriers, batch=()):
         nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
         E = expectation_level(nxt)
         z = increment_level(nxt, lattice.sqrt_dt)
-        t = lattice.times[j]
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
@@ -382,7 +376,6 @@ def _backward(lattice, driver, barriers, batch=()):
         y_raw = _implicit_core(
             base,
             z,
-            t,
             lattice.dt,
             level=j,
             f_drift=f_drift,
@@ -465,9 +458,9 @@ def comparison_check(
 
     The caller asserts that ``sol_big`` solves the problem meant to
     dominate.  The crossed obstacle and rate-domination hypotheses are
-    audited first (report fields, not preconditions): both generators
-    are evaluated at the small solution's realized state, never at
-    different points.  Then the node-wise ordering of the solutions
+    audited first (report fields, not preconditions): both generators'
+    per-step drifts ``f dt + g dA + source`` are evaluated at the small
+    solution's realized state, never at different points.  Then the node-wise ordering of the solutions
     and of the upper reflection increments on the set where the
     effective upper obstacles agree.
     """
@@ -477,13 +470,13 @@ def comparison_check(
     up_ok = not np.any(sol_small.Y.values[:n] > bars_big.U.values[:n] + tol)
     low_ok = not np.any(bars_small.L.values[:n] > sol_big.Y.values[:n] + tol)
 
-    def rate(driver, j, t, y, z):
-        out = np.asarray(driver.f(t, y, z), dtype=float) * lat.dt
+    def rate(driver, j, y, z):
+        out = np.asarray(driver.f(j, y, z), dtype=float) * lat.dt
         if driver.source is not None:
             out = out + np.asarray(driver.source(j), dtype=float)
         if driver.g is not None and driver.bounds is not None:
             dA = driver.bounds.A.atom(j)
-            out = out + np.asarray(driver.g(t, y, y), dtype=float) * dA
+            out = out + np.asarray(driver.g(j, y, y), dtype=float) * dA
         return out
 
     drift_ok = True
@@ -491,10 +484,9 @@ def comparison_check(
     for j in range(steps):
         y = sol_small.Y.level(j)
         z = sol_small.Z.atom(j)
-        t = lat.times[j]
         gap = float(
             np.max(
-                rate(driver_small, j, t, y, z) - rate(driver_big, j, t, y, z),
+                rate(driver_small, j, y, z) - rate(driver_big, j, y, z),
                 initial=-np.inf,
             )
         )

@@ -69,6 +69,16 @@ __all__ = [
     "run_all",
 ]
 
+# sizes and tolerances of the gate that no caller varies
+_ENVELOPE_POINTS = 200
+_ENVELOPE_ULPS = 4.0
+_PUT_DEPTHS = range(3, 13)
+_QUAD_DEPTHS = range(4, 11)
+_QUAD_CURVATURES = (0.1, 0.5, 2.0)
+_LADDER_TOL = 1e-9
+_BUDGET_CASES = 18
+_BUDGET_DEPTH = 12
+
 
 class CertificateLog:
     """Running maxima of the reflection certificates across solves."""
@@ -234,13 +244,14 @@ def _max_ulp(a, b):
     return float(np.max(np.where(same | ~finite, 0.0, ulp), initial=0.0))
 
 
-def verify_envelope(cases=1000, max_points=200, seed=7, tol=4.0):
+def verify_envelope(cases=1000, seed=7):
     """Criterion 1: the one-scan envelope against the quadratic rescan."""
     rng = _rng(seed, "envelope")
+    tol = _ENVELOPE_ULPS
     failures = 0
     worst = 0.0
     for _ in range(cases):
-        times, g, w, n = _random_profile(rng, max_points)
+        times, g, w, n = _random_profile(rng, _ENVELOPE_POINTS)
         prof = envelope_profile(times, g, w, n)
         values, left = envelope_brute_force(times, g, w, n)
         gap = max(
@@ -255,7 +266,7 @@ def verify_envelope(cases=1000, max_points=200, seed=7, tol=4.0):
     )
 
 
-def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7, tol=0.0):
+def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
     """Criterion 2: the node-wise left-limit test, the per-path atom
     enumeration, and the pointwise hard-envelope test must all agree,
     in both directions, on every instance."""
@@ -312,11 +323,11 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7, tol=0.0):
         cases,
         failures,
         0.0 if failures == 0 else 1.0,
-        tol,
+        0.0,
     )
 
 
-def verify_snell(cases=100, max_depth=4, put_depths=range(3, 13), seed=7, tol=1e-12, put_tol=1e-10, log=None):
+def verify_snell(cases=100, max_depth=4, seed=7, tol=1e-12, put_tol=1e-10, log=None):
     """Criterion 3: envelope root value vs exhaustive stopping, and the
     early-exercise recursion on strike payoffs."""
     rng = _rng(seed, "snell")
@@ -346,7 +357,7 @@ def verify_snell(cases=100, max_depth=4, put_depths=range(3, 13), seed=7, tol=1e
 
     put_cases = 0
     put_worst = 0.0
-    for steps in put_depths:
+    for steps in _PUT_DEPTHS:
         lat = Lattice(TimeGrid(1.0, steps))
         strike = float(rng.uniform(0.8, 1.3))
 
@@ -381,12 +392,11 @@ def verify_snell(cases=100, max_depth=4, put_depths=range(3, 13), seed=7, tol=1e
 
 def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, log=None):
     """Criterion 4: the driverless double-obstacle solve against the
-    enumerated two-player game, excluding (and counting) draws where
-    the enumerated game has no value."""
+    enumerated two-player game.  A game without a value is a failure,
+    its error the gap between the two one-sided optima."""
     rng = _rng(seed, "dynkin")
     max_depth = min(int(max_depth), 4)
     failures = 0
-    excluded = 0
     worst = 0.0
     for _ in range(cases):
         lat = _random_lattice(rng, max_depth)
@@ -406,8 +416,9 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, log=None):
         U = AdaptedProcess(lat, hi)
         try:
             reference = exhaustive_dynkin_value(L, U, xi)
-        except NoValue:
-            excluded += 1
+        except NoValue as exc:
+            failures += 1
+            worst = max(worst, abs(exc.maxmin - exc.minmax))
             continue
         bars = BarrierSet.build(lat, xi, L=L, U=U)
         sol = solve_rbsde(lat, Driver.zero(), bars)
@@ -420,28 +431,26 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, log=None):
     return _report(
         4,
         "two-player stopping game identification",
-        cases - excluded,
+        cases,
         failures,
         worst,
         tol,
-        no_value_excluded=excluded,
-        no_value_rate=excluded / cases if cases else 0.0,
     )
 
 
-def verify_quadratic(depths=range(4, 11), cs=(0.1, 0.5, 2.0), seed=7, tol=1e-10, log=None):
+def verify_quadratic(seed=7, tol=1e-10, log=None):
     """Criterion 5: squared-slope drivers against the exponential
     closed form."""
     rng = _rng(seed, "quadratic")
     failures = 0
     worst = 0.0
     cases = 0
-    for steps in depths:
+    for steps in _QUAD_DEPTHS:
         lat = Lattice(TimeGrid(1.0, steps))
         a = float(rng.uniform(0.5, 2.0))
         xi = np.tanh(a * lat.brownian(steps)) + float(rng.uniform(-0.5, 0.5))
         bars = BarrierSet.build(lat, xi)
-        for c in cs:
+        for c in _QUAD_CURVATURES:
             sol = solve_rbsde(lat, Driver.quadratic(c), bars)
             if log is not None:
                 log.add(sol)
@@ -455,10 +464,11 @@ def verify_quadratic(depths=range(4, 11), cs=(0.1, 0.5, 2.0), seed=7, tol=1e-10,
     )
 
 
-def verify_sandwich(cases=100, max_depth=6, seed=7, tol=1e-9, schedule=DEFAULT_SCHEDULE, log=None):
+def verify_sandwich(cases=100, max_depth=6, seed=7, schedule=DEFAULT_SCHEDULE, log=None):
     """Criterion 6: the full penalized ordering ladder over the weight
     schedule, on random witness-first instances."""
     rng = _rng(seed, "sandwich")
+    tol = _LADDER_TOL
     failures = 0
     solved = 0
     for _ in range(cases):
@@ -596,12 +606,13 @@ def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, log=None):
     )
 
 
-def verify_budget(cases=18, depth=12, seed=7, tol=1e-10, log=None):
+def verify_budget(seed=7, tol=1e-10, log=None):
     """Criterion 10: the per-path telescoping identity at depth 12 on a
     mixed batch of solves."""
     rng = _rng(seed, "budget")
     failures = 0
     worst = 0.0
+    cases, depth = _BUDGET_CASES, _BUDGET_DEPTH
     lat = Lattice(TimeGrid(1.0, depth))
     for k in range(cases):
         kind = k % 3
@@ -640,7 +651,8 @@ def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
     Returns ``(reports, log)`` with the reports in criterion order.
     ``cases`` rescales every randomized suite; ``max_depth`` caps the
     random depths where a suite draws them; ``tol`` overrides every
-    comparison tolerance (the ulp and ladder suites keep their own);
+    comparison tolerance, the strike recursion's and the certificates'
+    included (the ulp, equivalence and ladder suites keep their own);
     ``schedule_max`` truncates the penalization weight schedule.
     """
     log = CertificateLog()
@@ -663,6 +675,7 @@ def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
             max_depth=min(pick(4, max_depth), 4),
             seed=seed,
             tol=pick(1e-12, tol),
+            put_tol=pick(1e-10, tol),
             log=log,
         ),
         verify_dynkin(
@@ -691,9 +704,10 @@ def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
             cases=pick(200, cases),
             max_depth=max(pick(6, max_depth), 3),
             seed=seed,
+            tol=pick(1e-9, tol),
             log=log,
         ),
-        verify_budget(depth=12, seed=seed, tol=pick(1e-10, tol), log=log),
+        verify_budget(seed=seed, tol=pick(1e-10, tol), log=log),
     ]
-    reports.insert(7, certificate_report(log))
+    reports.insert(7, certificate_report(log, tol=pick(1e-12, tol)))
     return reports, log

@@ -129,10 +129,11 @@ def test_envelope_of_a_clock_at_grid_times(lat):
     assert np.array_equal(weights, WEIGHTS)
     prof = envelope_profile(lat.times, GVALS, weights, 1.0)
     star = envelope_star_profile(lat.times, GVALS, weights)
-    assert prof.values[lat.grid.level_of(0.5)] == 0.75
-    assert prof.values[lat.grid.level_of(1.0)] == 1.75
-    assert star.values[lat.grid.level_of(0.75)] == 2.0
-    assert star.values[lat.grid.level_of(0.5)] == -np.inf
+    # grid times 0.5, 1.0 and 0.75 are levels 2, 4 and 3
+    assert prof.values[2] == 0.75
+    assert prof.values[4] == 1.75
+    assert star.values[3] == 2.0
+    assert star.values[2] == -np.inf
 
 
 def test_envelope_star_dominated_by_finite_n(lat):
@@ -378,7 +379,7 @@ def test_infeasible_barriers_name_the_node(lat):
 
 
 def test_check_left_constraint(lat):
-    Y = AdaptedProcess.from_function(lat, lambda t, b: b)
+    Y = AdaptedProcess(lat, [lat.brownian(i) for i in range(lat.steps + 1)])
     rho = IncreasingProcess.from_time_atoms(lat, {3: 1.0})
     # constraint reads the level before the atom: level 2 here
     g_ok = PredictableProcess(

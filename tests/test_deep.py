@@ -1,0 +1,118 @@
+"""Deep lattices (N = 1000) against backward recursions written out here.
+
+Each reference spells out, level by level, the one-step average, the
+slope, the closed-form root of the linear step and the merged obstacle
+band, so it shares no code with the solver or the envelope.
+"""
+
+import numpy as np
+import pytest
+
+from rbsdelab import (
+    AdaptedProcess,
+    BarrierSet,
+    Driver,
+    IncreasingProcess,
+    Lattice,
+    PredictableProcess,
+    SnellInstance,
+    TimeGrid,
+    snell_envelope,
+    solve_rbsde,
+)
+
+STEPS = 1000
+FLOORS = (150, 400, 777)  # grid times where a lower entry constraint acts
+CAPS = (300, 620, 901)  # and an upper one
+
+
+@pytest.fixture(scope="module")
+def band():
+    """A two-sided band around a smooth curve, with entry constraints
+    hugging the curve at a few times; returns the lattice, the obstacle
+    set, the terminal values and the merged band of levels 0..N-1."""
+    lat = Lattice(TimeGrid(1.0, STEPS))
+    curve = [
+        0.4 * np.sin(1.3 * lat.brownian(i))
+        + 0.2 * lat.brownian(i)
+        + 0.1 * lat.times[i]
+        for i in range(STEPS + 1)
+    ]
+    xi = curve[STEPS]
+    low = [c - 0.3 for c in curve[:STEPS]]
+    high = [c + 0.3 for c in curve[:STEPS]]
+    floors = [np.full(i + 1, -np.inf) for i in range(STEPS)]
+    caps = [np.full(i + 1, np.inf) for i in range(STEPS)]
+    for k in FLOORS:
+        floors[k - 1] = curve[k - 1] - 0.05
+    for k in CAPS:
+        caps[k - 1] = curve[k - 1] + 0.05
+    bars = BarrierSet.build(
+        lat,
+        xi,
+        L=AdaptedProcess(lat, low + [xi]),
+        U=AdaptedProcess(lat, high + [xi]),
+        l=PredictableProcess(lat, floors),
+        u=PredictableProcess(lat, caps),
+        delta=IncreasingProcess.from_time_atoms(lat, {k: 1.0 for k in FLOORS}),
+        alpha=IncreasingProcess.from_time_atoms(lat, {k: 1.0 for k in CAPS}),
+    )
+    # a constraint charged at t_k acts on the left limit, the level k - 1
+    lo = [np.maximum(low[i], floors[i]) for i in range(STEPS)]
+    hi = [np.minimum(high[i], caps[i]) for i in range(STEPS)]
+    return lat, bars, xi, lo, hi
+
+
+def backward(xi, lo, hi, step):
+    """Packed levels of ``y_N = xi``,
+    ``y_i = clip(step(next level), lo_i, hi_i)``."""
+    levels = [np.asarray(xi, dtype=float)]
+    for i in range(STEPS - 1, -1, -1):
+        levels.append(np.clip(step(levels[-1]), lo[i], hi[i]))
+    return np.concatenate(levels[::-1])
+
+
+def average(v):
+    return 0.5 * (v[:-1] + v[1:])
+
+
+def test_zero_driver_matches_the_min_max_recursion(band):
+    lat, bars, xi, lo, hi = band
+    sol = solve_rbsde(lat, Driver.zero(), bars)
+    ref = backward(xi, lo, hi, average)
+    assert np.max(np.abs(sol.Y.values - ref)) <= 1e-12
+    # the entry constraints bind somewhere on both sides
+    assert any(sol.Kplus.atom(k - 1).any() for k in FLOORS)
+    assert any(sol.Kminus.atom(k - 1).any() for k in CAPS)
+
+
+def test_linear_driver_matches_its_closed_form_step(band):
+    lat, bars, xi, lo, hi = band
+    a, b, c = 0.4, -0.5, 0.3
+    dt = lat.dt
+
+    def step(v):
+        z = (v[1:] - v[:-1]) / (2.0 * lat.sqrt_dt)
+        return (average(v) + (b * z + c) * dt) / (1.0 - a * dt)
+
+    sol = solve_rbsde(lat, Driver.linear(a, b, c), bars)
+    ref = backward(xi, lo, hi, step)
+    assert np.max(np.abs(sol.Y.values - ref)) <= 1e-12
+
+
+def test_american_put_matches_the_early_exercise_recursion():
+    lat = Lattice(TimeGrid(1.0, STEPS))
+    strike, sigma = 1.1, 0.3
+    payoff = [
+        np.maximum(strike - np.exp(sigma * lat.brownian(i)), 0.0)
+        for i in range(STEPS + 1)
+    ]
+    inst = SnellInstance(
+        AdaptedProcess(lat, payoff), None, None, payoff[STEPS]
+    )
+    with pytest.warns(UserWarning, match="witness"):
+        sol = snell_envelope(inst)
+    v = payoff[STEPS]
+    for i in range(STEPS - 1, -1, -1):
+        v = np.maximum(average(v), payoff[i])
+    assert abs(sol.value() - float(v[0])) <= 1e-10

@@ -45,29 +45,22 @@ def constant_spec(lat, s0=0.0, drift_up=0.0, drift_down=0.0, slope=1.0):
 def test_driver_catalog(lat):
     y = np.array([1.0, -2.0])
     z = np.array([0.5, 3.0])
-    assert np.array_equal(Driver.zero().f(0.0, y, z), [0.0, 0.0])
-    assert np.array_equal(Driver.constant(2.5).f(0.0, y, z), [2.5, 2.5])
+    assert np.array_equal(Driver.zero().f(1, y, z), [0.0, 0.0])
+    assert np.array_equal(Driver.constant(2.5).f(1, y, z), [2.5, 2.5])
     lin = Driver.linear(2.0, -1.0, 0.25)
-    assert np.array_equal(lin.f(0.0, y, z), 2.0 * y - z + 0.25)
+    assert np.array_equal(lin.f(1, y, z), 2.0 * y - z + 0.25)
     quad = Driver.quadratic(0.5)
-    assert np.array_equal(quad.f(0.0, y, z), 0.5 * z * z)
+    assert np.array_equal(quad.f(1, y, z), 0.5 * z * z)
     coef, center = quad.quad(3)
     assert coef == 0.5 and center == 0.0
-    assert np.array_equal(quad.f_rest(0.0, y, z), [0.0, 0.0])
-
-
-def test_driver_tabulated(lat):
-    values = [np.full(i + 1, float(i)) for i in range(lat.steps + 1)]
-    drv = Driver.tabulated(lat, values)
-    y = np.zeros(3)
-    assert np.array_equal(drv.f(lat.times[2], y, y), [2.0, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        drv.f(0.123, y, y)  # not a grid time
+    assert np.array_equal(quad.f_rest(1, y, z), [0.0, 0.0])
+    bounds = GrowthBounds.constants(lat, eta=0.5, C=1.0)
+    assert Driver.zero(bounds=bounds).bounds is bounds
 
 
 def test_driver_quad_requires_remainder():
     with pytest.raises(ValueError):
-        Driver(f=lambda t, y, z: z * z, quad=lambda level: (1.0, 0.0))
+        Driver(f=lambda j, y, z: z * z, quad=lambda level: (1.0, 0.0))
 
 
 def test_growth_bounds_validation(lat):
@@ -174,7 +167,9 @@ def test_dominate_growth_scales_by_phi(lat):
 
 def test_dominated_driver_beats_quadratic_bound(lat):
     # eta + 4*C*gamma^2 + (m/2)(z - gamma)^2 >= eta + C z^2 for all z
-    # needs m >= 8C; the builder uses m = 1 + 8 * running max of |C|
+    # needs m >= 8C; build_dominated_driver uses m = 1 + 8 * running max
+    # of |C|.  The witness has no drift and the clock is empty, so the
+    # per-step drift f dt + source is that rate times dt
     rng = np.random.default_rng(8)
     C_levels = [rng.uniform(0.0, 2.0, i + 1) for i in range(lat.steps + 1)]
     bounds = GrowthBounds(
@@ -186,12 +181,11 @@ def test_dominated_driver_beats_quadratic_bound(lat):
     drv = build_dominated_driver(bounds, spec, orientation=1)
     zs = np.linspace(-30.0, 30.0, 61)
     for i in range(lat.steps):
-        t = lat.times[i]
         y = np.zeros(i + 1)
         for z in zs:
-            f_here = np.asarray(drv.f(t, y, np.full(i + 1, z)))
-            cap = 0.3 + C_levels[i] * z * z
-            assert np.all(f_here >= cap - 1e-12)
+            step = drv.f(i, y, np.full(i + 1, z)) * lat.dt + drv.source(i)
+            cap = (0.3 + C_levels[i] * z * z) * lat.dt
+            assert np.all(step >= cap - 1e-12 * lat.dt)
 
 
 def test_dominated_driver_orientation_mirror(lat):
@@ -201,8 +195,7 @@ def test_dominated_driver_orientation_mirror(lat):
     down = build_dominated_driver(bounds, spec, orientation=-1)
     y = np.zeros(3)
     z = np.array([-1.0, 0.0, 2.0])
-    t = lat.times[2]
-    assert np.array_equal(up.f(t, y, z), -np.asarray(down.f(t, y, z)))
+    assert np.array_equal(up.f(2, y, z), -np.asarray(down.f(2, y, z)))
     assert np.array_equal(up.source(2), -np.asarray(down.source(2)))
     with pytest.raises(ValueError):
         build_dominated_driver(bounds, spec, orientation=0)
@@ -216,14 +209,14 @@ def test_dominated_driver_structure_consistent(lat):
     drv = build_dominated_driver(bounds, spec, orientation=1)
     rng = np.random.default_rng(1)
     for i in range(lat.steps):
-        t = lat.times[i]
         y = rng.normal(0, 1, i + 1)
         z = rng.normal(0, 2, i + 1)
         q, center = drv.quad(i)
-        recomposed = np.asarray(drv.f_rest(t, y, z)) + q * (z - center) ** 2
-        assert np.allclose(np.asarray(drv.f(t, y, z)), recomposed, atol=1e-12)
-    # source carries total variation plus the clock term
+        recomposed = np.asarray(drv.f_rest(i, y, z)) + q * (z - center) ** 2
+        assert np.allclose(np.asarray(drv.f(i, y, z)), recomposed, atol=1e-12)
+    # source carries total variation, the clock term and the constant
+    # rate eta + 4 C gamma^2 over the step
     dv = 0.01  # vminus mass per step
     for i in range(lat.steps):
-        expect = dv + 0.2 * lat.dt
+        expect = dv + 0.2 * lat.dt + (0.1 + 4.0 * 0.4 * 0.3**2) * lat.dt
         assert np.allclose(drv.source(i), expect)

@@ -1,9 +1,11 @@
 """Source hygiene: every name a package module imports is used there,
-and every public function is reached from outside the tests."""
+and every public function and method is reached from outside the
+tests."""
 
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -87,10 +89,43 @@ def test_loaded_name_scan_skips_imports_definitions_and_exports():
     assert loaded_names(source) == {"np", "linalg", "norm", "solve"}
 
 
+def public_members(cls):
+    """Public methods, classmethods and properties that ``cls`` defines."""
+    kinds = (types.FunctionType, classmethod, staticmethod, property)
+    return sorted(
+        name
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and isinstance(member, kinds)
+    )
+
+
+def test_public_member_scan_sees_methods_classmethods_and_properties():
+    class Sample:
+        field = 1
+
+        def method(self):
+            pass
+
+        @classmethod
+        def build(cls):
+            pass
+
+        @property
+        def size(self):
+            return 0
+
+        def _private(self):
+            pass
+
+    assert public_members(Sample) == ["build", "method", "size"]
+
+
 def test_every_public_function_is_reached():
-    """Each function in ``rbsdelab.__all__`` is read by package code
-    outside ``__init__.py``, read by a demo, or named in the README; a
-    name only its tests reach is surface to delete, not to export."""
+    """Each function in ``rbsdelab.__all__``, and each public method,
+    classmethod and property of its classes other than exceptions, is
+    read by package code outside ``__init__.py``, read by a demo, or
+    named in the README; a name only its tests reach is surface to
+    delete, not to export."""
     import rbsdelab
 
     root = SRC.parent.parent
@@ -102,11 +137,16 @@ def test_every_public_function_is_reached():
             if p.name != "__init__.py"
         )
     )
+    surface = []  # (shown name, name read or mentioned)
+    for name in rbsdelab.__all__:
+        obj = getattr(rbsdelab, name)
+        if inspect.isfunction(obj):
+            surface.append((name, name))
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            surface += [(f"{name}.{m}", m) for m in public_members(obj)]
     unreached = [
-        name
-        for name in rbsdelab.__all__
-        if inspect.isfunction(getattr(rbsdelab, name))
-        and name not in reached
-        and not re.search(rf"\b{name}\b", readme)
+        shown
+        for shown, name in surface
+        if name not in reached and not re.search(rf"\b{name}\b", readme)
     ]
-    assert not unreached, f"public functions only tests reach: {unreached}"
+    assert not unreached, f"public names only tests reach: {unreached}"

@@ -49,12 +49,13 @@ def test_walk_values(lat):
 
 
 def test_walk_is_martingale(lat):
-    B = lat.brownian_process()
     h = lat.sqrt_dt
     for i in range(lat.steps):
-        E = expectation_level(B.level(i + 1))
-        assert np.all(np.abs(E - B.level(i)) <= 4 * np.spacing(np.abs(E) + h))
-        M = increment_level(B.level(i + 1), h)
+        E = expectation_level(lat.brownian(i + 1))
+        assert np.all(
+            np.abs(E - lat.brownian(i)) <= 4 * np.spacing(np.abs(E) + h)
+        )
+        M = increment_level(lat.brownian(i + 1), h)
         assert np.all(np.abs(M - 1.0) <= 8 * np.spacing(1.0))
 
 
@@ -124,15 +125,6 @@ def test_adapted_is_frozen(lat):
     assert np.all(np.isneginf(Y.terminal()))
 
 
-def test_adapted_from_function(lat):
-    X = AdaptedProcess.from_function(lat, lambda t, b: b * b + t)
-    for i in range(lat.steps + 1):
-        b = lat.brownian(i)
-        assert np.array_equal(X.level(i), b * b + lat.times[i])
-    C = AdaptedProcess.from_function(lat, lambda t, b: 2.5)
-    assert np.array_equal(C.level(3), np.full(4, 2.5))
-
-
 def test_with_terminal(lat):
     X = AdaptedProcess.constant(lat, 0.0)
     xi = np.arange(lat.steps + 1, dtype=float)
@@ -144,16 +136,17 @@ def test_with_terminal(lat):
 
 
 def test_along_path(lat):
-    B = lat.brownian_process()
     ups = np.array([1, 0, 1, 1, 0, 0])
     nodes = path_nodes(ups)
-    vals = [B.level(i)[nodes[i]] for i in range(lat.steps + 1)]
+    vals = [lat.brownian(i)[nodes[i]] for i in range(lat.steps + 1)]
     walk = np.concatenate([[0.0], np.cumsum(2.0 * ups - 1.0) * lat.sqrt_dt])
     assert np.allclose(vals, walk)
 
 
 def test_predictable_slots(lat):
-    P = PredictableProcess.from_function(lat, lambda t_next, b: b + t_next)
+    P = PredictableProcess(
+        lat, [lat.brownian(i) + lat.times[i + 1] for i in range(lat.steps)]
+    )
     # slot i is measurable at level i but attributed to t_{i+1}
     for i in range(lat.steps):
         assert P.atom(i).shape == (i + 1,)
@@ -280,15 +273,6 @@ def test_path_nodes_of_a_path_batch_match_row_by_row():
     nodes = path_nodes(P)
     assert nodes.shape == (32, 6)
     assert np.array_equal(nodes, np.stack([path_nodes(row) for row in P]))
-
-
-def test_grid_level_of():
-    grid = TimeGrid(1.5, 6)
-    assert [grid.level_of(t) for t in grid.times] == list(range(7))
-    assert grid.level_of(0.75 + 1e-12) == 3
-    for t in (0.3, -0.25, 1.75, 1e300, np.inf, np.nan):
-        with pytest.raises(ValueError, match="not a grid time"):
-            grid.level_of(t)
 
 
 def test_path_enumeration_consistency(lat):

@@ -142,7 +142,7 @@ def test_penalty_root_formula_single_step():
     lat = Lattice(TimeGrid(1.0, 1))
     for n in (1.0, 4.0, 64.0):
         drv = Driver(
-            f=lambda t, y, z: np.zeros_like(y),
+            f=lambda j, y, z: np.zeros_like(y),
             penalty=lambda level, y: n * np.maximum(0.8 - y, 0.0),
         )
         sol = solve_rbsde(
@@ -406,7 +406,7 @@ def test_reduction_validation():
         reduce_and_solve(lat, Driver.zero(), bars)
     plain = BarrierSet.build(lat, bars.xi, L=bars.L, U=bars.U)
     with pytest.raises(ValueError):
-        reduce_and_solve(lat, Driver.zero().with_bounds(bounds), plain)
+        reduce_and_solve(lat, Driver.zero(bounds=bounds), plain)
 
 
 def test_reduction_under_bounds_that_do_not_dominate_is_named():
@@ -431,7 +431,7 @@ def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
     monkeypatch.setattr(
         penalize, "exact_squeeze_barriers", lambda *args: (lifted, lifted)
     )
-    drv = Driver.zero().with_bounds(bounds)
+    drv = Driver.zero(bounds=bounds)
     with pytest.raises(ReductionDisagreement) as info:
         reduce_and_solve(lat, drv, bars)
     lowest_cap = min(

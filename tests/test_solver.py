@@ -17,6 +17,7 @@ from rbsdelab.oracle import quadratic_closed_form
 from rbsdelab.solver import (
     ImplicitStepDivergence,
     NonFiniteDriver,
+    SkorokhodReport,
     budget_defect,
     comparison_check,
     solve_rbsde,
@@ -58,12 +59,12 @@ def band_barriers(lattice, xi, width):
 
 
 def implicit_step(E, f, dt, g=None, dA=None):
-    """One node's implicit step ``y = E + f(t, y, 0) dt + g(t, y, y) dA``
-    at time 0, errors naming level -1."""
+    """One node's implicit step ``y = E + f(j, y, 0) dt + g(j, y, y) dA``
+    at level ``j = -1``, which the errors name."""
     if dA is not None:
         dA = np.array([dA])
     y = solver._implicit_core(
-        np.array([E]), np.zeros(1), 0.0, dt, -1, f, g, dA, None
+        np.array([E]), np.zeros(1), dt, -1, f, g, dA, None
     )
     return float(y[0])
 
@@ -78,9 +79,9 @@ def test_implicit_step_linear_root():
 def test_implicit_step_clock_rate():
     y = implicit_step(
         1.0,
-        lambda t, y, z: np.zeros_like(y),
+        lambda j, y, z: np.zeros_like(y),
         0.25,
-        g=lambda t, y_left, y: np.full_like(y, 2.0),
+        g=lambda j, y_left, y: np.full_like(y, 2.0),
         dA=0.5,
     )
     assert y == 2.0
@@ -89,15 +90,15 @@ def test_implicit_step_clock_rate():
 def test_implicit_step_divergence():
     # y = 1 + y**2 has no real root; the bracket search must give up
     with pytest.raises(ImplicitStepDivergence):
-        implicit_step(1.0, lambda t, y, z: y * y, 1.0)
+        implicit_step(1.0, lambda j, y, z: y * y, 1.0)
 
 
 def counting(f):
     """``f`` with a count of its calls in ``.calls``."""
 
-    def counted(t, y, z):
+    def counted(j, y, z):
         counted.calls += 1
-        return f(t, y, z)
+        return f(j, y, z)
 
     counted.calls = 0
     return counted
@@ -105,7 +106,7 @@ def counting(f):
 
 def nan_on(lo, hi):
     """Rate ``0.5 y``, NaN for ``lo < y < hi``."""
-    return lambda t, y, z: np.where((y > lo) & (y < hi), np.nan, 0.5 * y)
+    return lambda j, y, z: np.where((y > lo) & (y < hi), np.nan, 0.5 * y)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +135,7 @@ def test_nan_band_beside_the_root_is_never_read_as_a_sign():
 def test_implicit_step_reaches_float_resolution_at_any_scale(E):
     # an absolute stopping width falls below float spacing once
     # |y| ~ 1e4, so only a width relative to the scale is reachable
-    f = counting(lambda t, y, z: 0.5 * y)
+    f = counting(lambda j, y, z: 0.5 * y)
     y = implicit_step(E, f, 0.1)
     root = E / 0.95
     assert abs(y - root) <= 4.0 * np.spacing(root)
@@ -157,7 +158,7 @@ def test_drift_below_half_an_ulp_of_base_is_bracketed():
     base = np.array([1.0 + 2.0**-52, 2.0])
     dt = 0.01
     y = solver._implicit_core(
-        base, np.zeros(2), 0.0, dt, 0, drv.f, None, None, None
+        base, np.zeros(2), dt, 0, drv.f, None, None, None
     )
     for b, got in zip(base, y):
         root = (Fraction(b) + Fraction(dt)) / (1 + Fraction(dt))
@@ -169,7 +170,7 @@ def _affine_case(rng, dt):
     c = rng.normal()
     E = rng.normal() * 10.0 ** rng.uniform(-3.0, 6.0)
 
-    def rate(t, y, z):
+    def rate(j, y, z):
         return a * y + c
 
     qE, qc, qa, qdt = map(Fraction, (E, c, a, dt))
@@ -185,7 +186,7 @@ def _kinked_case(rng, dt):
     kink = E + rng.normal() * max(1.0, abs(E))
     side = 1.0 if rng.uniform() < 0.5 else -1.0
 
-    def rate(t, y, z):
+    def rate(j, y, z):
         return c + side * k * np.maximum(side * (kink - y), 0.0)
 
     free = Fraction(E) + Fraction(c) * Fraction(dt)
@@ -211,14 +212,14 @@ def test_root_finder_property(case):
         scale = abs(E) + abs(float(root))
         width = 4.0 * np.spacing(scale)
         assert abs(Fraction(y) - root) <= width, (E, y, float(root))
-        y0 = E + float(rate(0.0, np.array([E]), 0.0)[0]) * dt
+        y0 = E + float(rate(-1, np.array([E]), 0.0)[0]) * dt
         bracket = abs(y0 - E) + 2.0
         halvings = max(0, math.ceil(math.log2(bracket / width)))
         assert f.calls <= 2 + halvings, (E, f.calls, halvings)
 
 
 def test_non_finite_driver_names_the_node(lat):
-    def f(t, y, z):
+    def f(j, y, z):
         out = np.zeros_like(y)
         if y.size == 3:
             out[1] = np.nan
@@ -242,7 +243,7 @@ def test_zero_driver_solve_is_the_plain_expectation(lat):
     direct = float(weights @ xi) / 2.0**lat.steps
     # different summation orders; intermediates are order one
     assert abs(sol.value() - direct) < 1e-14
-    assert sol.residuals.within(0.0)
+    assert sol.residuals == SkorokhodReport(0.0, 0.0, 0.0)
     for j in range(lat.steps):
         assert not sol.Kplus.atom(j).any()
         assert not sol.Kminus.atom(j).any()
@@ -269,7 +270,7 @@ def test_slope_driver_shifts_by_rate_times_horizon(lat):
 
 def test_source_increments_accumulate(lat):
     drv = Driver(
-        f=lambda t, y, z: np.zeros_like(y),
+        f=lambda j, y, z: np.zeros_like(y),
         source=lambda j: np.full(j + 1, 0.1),
     )
     xi = np.zeros(lat.steps + 1)
