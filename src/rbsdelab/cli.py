@@ -15,7 +15,6 @@ a failed verification suite).
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import platform
@@ -30,7 +29,6 @@ from . import __version__
 from .barriers import (
     BarrierSet,
     InfeasibleBarriers,
-    effective_barriers,
     envelope_profile,
     envelope_star_profile,
 )
@@ -47,6 +45,7 @@ from .lattice import (
     PredictableProcess,
     TimeGrid,
     _varying_level,
+    entry_levels,
     level_offset,
 )
 from .penalize import (
@@ -68,6 +67,13 @@ __all__ = ["ConfigError", "main", "entry"]
 
 _SCHEMA = 1
 _ENVELOPE_WEIGHTS = (1.0, 4.0, 16.0, 64.0, 256.0)
+# artifact file names by ``outputs`` key
+_OUTPUTS = {
+    "solution": "solution.csv",
+    "convergence": "penalization.csv",
+    "envelope": "envelope.csv",
+    "report": "verify.csv",
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -93,26 +99,17 @@ def _check_keys(mapping, allowed, path):
             )
 
 
-def _number(cfg, key, path, default=None, required=False):
+def _number(cfg, key, path, default=None, required=False, integer=False):
+    """``cfg[key]`` as a float, or as an int when ``integer``."""
     if key not in cfg:
         if required:
             raise ConfigError(f"{path}.{key} is required")
         return default
     v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
-    return float(v)
-
-
-def _integer(cfg, key, path, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"{path}.{key} is required")
-        return default
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key} must be an integer")
-    return v
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{path}.{key} must be {kind}")
+    return v if integer else float(v)
 
 
 def load_config(path):
@@ -142,12 +139,27 @@ def load_config(path):
         },
         "",
     )
-    schema = _integer(cfg, "schema", "config", required=True)
+    schema = _number(cfg, "schema", "config", required=True, integer=True)
     if schema != _SCHEMA:
         raise ConfigError(
             f"unsupported schema {schema!r} (this build reads {_SCHEMA})"
         )
+    _number(cfg, "seed", "config", integer=True)
     return cfg, text.encode()
+
+
+def _output_names(cfg):
+    """Artifact file names: the defaults, renamed by ``outputs``.  Each
+    must be a bare file name, so that every artifact lands in ``--out``."""
+    out = cfg.get("outputs", {})
+    _check_keys(out, set(_OUTPUTS), "outputs")
+    for key, name in out.items():
+        bare = isinstance(name, str) and Path(name).name == name
+        if not bare or name in ("", ".."):
+            raise ConfigError(
+                f"outputs.{key} must be a bare file name, got {name!r}"
+            )
+    return {**_OUTPUTS, **out}
 
 
 # -------------------------------------------------------------- evaluators
@@ -159,7 +171,7 @@ def _build_lattice(cfg):
         raise ConfigError("grid is required")
     _check_keys(grid, {"T", "steps"}, "grid")
     horizon = _number(grid, "T", "grid", required=True)
-    steps = _integer(grid, "steps", "grid", required=True)
+    steps = _number(grid, "steps", "grid", required=True, integer=True)
     try:
         return Lattice(TimeGrid(horizon, steps))
     except (TypeError, ValueError) as exc:
@@ -176,7 +188,7 @@ _KIND_KEYS = {
 
 
 def _shape_levels(node, lat, path):
-    """Evaluate one obstacle generator to per-level arrays."""
+    """Evaluate one obstacle generator to a packed array over levels 0..N."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be an object")
     kind = node.get("kind")
@@ -185,16 +197,19 @@ def _shape_levels(node, lat, path):
             f"{path}.kind must be one of constant, table, payoff, shape"
         )
     _check_keys(node, {"kind"} | _KIND_KEYS[kind], path)
+    count = lat.steps + 1
     if kind == "constant":
         v = _number(node, "value", path, required=True)
-        return [np.full(i + 1, v) for i in range(lat.steps + 1)]
+        return np.full(level_offset(count), v)
     if kind == "table":
         levels = node.get("levels")
         if levels is None:
             raise ConfigError(f"{path}.levels is required for a table")
-        if len(levels) != lat.steps + 1:
+        if not isinstance(levels, list):
+            raise ConfigError(f"{path}.levels must be a list of rows")
+        if len(levels) != count:
             raise ConfigError(
-                f"{path}.levels needs {lat.steps + 1} rows, got {len(levels)}"
+                f"{path}.levels needs {count} rows, got {len(levels)}"
             )
         out = []
         for i, row in enumerate(levels):
@@ -204,38 +219,31 @@ def _shape_levels(node, lat, path):
                     f"{path}.levels[{i}] needs {i + 1} entries"
                 )
             out.append(arr)
-        return out
+        return np.concatenate(out)
+    walk = np.concatenate([lat.brownian(i) for i in range(count)])
     if kind == "payoff":
         form = node.get("form")
         strike = _number(node, "strike", path, required=True)
         if form == "put":
-            return [
-                np.maximum(strike - np.exp(lat.brownian(i)), 0.0)
-                for i in range(lat.steps + 1)
-            ]
+            return np.maximum(strike - np.exp(walk), 0.0)
         if form == "call":
-            return [
-                np.maximum(np.exp(lat.brownian(i)) - strike, 0.0)
-                for i in range(lat.steps + 1)
-            ]
+            return np.maximum(np.exp(walk) - strike, 0.0)
         raise ConfigError(f"{path}.form must be 'put' or 'call'")
     a = _number(node, "sin", path, default=0.0)
     w = _number(node, "freq", path, default=1.0)
     b = _number(node, "linear", path, default=0.0)
     c = _number(node, "time", path, default=0.0)
     d = _number(node, "offset", path, default=0.0)
-    return [
-        a * np.sin(w * lat.brownian(i)) + b * lat.brownian(i)
-        + c * lat.times[i] + d
-        for i in range(lat.steps + 1)
-    ]
+    t = lat.times[entry_levels(count)]
+    return a * np.sin(w * walk) + b * walk + c * t + d
 
 
 def _terminal_values(cfg, lat, witness_levels):
     node = cfg.get("terminal")
+    last = level_offset(lat.steps)
     if node is None:
         if witness_levels is not None:
-            return np.asarray(witness_levels[lat.steps], dtype=float)
+            return witness_levels[last:]
         raise ConfigError("terminal is required when no witness is given")
     if isinstance(node, dict) and node.get("kind") == "table" and "values" in node:
         _check_keys(node, {"kind", "values"}, "terminal")
@@ -245,55 +253,64 @@ def _terminal_values(cfg, lat, witness_levels):
                 f"terminal.values needs {lat.steps + 1} entries"
             )
         return arr
-    return _shape_levels(node, lat, "terminal")[lat.steps]
+    return _shape_levels(node, lat, "terminal")[last:]
 
 
-def _atom_list_predictable(entries, lat, path, fill):
+def _time_indexed(entries, lat, path, keys, read, make):
+    """Process ``make(lat, {k: read(entry, where)})`` from a list of
+    ``{"time": k, ...}`` entries with distinct times, each taking
+    ``keys`` besides ``time``; ``make`` checks the range and values."""
     if entries is None:
         return None
     if not isinstance(entries, list):
         raise ConfigError(f"{path} must be a list of atoms")
-    slots = [np.full(i + 1, fill) for i in range(lat.steps)]
+    pairs = {}
     for idx, entry in enumerate(entries):
-        _check_keys(entry, {"time", "value", "values"}, f"{path}[{idx}]")
-        k = _integer(entry, "time", f"{path}[{idx}]", required=True)
-        if not 1 <= k <= lat.steps:
-            raise ConfigError(
-                f"{path}[{idx}].time {k} outside [1, {lat.steps}]"
-            )
-        if "values" in entry:
-            arr = np.asarray(entry["values"], dtype=float)
-            if arr.shape != (k,):
-                raise ConfigError(
-                    f"{path}[{idx}].values needs {k} entries "
-                    f"(one per node of level {k - 1})"
-                )
-            slots[k - 1] = arr
-        else:
-            v = _number(entry, "value", f"{path}[{idx}]", required=True)
-            slots[k - 1] = np.full(k, v)
-    return PredictableProcess(lat, slots)
+        where = f"{path}[{idx}]"
+        _check_keys(entry, {"time"} | keys, where)
+        k = _number(entry, "time", where, required=True, integer=True)
+        if k in pairs:
+            raise ConfigError(f"{where} repeats time {k}")
+        pairs[k] = read(entry, where)
+    try:
+        return make(lat, pairs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _clock(entries, lat, path):
-    if entries is None:
-        return None
     if entries == "lebesgue":
         return IncreasingProcess.lebesgue(lat)
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path} must be a list of atoms or 'lebesgue'")
-    pairs = {}
-    for idx, entry in enumerate(entries):
-        _check_keys(entry, {"time", "mass"}, f"{path}[{idx}]")
-        k = _integer(entry, "time", f"{path}[{idx}]", required=True)
-        mass = _number(entry, "mass", f"{path}[{idx}]", required=True)
-        if k in pairs:
-            raise ConfigError(f"{path}[{idx}] repeats time {k}")
-        pairs[k] = mass
-    try:
-        return IncreasingProcess.from_time_atoms(lat, pairs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+
+    def read(entry, where):
+        return _number(entry, "mass", where, required=True)
+
+    make = IncreasingProcess.from_time_atoms
+    return _time_indexed(entries, lat, path, {"mass"}, read, make)
+
+
+def _entry_constraint(entries, lat, path, fill):
+    def read(entry, where):
+        if "values" not in entry:
+            return _number(entry, "value", where, required=True)
+        if "value" in entry:
+            raise ConfigError(f"{where} gives both value and values")
+        return entry["values"]
+
+    def make(lat, pairs):
+        return PredictableProcess.from_time_values(lat, pairs, fill)
+
+    return _time_indexed(entries, lat, path, {"value", "values"}, read, make)
+
+
+# the driver catalog: constructor and its params as (key, default), a
+# param without a default being required
+_DRIVERS = {
+    "zero": (Driver.zero, ()),
+    "constant": (Driver.constant, (("value", None),)),
+    "linear": (Driver.linear, (("a", 0.0), ("b", 0.0), ("c", 0.0))),
+    "quadratic": (Driver.quadratic, (("c", None),)),
+}
 
 
 def _build_driver(cfg, bounds):
@@ -302,39 +319,21 @@ def _build_driver(cfg, bounds):
         return Driver.zero(bounds=bounds)
     _check_keys(node, {"name", "params"}, "driver")
     name = node.get("name")
+    if not isinstance(name, str) or name not in _DRIVERS:
+        raise ConfigError(
+            f"driver.name {name!r} not in the catalog ({', '.join(_DRIVERS)})"
+        )
+    make, spec = _DRIVERS[name]
     params = node.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("driver.params must be an object")
+    _check_keys(params, {key for key, _ in spec}, "driver.params")
+    args = [
+        _number(params, key, "driver.params", default=d, required=d is None)
+        for key, d in spec
+    ]
     try:
-        if name == "zero":
-            _check_keys(params, set(), "driver.params")
-            return Driver.zero(bounds=bounds)
-        if name == "constant":
-            _check_keys(params, {"value"}, "driver.params")
-            return Driver.constant(
-                _number(params, "value", "driver.params", required=True),
-                bounds=bounds,
-            )
-        if name == "linear":
-            _check_keys(params, {"a", "b", "c"}, "driver.params")
-            return Driver.linear(
-                _number(params, "a", "driver.params", default=0.0),
-                _number(params, "b", "driver.params", default=0.0),
-                _number(params, "c", "driver.params", default=0.0),
-                bounds=bounds,
-            )
-        if name == "quadratic":
-            _check_keys(params, {"c"}, "driver.params")
-            return Driver.quadratic(
-                _number(params, "c", "driver.params", required=True),
-                bounds=bounds,
-            )
+        return make(*args, bounds=bounds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"driver: {exc}") from exc
-    raise ConfigError(
-        f"driver.name {name!r} not in the catalog "
-        f"(zero, constant, linear, quadratic)"
-    )
 
 
 def _build_bounds(cfg, lat, A):
@@ -377,7 +376,6 @@ class ScenarioConfig:
         "barriers",
         "witness",
         "schedule",
-        "seed",
         "outputs",
     )
 
@@ -403,12 +401,8 @@ class ScenarioConfig:
                 lat, _shape_levels(node, lat, f"barriers.{key}")
             )
 
-        low = _atom_list_predictable(
-            bar_cfg.get("l"), lat, "barriers.l", -np.inf
-        )
-        high = _atom_list_predictable(
-            bar_cfg.get("u"), lat, "barriers.u", np.inf
-        )
+        low = _entry_constraint(bar_cfg.get("l"), lat, "barriers.l", -np.inf)
+        high = _entry_constraint(bar_cfg.get("u"), lat, "barriers.u", np.inf)
         try:
             self.barriers = BarrierSet.build(
                 lat,
@@ -449,98 +443,76 @@ class ScenarioConfig:
                     "strictly increasing"
                 )
             self.schedule = tuple(schedule)
-        self.seed = _integer(cfg, "seed", "config", default=7)
-
-        out = cfg.get("outputs", {})
-        _check_keys(
-            out, {"solution", "convergence", "envelope", "report"}, "outputs"
-        )
-        names = {
-            "solution": "solution.csv",
-            "convergence": "penalization.csv",
-            "envelope": "envelope.csv",
-            "report": "verify.csv",
-        }
-        for key in names:
-            if key in out:
-                if not isinstance(out[key], str) or not out[key]:
-                    raise ConfigError(f"outputs.{key} must be a file name")
-                names[key] = out[key]
-        self.outputs = names
+        self.outputs = _output_names(cfg)
 
 
 # ----------------------------------------------------------------- writers
 
 
-def _fmt(x):
-    return repr(float(x))
+def _reprs(values):
+    """Each value's ``repr`` as a float, which reads back bit for bit."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _write_rows(path, header, rows):
+    """Comma-separated lines; no field needs quoting, since each is a
+    number, a blank or a fixed name."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
 def write_solution_csv(path, sol, bars):
-    """One row per node; step-attributed columns blank at the horizon."""
+    """One row per node in packed order; step-attributed columns blank
+    at the horizon."""
     lat = sol.lattice
-    rows = []
-    for i in range(lat.steps + 1):
-        t = lat.times[i]
-        y = sol.Y.level(i)
-        low, high = effective_barriers(bars, i)
-        if i < lat.steps:
-            z = sol.Z.atom(i)
-            kp = sol.Kplus.atom(i)
-            km = sol.Kminus.atom(i)
-        for j in range(i + 1):
-            if i < lat.steps:
-                step_cols = [_fmt(z[j]), _fmt(kp[j]), _fmt(km[j])]
-            else:
-                step_cols = ["", "", ""]
-            rows.append(
-                [str(i), str(j), _fmt(t), _fmt(y[j])]
-                + step_cols
-                + [_fmt(low[j]), _fmt(high[j])]
-            )
+    levels = entry_levels(lat.steps + 1)
+    nodes = np.arange(levels.size) - level_offset(levels)
+    blank = [""] * (lat.steps + 1)
+    cols = [
+        list(map(str, levels.tolist())),
+        list(map(str, nodes.tolist())),
+        np.array(_reprs(lat.times), dtype=object)[levels].tolist(),
+        _reprs(sol.Y.values),
+        *(_reprs(p.values) + blank for p in (sol.Z, sol.Kplus, sol.Kminus)),
+        _reprs(bars.low.values),
+        _reprs(bars.high.values),
+    ]
     _write_rows(
         path,
         ["level", "node", "t", "Y", "Z", "dKplus", "dKminus", "L_eff", "U_eff"],
-        rows,
+        zip(*cols),
     )
 
 
 def write_convergence_csv(path, family):
-    gaps = [("", "")] + [(_fmt(lo), _fmt(hi)) for _, lo, hi in family.gaps()]
+    gaps = [("", "")] + [(repr(lo), repr(hi)) for _, lo, hi in family.gaps()]
     rows = []
     for n, (lo, hi), low, high in zip(
         family.n_schedule, gaps, family.lower_solutions, family.upper_solutions
     ):
-        rows.append(["lower", str(n), lo, _fmt(low.value())])
-        rows.append(["upper", str(n), hi, _fmt(high.value())])
+        rows.append(["lower", str(n), lo, repr(low.value())])
+        rows.append(["upper", str(n), hi, repr(high.value())])
     _write_rows(path, ["side", "n", "sup_gap", "y0"], rows)
 
 
 def write_envelope_csv(path, times, g, weights):
-    profiles = [
-        envelope_profile(times, g, weights, n) for n in _ENVELOPE_WEIGHTS
+    cols = [
+        list(map(str, range(times.size))),
+        _reprs(times),
+        _reprs(g),
+        _reprs(weights),
+        *(
+            _reprs(envelope_profile(times, g, weights, n).values)
+            for n in _ENVELOPE_WEIGHTS
+        ),
+        _reprs(envelope_star_profile(times, g, weights).values),
     ]
-    star = envelope_star_profile(times, g, weights)
     header = (
         ["k", "t", "g", "mass"]
         + [f"env_{n:g}" for n in _ENVELOPE_WEIGHTS]
         + ["env_star"]
     )
-    rows = []
-    for k in range(times.size):
-        rows.append(
-            [str(k), _fmt(times[k]), _fmt(g[k]), _fmt(weights[k])]
-            + [_fmt(p.values[k]) for p in profiles]
-            + [_fmt(star.values[k])]
-        )
-    _write_rows(path, header, rows)
+    _write_rows(path, header, zip(*cols))
 
 
 def write_verify_csv(path, reports):
@@ -550,8 +522,7 @@ def write_verify_csv(path, reports):
             r["name"],
             str(r["cases"]),
             str(r["failures"]),
-            _fmt(r["max_err"]),
-            _fmt(r["tol"]),
+            *_reprs([r["max_err"], r["tol"]]),
             "pass" if r["passed"] else "fail",
         ]
         for r in reports
@@ -586,12 +557,6 @@ def write_manifest(outdir, config_bytes, subcommand, artifacts, started):
 # ------------------------------------------------------------- subcommands
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def run_solve(scn, outdir):
     sol = solve_rbsde(scn.lattice, scn.driver, scn.barriers)
     path = outdir / scn.outputs["solution"]
@@ -608,8 +573,6 @@ def run_penalize(scn, outdir, schedule_max=None):
     schedule = scn.schedule
     if schedule_max is not None:
         schedule = tuple(n for n in schedule if n <= schedule_max)
-    if len(schedule) < 2:
-        raise ConfigError("penalization schedule needs at least two weights")
     family = build_family(
         scn.lattice, scn.bounds, scn.witness, scn.barriers, schedule=schedule
     )
@@ -664,8 +627,9 @@ def run_envelope(scn, outdir):
 
 
 def run_verify(args, report_name, outdir):
+    seed = {} if args.seed is None else {"seed": args.seed}
     reports, log = run_all(
-        seed=args.seed if args.seed is not None else 7,
+        **seed,
         cases=args.cases,
         max_depth=args.depth,
         tol=args.tol,
@@ -673,17 +637,15 @@ def run_verify(args, report_name, outdir):
     )
     path = outdir / report_name
     write_verify_csv(path, reports)
-    all_pass = True
     for r in reports:
         status = "PASS" if r["passed"] else "FAIL"
-        all_pass = all_pass and r["passed"]
         print(
             f"[{status}] criterion {r['criterion']}: {r['name']} "
             f"({r['cases']} cases, {r['failures']} failures, "
             f"max err {r['max_err']:.3e}, tol {r['tol']:g})"
         )
     print(f"verify: {log.solves} solves audited -> {path}")
-    if not all_pass:
+    if not all(r["passed"] for r in reports):
         raise _VerificationFailed()
     return [path.name]
 
@@ -728,23 +690,16 @@ def main(argv=None):
         # argparse exits 2 on bad flags; that is a config error here
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        outdir = _outdir(args)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         config_bytes = None
         if args.subcommand == "verify":
-            report_name = "verify.csv"
+            cfg = {}
             if args.config is not None:
                 cfg, config_bytes = load_config(args.config)
-                if args.seed is None:
-                    args.seed = _integer(cfg, "seed", "config", default=7)
-                out_cfg = cfg.get("outputs", {})
-                _check_keys(
-                    out_cfg,
-                    {"solution", "convergence", "envelope", "report"},
-                    "outputs",
-                )
-                if "report" in out_cfg:
-                    report_name = out_cfg["report"]
-            artifacts = run_verify(args, report_name, outdir)
+            if args.seed is None:
+                args.seed = cfg.get("seed")
+            artifacts = run_verify(args, _output_names(cfg)["report"], outdir)
         else:
             cfg, config_bytes = load_config(args.config)
             scn = ScenarioConfig(cfg)

@@ -35,6 +35,7 @@ from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
     PredictableProcess,
+    _packed,
     entry_levels,
     level_offset,
 )
@@ -143,12 +144,13 @@ class SemimartingaleSpec:
     def from_levels(cls, lattice, levels):
         """Decomposition of the node-indexed process with these levels.
 
-        ``levels[i]`` holds the ``i + 1`` node values of level ``i``.
-        The slope is the children's divided difference; the one-step
-        drift (expected next value minus current value) goes to
-        ``vminus`` where positive and to ``vplus`` where negative.
+        ``levels[i]`` holds the ``i + 1`` node values of level ``i``;
+        their packed concatenation is accepted too.  The slope is the
+        children's divided difference; the one-step drift (expected
+        next value minus current value) goes to ``vminus`` where
+        positive and to ``vplus`` where negative.
         """
-        x = np.concatenate(levels, dtype=float)
+        x = _packed(levels, lattice.steps + 1, "SemimartingaleSpec")
         k = np.arange(level_offset(lattice.steps))
         child = k + entry_levels(lattice.steps) + 1  # the down child
         down, up = x[child], x[child + 1]

@@ -256,10 +256,11 @@ class PredictableProcess:
 
     @classmethod
     def from_time_values(cls, lattice, pairs, fill=-np.inf):
-        """Constant-per-time values, ``fill`` elsewhere.
+        """Values at chosen times, ``fill`` elsewhere.
 
         ``pairs`` maps time index ``k`` (1-based: the value acts at
-        ``t_k``) to a scalar.
+        ``t_k``) to a scalar, or to one value per node of level
+        ``k - 1``.
         """
         return cls(lattice, _time_slots(lattice, pairs, float(fill)))
 
@@ -271,17 +272,20 @@ class PredictableProcess:
         return f"PredictableProcess(steps={self.lattice.steps})"
 
 
-def _time_slots(lattice, pairs, fill, check=None):
-    """Packed slots holding ``pairs[k]`` at every node of slot ``k - 1``
-    and ``fill`` elsewhere; ``check`` vets each value."""
+def _time_slots(lattice, pairs, fill):
+    """Packed slots holding ``pairs[k]`` (a scalar for every node, or
+    ``k`` node values) in slot ``k - 1`` and ``fill`` elsewhere."""
     out = np.full(level_offset(lattice.steps), fill)
     for k, val in dict(pairs).items():
         k = int(k)
         if not 1 <= k <= lattice.steps:
             raise ValueError(f"time index {k} outside [1, {lattice.steps}]")
-        val = float(val)
-        if check is not None:
-            check(val)
+        val = np.asarray(val, dtype=float)
+        if val.ndim and val.shape != (k,):
+            raise ValueError(
+                f"time index {k} needs {k} values (one per node of level "
+                f"{k - 1}), got shape {val.shape}"
+            )
         out[level_offset(k - 1) : level_offset(k)] = val
     return out
 
@@ -322,12 +326,7 @@ class IncreasingProcess:
     @classmethod
     def from_time_atoms(cls, lattice, pairs):
         """Deterministic atoms: ``pairs`` maps 1-based time index to mass."""
-
-        def nonnegative(w):
-            if w < 0.0:
-                raise ValueError("clock mass must be >= 0")
-
-        return cls(lattice, _time_slots(lattice, pairs, 0.0, nonnegative))
+        return cls(lattice, _time_slots(lattice, pairs, 0.0))
 
     def atom(self, i):
         return _level_view(self.values, i)

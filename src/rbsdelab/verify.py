@@ -650,10 +650,12 @@ def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
 
     Returns ``(reports, log)`` with the reports in criterion order.
     ``cases`` rescales every randomized suite; ``max_depth`` caps the
-    random depths where a suite draws them; ``tol`` overrides every
-    comparison tolerance, the strike recursion's and the certificates'
-    included (the ulp, equivalence and ladder suites keep their own);
-    ``schedule_max`` truncates the penalization weight schedule.
+    random depths where a suite draws them (the penalized ladder, c6,
+    and the comparison suite, c9, still draw depth 3 at least); ``tol``
+    overrides every comparison tolerance, the strike recursion's and
+    the certificates' included (the ulp, equivalence and ladder suites
+    keep their own); ``schedule_max`` truncates the penalization weight
+    schedule.
     """
     log = CertificateLog()
 
@@ -688,7 +690,7 @@ def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
         verify_quadratic(seed=seed, tol=pick(1e-10, tol), log=log),
         verify_sandwich(
             cases=pick(100, cases),
-            max_depth=pick(6, max_depth),
+            max_depth=max(pick(6, max_depth), 3),
             seed=seed,
             schedule=schedule,
             log=log,

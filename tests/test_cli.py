@@ -10,17 +10,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rbsdelab
+from rbsdelab.barriers import envelope_profile, envelope_star_profile
 from rbsdelab.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    ScenarioConfig,
     _parser,
     main,
 )
+from rbsdelab.lattice import entry_levels, level_offset
+from rbsdelab.solver import solve_rbsde
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -137,6 +142,9 @@ def test_terminal_blank_step_columns(tmp_path):
         lambda d: d.update(terminal={"kind": "payoff", "form": "straddle",
                                      "strike": 1.0}),
         lambda d: d.update(terminal={"kind": ["shape"]}),
+        lambda d: d["barriers"]["l"].append({"time": 3, "value": -1.0}),
+        lambda d: d["barriers"]["u"].append({"time": 4, "value": 1.0}),
+        lambda d: d["barriers"]["l"][0].update(values=[-1.5, -1.4, -1.3]),
     ],
 )
 def test_bad_configs_exit_1(tmp_path, mangle, capsys):
@@ -146,6 +154,24 @@ def test_bad_configs_exit_1(tmp_path, mangle, capsys):
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, says",
+    [
+        ({"time": 3, "value": -1.0}, "barriers.l[1] repeats time 3"),
+        ({"time": 2, "value": -1.0, "values": [-1.0, -0.9]},
+         "barriers.l[1] gives both value and values"),
+    ],
+    ids=["repeated-time", "value-and-values"],
+)
+def test_time_indexed_lists_reject_ambiguity(tmp_path, capsys, entry, says):
+    doc = base_scenario()
+    doc["barriers"]["l"].append(entry)
+    cfg = write_config(tmp_path, doc)
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert says in capsys.readouterr().err
 
 
 _TABLE_LEVELS = [[0.1 * j for j in range(i + 1)] for i in range(6)]
@@ -454,6 +480,18 @@ def test_verify_small_run(tmp_path, capsys):
     assert all(row[-1] == "pass" for row in rows)
 
 
+def test_verify_at_depth_two_passes(tmp_path, capsys):
+    # the suites that need three steps draw at least depth 3
+    out = tmp_path / "run"
+    code = main([
+        "verify", "--out", str(out), "--cases", "2", "--depth", "2",
+        "--schedule-max", "8", "--seed", "3",
+    ])
+    assert code == EXIT_OK, capsys.readouterr().err
+    _, rows = read_csv(out / "verify.csv")
+    assert [row[-1] for row in rows] == ["pass"] * 10
+
+
 def test_verify_reads_seed_from_config(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -480,3 +518,101 @@ def test_output_filename_override(tmp_path):
     assert (out / "run42.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == ["run42.csv"]
+
+
+@pytest.mark.parametrize("name", ["../x.csv", "../esc.csv", "sub/x.csv",
+                                  "..", ".", "", 5])
+@pytest.mark.parametrize("subcommand, key", [("solve", "solution"),
+                                             ("verify", "report")])
+def test_output_names_must_be_bare_file_names(
+    tmp_path, capsys, subcommand, key, name
+):
+    doc = base_scenario()
+    doc["outputs"] = {key: name}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run" / "out"
+    code = main([
+        subcommand, "--config", str(cfg), "--out", str(out),
+    ] + (["--cases", "2", "--depth", "3", "--schedule-max", "8"]
+         if subcommand == "verify" else []))
+    assert code == EXIT_CONFIG
+    assert f"outputs.{key} must be a bare file name" in capsys.readouterr().err
+    # nothing is written outside the output directory
+    outside = {p for p in tmp_path.rglob("*") if out not in p.parents}
+    assert outside == {cfg, tmp_path / "run", out}
+
+
+# --------------------------------------------------------- writer columns
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _columns(path):
+    header, rows = read_csv(path)
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+def _floats(column):
+    return np.array([float(x) for x in column])
+
+
+def test_solution_csv_reads_back_bitwise(tmp_path):
+    # infinite obstacle entries and an entry constraint on both sides
+    table = [[-np.inf if j % 3 == 0 else 0.1 * j - 1.0 for j in range(i + 1)]
+             for i in range(6)]
+    doc = base_scenario()
+    doc["barriers"]["L"] = {"kind": "table", "levels": table}
+    doc["barriers"]["U"] = {"kind": "table",
+                            "levels": [[2.0 - v for v in row] for row in table]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    scn = ScenarioConfig(doc)
+    lat, bars = scn.lattice, scn.barriers
+    sol = solve_rbsde(lat, scn.driver, bars)
+    assert np.isinf(bars.low.values).any() and np.isinf(bars.high.values).any()
+
+    cols = _columns(out / "solution.csv")
+    levels = entry_levels(lat.steps + 1)
+    assert [int(x) for x in cols["level"]] == levels.tolist()
+    nodes = np.arange(levels.size) - level_offset(levels)
+    assert [int(x) for x in cols["node"]] == nodes.tolist()
+    for name, want in [
+        ("t", lat.times[levels]),
+        ("Y", sol.Y.values),
+        ("L_eff", bars.low.values),
+        ("U_eff", bars.high.values),
+    ]:
+        assert np.array_equal(_bits(_floats(cols[name])), _bits(want)), name
+    inner = level_offset(lat.steps)
+    for name, proc in [("Z", sol.Z), ("dKplus", sol.Kplus),
+                       ("dKminus", sol.Kminus)]:
+        assert cols[name][inner:] == [""] * (lat.steps + 1)
+        got = _floats(cols[name][:inner])
+        assert np.array_equal(_bits(got), _bits(proc.values)), name
+
+
+def test_envelope_csv_reads_back_bitwise(tmp_path):
+    doc = witness_scenario()
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["envelope", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    scn = ScenarioConfig(doc)
+    times = scn.lattice.times
+    # the scenario's lower entry constraint: -0.6 at time index 2
+    g = np.full(times.size, -np.inf)
+    g[2] = -0.6
+    weights = scn.barriers.delta.weights_by_time()
+
+    cols = _columns(out / "envelope.csv")
+    assert [int(x) for x in cols["k"]] == list(range(times.size))
+    want = {"t": times, "g": g, "mass": weights,
+            "env_star": envelope_star_profile(times, g, weights).values}
+    for n in (1, 4, 16, 64, 256):
+        want[f"env_{n}"] = envelope_profile(times, g, weights, n).values
+    assert set(cols) == {"k"} | set(want)
+    for name, values in want.items():
+        got = _bits(_floats(cols[name]))
+        assert np.array_equal(got, _bits(values)), name

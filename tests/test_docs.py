@@ -1,8 +1,10 @@
-"""The documented examples run: every demo script and the README's
-Quick start block, each in a fresh interpreter."""
+"""The documented examples run: every demo script, the README's
+Quick start block and the demos' CLI scenario commands, each in a
+fresh interpreter."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,15 @@ def _quick_start_block():
     return match.group(1)
 
 
+def _cli_scenario_commands():
+    """Argument lists of the ``rbsdelab`` lines in demos/README.md's
+    "CLI scenarios" block."""
+    text = (ROOT / "demos" / "README.md").read_text()
+    section = text.split("\n## CLI scenarios\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)\n```", section, re.DOTALL).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
 def test_demo_scripts_are_found():
     # an empty glob would parametrize the demo test away silently
     assert DEMOS
@@ -53,3 +64,15 @@ def test_readme_quick_start_runs(tmp_path):
     assert "solve_rbsde" in block
     out = _run(["-c", block], tmp_path)
     assert out.returncode == 0, out.stderr
+
+
+def test_demo_cli_scenarios_run(tmp_path):
+    # verify runs the full acceptance gate, which test_acceptance.py covers
+    commands = [c for c in _cli_scenario_commands() if c[0] != "verify"]
+    assert len(commands) == 4
+    for args in commands:
+        out = args.index("--out") + 1
+        args[out] = str(tmp_path / args[out])
+        done = _run(["-m", "rbsdelab.cli"] + args, ROOT)
+        assert done.returncode == 0, (args, done.stderr)
+        assert (Path(args[out]) / "manifest.json").exists()

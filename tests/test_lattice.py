@@ -162,6 +162,11 @@ def test_predictable_from_time_values(lat):
         PredictableProcess.from_time_values(lat, {0: 1.0})
     with pytest.raises(ValueError):
         PredictableProcess.from_time_values(lat, {lat.steps + 1: 1.0})
+    # or one value per node of the slot's level
+    P = PredictableProcess.from_time_values(lat, {3: [1.0, 2.0, 3.0]})
+    assert P.atom(2).tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="time index 3 needs 3 values"):
+        PredictableProcess.from_time_values(lat, {3: [1.0, 2.0]})
 
 
 def test_clock_validation(lat):
