@@ -74,6 +74,7 @@ _OUTPUTS = {
     "envelope": "envelope.csv",
     "report": "verify.csv",
 }
+_MANIFEST = "manifest.json"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,7 +151,8 @@ def load_config(path):
 
 def _output_names(cfg):
     """Artifact file names: the defaults, renamed by ``outputs``.  Each
-    must be a bare file name, so that every artifact lands in ``--out``."""
+    must be a bare file name, so that every artifact lands in ``--out``,
+    and the names must differ from each other and from the manifest's."""
     out = cfg.get("outputs", {})
     _check_keys(out, set(_OUTPUTS), "outputs")
     for key, name in out.items():
@@ -159,7 +161,15 @@ def _output_names(cfg):
             raise ConfigError(
                 f"outputs.{key} must be a bare file name, got {name!r}"
             )
-    return {**_OUTPUTS, **out}
+    names = {**_OUTPUTS, **out}
+    owner = {_MANIFEST: "the manifest"}
+    for key, name in names.items():
+        if name in owner:
+            raise ConfigError(
+                f"outputs.{key} names {name!r}, as does {owner[name]}"
+            )
+        owner[name] = f"outputs.{key}"
+    return names
 
 
 # -------------------------------------------------------------- evaluators
@@ -456,7 +466,8 @@ def _reprs(values):
 
 def _write_rows(path, header, rows):
     """Comma-separated lines; no field needs quoting, since each is a
-    number, a blank or a fixed name."""
+    number, a blank or a fixed name.  Makes the output directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
 
@@ -549,7 +560,8 @@ def write_manifest(outdir, config_bytes, subcommand, artifacts, started):
         },
         "timings": {"total_s": round(time.perf_counter() - started, 6)},
     }
-    path = Path(outdir) / "manifest.json"
+    path = Path(outdir) / _MANIFEST
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -691,7 +703,6 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         config_bytes = None
         if args.subcommand == "verify":
             cfg = {}

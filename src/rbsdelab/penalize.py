@@ -195,7 +195,6 @@ class PenalizedFamily:
         "bounds",
         "spec",
         "barriers",
-        "sandwich_tol",
     )
 
     def __init__(
@@ -208,7 +207,6 @@ class PenalizedFamily:
         lower_solutions,
         upper_solutions,
         witness,
-        sandwich_tol,
     ):
         self.lattice = lattice
         self.bounds = bounds
@@ -218,7 +216,6 @@ class PenalizedFamily:
         self.lower_solutions = list(lower_solutions)
         self.upper_solutions = list(upper_solutions)
         self.witness = witness
-        self.sandwich_tol = float(sandwich_tol)
 
     @property
     def Yunder(self):
@@ -262,7 +259,6 @@ class PenalizedFamily:
             self.witness,
             self.barriers,
             weights,
-            self.sandwich_tol,
         )
         self.n_schedule += weights
         self.lower_solutions += lows
@@ -280,20 +276,21 @@ def _stacked(sols):
     return np.stack([s.Y.values for s in sols])
 
 
-def _check_ladder(lows, highs, S, barriers, weights, tol):
+def _check_ladder(lows, highs, S, barriers, weights):
     """Ordering ladder of every rung: obstacle <= previous lower <= lower
-    <= witness <= upper <= previous upper <= obstacle, within ``tol``
-    (the clamp makes the node obstacles exact; checked anyway).
+    <= witness <= upper <= previous upper <= obstacle, the chains
+    within ``_ORDER_TOL`` (the clamp makes the node obstacles exact;
+    checked anyway).
     ``lows[k + 1]`` / ``highs[k + 1]`` solve at ``weights[k]``, above
     the rung ``lows[0]`` / ``highs[0]``."""
     lo, hi = _stacked(lows), _stacked(highs)
     steps = S.lattice.steps
     n = level_offset(steps)
     chains = (
-        ("lower solutions nondecreasing in n", lo[:-1] - lo[1:], tol),
-        ("lower solution below witness", lo[1:] - S.values, tol),
-        ("witness below upper solution", S.values - hi[1:], tol),
-        ("upper solutions nonincreasing in n", hi[1:] - hi[:-1], tol),
+        ("lower solutions nondecreasing in n", lo[:-1] - lo[1:], _ORDER_TOL),
+        ("lower solution below witness", lo[1:] - S.values, _ORDER_TOL),
+        ("witness below upper solution", S.values - hi[1:], _ORDER_TOL),
+        ("upper solutions nonincreasing in n", hi[1:] - hi[:-1], _ORDER_TOL),
     )
     obstacles = (
         ("lower obstacle", barriers.L.values[:n] - lo[1:, :n], 0.0),
@@ -302,9 +299,7 @@ def _check_ladder(lows, highs, S, barriers, weights, tol):
     _first_break(weights, ((steps + 1, chains), (steps, obstacles)))
 
 
-def build_family(
-    lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE, sandwich_tol=1e-9
-):
+def build_family(lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE):
     """Solve both penalized equations along a weight schedule, one
     backward pass per side, then verify the full ordering ladder between
     the node obstacles, the two monotone chains and the witness; a
@@ -318,9 +313,7 @@ def build_family(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     spec2, S = _normalized_witness(spec, barriers.xi)
-    family = PenalizedFamily(
-        lattice, bounds, spec2, barriers, [], [], [], S, sandwich_tol
-    )
+    family = PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
     family._append(schedule)
     return family
 

@@ -3,14 +3,14 @@
 Every suite draws reproducible random instances, runs the production
 route and the matching oracle route, and returns a plain report dict
 with the case count, the failure count, the worst observed error and
-the tolerance it was held to.  A shared :class:`CertificateLog`
-collects the reflection certificates of every backward solve performed
-anywhere in the run, so the certificate report genuinely covers the
-whole suite rather than a private batch.
+the tolerance it was held to.  Each solving suite records its backward
+solves in the :class:`CertificateLog` it is given; :func:`run_all`
+shares one log across the whole run, so the certificate report covers
+every solve rather than a private batch.
 
-The default case counts and tolerances are the package's acceptance
-gate; the knobs exist so the command line can run cheaper or deeper
-sweeps of the same checks.
+Each suite's signature defaults are the package's acceptance gate.
+:func:`run_all` forwards only the overrides it is given, so the command
+line can run cheaper or deeper sweeps of the same checks.
 """
 
 import math
@@ -33,6 +33,7 @@ from .lattice import (
     PredictableProcess,
     TimeGrid,
     all_paths,
+    entry_levels,
     level_offset,
     path_nodes,
 )
@@ -44,6 +45,7 @@ from .oracle import (
     quadratic_closed_form,
 )
 from .penalize import (
+    _ORDER_TOL,
     DEFAULT_SCHEDULE,
     ReductionDisagreement,
     SandwichViolation,
@@ -72,10 +74,10 @@ __all__ = [
 # sizes and tolerances of the gate that no caller varies
 _ENVELOPE_POINTS = 200
 _ENVELOPE_ULPS = 4.0
+_ORACLE_MAX_DEPTH = 4  # the exhaustive oracles enumerate every path
 _PUT_DEPTHS = range(3, 13)
 _QUAD_DEPTHS = range(4, 11)
 _QUAD_CURVATURES = (0.1, 0.5, 2.0)
-_LADDER_TOL = 1e-9
 _BUDGET_CASES = 18
 _BUDGET_DEPTH = 12
 
@@ -107,22 +109,44 @@ class CertificateLog:
         )
 
 
+class _Tally:
+    """Cases, failures and the worst error of one check held to ``tol``."""
+
+    __slots__ = ("tol", "cases", "failures", "worst")
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.cases = 0
+        self.failures = 0
+        self.worst = 0.0
+
+    def add(self, err, ok=None):
+        """One case: it fails when ``err`` exceeds the tolerance or,
+        if ``ok`` is given, when ``ok`` is false."""
+        self.cases += 1
+        self.worst = max(self.worst, err)
+        if not (err <= self.tol if ok is None else ok):
+            self.failures += 1
+
+
 def _rng(seed, salt):
     return np.random.default_rng((int(seed), zlib.crc32(salt.encode())))
 
 
-def _report(criterion, name, cases, failures, max_err, tol, **extra):
-    out = {
+def _report(criterion, name, *tallies, **extra):
+    failures = sum(t.failures for t in tallies)
+    max_err = float(max(t.worst for t in tallies))
+    tol = float(max(t.tol for t in tallies))
+    return {
         "criterion": criterion,
         "name": name,
-        "cases": cases,
+        "cases": sum(t.cases for t in tallies),
         "failures": failures,
-        "max_err": float(max_err),
-        "tol": float(tol),
-        "passed": failures == 0 and float(max_err) <= float(tol),
+        "max_err": max_err,
+        "tol": tol,
+        "passed": failures == 0 and max_err <= tol,
+        **extra,
     }
-    out.update(extra)
-    return out
 
 
 # ---------------------------------------------------------------- instances
@@ -147,6 +171,13 @@ def _random_lattice(rng, max_depth, min_depth=1):
     return Lattice(TimeGrid(horizon, steps))
 
 
+def _walk_and_times(lat):
+    """Walk value and time of every node of levels 0..N, packed."""
+    count = lat.steps + 1
+    walk = np.concatenate([lat.brownian(i) for i in range(count)])
+    return walk, lat.times[entry_levels(count)]
+
+
 def random_witness_instance(rng, steps, tight=True, two_sided=True):
     """Obstacle set built around an explicit node-indexed candidate.
 
@@ -158,44 +189,44 @@ def random_witness_instance(rng, steps, tight=True, two_sided=True):
     lat = Lattice(TimeGrid(float(rng.uniform(0.5, 1.5)), steps))
     a, b, c = rng.uniform(-0.6, 0.6, 3)
     freq = rng.uniform(0.5, 2.5)
-
-    def shape(t, w):
-        return a * np.sin(freq * w) + b * w + c * t
-
-    levels = [shape(lat.times[i], lat.brownian(i)) for i in range(steps + 1)]
-    spec = SemimartingaleSpec.from_levels(lat, levels)
-    xi = np.asarray(levels[steps], dtype=float)
+    w, t = _walk_and_times(lat)
+    S = a * np.sin(freq * w) + b * w + c * t
+    spec = SemimartingaleSpec.from_levels(lat, S)
     margin = rng.uniform(0.2, 0.6)
-    L = AdaptedProcess(
-        lat, [levels[i] - margin for i in range(steps)] + [xi]
-    )
-    U = AdaptedProcess(
-        lat, [levels[i] + margin for i in range(steps)] + [xi]
-    )
     pad = 0.0 if tight else margin + 0.2
     k_low = int(rng.integers(1, steps + 1))
     k_high = int(rng.integers(1, steps + 1))
     delta = IncreasingProcess.from_time_atoms(
         lat, {k_low: float(rng.uniform(0.5, 2.0))}
     )
-    l_slots = [np.full(i + 1, -np.inf) for i in range(steps)]
-    l_slots[k_low - 1] = levels[k_low - 1] - pad - rng.uniform(0.0, 0.05, k_low)
+    low = (
+        S[level_offset(k_low - 1) : level_offset(k_low)]
+        - pad
+        - rng.uniform(0.0, 0.05, k_low)
+    )
     kwargs = {}
     if two_sided:
         alpha = IncreasingProcess.from_time_atoms(
             lat, {k_high: float(rng.uniform(0.5, 2.0))}
         )
-        u_slots = [np.full(i + 1, np.inf) for i in range(steps)]
-        u_slots[k_high - 1] = (
-            levels[k_high - 1] + pad + rng.uniform(0.0, 0.05, k_high)
+        high = (
+            S[level_offset(k_high - 1) : level_offset(k_high)]
+            + pad
+            + rng.uniform(0.0, 0.05, k_high)
         )
-        kwargs = {"u": PredictableProcess(lat, u_slots), "alpha": alpha}
+        kwargs = {
+            "u": PredictableProcess.from_time_values(
+                lat, {k_high: high}, fill=np.inf
+            ),
+            "alpha": alpha,
+        }
+    # the node obstacles take the candidate's terminal values from build
     bars = BarrierSet.build(
         lat,
-        xi,
-        L=L,
-        U=U,
-        l=PredictableProcess(lat, l_slots),
+        S[level_offset(steps) :],
+        L=AdaptedProcess(lat, S - margin),
+        U=AdaptedProcess(lat, S + margin),
+        l=PredictableProcess.from_time_values(lat, {k_low: low}),
         delta=delta,
         witness=spec,
         **kwargs,
@@ -207,23 +238,18 @@ def random_witness_instance(rng, steps, tight=True, two_sided=True):
 
 
 def _random_band(rng, lat, gap_low, gap_high):
-    """Feasible node obstacles around a random smooth curve."""
+    """Feasible node obstacles around a random smooth curve; the gaps
+    are packed over levels 0..N-1."""
     a, b = rng.uniform(-0.8, 0.8, 2)
-
-    def shape(t, w):
-        return a * np.sin(2.0 * w) + b * t
-
-    xi = shape(lat.times[-1], lat.brownian(lat.steps))
-    lo = [
-        shape(lat.times[i], lat.brownian(i)) - gap_low[i]
-        for i in range(lat.steps)
-    ] + [xi]
-    hi = [
-        shape(lat.times[i], lat.brownian(i)) + gap_high[i]
-        for i in range(lat.steps)
-    ] + [xi]
+    w, t = _walk_and_times(lat)
+    S = a * np.sin(2.0 * w) + b * t
+    n = level_offset(lat.steps)
+    xi = S[n:]
     return BarrierSet.build(
-        lat, xi, L=AdaptedProcess(lat, lo), U=AdaptedProcess(lat, hi)
+        lat,
+        xi,
+        L=AdaptedProcess(lat, np.concatenate([S[:n] - gap_low, xi])),
+        U=AdaptedProcess(lat, np.concatenate([S[:n] + gap_high, xi])),
     )
 
 
@@ -247,23 +273,18 @@ def _max_ulp(a, b):
 def verify_envelope(cases=1000, seed=7):
     """Criterion 1: the one-scan envelope against the quadratic rescan."""
     rng = _rng(seed, "envelope")
-    tol = _ENVELOPE_ULPS
-    failures = 0
-    worst = 0.0
+    tally = _Tally(_ENVELOPE_ULPS)
     for _ in range(cases):
         times, g, w, n = _random_profile(rng, _ENVELOPE_POINTS)
         prof = envelope_profile(times, g, w, n)
         values, left = envelope_brute_force(times, g, w, n)
-        gap = max(
-            _max_ulp(prof.values, values),
-            _max_ulp(prof.left_limit_values, left),
+        tally.add(
+            max(
+                _max_ulp(prof.values, values),
+                _max_ulp(prof.left_limit_values, left),
+            )
         )
-        worst = max(worst, gap)
-        if not gap <= tol:
-            failures += 1
-    return _report(
-        1, "envelope scan vs quadratic rescan", cases, failures, worst, tol
-    )
+    return _report(1, "envelope scan vs quadratic rescan", tally)
 
 
 def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
@@ -271,20 +292,13 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
     enumeration, and the pointwise hard-envelope test must all agree,
     in both directions, on every instance."""
     rng = _rng(seed, "equivalence")
-    failures = 0
+    tally = _Tally(0.0)
     for _ in range(cases):
         lat = _random_lattice(rng, max_depth)
         steps = lat.steps
-        Y = AdaptedProcess(
-            lat, [rng.normal(0.0, 1.0, i + 1) for i in range(steps + 1)]
-        )
-        g = PredictableProcess(
-            lat,
-            [
-                Y.level(i) + rng.normal(0.0, 0.3, i + 1)
-                for i in range(steps)
-            ],
-        )
+        n = level_offset(steps)
+        Y = AdaptedProcess(lat, rng.normal(0.0, 1.0, level_offset(steps + 1)))
+        g = PredictableProcess(lat, Y.values[:n] + rng.normal(0.0, 0.3, n))
         rho = IncreasingProcess(
             lat,
             [
@@ -315,29 +329,21 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
             np.pad(w_paths, ((0, 0), (1, 0))),
         )
         pointwise = not np.any(star.values[:, 1:] > left_limits)
-        if not (nodewise == per_path == pointwise):
-            failures += 1
-    return _report(
-        2,
-        "left-limit constraint equivalence",
-        cases,
-        failures,
-        0.0 if failures == 0 else 1.0,
-        0.0,
-    )
+        tally.add(0.0 if nodewise == per_path == pointwise else 1.0)
+    return _report(2, "left-limit constraint equivalence", tally)
 
 
-def verify_snell(cases=100, max_depth=4, seed=7, tol=1e-12, put_tol=1e-10, log=None):
+def verify_snell(
+    cases=100, max_depth=4, seed=7, tol=1e-12, put_tol=1e-10, *, log
+):
     """Criterion 3: envelope root value vs exhaustive stopping, and the
     early-exercise recursion on strike payoffs."""
     rng = _rng(seed, "snell")
-    failures = 0
-    worst = 0.0
+    stopping = _Tally(tol)
     for _ in range(cases):
-        lat = _random_lattice(rng, max_depth)
+        lat = _random_lattice(rng, min(max_depth, _ORACLE_MAX_DEPTH))
         steps = lat.steps
-        levels = [rng.uniform(-1.0, 1.0, i + 1) for i in range(steps + 1)]
-        L = AdaptedProcess(lat, levels)
+        L = AdaptedProcess(lat, rng.uniform(-1.0, 1.0, level_offset(steps + 1)))
         xi = rng.uniform(-1.0, 1.0, steps + 1)
         top = max(float(np.max(L.values)), float(np.max(xi)))
         witness = SemimartingaleSpec(
@@ -347,61 +353,43 @@ def verify_snell(cases=100, max_depth=4, seed=7, tol=1e-12, put_tol=1e-10, log=N
             PredictableProcess.constant(lat, 0.0),
         )
         inst = SnellInstance(L, None, None, xi, witness=witness)
-        sol = snell_envelope(inst)
-        if log is not None:
-            log.add(sol)
-        gap = abs(sol.value() - exhaustive_stopping_value(L, xi))
-        worst = max(worst, gap)
-        if not gap <= tol:
-            failures += 1
+        sol = log.add(snell_envelope(inst))
+        stopping.add(abs(sol.value() - exhaustive_stopping_value(L, xi)))
 
-    put_cases = 0
-    put_worst = 0.0
+    recursion = _Tally(put_tol)
     for steps in _PUT_DEPTHS:
         lat = Lattice(TimeGrid(1.0, steps))
         strike = float(rng.uniform(0.8, 1.3))
-
-        def payoff(i):
-            return np.maximum(strike - np.exp(lat.brownian(i)), 0.0)
-
-        L = AdaptedProcess(lat, [payoff(i) for i in range(steps + 1)])
+        walk, _ = _walk_and_times(lat)
+        L = AdaptedProcess(lat, np.maximum(strike - np.exp(walk), 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = snell_envelope(SnellInstance(L, None, None, payoff(steps)))
-        if log is not None:
-            log.add(sol)
-        v = payoff(steps)
+            sol = snell_envelope(SnellInstance(L, None, None, L.terminal()))
+        log.add(sol)
+        v = L.terminal()
         for i in range(steps - 1, -1, -1):
-            v = np.maximum(0.5 * (v[:-1] + v[1:]), payoff(i))
-        gap = abs(sol.value() - float(v[0]))
-        put_worst = max(put_worst, gap)
-        put_cases += 1
-        if not gap <= put_tol:
-            failures += 1
+            v = np.maximum(0.5 * (v[:-1] + v[1:]), L.level(i))
+        recursion.add(abs(sol.value() - float(v[0])))
     return _report(
         3,
         "envelope vs exhaustive stopping and strike recursion",
-        cases + put_cases,
-        failures,
-        max(worst, put_worst),
-        max(tol, put_tol),
-        stopping_max_err=worst,
-        recursion_max_err=put_worst,
+        stopping,
+        recursion,
+        stopping_max_err=stopping.worst,
+        recursion_max_err=recursion.worst,
     )
 
 
-def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, log=None):
+def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
     """Criterion 4: the driverless double-obstacle solve against the
     enumerated two-player game.  A game without a value is a failure,
     its error the gap between the two one-sided optima."""
     rng = _rng(seed, "dynkin")
-    max_depth = min(int(max_depth), 4)
-    failures = 0
-    worst = 0.0
+    tally = _Tally(tol)
     for _ in range(cases):
-        lat = _random_lattice(rng, max_depth)
+        lat = _random_lattice(rng, min(max_depth, _ORACLE_MAX_DEPTH))
         steps = lat.steps
-        lo = [rng.uniform(-1.0, 1.0, i + 1) for i in range(steps + 1)]
+        lo = rng.uniform(-1.0, 1.0, level_offset(steps + 1))
         gaps = [
             np.where(
                 rng.random(i + 1) < 0.25,
@@ -410,103 +398,74 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, log=None):
             )
             for i in range(steps + 1)
         ]
-        hi = [lo[i] + gaps[i] for i in range(steps + 1)]
         xi = rng.uniform(-1.0, 1.0, steps + 1)
         L = AdaptedProcess(lat, lo)
-        U = AdaptedProcess(lat, hi)
+        U = AdaptedProcess(lat, lo + np.concatenate(gaps))
         try:
             reference = exhaustive_dynkin_value(L, U, xi)
         except NoValue as exc:
-            failures += 1
-            worst = max(worst, abs(exc.maxmin - exc.minmax))
+            tally.add(abs(exc.maxmin - exc.minmax), ok=False)
             continue
         bars = BarrierSet.build(lat, xi, L=L, U=U)
-        sol = solve_rbsde(lat, Driver.zero(), bars)
-        if log is not None:
-            log.add(sol)
-        gap = abs(sol.value() - reference)
-        worst = max(worst, gap)
-        if not gap <= tol:
-            failures += 1
-    return _report(
-        4,
-        "two-player stopping game identification",
-        cases,
-        failures,
-        worst,
-        tol,
-    )
+        sol = log.add(solve_rbsde(lat, Driver.zero(), bars))
+        tally.add(abs(sol.value() - reference))
+    return _report(4, "two-player stopping game identification", tally)
 
 
-def verify_quadratic(seed=7, tol=1e-10, log=None):
+def verify_quadratic(seed=7, tol=1e-10, *, log):
     """Criterion 5: squared-slope drivers against the exponential
     closed form."""
     rng = _rng(seed, "quadratic")
-    failures = 0
-    worst = 0.0
-    cases = 0
+    tally = _Tally(tol)
     for steps in _QUAD_DEPTHS:
         lat = Lattice(TimeGrid(1.0, steps))
         a = float(rng.uniform(0.5, 2.0))
         xi = np.tanh(a * lat.brownian(steps)) + float(rng.uniform(-0.5, 0.5))
         bars = BarrierSet.build(lat, xi)
         for c in _QUAD_CURVATURES:
-            sol = solve_rbsde(lat, Driver.quadratic(c), bars)
-            if log is not None:
-                log.add(sol)
-            gap = abs(sol.value() - quadratic_closed_form(c, xi))
-            worst = max(worst, gap)
-            cases += 1
-            if not gap <= tol:
-                failures += 1
-    return _report(
-        5, "squared-slope driver closed form", cases, failures, worst, tol
-    )
+            sol = log.add(solve_rbsde(lat, Driver.quadratic(c), bars))
+            tally.add(abs(sol.value() - quadratic_closed_form(c, xi)))
+    return _report(5, "squared-slope driver closed form", tally)
 
 
-def verify_sandwich(cases=100, max_depth=6, seed=7, schedule=DEFAULT_SCHEDULE, log=None):
+def verify_sandwich(
+    cases=100, max_depth=6, seed=7, schedule=DEFAULT_SCHEDULE, *, log
+):
     """Criterion 6: the full penalized ordering ladder over the weight
-    schedule, on random witness-first instances."""
+    schedule, on random witness-first instances of depth 3 at least."""
     rng = _rng(seed, "sandwich")
-    tol = _LADDER_TOL
-    failures = 0
+    tally = _Tally(0.0)
     solved = 0
     for _ in range(cases):
-        steps = int(rng.integers(3, max_depth + 1))
+        steps = int(rng.integers(3, max(max_depth, 3) + 1))
         lat, bounds, spec, bars = random_witness_instance(
             rng, steps, tight=bool(rng.random() < 0.5)
         )
         try:
-            fam = build_family(
-                lat, bounds, spec, bars, schedule=schedule, sandwich_tol=tol
-            )
+            fam = build_family(lat, bounds, spec, bars, schedule=schedule)
         except SandwichViolation:
-            failures += 1
+            tally.add(1.0)
             continue
+        tally.add(0.0)
         solved += len(fam.n_schedule)
-        if log is not None:
-            for s in fam.lower_solutions + fam.upper_solutions:
-                log.add(s)
+        for s in fam.lower_solutions + fam.upper_solutions:
+            log.add(s)
     return _report(
         6,
         "penalized family ordering ladder",
-        cases,
-        failures,
-        0.0 if failures == 0 else 1.0,
-        0.0,
-        ladder_tol=tol,
+        tally,
+        ladder_tol=_ORDER_TOL,
         weights_solved=solved,
     )
 
 
-def verify_reduction(cases=50, depth=8, seed=7, tol=1e-6, log=None):
+def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
     """Criterion 7: the squeeze-and-reduce route against the direct
-    merged-obstacle solve, at the root."""
+    merged-obstacle solve, at the root, at depth ``max_depth``."""
     rng = _rng(seed, "reduction")
-    failures = 0
-    worst = 0.0
+    tally = _Tally(tol)
     for _ in range(cases):
-        lat, _, spec, bars = random_witness_instance(rng, depth)
+        lat, _, spec, bars = random_witness_instance(rng, max_depth)
         a = float(rng.uniform(-0.5, 0.5))
         b = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-0.3, 0.3))
@@ -519,63 +478,49 @@ def verify_reduction(cases=50, depth=8, seed=7, tol=1e-6, log=None):
         bounds = GrowthBounds.constants(lat, eta=eta, C=C)
         drv = Driver.linear(a, b, c, bounds=bounds)
         try:
-            sol = reduce_and_solve(lat, drv, bars, agreement_tol=tol)
+            sol = log.add(reduce_and_solve(lat, drv, bars, agreement_tol=tol))
         except ReductionDisagreement:
-            failures += 1
+            # a failed case; its gap is not an error at the root
+            tally.add(0.0, ok=False)
             continue
-        direct = solve_rbsde(lat, drv, bars)
-        if log is not None:
-            log.add(sol)
-            log.add(direct)
-        gap = abs(sol.value() - direct.value())
-        worst = max(worst, gap)
-        if not gap <= tol:
-            failures += 1
-    return _report(
-        7,
-        "predictable-obstacle reduction agreement",
-        cases,
-        failures,
-        worst,
-        tol,
-    )
+        direct = log.add(solve_rbsde(lat, drv, bars))
+        tally.add(abs(sol.value() - direct.value()))
+    return _report(7, "predictable-obstacle reduction agreement", tally)
 
 
 def certificate_report(log, tol=1e-12):
     """Criterion 8: reflection certificates over every recorded solve."""
+    tally = _Tally(tol)
+    tally.add(log.worst())
+    tally.cases = log.solves
     return _report(
         8,
         "reflection and singularity certificates",
-        log.solves,
-        0 if log.worst() <= tol else 1,
-        log.worst(),
-        tol,
+        tally,
         flat_off_plus=log.flat_off_plus,
         flat_off_minus=log.flat_off_minus,
         singularity_defect=log.singularity_defect,
     )
 
 
-def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, log=None):
+def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
     """Criterion 9: ordering of solutions and of upper reflection
-    increments on constructed dominating/dominated pairs."""
+    increments on constructed dominating/dominated pairs of depth 3 at
+    least."""
     rng = _rng(seed, "comparison")
-    failures = 0
-    worst = 0.0
+    tally = _Tally(tol)
     for _ in range(cases):
-        lat = _random_lattice(rng, max_depth, min_depth=3)
-        gap_high = [rng.uniform(0.05, 0.6, i + 1) for i in range(lat.steps)]
-        gap_low_big = [rng.uniform(0.05, 0.6, i + 1) for i in range(lat.steps)]
+        lat = _random_lattice(rng, max(max_depth, 3), min_depth=3)
+        n = level_offset(lat.steps)
+        gap_high = rng.uniform(0.05, 0.6, n)
+        gap_low_big = rng.uniform(0.05, 0.6, n)
         drop = float(rng.uniform(0.0, 0.3))
         bars_big = _random_band(rng, lat, gap_low_big, gap_high)
-        lo_small = [
-            bars_big.L.level(i) - rng.uniform(0.0, 0.3, i + 1)
-            for i in range(lat.steps)
-        ] + [bars_big.xi]
+        lo_small = bars_big.L.values[:n] - rng.uniform(0.0, 0.3, n)
         bars_small = BarrierSet.build(
             lat,
             bars_big.xi,
-            L=AdaptedProcess(lat, lo_small),
+            L=AdaptedProcess(lat, np.concatenate([lo_small, bars_big.xi])),
             U=bars_big.U,
         )
         a = float(rng.uniform(-0.9, 0.9))
@@ -583,38 +528,28 @@ def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, log=None):
         c = float(rng.uniform(-0.8, 0.8))
         drv_big = Driver.linear(a, b, c)
         drv_small = Driver.linear(a, b, c - drop)
-        sol_big = solve_rbsde(lat, drv_big, bars_big)
-        sol_small = solve_rbsde(lat, drv_small, bars_small)
-        if log is not None:
-            log.add(sol_big)
-            log.add(sol_small)
+        sol_big = log.add(solve_rbsde(lat, drv_big, bars_big))
+        sol_small = log.add(solve_rbsde(lat, drv_small, bars_small))
         report = comparison_check(
             sol_big, sol_small, drv_big, drv_small, bars_big, bars_small, tol=tol
         )
-        worst = max(
-            worst, report.max_order_violation, report.max_kminus_violation
+        tally.add(
+            max(report.max_order_violation, report.max_kminus_violation),
+            ok=report.passed,
         )
-        if not report.passed:
-            failures += 1
     return _report(
-        9,
-        "comparison ordering and upper-reflection inequality",
-        cases,
-        failures,
-        worst,
-        tol,
+        9, "comparison ordering and upper-reflection inequality", tally
     )
 
 
-def verify_budget(seed=7, tol=1e-10, log=None):
+def verify_budget(seed=7, tol=1e-10, *, log):
     """Criterion 10: the per-path telescoping identity at depth 12 on a
     mixed batch of solves."""
     rng = _rng(seed, "budget")
-    failures = 0
-    worst = 0.0
-    cases, depth = _BUDGET_CASES, _BUDGET_DEPTH
-    lat = Lattice(TimeGrid(1.0, depth))
-    for k in range(cases):
+    tally = _Tally(tol)
+    lat = Lattice(TimeGrid(1.0, _BUDGET_DEPTH))
+    n = level_offset(_BUDGET_DEPTH)
+    for k in range(_BUDGET_CASES):
         kind = k % 3
         if kind == 0:
             drv = Driver.zero()
@@ -627,22 +562,15 @@ def verify_budget(seed=7, tol=1e-10, log=None):
         else:
             drv = Driver.quadratic(float(rng.uniform(0.1, 1.5)))
         if k % 2 == 0:
-            xi = np.sin(2.0 * lat.brownian(depth))
+            xi = np.sin(2.0 * lat.brownian(_BUDGET_DEPTH))
             bars = BarrierSet.build(lat, xi)
         else:
-            gaps_low = [rng.uniform(0.1, 0.7, i + 1) for i in range(depth)]
-            gaps_high = [rng.uniform(0.1, 0.7, i + 1) for i in range(depth)]
+            gaps_low = rng.uniform(0.1, 0.7, n)
+            gaps_high = rng.uniform(0.1, 0.7, n)
             bars = _random_band(rng, lat, gaps_low, gaps_high)
-        sol = solve_rbsde(lat, drv, bars)
-        if log is not None:
-            log.add(sol)
-        gap = budget_defect(sol)
-        worst = max(worst, gap)
-        if not gap <= tol:
-            failures += 1
-    return _report(
-        10, "per-path telescoping budget", cases, failures, worst, tol
-    )
+        sol = log.add(solve_rbsde(lat, drv, bars))
+        tally.add(budget_defect(sol))
+    return _report(10, "per-path telescoping budget", tally)
 
 
 def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
@@ -650,66 +578,37 @@ def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
 
     Returns ``(reports, log)`` with the reports in criterion order.
     ``cases`` rescales every randomized suite; ``max_depth`` caps the
-    random depths where a suite draws them (the penalized ladder, c6,
-    and the comparison suite, c9, still draw depth 3 at least); ``tol``
-    overrides every comparison tolerance, the strike recursion's and
-    the certificates' included (the ulp, equivalence and ladder suites
-    keep their own); ``schedule_max`` truncates the penalization weight
-    schedule.
+    random depths where a suite draws them (the suites state their own
+    depth rules); ``tol`` overrides every comparison tolerance, the
+    strike recursion's and the certificates' included (the ulp,
+    equivalence and ladder suites keep their own); ``schedule_max``
+    truncates the penalization weight schedule.
     """
-    log = CertificateLog()
 
-    def pick(default, override):
-        return default if override is None else override
+    def given(**overrides):
+        return {k: v for k, v in overrides.items() if v is not None}
 
+    sized = given(cases=cases, max_depth=max_depth)
+    for name, value in sized.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    tols = given(tol=tol)
     schedule = DEFAULT_SCHEDULE
     if schedule_max is not None:
         schedule = tuple(n for n in DEFAULT_SCHEDULE if n <= schedule_max)
         if len(schedule) < 2:
             raise ValueError("schedule_max leaves fewer than two weights")
+    log = CertificateLog()
     reports = [
-        verify_envelope(cases=pick(1000, cases), seed=seed),
-        verify_constraint_equivalence(
-            cases=pick(1000, cases), max_depth=pick(8, max_depth), seed=seed
-        ),
-        verify_snell(
-            cases=pick(100, cases),
-            max_depth=min(pick(4, max_depth), 4),
-            seed=seed,
-            tol=pick(1e-12, tol),
-            put_tol=pick(1e-10, tol),
-            log=log,
-        ),
-        verify_dynkin(
-            cases=pick(100, cases),
-            max_depth=pick(4, max_depth),
-            seed=seed,
-            tol=pick(1e-12, tol),
-            log=log,
-        ),
-        verify_quadratic(seed=seed, tol=pick(1e-10, tol), log=log),
-        verify_sandwich(
-            cases=pick(100, cases),
-            max_depth=max(pick(6, max_depth), 3),
-            seed=seed,
-            schedule=schedule,
-            log=log,
-        ),
-        verify_reduction(
-            cases=pick(50, cases),
-            depth=pick(8, max_depth),
-            seed=seed,
-            tol=pick(1e-6, tol),
-            log=log,
-        ),
-        verify_comparison(
-            cases=pick(200, cases),
-            max_depth=max(pick(6, max_depth), 3),
-            seed=seed,
-            tol=pick(1e-9, tol),
-            log=log,
-        ),
-        verify_budget(seed=seed, tol=pick(1e-10, tol), log=log),
+        verify_envelope(seed=seed, **given(cases=cases)),
+        verify_constraint_equivalence(seed=seed, **sized),
+        verify_snell(seed=seed, log=log, **sized, **given(tol=tol, put_tol=tol)),
+        verify_dynkin(seed=seed, log=log, **sized, **tols),
+        verify_quadratic(seed=seed, log=log, **tols),
+        verify_sandwich(seed=seed, log=log, schedule=schedule, **sized),
+        verify_reduction(seed=seed, log=log, **sized, **tols),
+        verify_comparison(seed=seed, log=log, **sized, **tols),
+        verify_budget(seed=seed, log=log, **tols),
     ]
-    reports.insert(7, certificate_report(log, tol=pick(1e-12, tol)))
+    reports.insert(7, certificate_report(log, **tols))
     return reports, log

@@ -145,6 +145,7 @@ def test_terminal_blank_step_columns(tmp_path):
         lambda d: d["barriers"]["l"].append({"time": 3, "value": -1.0}),
         lambda d: d["barriers"]["u"].append({"time": 4, "value": 1.0}),
         lambda d: d["barriers"]["l"][0].update(values=[-1.5, -1.4, -1.3]),
+        lambda d: d.pop("terminal"),
     ],
 )
 def test_bad_configs_exit_1(tmp_path, mangle, capsys):
@@ -154,6 +155,8 @@ def test_bad_configs_exit_1(tmp_path, mangle, capsys):
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    # nothing was written, so there is no output directory
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -492,6 +495,25 @@ def test_verify_at_depth_two_passes(tmp_path, capsys):
     assert [row[-1] for row in rows] == ["pass"] * 10
 
 
+@pytest.mark.parametrize(
+    "sizes, says",
+    [
+        (["--cases", "-3", "--depth", "3"], "cases must be at least 1, got -3"),
+        (["--cases", "0", "--depth", "3"], "cases must be at least 1, got 0"),
+        (["--cases", "2", "--depth", "0"], "max_depth must be at least 1, got 0"),
+        (["--cases", "2", "--depth", "-2"],
+         "max_depth must be at least 1, got -2"),
+    ],
+    ids=["cases-negative", "cases-zero", "depth-zero", "depth-negative"],
+)
+def test_verify_rejects_sizes_below_one(tmp_path, capsys, sizes, says):
+    out = tmp_path / "run"
+    code = main(["verify", "--out", str(out), "--schedule-max", "8", *sizes])
+    assert code == EXIT_CONFIG
+    assert f"config error: {says}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_reads_seed_from_config(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -537,9 +559,34 @@ def test_output_names_must_be_bare_file_names(
          if subcommand == "verify" else []))
     assert code == EXIT_CONFIG
     assert f"outputs.{key} must be a bare file name" in capsys.readouterr().err
-    # nothing is written outside the output directory
-    outside = {p for p in tmp_path.rglob("*") if out not in p.parents}
-    assert outside == {cfg, tmp_path / "run", out}
+    # nothing is written, not even the output directory
+    assert set(tmp_path.rglob("*")) == {cfg}
+
+
+@pytest.mark.parametrize(
+    "subcommand, outputs, says",
+    [
+        ("solve", {"solution": "manifest.json"},
+         "outputs.solution names 'manifest.json', as does the manifest"),
+        ("verify", {"report": "manifest.json"},
+         "outputs.report names 'manifest.json', as does the manifest"),
+        ("penalize", {"solution": "same.csv", "convergence": "same.csv"},
+         "outputs.convergence names 'same.csv', as does outputs.solution"),
+        ("solve", {"solution": "verify.csv"},
+         "outputs.report names 'verify.csv', as does outputs.solution"),
+    ],
+    ids=["solution-manifest", "report-manifest", "two-outputs", "a-default"],
+)
+def test_output_names_must_not_collide(tmp_path, capsys, subcommand, outputs,
+                                       says):
+    doc = witness_scenario()
+    doc["outputs"] = outputs
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert says in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------- writer columns

@@ -180,7 +180,7 @@ def test_empty_family_grows_one_weight_at_a_time():
 
     lat, bounds, spec, bars = witness_instance()
     spec2, S = _normalized_witness(spec, bars.xi)
-    fam = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S, 1e-9)
+    fam = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S)
     assert fam.gaps() == []
     for n in (0, 4, 16):
         fam.extend(n)
@@ -450,7 +450,8 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
         raise ReductionDisagreement("forced", 1.0)
 
     monkeypatch.setattr(verify, "reduce_and_solve", disagree)
-    report = verify.verify_reduction(cases=2, depth=3)
+    log = verify.CertificateLog()
+    report = verify.verify_reduction(cases=2, max_depth=3, log=log)
     assert report["failures"] == 2
 
     def broken(*args, **kwargs):
@@ -458,7 +459,61 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
 
     monkeypatch.setattr(verify, "reduce_and_solve", broken)
     with pytest.raises(RecursionError):
-        verify.verify_reduction(cases=2, depth=3)
+        verify.verify_reduction(cases=2, max_depth=3, log=log)
+
+
+def test_verify_dynkin_fails_a_game_without_value(monkeypatch):
+    # a game without a value fails whatever the tolerance, and its
+    # error is the gap between the two one-sided optima
+    from rbsdelab import verify
+    from rbsdelab.oracle import NoValue
+
+    def no_value(*args, **kwargs):
+        raise NoValue(0.0, 1e-15)
+
+    monkeypatch.setattr(verify, "exhaustive_dynkin_value", no_value)
+    log = verify.CertificateLog()
+    report = verify.verify_dynkin(cases=3, tol=1.0, log=log)
+    assert (report["cases"], report["failures"]) == (3, 3)
+    assert report["max_err"] == 1e-15
+    assert not report["passed"]
+    assert log.solves == 0
+
+
+def test_verify_sandwich_counts_a_broken_ladder(monkeypatch):
+    from rbsdelab import verify
+
+    def broken(*args, **kwargs):
+        raise SandwichViolation("forced", 1, 0, 0, 0.5)
+
+    monkeypatch.setattr(verify, "build_family", broken)
+    report = verify.verify_sandwich(
+        cases=2, max_depth=3, log=verify.CertificateLog()
+    )
+    assert (report["cases"], report["failures"]) == (2, 2)
+    assert report["max_err"] == 1.0
+    assert report["weights_solved"] == 0
+    assert not report["passed"]
+
+
+def test_verify_comparison_fails_on_a_failed_check(monkeypatch):
+    # the check's own verdict decides, even with both violations at 0
+    from types import SimpleNamespace
+
+    from rbsdelab import verify
+
+    def failed(*args, **kwargs):
+        return SimpleNamespace(
+            passed=False, max_order_violation=0.0, max_kminus_violation=0.0
+        )
+
+    monkeypatch.setattr(verify, "comparison_check", failed)
+    report = verify.verify_comparison(
+        cases=2, max_depth=3, log=verify.CertificateLog()
+    )
+    assert (report["cases"], report["failures"]) == (2, 2)
+    assert report["max_err"] == 0.0
+    assert not report["passed"]
 
 
 def test_default_schedule_shape():
