@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import effective_barriers
 from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
@@ -195,10 +194,10 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
 
     ``F(y) = f_drift(level, y, Z) dt + g_fn(level, y, y) dA +
     penalty(level, y)``
-    with absent pieces skipped.  The nodes of the level are the last
-    axis of ``base``, leading axes a batch, and errors name the node
-    within its level.  Returns the root array; raises
-    :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
+    with the clock and penalty pieces skipped where absent.  The nodes
+    of the level are the last axis of ``base``, leading axes a batch,
+    and errors name the node within its level.  Returns the root array;
+    raises :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
 
     ``phi(y) = y - base - F(y)`` is increasing, so walking outwards
     from the two points where it is already known (``base`` and the
@@ -211,19 +210,24 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
     closes it outright.
     Every generator value is checked, and reaching ``_SECANT_MAX``
-    steps with a bracket still open raises.
+    steps with a bracket still open raises.  One fixed-point polish
+    ``base + F(y)`` follows; ``y`` is the last probe, so ``F(y)`` is
+    already known and the polish costs one evaluation, the polished
+    value's residual.  Each node keeps the candidate with the smaller
+    residual.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
 
     def F(y):
-        out = np.zeros_like(base)
-        if f_drift is not None:
-            out = out + np.asarray(f_drift(level, y, Z), dtype=float) * dt
+        out = np.asarray(f_drift(level, y, Z), dtype=float) * dt
         if use_g:
             out = out + np.asarray(g_fn(level, y, y), dtype=float) * dA
         if penalty is not None:
             out = out + np.asarray(penalty(level, y), dtype=float)
+        if out.shape != base.shape:
+            # a part returned a broadcastable shape, say a scalar
+            out = np.broadcast_to(out, base.shape)
         finite = np.isfinite(out)
         if not finite.all():
             raise NonFiniteDriver(level, np.argmin(finite) % out.shape[-1])
@@ -279,6 +283,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     shrunk = np.full_like(width, np.inf)  # half the width two steps back
     halved = shrunk
     side = np.zeros_like(width)  # sign of phi at the last iterate
+    F_y = None  # F at the last probe, which y then is
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_SECANT_MAX):
             tol = _ULPS * (floor + np.abs(y))
@@ -291,7 +296,8 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
             x = np.fmin(np.fmax(x, lo + nudge), hi - nudge)
             bisect = (width > shrunk) | (width <= tol)
             y = np.where(bisect, lo + 0.5 * width, x)
-            f_y = phi(y)
+            F_y = F(y)
+            f_y = y - base - F_y
             # Illinois: halve the value of an end kept twice running
             sign = np.sign(f_y)
             keep = np.where(sign == side, 0.5, 1.0)
@@ -312,9 +318,10 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
                 f"root bracket still {gap!r} wide after {_SECANT_MAX} steps",
             )
 
-    # one fixed-point polish; keep whichever candidate has the smaller
+    # one fixed-point polish, from F at the last probe unless the bracket
+    # was closed before any; keep whichever candidate has the smaller
     # residual, element-wise
-    yp = base + F(y)
+    yp = base + (F(y) if F_y is None else F_y)
     better = np.abs(phi(yp)) < np.abs(y - yp)
     y = np.where(better, yp, y)
     runaway = np.abs(y - base) > _SANE_SPAN * (1.0 + np.abs(base))
@@ -325,6 +332,14 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
             level, k % y.shape[-1], span, f"root {span!r} away from the base value"
         )
     return y
+
+
+def _flat_off(dk, gap):
+    """Largest ``dk * gap`` over the nodes where ``dk > 0``, per batch
+    entry; ``gap`` is overwritten.  The gap is masked before the
+    product, since ``0 * inf`` is NaN."""
+    gap[dk <= 0.0] = 0.0
+    return np.max(np.multiply(dk, gap, out=gap), axis=-1, initial=0.0)
 
 
 def solve_rbsde(lattice, driver, barriers):
@@ -348,14 +363,21 @@ def _backward(lattice, driver, barriers, batch=()):
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
     bounds = driver.bounds
+    if bounds is not None and any(
+        p.lattice.grid != lattice.grid for p in (bounds, bounds.A)
+    ):
+        # the clock's mass is read slot by slot, and on another grid a
+        # slot stands for another time
+        raise ValueError("growth bounds live on a different grid")
     # packed buffers: each level is written in place, and each row is
     # frozen by its process at the end
     n = level_offset(steps)
     Y = np.empty(batch + (level_offset(steps + 1),))
     Y[..., n:] = barriers.xi
+    # Kminus holds the unclamped roots until the loop is done
     Z, drift, Kplus, Kminus = (np.empty(batch + (n,)) for _ in range(4))
-    # reflection certificates, maxima per batch entry
-    fplus, fminus, defect = (np.zeros(batch) for _ in range(3))
+    lows = barriers.low.values[:n]
+    highs = barriers.high.values[:n]
 
     for j in range(steps - 1, -1, -1):
         nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
@@ -383,23 +405,22 @@ def _backward(lattice, driver, barriers, batch=()):
             dA=dA,
             penalty=driver.penalty,
         )
-        low, high = effective_barriers(barriers, j)
-        y = np.clip(y_raw, low, high)
-        dkp = np.maximum(low - y_raw, 0.0)
-        dkm = np.maximum(y_raw - high, 0.0)
-
         level = slice(level_offset(j), level_offset(j + 1))
-        Y[..., level] = y
+        np.clip(y_raw, lows[level], highs[level], out=Y[..., level])
         Z[..., level] = z
-        drift[..., level] = y_raw - E
-        Kplus[..., level] = dkp
-        Kminus[..., level] = dkm
-        # mask the gap before multiplying: 0 * inf is NaN otherwise
-        gap_low = np.where(dkp > 0.0, y - low, 0.0)
-        gap_high = np.where(dkm > 0.0, high - y, 0.0)
-        fplus = np.maximum(fplus, np.max(dkp * gap_low, axis=-1, initial=0.0))
-        fminus = np.maximum(fminus, np.max(dkm * gap_high, axis=-1, initial=0.0))
-        defect = np.maximum(defect, np.max(dkp * dkm, axis=-1, initial=0.0))
+        np.subtract(y_raw, E, out=drift[..., level])
+        Kminus[..., level] = y_raw
+
+    # the projection residuals are the reflection increments
+    np.subtract(lows, Kminus, out=Kplus)
+    np.maximum(Kplus, 0.0, out=Kplus)
+    np.subtract(Kminus, highs, out=Kminus)
+    np.maximum(Kminus, 0.0, out=Kminus)
+    # reflection certificates, maxima per batch entry
+    y = Y[..., :n]
+    fplus = _flat_off(Kplus, y - lows)
+    fminus = _flat_off(Kminus, highs - y)
+    defect = np.max(Kplus * Kminus, axis=-1, initial=0.0)
 
     return [
         Solution(

@@ -2,7 +2,9 @@
 
 Each reference spells out, level by level, the one-step average, the
 slope, the closed-form root of the linear step and the merged obstacle
-band, so it shares no code with the solver or the envelope.
+band, so it shares no code with the solver or the envelope.  A small
+batched penalization ladder gets the same level-by-level recomputation
+of its reflections.
 """
 
 import numpy as np
@@ -17,9 +19,12 @@ from rbsdelab import (
     PredictableProcess,
     SnellInstance,
     TimeGrid,
+    build_family,
     snell_envelope,
     solve_rbsde,
 )
+from rbsdelab.lattice import level_offset
+from rbsdelab.verify import random_witness_instance
 
 STEPS = 1000
 FLOORS = (150, 400, 777)  # grid times where a lower entry constraint acts
@@ -65,11 +70,14 @@ def band():
 
 def backward(xi, lo, hi, step):
     """Packed levels of ``y_N = xi``,
-    ``y_i = clip(step(next level), lo_i, hi_i)``."""
+    ``y_i = clip(step(next level), lo_i, hi_i)``, and the packed
+    unclamped steps of levels 0..N-1."""
     levels = [np.asarray(xi, dtype=float)]
+    raws = []
     for i in range(STEPS - 1, -1, -1):
-        levels.append(np.clip(step(levels[-1]), lo[i], hi[i]))
-    return np.concatenate(levels[::-1])
+        raws.append(step(levels[-1]))
+        levels.append(np.clip(raws[-1], lo[i], hi[i]))
+    return np.concatenate(levels[::-1]), np.concatenate(raws[::-1])
 
 
 def average(v):
@@ -79,7 +87,7 @@ def average(v):
 def test_zero_driver_matches_the_min_max_recursion(band):
     lat, bars, xi, lo, hi = band
     sol = solve_rbsde(lat, Driver.zero(), bars)
-    ref = backward(xi, lo, hi, average)
+    ref, _ = backward(xi, lo, hi, average)
     assert np.max(np.abs(sol.Y.values - ref)) <= 1e-12
     # the entry constraints bind somewhere on both sides
     assert any(sol.Kplus.atom(k - 1).any() for k in FLOORS)
@@ -96,8 +104,62 @@ def test_linear_driver_matches_its_closed_form_step(band):
         return (average(v) + (b * z + c) * dt) / (1.0 - a * dt)
 
     sol = solve_rbsde(lat, Driver.linear(a, b, c), bars)
-    ref = backward(xi, lo, hi, step)
+    ref, raw = backward(xi, lo, hi, step)
     assert np.max(np.abs(sol.Y.values - ref)) <= 1e-12
+    # the reflections are the projection residuals of the unclamped
+    # step, and the drift is that step less the one-step average
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    kplus = np.maximum(lo - raw, 0.0)
+    kminus = np.maximum(raw - hi, 0.0)
+    assert np.max(np.abs(sol.Kplus.values - kplus)) <= 1e-12
+    assert np.max(np.abs(sol.Kminus.values - kminus)) <= 1e-12
+    mean = np.concatenate(
+        [average(ref[level_offset(i + 1) : level_offset(i + 2)]) for i in range(STEPS)]
+    )
+    assert np.max(np.abs(sol.drift.values - (raw - mean))) <= 1e-12
+    # the entry constraints bind somewhere on both sides
+    assert any(sol.Kplus.atom(k - 1).any() for k in FLOORS)
+    assert any(sol.Kminus.atom(k - 1).any() for k in CAPS)
+
+
+def test_every_rung_of_a_ladder_reflects_its_own_unclamped_step():
+    # the ladder solves all its weights in one batched pass; each rung's
+    # reflections and certificates are recomputed level by level from
+    # its own Y and drift, against the one obstacle its side keeps
+    lat, bounds, spec, bars = random_witness_instance(
+        np.random.default_rng(0), 40
+    )
+    fam = build_family(lat, bounds, spec, bars, schedule=(0, 4, 64, 1024))
+    n = lat.steps
+    sides = [
+        (sol, bars.L.level, lambda i: np.full(i + 1, np.inf))
+        for sol in fam.lower_solutions
+    ] + [
+        (sol, lambda i: np.full(i + 1, -np.inf), bars.U.level)
+        for sol in fam.upper_solutions
+    ]
+    for sol, low_of, high_of in sides:
+        fplus = fminus = defect = 0.0
+        for i in range(n):
+            y, low, high = sol.Y.level(i), low_of(i), high_of(i)
+            raw = average(sol.Y.level(i + 1)) + sol.drift.atom(i)
+            dkp = np.maximum(low - raw, 0.0)
+            dkm = np.maximum(raw - high, 0.0)
+            assert np.max(np.abs(y - np.clip(raw, low, high))) <= 1e-12
+            assert np.max(np.abs(sol.Kplus.atom(i) - dkp)) <= 1e-12
+            assert np.max(np.abs(sol.Kminus.atom(i) - dkm)) <= 1e-12
+            gap_low = np.where(dkp > 0.0, y - low, 0.0)
+            gap_high = np.where(dkm > 0.0, high - y, 0.0)
+            fplus = max(fplus, float(np.max(dkp * gap_low)))
+            fminus = max(fminus, float(np.max(dkm * gap_high)))
+            defect = max(defect, float(np.max(dkp * dkm)))
+        r = sol.residuals
+        assert abs(r.flat_off_plus - fplus) <= 1e-12
+        assert abs(r.flat_off_minus - fminus) <= 1e-12
+        assert abs(r.singularity_defect - defect) <= 1e-12
+    # both sides of the ladder reflect somewhere
+    assert all(s.Kplus.values.any() for s in fam.lower_solutions)
+    assert all(s.Kminus.values.any() for s in fam.upper_solutions)
 
 
 def test_american_put_matches_the_early_exercise_recursion():

@@ -453,6 +453,7 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
     log = verify.CertificateLog()
     report = verify.verify_reduction(cases=2, max_depth=3, log=log)
     assert report["failures"] == 2
+    assert report["max_err"] == 1.0
 
     def broken(*args, **kwargs):
         raise RecursionError("forced")

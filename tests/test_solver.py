@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from rbsdelab import solver
 from rbsdelab.barriers import BarrierSet, effective_barriers
-from rbsdelab.drivers import Driver
+from rbsdelab.drivers import Driver, GrowthBounds
 from rbsdelab.lattice import (
     IncreasingProcess,
     Lattice,
@@ -216,6 +217,35 @@ def test_root_finder_property(case):
         bracket = abs(y0 - E) + 2.0
         halvings = max(0, math.ceil(math.log2(bracket / width)))
         assert f.calls <= 2 + halvings, (E, f.calls, halvings)
+
+
+@pytest.mark.parametrize("a, calls", [(-0.4, 5), (0.4, 6)])
+def test_linear_solve_generator_calls_per_level(a, calls):
+    # F at base and at base + F(base), two secant probes and the
+    # polished value's residual, the polish reusing F at the last probe;
+    # for a > 0 the root lies beyond base + F(base), one probe more
+    lat = Lattice(TimeGrid(1.0, 50))
+    xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
+    drv = Driver.linear(a, -0.5, 0.3)
+    f = counting(drv.f)
+    solve_rbsde(lat, dataclasses.replace(drv, f=f), band_barriers(lat, xi, 0.3))
+    assert f.calls <= calls * lat.steps
+
+
+@pytest.mark.parametrize("steps", [10, 2], ids=["finer", "coarser"])
+def test_growth_bounds_on_another_grid_raise(steps):
+    # on the 10-step grid the clock's atom at t = 0.3 sits in the slot
+    # that a 5-step solve reads as t = 0.6; a 2-step clock has too few
+    lat = Lattice(TimeGrid(1.0, 5))
+    other = Lattice(TimeGrid(1.0, steps))
+    A = IncreasingProcess.from_time_atoms(other, {max(1, steps * 3 // 10): 1.0})
+    drv = Driver.zero(
+        g=lambda j, y_left, y: np.ones_like(y),
+        bounds=GrowthBounds.constants(other, eta=0.0, C=0.0, A=A),
+    )
+    xi = np.zeros(lat.steps + 1)
+    with pytest.raises(ValueError, match="growth bounds live on a different grid"):
+        solve_rbsde(lat, drv, free_barriers(lat, xi))
 
 
 def test_non_finite_driver_names_the_node(lat):
