@@ -88,6 +88,8 @@ from .oracle import (
     exhaustive_stopping_value,
     exhaustive_dynkin_value,
     quadratic_closed_form,
+    quadratic_continuous_value,
+    linear_continuous_value,
 )
 from .verify import (
     CertificateLog,
@@ -150,6 +152,8 @@ __all__ = [
     "exhaustive_stopping_value",
     "exhaustive_dynkin_value",
     "quadratic_closed_form",
+    "quadratic_continuous_value",
+    "linear_continuous_value",
     "CertificateLog",
     "run_all",
     "verify_envelope",

@@ -50,6 +50,9 @@ __all__ = [
     "build_dominated_driver",
 ]
 
+# largest relative gap at which two routes to a node still recombine
+_RECOMBINE_TOL = 1e-9
+
 
 class InconsistentSemimartingale(Exception):
     """Decomposition data does not define a process on the lattice."""
@@ -166,30 +169,34 @@ class SemimartingaleSpec:
     def lattice(self):
         return self.gamma.lattice
 
-    def reconstruct(self, tol=1e-9):
+    def reconstruct(self, tol=_RECOMBINE_TOL):
         """Forward-build the process ``s0 - vplus + vminus + slope part``.
 
         Raises :class:`InconsistentSemimartingale` when a node is
         reachable with two different values (the data does not live on
         the recombining lattice).
         """
-        lat = self.lattice
         levels = [np.array([self.s0])]
-        for i in range(lat.steps):
-            cur = levels[i]
-            drift = self.vminus.atom(i) - self.vplus.atom(i)
-            g = self.gamma.atom(i) * lat.sqrt_dt
-            down = cur + drift - g
-            up = cur + drift + g
-            nxt = np.empty(i + 2)
-            nxt[: i + 1] = down
-            nxt[i + 1] = up[i]
-            gap = np.abs(nxt[1 : i + 1] - up[: i])
-            if gap.size and gap.max() > tol * max(1.0, np.abs(nxt).max()):
-                node = int(np.argmax(gap)) + 1
-                raise InconsistentSemimartingale(i + 1, node, gap.max())
-            levels.append(nxt)
-        return AdaptedProcess(lat, levels)
+        for i in range(self.lattice.steps):
+            levels.append(self._next_level(i, levels[i], tol))
+        return AdaptedProcess(self.lattice, levels)
+
+    def _next_level(self, i, cur, tol=_RECOMBINE_TOL):
+        """Level ``i + 1`` of the forward build, from level ``i``'s
+        values ``cur``, with the recombination check of
+        :meth:`reconstruct`."""
+        drift = self.vminus.atom(i) - self.vplus.atom(i)
+        g = self.gamma.atom(i) * self.lattice.sqrt_dt
+        down = cur + drift - g
+        up = cur + drift + g
+        nxt = np.empty(i + 2)
+        nxt[: i + 1] = down
+        nxt[i + 1] = up[i]
+        gap = np.abs(nxt[1 : i + 1] - up[:i])
+        if gap.size and gap.max() > tol * max(1.0, np.abs(nxt).max()):
+            node = int(np.argmax(gap)) + 1
+            raise InconsistentSemimartingale(i + 1, node, gap.max())
+        return nxt
 
     def __repr__(self):
         return (

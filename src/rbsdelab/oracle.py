@@ -8,9 +8,11 @@ nodes an earlier mark shadows stop every path at the same level, so
 they are one rule: depths 1 to 4 have 2, 5, 18 and 97 distinct rules
 out of 2, 8, 64 and 1,024 markings.  Envelopes are a quadratic
 rescan, and the pure-quadratic-driver value is its log-sum-exp
-closed form.  The only imports are the lattice containers and their
-packed layout, so these references share no logic with the solvers
-they are used to check.
+closed form.  Two continuous-time closed forms (squared-slope and
+affine drivers on a payoff of the Brownian endpoint) are Gauss–Hermite
+averages; the lattice converges to them at first order.  The only
+imports are the lattice containers and their packed layout, so these
+references share no logic with the solvers they are used to check.
 
 Enumeration is exponential in the square of the depth, hence the hard
 caps: a depth-5 tree already has 2^15 markings and a depth-4 game
@@ -31,11 +33,17 @@ __all__ = [
     "exhaustive_stopping_value",
     "exhaustive_dynkin_value",
     "quadratic_closed_form",
+    "quadratic_continuous_value",
+    "linear_continuous_value",
     "envelope_brute_force",
 ]
 
 # 2^21 rule bitmasks is the largest enumeration we allow
 _MAX_RULE_BITS = 21
+# Gauss–Hermite nodes of the continuous closed forms: for the tanh
+# payoff of the convergence test 100 nodes agree with 200 to 3e-12, and
+# numpy's weights overflow from about 375 nodes on
+_HERMITE_POINTS = 120
 
 
 class DepthTooLarge(Exception):
@@ -242,6 +250,46 @@ def quadratic_closed_form(c, xi):
     ties = np.count_nonzero(at_top)
     rest = np.sum(np.exp(np.where(at_top, -np.inf, a - top))) / ties
     return float((np.log1p(rest) + math.log(ties) + top) / (2.0 * c))
+
+
+def _brownian_mean(h, horizon):
+    """``E[h(W_T)]`` for a standard Brownian motion at ``T = horizon``,
+    by Gauss–Hermite quadrature (weight ``exp(-x**2 / 2)``, whose total
+    is ``sqrt(2 pi)``)."""
+    x, w = np.polynomial.hermite_e.hermegauss(_HERMITE_POINTS)
+    vals = np.asarray(h(math.sqrt(horizon) * x), dtype=float)
+    return float(w @ vals) / math.sqrt(2.0 * math.pi)
+
+
+def quadratic_continuous_value(c, payoff, horizon=1.0):
+    """Continuous-time value at 0 of the driver ``c * z**2`` with
+    terminal value ``payoff(W_T)``.
+
+    The exponential change of variable makes ``exp(2c Y)`` a
+    martingale, so ``Y_0 = ln E[exp(2c payoff(W_T))] / (2c)``.
+    ``payoff`` maps an array of endpoints to payoffs.  Requires
+    ``c != 0``.
+    """
+    c = float(c)
+    if c == 0.0:
+        raise ValueError("c must be nonzero")
+    mean = _brownian_mean(lambda w: np.exp(2.0 * c * payoff(w)), horizon)
+    return math.log(mean) / (2.0 * c)
+
+
+def linear_continuous_value(a, b, c, payoff, horizon=1.0):
+    """Continuous-time value at 0 of the driver ``a*y + b*z + c`` with
+    terminal value ``payoff(W_T)``.
+
+    Discounting by ``e^{a t}`` removes ``a y``, and the Girsanov shift
+    by ``b`` removes ``b z``, so
+    ``Y_0 = e^{aT} E[payoff(W_T + bT)] + c (e^{aT} - 1) / a``, the last
+    term being ``c T`` when ``a == 0``.
+    """
+    a, b, c, T = float(a), float(b), float(c), float(horizon)
+    mean = _brownian_mean(lambda w: payoff(w + b * T), T)
+    carry = c * T if a == 0.0 else c * math.expm1(a * T) / a
+    return math.exp(a * T) * mean + carry
 
 
 def envelope_brute_force(times, g, weights, n):

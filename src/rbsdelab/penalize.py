@@ -33,7 +33,12 @@ import numpy as np
 
 from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec, build_dominated_driver
-from .lattice import IncreasingProcess, PredictableProcess, level_offset
+from .lattice import (
+    AdaptedProcess,
+    IncreasingProcess,
+    PredictableProcess,
+    level_offset,
+)
 from .solver import _backward, solve_rbsde
 
 __all__ = [
@@ -97,13 +102,16 @@ def _normalized_witness(spec, xi):
     The last-step martingale slope becomes the slope of ``xi`` and the
     leftover one-step gap is split into the two bounded-variation
     parts, so the rebuilt process hits the terminal values (up to
-    rounding) while keeping the decomposition consistent.
+    rounding) while keeping the decomposition consistent.  Its levels
+    ``0..N-1`` are the witness's own, built from the same data, so
+    only its last step is built.
     """
     lat = spec.lattice
     steps = lat.steps
     S = spec.reconstruct()
+    prev = S.level(steps - 1)
     xi = np.asarray(xi, dtype=float)
-    gap = 0.5 * (xi[1:] + xi[:-1]) - S.level(steps - 1)
+    gap = 0.5 * (xi[1:] + xi[:-1]) - prev
     last = level_offset(steps - 1)
 
     def rebuilt(proc, slot):
@@ -118,7 +126,9 @@ def _normalized_witness(spec, xi):
             rebuilt(spec.gamma, (xi[1:] - xi[:-1]) / (2.0 * lat.sqrt_dt)),
         ),
     )
-    return spec2, spec2.reconstruct()
+    head = S.values[: level_offset(steps)]
+    nxt = spec2._next_level(steps - 1, prev)
+    return spec2, AdaptedProcess(lat, np.concatenate([head, nxt]))
 
 
 def _first_break(weights, groups):

@@ -92,13 +92,14 @@ class ImplicitStepDivergence(Exception):
 
 
 class NonFiniteDriver(Exception):
-    """Generator produced NaN or overflow during a step."""
+    """A generator part (rate, clock rate, source, squared-slope
+    coefficient or penalty) gave NaN or an infinity during a step."""
 
     def __init__(self, level, node):
         self.level = int(level)
         self.node = int(node)
         super().__init__(
-            f"generator returned a non-finite value at "
+            f"non-finite drift value at "
             f"(level {self.level}, node {self.node})"
         )
 
@@ -154,8 +155,14 @@ class Solution:
 
 
 def _lncosh(x):
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
+    """``ln cosh(x)``, overwriting ``x``."""
+    ax = np.abs(x, out=x)
+    tail = np.multiply(-2.0, ax)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    ax += tail
+    ax -= _LN2
+    return ax
 
 
 def _tilt_increment(coef, w, sqrt_dt):
@@ -166,27 +173,42 @@ def _tilt_increment(coef, w, sqrt_dt):
     the closed one-step increment ``lncosh(2 coef w sqrt_dt)/(2 coef)``
     (any sign of ``coef``; zero contributes nothing).  Its derivative
     in ``Z`` is ``sqrt_dt * tanh(...)``, bounded by ``sqrt_dt``, which
-    is what keeps the step monotone unconditionally.
+    is what keeps the step monotone unconditionally.  The zero-rate
+    masks are applied only where some ``coef`` is zero.
     """
     coef = np.asarray(coef, dtype=float)
     w = np.asarray(w, dtype=float)
     live = coef != 0.0
-    safe = np.where(live, coef, 1.0)
-    out = _lncosh(2.0 * safe * w * sqrt_dt) / (2.0 * safe)
-    return np.where(live, out, 0.0)
+    every = live.all()
+    twice = 2.0 * (coef if every else np.where(live, coef, 1.0))
+    x = twice * w
+    x *= sqrt_dt
+    out = _lncosh(x)
+    out /= twice
+    return out if every else np.where(live, out, 0.0)
 
 
-def _narrowed(y, f_y, lo, f_lo, hi, f_hi):
-    """Bracket after a probe: ``y`` replaces ``lo`` where ``phi(y) <= 0``
-    and ``hi`` where ``phi(y) >= 0`` (both where it is a root)."""
+def _narrow(y, f_y, lo, f_lo, hi, f_hi):
+    """Bracket after a probe, in place: ``y`` replaces ``lo`` where
+    ``phi(y) <= 0`` and ``hi`` where ``phi(y) >= 0`` (both where it is a
+    root)."""
     left = f_y <= 0.0
     right = f_y >= 0.0
-    return (
-        np.where(left, y, lo),
-        np.where(left, f_y, f_lo),
-        np.where(right, y, hi),
-        np.where(right, f_y, f_hi),
-    )
+    np.putmask(lo, left, y)
+    np.putmask(f_lo, left, f_y)
+    np.putmask(hi, right, y)
+    np.putmask(f_hi, right, f_y)
+
+
+def _check_finite(a, level):
+    """Raise :class:`NonFiniteDriver` at the first non-finite node of
+    ``a``.  One sum settles the common case, since it is finite only
+    when every entry is; a sum that overflowed gets the per-node scan.
+    Call it with overflow and invalid-value warnings silenced."""
+    if not math.isfinite(np.add.reduce(a, axis=None)):
+        finite = np.isfinite(a)
+        if not finite.all():
+            raise NonFiniteDriver(level, np.argmin(finite) % a.shape[-1])
 
 
 def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
@@ -209,17 +231,33 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     half the stopping width to either end.  A node is done when its
     bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
     closes it outright.
-    Every generator value is checked, and reaching ``_SECANT_MAX``
-    steps with a bracket still open raises.  One fixed-point polish
-    ``base + F(y)`` follows; ``y`` is the last probe, so ``F(y)`` is
-    already known and the polish costs one evaluation, the polished
-    value's residual.  Each node keeps the candidate with the smaller
-    residual.
+    ``base`` and every generator value are checked, and reaching
+    ``_SECANT_MAX`` steps with a bracket still open raises.  One
+    fixed-point polish ``base + F(y)`` follows; ``y`` is the last probe,
+    so ``F(y)`` is already known and the polish costs one evaluation,
+    the polished value's residual.  Each node keeps the candidate with
+    the smaller residual.
+
+    Which array passes run when: each finite check is one sum, with a
+    per-node scan only when the sum is not finite.  ``F`` at the second
+    known point is checked only when the exact exit fails, since to
+    pass it that ``F`` must equal the checked ``F(base)``.  The
+    expansion walk and its ``np.where`` setup run only when some
+    node's root lies outside the known pair; otherwise that pair is
+    the bracket.  A root-finding step builds the stopping width, the
+    secant point and the residual in one buffer each, and narrows the
+    bracket in place.  The test against the width two steps back
+    starts at the third step, the bisection midpoint is formed only
+    when some node bisects, and the Illinois halving starts at the
+    second step (at the first, only an exact root matches the zero
+    start sign, and both of its ends are replaced).  Floating-point
+    warnings are silenced for the whole step, generator evaluations
+    included: a non-finite value raises instead.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
 
-    def F(y):
+    def F(y, check=True):
         out = np.asarray(f_drift(level, y, Z), dtype=float) * dt
         if use_g:
             out = out + np.asarray(g_fn(level, y, y), dtype=float) * dA
@@ -228,82 +266,104 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         if out.shape != base.shape:
             # a part returned a broadcastable shape, say a scalar
             out = np.broadcast_to(out, base.shape)
-        finite = np.isfinite(out)
-        if not finite.all():
-            raise NonFiniteDriver(level, np.argmin(finite) % out.shape[-1])
+        if check:
+            _check_finite(out, level)
         return out
 
     def phi(y):
         return y - base - F(y)
 
-    Fb = F(base)
-    y0 = base + Fb
-    F0 = F(y0)
-    if np.array_equal(F0, Fb):
-        # drift does not depend on the unknown here: y0 is the exact root
-        return y0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _check_finite(base, level)
+        Fb = F(base)
+        y0 = base + Fb
+        F0 = F(y0, check=False)
+        if (F0 == Fb).all():
+            # drift does not depend on the unknown here: y0 is the exact
+            # root (and F0, equal to the checked Fb, is finite)
+            return y0
+        _check_finite(F0, level)
 
-    # phi is known at base (-Fb) and at y0 = base + Fb; call them p < q.
-    # A node with phi(p) > 0 has its root below p, one with phi(p) <= 0
-    # and phi(q) < 0 above q: walk each such node away from the pair,
-    # doubling the step, until phi changes sign.  Every probe either
-    # closes the bracket or becomes its new near end.  The first step is
-    # floored at the stopping width: q == p wherever Fb is below half an
-    # ulp of base.
-    swap = y0 < base
-    p = np.minimum(base, y0)
-    q = np.maximum(base, y0)
-    f_y0 = y0 - base - F0
-    f_p = np.where(swap, f_y0, -Fb)
-    f_q = np.where(swap, -Fb, f_y0)
-    down = f_p > 0.0
-    up = ~down & (f_q < 0.0)
-    lo = np.where(up, q, p)
-    f_lo = np.where(up, f_q, f_p)
-    hi = np.where(down, p, q)
-    f_hi = np.where(down, f_p, f_q)
-    floor = np.abs(base) + _TINY
-    span = np.maximum(q - p, _ULPS * floor)
-    probes = 0
-    while down.any() or up.any():
-        if probes == _EXPAND_MAX:
-            k = int(np.argmax(down | up))
-            raise ImplicitStepDivergence(
-                level, k % span.shape[-1], float(span.flat[k])
-            )
-        probes += 1
-        y = np.where(down, hi - span, np.where(up, lo + span, lo))
-        lo, f_lo, hi, f_hi = _narrowed(y, phi(y), lo, f_lo, hi, f_hi)
-        down = f_lo > 0.0
-        up = f_hi < 0.0
-        span = 2.0 * span
+        # phi is known at base (-Fb) and at y0 = base + Fb; call them
+        # p < q.  A node with phi(p) > 0 has its root below p, one with
+        # phi(p) <= 0 and phi(q) < 0 above q: walk each such node away
+        # from the pair, doubling the step, until phi changes sign.
+        # Every probe either closes the bracket or becomes its new near
+        # end.  The first step is floored at the stopping width: q == p
+        # wherever Fb is below half an ulp of base.
+        abs_base = np.abs(base)
+        floor = abs_base + _TINY
+        swap = y0 < base
+        p = np.minimum(base, y0)
+        q = np.maximum(base, y0)
+        f_y0 = y0 - base
+        f_y0 -= F0
+        f_b = -Fb
+        f_p = np.where(swap, f_y0, f_b)
+        f_q = np.where(swap, f_b, f_y0)
+        down = f_p > 0.0
+        up = f_q < 0.0
+        if not (down.any() or up.any()):
+            lo, f_lo, hi, f_hi = p, f_p, q, f_q
+        else:
+            up &= ~down
+            lo = np.where(up, q, p)
+            f_lo = np.where(up, f_q, f_p)
+            hi = np.where(down, p, q)
+            f_hi = np.where(down, f_p, f_q)
+            span = np.maximum(q - p, _ULPS * floor)
+            probes = 0
+            while down.any() or up.any():
+                if probes == _EXPAND_MAX:
+                    k = int(np.argmax(down | up))
+                    raise ImplicitStepDivergence(
+                        level, k % span.shape[-1], float(span.flat[k])
+                    )
+                probes += 1
+                y = np.where(down, hi - span, np.where(up, lo + span, lo))
+                _narrow(y, phi(y), lo, f_lo, hi, f_hi)
+                down = f_lo > 0.0
+                up = f_hi < 0.0
+                span = 2.0 * span
 
-    width = hi - lo
-    y = lo + 0.5 * width
-    shrunk = np.full_like(width, np.inf)  # half the width two steps back
-    halved = shrunk
-    side = np.zeros_like(width)  # sign of phi at the last iterate
-    F_y = None  # F at the last probe, which y then is
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_SECANT_MAX):
-            tol = _ULPS * (floor + np.abs(y))
-            if (width <= tol).all():
+        width = hi - lo
+        y = lo + 0.5 * width
+        # half the width one and two steps back, from the second and
+        # the third step on
+        halved = shrunk = None
+        F_y = None  # F at the last probe, which y then is
+        for step in range(_SECANT_MAX):
+            tol = np.abs(y)
+            tol += floor
+            tol *= _ULPS
+            done = width <= tol
+            if done.all():
                 break
-            x = lo - f_lo * (width / (f_hi - f_lo))
+            x = f_hi - f_lo
+            np.divide(width, x, out=x)
+            np.multiply(f_lo, x, out=x)
+            np.subtract(lo, x, out=x)
             # no step closer than half the stopping width to either end;
             # fmax also drops the NaN of a 0/0 step
             nudge = 0.5 * tol
-            x = np.fmin(np.fmax(x, lo + nudge), hi - nudge)
-            bisect = (width > shrunk) | (width <= tol)
-            y = np.where(bisect, lo + 0.5 * width, x)
+            end = lo + nudge
+            np.fmax(x, end, out=x)
+            np.subtract(hi, nudge, out=end)
+            np.fmin(x, end, out=x)
+            # bisect wherever the last two steps did not halve the
+            # bracket, which needs two steps back
+            bisect = done if step < 2 else (width > shrunk) | done
+            y = np.where(bisect, lo + 0.5 * width, x) if bisect.any() else x
             F_y = F(y)
-            f_y = y - base - F_y
+            f_y = y - base
+            f_y -= F_y
             # Illinois: halve the value of an end kept twice running
             sign = np.sign(f_y)
-            keep = np.where(sign == side, 0.5, 1.0)
-            lo, f_lo, hi, f_hi = _narrowed(
-                y, f_y, lo, f_lo * keep, hi, f_hi * keep
-            )
+            if step:
+                keep = np.where(sign == side, 0.5, 1.0)
+                f_lo *= keep
+                f_hi *= keep
+            _narrow(y, f_y, lo, f_lo, hi, f_hi)
             side = sign
             shrunk = halved
             halved = 0.5 * width
@@ -318,16 +378,24 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
                 f"root bracket still {gap!r} wide after {_SECANT_MAX} steps",
             )
 
-    # one fixed-point polish, from F at the last probe unless the bracket
-    # was closed before any; keep whichever candidate has the smaller
-    # residual, element-wise
-    yp = base + (F(y) if F_y is None else F_y)
-    better = np.abs(phi(yp)) < np.abs(y - yp)
-    y = np.where(better, yp, y)
-    runaway = np.abs(y - base) > _SANE_SPAN * (1.0 + np.abs(base))
+        # one fixed-point polish, from F at the last probe unless the
+        # bracket was closed before any; keep whichever candidate has
+        # the smaller residual, element-wise
+        yp = base + (F(y) if F_y is None else F_y)
+        res = yp - base
+        res -= F(yp)
+        np.abs(res, out=res)
+        gap = y - yp
+        np.abs(gap, out=gap)
+        y = np.where(res < gap, yp, y)
+        gap = y - base
+        np.abs(gap, out=gap)
+        bound = abs_base + 1.0
+        bound *= _SANE_SPAN
+        runaway = gap > bound
     if runaway.any():
         k = int(np.argmax(runaway))
-        span = float(abs(y.flat[k] - base.flat[k]))
+        span = float(gap.flat[k])
         raise ImplicitStepDivergence(
             level, k % y.shape[-1], span, f"root {span!r} away from the base value"
         )
@@ -391,9 +459,10 @@ def _backward(lattice, driver, barriers, batch=()):
         else:
             f_drift = driver.f
         if driver.source is not None:
-            base = base + np.broadcast_to(
-                np.asarray(driver.source(j), dtype=float), E.shape
-            )
+            src = np.asarray(driver.source(j), dtype=float)
+            if src.shape != E.shape:
+                src = np.broadcast_to(src, E.shape)
+            base = base + src
         dA = bounds.A.atom(j) if bounds is not None else None
         y_raw = _implicit_core(
             base,

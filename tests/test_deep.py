@@ -4,7 +4,8 @@ Each reference spells out, level by level, the one-step average, the
 slope, the closed-form root of the linear step and the merged obstacle
 band, so it shares no code with the solver or the envelope.  A small
 batched penalization ladder gets the same level-by-level recomputation
-of its reflections.
+of its reflections.  Two drivers without obstacles are checked against
+the continuous-time equation: the lattice converges at first order.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from rbsdelab import (
     SnellInstance,
     TimeGrid,
     build_family,
+    linear_continuous_value,
+    quadratic_continuous_value,
     snell_envelope,
     solve_rbsde,
 )
@@ -178,3 +181,34 @@ def test_american_put_matches_the_early_exercise_recursion():
     for i in range(STEPS - 1, -1, -1):
         v = np.maximum(average(v), payoff[i])
     assert abs(sol.value() - float(v[0])) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "driver, exact",
+    [
+        (Driver.quadratic(0.7), lambda xi: quadratic_continuous_value(0.7, xi)),
+        (
+            Driver.linear(0.4, 0.5, 0.1),
+            lambda xi: linear_continuous_value(0.4, 0.5, 0.1, xi),
+        ),
+    ],
+    ids=["quadratic", "linear"],
+)
+def test_lattice_converges_to_the_continuous_equation_at_first_order(
+    driver, exact
+):
+    # the error times N is the same constant at every depth, so the
+    # Richardson value 2 Y(2N) - Y(N) removes it
+    def payoff(w):
+        return np.tanh(1.3 * w) + 0.2
+
+    y_exact = exact(payoff)
+    values = {}
+    for n in (250, 500, 1000):
+        lat = Lattice(TimeGrid(1.0, n))
+        bars = BarrierSet.build(lat, payoff(lat.brownian(n)))
+        values[n] = solve_rbsde(lat, driver, bars).value()
+    scaled = {n: n * (y - y_exact) for n, y in values.items()}
+    for n in (250, 500):
+        assert abs(scaled[n] - scaled[1000]) <= 0.01 * abs(scaled[1000])
+    assert abs(2.0 * values[1000] - values[500] - y_exact) <= 1e-6

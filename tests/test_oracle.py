@@ -19,7 +19,9 @@ from rbsdelab.oracle import (
     envelope_brute_force,
     exhaustive_dynkin_value,
     exhaustive_stopping_value,
+    linear_continuous_value,
     quadratic_closed_form,
+    quadratic_continuous_value,
     stopping_rule_value,
 )
 
@@ -190,6 +192,26 @@ def test_quadratic_validation():
         quadratic_closed_form(0.0, np.zeros(3))
     with pytest.raises(ValueError):
         quadratic_closed_form(-1.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("c", [0.5, -0.3])
+def test_continuous_quadratic_value_of_the_endpoint(c):
+    # E[exp(2c W_T)] = exp(2 c**2 T), so Y_0 = c T
+    got = quadratic_continuous_value(c, lambda w: w, horizon=2.0)
+    assert abs(got - 2.0 * c) < 1e-12
+    with pytest.raises(ValueError):
+        quadratic_continuous_value(0.0, lambda w: w)
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [(0.0, 2.2), (0.4, 2.0 * math.exp(0.8) + 0.25 * (math.exp(0.8) - 1.0))],
+)
+def test_continuous_linear_value_of_an_affine_payoff(a, want):
+    # payoff 1 + w with b = 0.5, c = 0.1, T = 2: E[1 + W_T + bT] = 2,
+    # grown by e^{aT}, plus the rate c carried to 0
+    got = linear_continuous_value(a, 0.5, 0.1, lambda w: 1.0 + w, horizon=2.0)
+    assert abs(got - want) < 1e-12
 
 
 def test_brute_force_envelope_hand_case():

@@ -166,6 +166,78 @@ def test_drift_below_half_an_ulp_of_base_is_bracketed():
         assert abs(Fraction(got) - root) <= np.spacing(float(root))
 
 
+def test_finite_values_whose_sum_overflows_are_not_flagged():
+    # the finite check sums F; here the sum overflows while every entry
+    # is finite, and F does not depend on y, so the step exits exactly
+    f = counting(lambda j, y, z: np.full_like(y, 1.5e308))
+    y = solver._implicit_core(
+        np.zeros(2), np.zeros(2), 1.0, 0, f, None, None, None
+    )
+    assert np.array_equal(y, [1.5e308, 1.5e308])
+    assert f.calls == 2
+
+
+def test_infinities_of_both_signs_name_the_first_node():
+    # their sum is NaN, so the per-node scan names the node
+    def f(j, y, z):
+        return np.array([0.0, np.inf, -np.inf])
+
+    with pytest.raises(NonFiniteDriver) as info:
+        solver._implicit_core(
+            np.zeros(3), np.zeros(3), 1.0, 4, f, None, None, None
+        )
+    assert (info.value.level, info.value.node) == (4, 1)
+
+
+def test_one_level_expands_up_and_down_and_not_at_all():
+    # rate A y + C at dt = 0.01: node 0's root 2 lies above the known
+    # pair (1, 1.5), node 1's root -2 below (-1.5, -1), node 2's root
+    # 1.003 / 1.5 between 0.503 and 1
+    dt = 0.01
+    A = np.array([50.0, 50.0, -50.0])
+    C = np.array([0.0, 0.0, 0.3])
+    E = np.array([1.0, -1.0, 1.0])
+    f = counting(lambda j, y, z: A * y + C)
+    y = solver._implicit_core(E, np.zeros(3), dt, 0, f, None, None, None)
+    for e, a, c, got in zip(E, A, C, y):
+        qdt = Fraction(dt)
+        root = (Fraction(e) + Fraction(c) * qdt) / (1 - Fraction(a) * qdt)
+        # the bound of test_root_finder_property
+        width = 4.0 * abs(np.spacing(abs(e) + abs(float(root))))
+        assert abs(Fraction(got) - root) <= width, (e, got, float(root))
+    # F at base and at base + F(base), one expansion probe, two secant
+    # probes and the polished value's residual
+    assert f.calls == 6
+
+
+def spike(j, fill, value):
+    """``fill`` at every node of level ``j``, except ``value`` at node 1
+    of level 2."""
+    out = np.full(j + 1, fill)
+    if j == 2:
+        out[1] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        Driver.zero(source=lambda j: spike(j, 0.1, np.nan)),
+        Driver.zero(source=lambda j: spike(j, 0.1, np.inf)),
+        dataclasses.replace(
+            Driver.quadratic(0.5), quad=lambda j: (spike(j, 0.5, np.nan), 0.0)
+        ),
+    ],
+    ids=["nan_source", "inf_source", "nan_quad"],
+)
+def test_non_finite_step_inputs_raise_at_their_step(driver):
+    lat = Lattice(TimeGrid(1.0, 4))
+    xi = np.sin(2.0 * lat.brownian(lat.steps))
+    with pytest.raises(NonFiniteDriver) as info:
+        solve_rbsde(lat, driver, free_barriers(lat, xi))
+    assert (info.value.level, info.value.node) == (2, 1)
+
+
 def _affine_case(rng, dt):
     a = rng.uniform(-0.5, 0.5) / dt
     c = rng.normal()
