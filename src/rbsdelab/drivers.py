@@ -341,8 +341,8 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     )
 
 
-def build_dominated_driver(bounds, spec, orientation=1):
-    """Generator of the one-sided penalized equations, without the penalty.
+def build_dominated_driver(bounds, spec):
+    """Generator of both one-sided penalized equations, without the penalty.
 
     Drift rate ``eta + 4*C*gamma**2 + (m/2)*(z - gamma)**2`` with ``m``
     one plus eight times the running maximum (node envelope) of ``|C|``,
@@ -350,14 +350,12 @@ def build_dominated_driver(bounds, spec, orientation=1):
     witness and the clock term ``beta * dA``.  Only the squared-slope
     part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
     the node alone, so it enters ``source`` times ``dt`` with the
-    increments, and ``f_rest`` is zero.  ``orientation=+1`` gives
-    the downward-pushing equation solved below the upper obstacle;
-    ``orientation=-1`` flips every sign for the mirror equation.  The
-    squared-slope part is declared exact (see the module docstring), so
-    the one-sided solves stay monotone at any step size.
+    increments, and ``f_rest`` is zero.  ``f``, ``quad`` and ``source``
+    lead with a side axis: row 1 is the downward-pushing equation solved
+    below the upper obstacle, row 0 the lower one with every sign flipped.
+    The squared-slope part is declared exact (see the module docstring),
+    so the one-sided solves stay monotone at any step size.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     lattice = bounds.lattice
     if spec.lattice.grid != lattice.grid:
         raise ValueError("bounds and witness decomposition on different grids")
@@ -366,7 +364,7 @@ def build_dominated_driver(bounds, spec, orientation=1):
     )
     # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
     m = AdaptedProcess(lattice, 1.0 + 8.0 * env.values)
-    sgn = float(orientation)
+    sgn = np.array([[-1.0], [1.0]])
     dt = lattice.dt
 
     def f(j, y, z):
@@ -393,5 +391,5 @@ def build_dominated_driver(bounds, spec, orientation=1):
         quad=quad,
         f_rest=f_rest,
         source=source,
-        label=f"dominated(orientation={orientation:+d})",
+        label="dominated",
     )

@@ -12,10 +12,10 @@ penalty terms with weight ``n``.  Each is solved one-sided:
   the witness dominates it;
 - the upper equation mirrors this below the upper node obstacle.
 
-A weight schedule takes one backward pass per side: the weights are
-a batch axis of the solve.  Containment by the witness (lower
-solutions below it, upper ones above) and monotonicity in ``n`` are
-then verified for every weight at once, not assumed, with a small
+Both equations along a weight schedule take one backward pass: the
+weights, then the side, are batch axes.  Containment by the witness
+(lower solutions below it, upper ones above) and monotonicity in ``n``
+are then verified for every weight at once, not assumed, with a small
 tolerance absorbing the rounding left in the implicit steps.
 The squeeze estimates the two monotone limits along a doubling
 schedule; since a binding penalty converges only like ``1/n``, the
@@ -155,34 +155,44 @@ def _first_break(weights, groups):
         raise SandwichViolation(what, weights[w], i, k, gap[k])
 
 
-def _solve_penalized(lattice, bounds, spec2, barriers, weights, orientation):
-    """One-sided penalized solves at every weight, in one backward pass
-    with the weights as batch axis (``spec2``: the normalized witness).
+def _one_sided_pair(lattice, bounds, spec2, barriers, low, high, batch, penalty=None):
+    """The lower equation reflected at the band ``low`` only and the upper
+    one reflected at the band ``high`` only, in one backward pass with
+    the side as the last batch axis (``spec2``: the normalized witness).
+    Returns the lower and the upper solutions, each in batch order."""
+    if barriers.lattice.grid != lattice.grid:
+        raise ValueError("obstacles live on a different grid")
+    driver = replace(build_dominated_driver(bounds, spec2), penalty=penalty)
+    inf = np.full_like(low.values, np.inf)
+    bands = np.stack([low.values, -inf]), np.stack([inf, high.values])
+    sols = _backward(lattice, driver, barriers.xi, *bands, batch)
+    lows, highs = sols[0::2], sols[1::2]
+    assert not any(s.Kminus.values.any() for s in lows)
+    assert not any(s.Kplus.values.any() for s in highs)
+    return lows, highs
 
-    ``orientation=-1`` is the lower equation of the module docstring,
-    ``+1`` the upper one.
-    """
+
+def _solve_penalized(lattice, bounds, spec2, barriers, weights):
+    """Both penalized equations at every weight, in one backward pass
+    with the weights and then the side as batch axes; returns the lower
+    and the upper solutions, one per weight."""
     if any(n < 0 for n in weights):
         raise ValueError("penalty weight must be >= 0")
-    up = orientation == -1
-    side = 1.0 if up else -1.0
-    signed = side * np.asarray(weights, dtype=float)[:, None]
-    kink, mass = (barriers.l, barriers.delta) if up else (barriers.u, barriers.alpha)
-    node = {"L": barriers.L} if up else {"U": barriers.U}
+    # row 0 pushes the lower equation up to l, row 1 the upper one down to u
+    side = np.array([[1.0], [-1.0]])
+    signed = side * np.asarray(weights, dtype=float)[:, None, None]
+    kinks = np.stack([barriers.l.values, barriers.u.values])
+    masses = np.stack([barriers.delta.values, barriers.alpha.values])
 
     def penalty(level, y):
-        push = np.maximum(side * (kink.atom(level) - y), 0.0)
-        return signed * push * mass.atom(level)
+        at = slice(level_offset(level), level_offset(level + 1))
+        push = np.maximum(side * (kinks[:, at] - y), 0.0)
+        return signed * push * masses[:, at]
 
-    driver = replace(
-        build_dominated_driver(bounds, spec2, orientation=orientation),
-        penalty=penalty,
-        label=f"penalized-{'lower' if up else 'upper'}",
+    batch = (len(weights), 2)
+    return _one_sided_pair(
+        lattice, bounds, spec2, barriers, barriers.L, barriers.U, batch, penalty
     )
-    bars = BarrierSet.build(lattice, barriers.xi, **node)
-    sols = _backward(lattice, driver, bars, (len(weights),))
-    assert not any((s.Kminus if up else s.Kplus).values.any() for s in sols)
-    return sols
 
 
 class PenalizedFamily:
@@ -259,10 +269,10 @@ class PenalizedFamily:
         self._append([n])
 
     def _append(self, weights):
-        # both sides in one pass each, then the ladder from the last rung
-        args = (self.lattice, self.bounds, self.spec, self.barriers, weights)
-        lows = _solve_penalized(*args, -1)
-        highs = _solve_penalized(*args, 1)
+        # both sides in one pass, then the ladder from the last rung
+        lows, highs = _solve_penalized(
+            self.lattice, self.bounds, self.spec, self.barriers, weights
+        )
         _check_ladder(
             (self.lower_solutions[-1:] or lows[:1]) + lows,
             (self.upper_solutions[-1:] or highs[:1]) + highs,
@@ -310,8 +320,8 @@ def _check_ladder(lows, highs, S, barriers, weights):
 
 
 def build_family(lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE):
-    """Solve both penalized equations along a weight schedule, one
-    backward pass per side, then verify the full ordering ladder between
+    """Solve both penalized equations along a weight schedule, in one
+    backward pass, then verify the full ordering ladder between
     the node obstacles, the two monotone chains and the witness; a
     break raises :class:`SandwichViolation` at the first offending
     weight, then level and node.  Solver errors come before any ladder
@@ -366,16 +376,8 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     upper limit mirrors it.  Returns ``(Ybar, Yunder)``.
     """
     spec2, S = _normalized_witness(spec, barriers.xi)
-    lower, upper = (
-        solve_rbsde(
-            lattice,
-            build_dominated_driver(bounds, spec2, orientation=side),
-            BarrierSet.build(lattice, barriers.xi, **pieces),
-        )
-        for side, pieces in (
-            (-1, {"L": barriers.L, "l": barriers.l, "delta": barriers.delta}),
-            (1, {"U": barriers.U, "u": barriers.u, "alpha": barriers.alpha}),
-        )
+    (lower,), (upper,) = _one_sided_pair(
+        lattice, bounds, spec2, barriers, barriers.low, barriers.high, (2,)
     )
     rows = (
         ("lower limit below witness", lower.Y.values - S.values),

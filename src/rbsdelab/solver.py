@@ -420,16 +420,18 @@ def solve_rbsde(lattice, driver, barriers):
     obstacle interval with the projection residuals recorded as
     reflection increments.
     """
-    return _backward(lattice, driver, barriers)[0]
-
-
-def _backward(lattice, driver, barriers, batch=()):
-    """:func:`solve_rbsde` over a batch: each level has shape ``batch +
-    (i + 1,)``, which the driver's callables see, so a ``(B, 1)``
-    penalty weight solves ``B`` weights.  One solution per entry."""
-    steps = lattice.steps
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
+    bands = barriers.low.values, barriers.high.values
+    return _backward(lattice, driver, barriers.xi, *bands)[0]
+
+
+def _backward(lattice, driver, xi, low, high, batch=()):
+    """:func:`solve_rbsde` over a batch, from the terminal values ``xi``
+    and packed merged bands: each level has shape ``batch + (i + 1,)``,
+    which the driver's callables see and the bands' leading axes
+    broadcast against.  One solution per entry."""
+    steps = lattice.steps
     bounds = driver.bounds
     if bounds is not None and any(
         p.lattice.grid != lattice.grid for p in (bounds, bounds.A)
@@ -441,11 +443,11 @@ def _backward(lattice, driver, barriers, batch=()):
     # frozen by its process at the end
     n = level_offset(steps)
     Y = np.empty(batch + (level_offset(steps + 1),))
-    Y[..., n:] = barriers.xi
+    Y[..., n:] = xi
     # Kminus holds the unclamped roots until the loop is done
     Z, drift, Kplus, Kminus = (np.empty(batch + (n,)) for _ in range(4))
-    lows = barriers.low.values[:n]
-    highs = barriers.high.values[:n]
+    lows = low[..., :n]
+    highs = high[..., :n]
 
     for j in range(steps - 1, -1, -1):
         nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
@@ -475,7 +477,7 @@ def _backward(lattice, driver, barriers, batch=()):
             penalty=driver.penalty,
         )
         level = slice(level_offset(j), level_offset(j + 1))
-        np.clip(y_raw, lows[level], highs[level], out=Y[..., level])
+        np.clip(y_raw, lows[..., level], highs[..., level], out=Y[..., level])
         Z[..., level] = z
         np.subtract(y_raw, E, out=drift[..., level])
         Kminus[..., level] = y_raw

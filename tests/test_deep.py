@@ -4,7 +4,8 @@ Each reference spells out, level by level, the one-step average, the
 slope, the closed-form root of the linear step and the merged obstacle
 band, so it shares no code with the solver or the envelope.  A small
 batched penalization ladder gets the same level-by-level recomputation
-of its reflections.  Two drivers without obstacles are checked against
+of its reflections, and the exact squeeze pair is recomputed from its
+two one-sided recursions.  Two drivers without obstacles are checked against
 the continuous-time equation: the lattice converges at first order.
 """
 
@@ -15,12 +16,15 @@ from rbsdelab import (
     AdaptedProcess,
     BarrierSet,
     Driver,
+    GrowthBounds,
     IncreasingProcess,
     Lattice,
     PredictableProcess,
+    SemimartingaleSpec,
     SnellInstance,
     TimeGrid,
     build_family,
+    exact_squeeze_barriers,
     linear_continuous_value,
     quadratic_continuous_value,
     snell_envelope,
@@ -38,7 +42,8 @@ CAPS = (300, 620, 901)  # and an upper one
 def band():
     """A two-sided band around a smooth curve, with entry constraints
     hugging the curve at a few times; returns the lattice, the obstacle
-    set, the terminal values and the merged band of levels 0..N-1."""
+    set (with the curve's decomposition as its witness), the terminal
+    values and the merged band of levels 0..N-1."""
     lat = Lattice(TimeGrid(1.0, STEPS))
     curve = [
         0.4 * np.sin(1.3 * lat.brownian(i))
@@ -64,6 +69,7 @@ def band():
         u=PredictableProcess(lat, caps),
         delta=IncreasingProcess.from_time_atoms(lat, {k: 1.0 for k in FLOORS}),
         alpha=IncreasingProcess.from_time_atoms(lat, {k: 1.0 for k in CAPS}),
+        witness=SemimartingaleSpec.from_levels(lat, curve),
     )
     # a constraint charged at t_k acts on the left limit, the level k - 1
     lo = [np.maximum(low[i], floors[i]) for i in range(STEPS)]
@@ -163,6 +169,45 @@ def test_every_rung_of_a_ladder_reflects_its_own_unclamped_step():
     # both sides of the ladder reflect somewhere
     assert all(s.Kplus.values.any() for s in fam.lower_solutions)
     assert all(s.Kminus.values.any() for s in fam.upper_solutions)
+
+
+def test_exact_squeeze_matches_its_one_sided_recursions(band):
+    # each limit solves the dominated equation of its side, reflected at
+    # its own merged band only.  The step: the exponential tilt of the
+    # squared slope (m/2)(z - gamma)^2, plus the source (total variation
+    # of the witness and (eta + 4 C gamma^2) dt), signed by the side
+    lat, bars, xi, lo, hi = band
+    eta, C = 0.2, 0.5
+    m = 1.0 + 8.0 * C
+    dt, sqrt_dt = lat.dt, lat.sqrt_dt
+    witness = bars.witness.reconstruct()
+
+    def step(sign):
+        def one(v):
+            i = v.size - 2
+            w = witness.level(i + 1)
+            gamma = (w[1:] - w[:-1]) / (2.0 * sqrt_dt)
+            source = np.abs(average(w) - witness.level(i))
+            source += (eta + 4.0 * C * gamma**2) * dt
+            z = (v[1:] - v[:-1]) / (2.0 * sqrt_dt)
+            x = sign * m * (z - gamma) * sqrt_dt
+            tilt = (np.logaddexp(x, -x) - np.log(2.0)) / (sign * m)
+            return average(v) + tilt + sign * source
+
+        return one
+
+    free = [np.full(i + 1, np.inf) for i in range(STEPS)]
+    lower, _ = backward(xi, lo, free, step(-1.0))
+    upper, _ = backward(xi, [-f for f in free], hi, step(1.0))
+    bounds = GrowthBounds.constants(lat, eta=eta, C=C)
+    Ybar, Yunder = exact_squeeze_barriers(lat, bounds, bars.witness, bars)
+    assert np.max(np.abs(Yunder.values - lower)) <= 1e-12
+    assert np.max(np.abs(Ybar.values - upper)) <= 1e-12
+    # each limit sits on its entry constraints somewhere
+    for ref, edge, times in ((lower, lo, FLOORS), (upper, hi, CAPS)):
+        for k in times:
+            level = ref[level_offset(k - 1) : level_offset(k)]
+            assert np.any(level == edge[k - 1])
 
 
 def test_american_put_matches_the_early_exercise_recursion():

@@ -169,7 +169,8 @@ def test_dominated_driver_beats_quadratic_bound(lat):
     # eta + 4*C*gamma^2 + (m/2)(z - gamma)^2 >= eta + C z^2 for all z
     # needs m >= 8C; build_dominated_driver uses m = 1 + 8 * running max
     # of |C|.  The witness has no drift and the clock is empty, so the
-    # per-step drift f dt + source is that rate times dt
+    # per-step drift f dt + source is that rate times dt.  Row 1 is the
+    # upper equation, whose drift carries the rate's own sign
     rng = np.random.default_rng(8)
     C_levels = [rng.uniform(0.0, 2.0, i + 1) for i in range(lat.steps + 1)]
     bounds = GrowthBounds(
@@ -178,27 +179,28 @@ def test_dominated_driver_beats_quadratic_bound(lat):
         AdaptedProcess.constant(lat, 0.0),
     )
     spec = constant_spec(lat, slope=1.5)
-    drv = build_dominated_driver(bounds, spec, orientation=1)
+    drv = build_dominated_driver(bounds, spec)
     zs = np.linspace(-30.0, 30.0, 61)
     for i in range(lat.steps):
         y = np.zeros(i + 1)
         for z in zs:
-            step = drv.f(i, y, np.full(i + 1, z)) * lat.dt + drv.source(i)
+            step = drv.f(i, y, np.full(i + 1, z))[1] * lat.dt + drv.source(i)[1]
             cap = (0.3 + C_levels[i] * z * z) * lat.dt
             assert np.all(step >= cap - 1e-12 * lat.dt)
 
 
 def test_dominated_driver_orientation_mirror(lat):
+    # row 0 (the lower equation) is row 1 (the upper one) with every
+    # sign flipped, in each part that carries the side axis
     bounds = GrowthBounds.constants(lat, eta=0.2, C=0.5)
     spec = constant_spec(lat, slope=0.7, drift_up=0.05, drift_down=0.02)
-    up = build_dominated_driver(bounds, spec, orientation=1)
-    down = build_dominated_driver(bounds, spec, orientation=-1)
+    drv = build_dominated_driver(bounds, spec)
     y = np.zeros(3)
     z = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(up.f(2, y, z), -np.asarray(down.f(2, y, z)))
-    assert np.array_equal(up.source(2), -np.asarray(down.source(2)))
-    with pytest.raises(ValueError):
-        build_dominated_driver(bounds, spec, orientation=0)
+    for rows in (drv.f(2, y, z), drv.quad(2)[0], drv.source(2)):
+        assert rows.shape == (2, 3)
+        assert np.array_equal(rows[0], -rows[1])
+        assert np.all(rows[1] > 0.0)
 
 
 def test_dominated_driver_structure_consistent(lat):
@@ -206,17 +208,17 @@ def test_dominated_driver_structure_consistent(lat):
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,
                                     A=IncreasingProcess.lebesgue(lat))
     spec = constant_spec(lat, slope=0.3, drift_up=0.01)
-    drv = build_dominated_driver(bounds, spec, orientation=1)
+    drv = build_dominated_driver(bounds, spec)
     rng = np.random.default_rng(1)
     for i in range(lat.steps):
         y = rng.normal(0, 1, i + 1)
         z = rng.normal(0, 2, i + 1)
         q, center = drv.quad(i)
-        recomposed = np.asarray(drv.f_rest(i, y, z)) + q * (z - center) ** 2
-        assert np.allclose(np.asarray(drv.f(i, y, z)), recomposed, atol=1e-12)
+        recomposed = np.asarray(drv.f_rest(i, y, z)) + q[1] * (z - center) ** 2
+        assert np.allclose(drv.f(i, y, z)[1], recomposed, atol=1e-12)
     # source carries total variation, the clock term and the constant
     # rate eta + 4 C gamma^2 over the step
     dv = 0.01  # vminus mass per step
     for i in range(lat.steps):
         expect = dv + 0.2 * lat.dt + (0.1 + 4.0 * 0.4 * 0.3**2) * lat.dt
-        assert np.allclose(drv.source(i), expect)
+        assert np.allclose(drv.source(i)[1], expect)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,11 @@ from rbsdelab.penalize import (
     reduce_and_solve,
     squeeze_limits,
 )
-from rbsdelab.solver import NonFiniteDriver, solve_rbsde
+from rbsdelab.solver import (
+    ImplicitStepDivergence,
+    NonFiniteDriver,
+    solve_rbsde,
+)
 
 
 def witness_instance(steps=5, seed=3, tight=True):
@@ -99,11 +105,23 @@ def witness_instance(steps=5, seed=3, tight=True):
     return lat, bounds, spec, bars
 
 
-def penalized(lat, bounds, spec, bars, n, orientation):
-    """One penalized solve at weight ``n``: ``orientation=-1`` the lower
-    equation, ``+1`` the upper one."""
+def penalized(lat, bounds, spec, bars, n):
+    """Both penalized solves at weight ``n``: the lower equation's and
+    the upper one's."""
     spec2, _ = _normalized_witness(spec, bars.xi)
-    return _solve_penalized(lat, bounds, spec2, bars, [n], orientation)[0]
+    (low,), (high,) = _solve_penalized(lat, bounds, spec2, bars, [n])
+    return low, high
+
+
+def one_side(driver, row):
+    """The dominated driver's equation ``row`` alone: 0 the lower, 1 the
+    upper."""
+    return replace(
+        driver,
+        f=lambda j, y, z: driver.f(j, y, z)[row],
+        quad=lambda j: (driver.quad(j)[0][row], driver.quad(j)[1]),
+        source=lambda j: driver.source(j)[row],
+    )
 
 
 def test_one_sided_solves_have_one_sided_reflection():
@@ -118,22 +136,38 @@ def test_one_sided_solves_have_one_sided_reflection():
 def test_negative_weight_rejected():
     lat, bounds, spec, bars = witness_instance()
     with pytest.raises(ValueError):
-        penalized(lat, bounds, spec, bars, -1, -1)
+        penalized(lat, bounds, spec, bars, -1)
     with pytest.raises(ValueError):
-        penalized(lat, bounds, spec, bars, -2, 1)
+        build_family(lat, bounds, spec, bars, schedule=(-2, 0))
+
+
+def test_obstacles_on_another_grid_are_rejected():
+    # equal steps, another horizon: every slot stands for another time
+    lat, bounds, spec, bars = witness_instance()
+    other = Lattice(TimeGrid(2.0, lat.steps))
+    moved = BarrierSet.build(
+        other,
+        bars.xi,
+        L=AdaptedProcess(other, bars.L.values),
+        U=AdaptedProcess(other, bars.U.values),
+    )
+    with pytest.raises(ValueError):
+        build_family(lat, bounds, spec, moved, schedule=(0, 1))
+    with pytest.raises(ValueError):
+        exact_squeeze_barriers(lat, bounds, spec, moved)
 
 
 def test_zero_weight_is_the_unpenalized_solve():
     lat, bounds, spec, bars = witness_instance()
-    low = penalized(lat, bounds, spec, bars, 0, -1)
+    pair = penalized(lat, bounds, spec, bars, 0)
     spec2, _ = _normalized_witness(spec, bars.xi)
-    plain = solve_rbsde(
-        lat,
-        build_dominated_driver(bounds, spec2, orientation=-1),
-        BarrierSet.build(lat, bars.xi, L=bars.L),
+    drv = build_dominated_driver(bounds, spec2)
+    plain = (
+        solve_rbsde(lat, one_side(drv, 0), BarrierSet.build(lat, bars.xi, L=bars.L)),
+        solve_rbsde(lat, one_side(drv, 1), BarrierSet.build(lat, bars.xi, U=bars.U)),
     )
-    for i in range(lat.steps + 1):
-        assert np.array_equal(low.Y.level(i), plain.Y.level(i))
+    for pen, sol in zip(pair, plain):
+        assert np.array_equal(pen.Y.values, sol.Y.values)
 
 
 def test_penalty_root_formula_single_step():
@@ -248,26 +282,30 @@ def test_first_broken_rung_is_raised_before_later_ones():
 
 def test_overflowing_weight_names_its_node_within_the_level():
     # a heavy floor atom on a binding penalty: weight 2**1023 overflows
+    # the lower equation at level 1.  With the binding cap kept, the
+    # upper equation's root runs away first, at level 2: one pass over
+    # both sides reports the first failure in backward order
     lat, bounds, spec, bars = witness_instance(tight=True)
-    heavy = BarrierSet.build(
-        lat,
-        bars.xi,
-        L=bars.L,
-        U=bars.U,
-        l=bars.l,
-        u=bars.u,
-        delta=IncreasingProcess.from_time_atoms(lat, {lat.steps // 2: 100.0}),
-        alpha=bars.alpha,
-        witness=spec,
-    )
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteDriver) as single:
-            penalized(lat, bounds, spec, heavy, 2**1023, -1)
-        with pytest.raises(NonFiniteDriver) as family:
-            build_family(lat, bounds, spec, heavy, schedule=(0, 2**1023))
-    e = family.value
-    assert (e.level, e.node) == (single.value.level, single.value.node)
-    assert 0 <= e.node <= e.level
+    caps = {"u": bars.u, "alpha": bars.alpha}
+    for upper, error in ((caps, ImplicitStepDivergence), ({}, NonFiniteDriver)):
+        heavy = BarrierSet.build(
+            lat,
+            bars.xi,
+            L=bars.L,
+            U=bars.U,
+            l=bars.l,
+            delta=IncreasingProcess.from_time_atoms(lat, {lat.steps // 2: 100.0}),
+            witness=spec,
+            **upper,
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(error) as single:
+                penalized(lat, bounds, spec, heavy, 2**1023)
+            with pytest.raises(error) as family:
+                build_family(lat, bounds, spec, heavy, schedule=(0, 2**1023))
+        e = family.value
+        assert (e.level, e.node) == (single.value.level, single.value.node)
+        assert 0 <= e.node <= e.level
 
 
 def test_batched_family_matches_single_rung_solves(monkeypatch):
@@ -278,23 +316,25 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
     backward = penalize._backward
 
     def counted(*args, **kwargs):
-        passes.append(args[3])
+        passes.append(args[5])
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(penalize, "_backward", counted)
     fam = build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
-    # one pass per side, the whole schedule as the batch
-    assert passes == [(len(DEFAULT_SCHEDULE),)] * 2
+    # one pass, the whole schedule and then the side as the batch
+    assert passes == [(len(DEFAULT_SCHEDULE), 2)]
     for k, n in enumerate(DEFAULT_SCHEDULE):
-        for side, sols in (
-            (-1, fam.lower_solutions),
-            (1, fam.upper_solutions),
-        ):
-            single = penalized(lat, bounds, spec, bars, n, side).Y.values
+        pair = penalized(lat, bounds, spec, bars, n)
+        for single, sols in zip(pair, (fam.lower_solutions, fam.upper_solutions)):
+            single = single.Y.values
             batched = sols[k].Y.values
             assert np.all(
                 np.abs(batched - single) <= 1e-14 * (1.0 + np.abs(single))
             )
+    # the exact squeeze solves both sides in one pass too
+    passes.clear()
+    exact_squeeze_barriers(lat, bounds, spec, bars)
+    assert passes == [(2,)]
 
 
 def test_squeeze_converges_on_loose_tolerance():
@@ -334,7 +374,7 @@ def test_squeeze_exhaustion_is_loud_or_soft():
 def test_binding_penalty_moves_like_one_over_n():
     lat, bounds, spec, bars = witness_instance(tight=True)
     sols = {
-        n: penalized(lat, bounds, spec, bars, n, -1) for n in (256, 512, 1024)
+        n: penalized(lat, bounds, spec, bars, n)[0] for n in (256, 512, 1024)
     }
     exact_bar, exact_under = exact_squeeze_barriers(lat, bounds, spec, bars)
     errs = {
