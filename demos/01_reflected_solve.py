@@ -24,7 +24,6 @@ from rbsdelab import (
     PredictableProcess,
     TimeGrid,
     budget_defect,
-    effective_barriers,
     solve_rbsde,
 )
 
@@ -82,7 +81,7 @@ def main():
     # where does each constraint actually bind?
     print()
     for i in range(lat.steps):
-        lo_eff, hi_eff = effective_barriers(bars, i)
+        lo_eff, hi_eff = bars.low.level(i), bars.high.level(i)
         y = sol.Y.level(i)
         at_floor = int(np.sum(np.isclose(y, lo_eff)))
         at_cap = int(np.sum(np.isclose(y, hi_eff)))

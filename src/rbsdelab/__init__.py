@@ -44,7 +44,6 @@ from .barriers import (
     InfeasibleBarriers,
     envelope_profile,
     envelope_star_profile,
-    effective_barriers,
     check_left_constraint,
 )
 from .drivers import (
@@ -118,7 +117,6 @@ __all__ = [
     "InfeasibleBarriers",
     "envelope_profile",
     "envelope_star_profile",
-    "effective_barriers",
     "check_left_constraint",
     "Driver",
     "GrowthBounds",

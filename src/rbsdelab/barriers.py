@@ -5,8 +5,8 @@ Four obstacles constrain the solution: a lower and an upper node-indexed
 upper predictable obstacle acting on the left limit ``Y_{t-}`` at the
 atoms of two increasing clocks.  The predictable constraints collapse,
 on the lattice, to interval constraints at the level preceding each
-atom; :class:`BarrierSet` performs that merge once, and
-:func:`effective_barriers` reads it.
+atom; :class:`BarrierSet` performs that merge once and keeps the
+merged bands.
 
 The envelope transform of a sampled function ``g`` along a clock
 ``rho`` with penalty weight ``n`` is
@@ -43,7 +43,6 @@ __all__ = [
     "envelope_profile",
     "envelope_star_profile",
     "BarrierSet",
-    "effective_barriers",
     "check_left_constraint",
 ]
 
@@ -117,28 +116,25 @@ def envelope_profile(times, g, weights, n):
     if not (n >= 0.0) or not math.isfinite(n):
         raise ValueError("n must be a finite nonnegative number")
 
-    values = np.empty_like(t)
-    left = np.empty_like(t)
-    # track the maximizing atom by its drift-lifted key, but evaluate
-    # the envelope as g(s*) - n*(t - s*): subtracting first avoids the
-    # cancellation a large n*t would force on the lifted form
-    best_key = -np.inf
-    best_idx = -1
-    for k in range(t.size):
-        tk = t[k]
-        if best_idx < 0:
-            left[k] = -np.inf
-        else:
-            left[k] = gv[best_idx] - n * (tk - t[best_idx])
-        if w[k] > 0.0:
-            key = gv[k] + n * tk
-            if key > best_key:
-                best_key = key
-                best_idx = k
-        if best_idx < 0:
-            values[k] = -np.inf
-        else:
-            values[k] = gv[best_idx] - n * (tk - t[best_idx])
+    # the atom carrying the envelope at a time is the earliest maximizer
+    # of the drift-lifted key g(s) + n*s so far: the last atom whose key
+    # is a strict new running maximum (an atom with g = -inf never is)
+    on = np.flatnonzero((w > 0.0) & (gv > -np.inf))
+    key = gv[on] + n * t[on]
+    top = np.maximum.accumulate(np.concatenate([[-np.inf], key]))
+    lead = on[key > top[:-1]]
+    values = np.full_like(t, -np.inf)
+    left = np.full_like(t, -np.inf)
+    if lead.size:
+        # evaluate as g(s*) - n*(t - s*): subtracting first avoids the
+        # cancellation a large n*t would force on the lifted form
+        first = lead[0]
+        mark = np.full(t.size, -1)
+        mark[lead] = lead
+        s = np.maximum.accumulate(mark)[first:]
+        values[first:] = gv[s] - n * (t[first:] - t[s])
+        s = s[:-1]
+        left[first + 1 :] = gv[s] - n * (t[first + 1 :] - t[s])
     return EnvelopeResult(n, values, left)
 
 
@@ -176,8 +172,11 @@ class BarrierSet:
     scheme); it is stored as-is and never interpreted here.
 
     The merged interval of every node is computed here, once: ``low``
-    and ``high`` are the merged bands, as adapted processes, and
-    :func:`effective_barriers` serves their level views.
+    and ``high`` are the merged (effective) bands, as adapted
+    processes.  The lower one is the node obstacle joined with the
+    lower predictable obstacle wherever the lower clock charges the
+    next grid time, the upper one mirrors it, and at the terminal level
+    both equal the terminal values.
     """
 
     __slots__ = (
@@ -318,20 +317,6 @@ class BarrierSet:
 
     def __repr__(self):
         return f"BarrierSet(steps={self.lattice.steps})"
-
-
-def effective_barriers(bars, level):
-    """Merged obstacle interval per node of ``level``.
-
-    The lower effective obstacle is the node obstacle joined with the
-    lower predictable obstacle wherever the lower clock charges the
-    next grid time; the upper one mirrors this.  At the terminal level
-    both equal the terminal values.  The intervals are computed and
-    checked nonempty when ``bars`` is constructed (which raises
-    :class:`InfeasibleBarriers` otherwise); this returns level views of
-    the stored bands.
-    """
-    return bars.low.level(level), bars.high.level(level)
 
 
 def check_left_constraint(Y, g, rho):

@@ -115,6 +115,18 @@ class GrowthBounds:
         return f"GrowthBounds(steps={self.lattice.steps})"
 
 
+def _one_step(x, down, up, sqrt_dt):
+    """``(vplus, vminus, gamma)`` of the steps from the values ``x`` to
+    their ``down`` and ``up`` children, split as
+    :meth:`SemimartingaleSpec.from_levels` states."""
+    drift = 0.5 * (down + up) - x
+    return (
+        np.maximum(-drift, 0.0),
+        np.maximum(drift, 0.0),
+        (up - down) / (2.0 * sqrt_dt),
+    )
+
+
 class SemimartingaleSpec:
     """Decomposition of a candidate process: start value, two
     nondecreasing parts (added, subtracted), and the slope of its
@@ -156,20 +168,21 @@ class SemimartingaleSpec:
         x = _packed(levels, lattice.steps + 1, "SemimartingaleSpec")
         k = np.arange(level_offset(lattice.steps))
         child = k + entry_levels(lattice.steps) + 1  # the down child
-        down, up = x[child], x[child + 1]
-        drift = 0.5 * (down + up) - x[k]
+        vplus, vminus, gamma = _one_step(
+            x[k], x[child], x[child + 1], lattice.sqrt_dt
+        )
         return cls(
             float(x[0]),
-            IncreasingProcess(lattice, np.maximum(-drift, 0.0)),
-            IncreasingProcess(lattice, np.maximum(drift, 0.0)),
-            PredictableProcess(lattice, (up - down) / (2.0 * lattice.sqrt_dt)),
+            IncreasingProcess(lattice, vplus),
+            IncreasingProcess(lattice, vminus),
+            PredictableProcess(lattice, gamma),
         )
 
     @property
     def lattice(self):
         return self.gamma.lattice
 
-    def reconstruct(self, tol=_RECOMBINE_TOL):
+    def reconstruct(self):
         """Forward-build the process ``s0 - vplus + vminus + slope part``.
 
         Raises :class:`InconsistentSemimartingale` when a node is
@@ -178,10 +191,39 @@ class SemimartingaleSpec:
         """
         levels = [np.array([self.s0])]
         for i in range(self.lattice.steps):
-            levels.append(self._next_level(i, levels[i], tol))
+            levels.append(self._next_level(i, levels[i]))
         return AdaptedProcess(self.lattice, levels)
 
-    def _next_level(self, i, cur, tol=_RECOMBINE_TOL):
+    def retarget(self, xi):
+        """The decomposition with its last step aimed at the terminal
+        values ``xi``, split as :meth:`from_levels` splits a step, and
+        the process it rebuilds, which hits ``xi`` up to rounding.
+        Levels ``0..N-1`` stay this decomposition's own.
+        """
+        lat = self.lattice
+        steps = lat.steps
+        S = self.reconstruct()
+        prev = S.level(steps - 1)
+        xi = np.asarray(xi, dtype=float)
+        last = level_offset(steps - 1)
+        vplus, vminus, gamma = (
+            np.concatenate([proc.values[:last], slot])
+            for proc, slot in zip(
+                (self.vplus, self.vminus, self.gamma),
+                _one_step(prev, xi[:-1], xi[1:], lat.sqrt_dt),
+            )
+        )
+        spec = SemimartingaleSpec(
+            self.s0,
+            IncreasingProcess(lat, vplus),
+            IncreasingProcess(lat, vminus),
+            PredictableProcess(lat, gamma),
+        )
+        head = S.values[: level_offset(steps)]
+        nxt = spec._next_level(steps - 1, prev)
+        return spec, AdaptedProcess(lat, np.concatenate([head, nxt]))
+
+    def _next_level(self, i, cur):
         """Level ``i + 1`` of the forward build, from level ``i``'s
         values ``cur``, with the recombination check of
         :meth:`reconstruct`."""
@@ -193,7 +235,8 @@ class SemimartingaleSpec:
         nxt[: i + 1] = down
         nxt[i + 1] = up[i]
         gap = np.abs(nxt[1 : i + 1] - up[:i])
-        if gap.size and gap.max() > tol * max(1.0, np.abs(nxt).max()):
+        scale = max(1.0, np.abs(nxt).max())
+        if gap.size and gap.max() > _RECOMBINE_TOL * scale:
             node = int(np.argmax(gap)) + 1
             raise InconsistentSemimartingale(i + 1, node, gap.max())
         return nxt

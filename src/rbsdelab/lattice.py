@@ -331,10 +331,6 @@ class IncreasingProcess:
     def atom(self, i):
         return _level_view(self.values, i)
 
-    def support(self, i):
-        """Boolean mask of nodes at level ``i`` charging time ``t_{i+1}``."""
-        return self.atom(i) > 0.0
-
     def is_time_indexed(self):
         """True when every slot is constant across its level's nodes."""
         return _varying_level(self.values, self.lattice.steps) is None

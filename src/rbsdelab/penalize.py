@@ -33,12 +33,7 @@ import numpy as np
 
 from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec, build_dominated_driver
-from .lattice import (
-    AdaptedProcess,
-    IncreasingProcess,
-    PredictableProcess,
-    level_offset,
-)
+from .lattice import level_offset
 from .solver import _backward, solve_rbsde
 
 __all__ = [
@@ -94,41 +89,6 @@ class SandwichViolation(Exception):
             f"{self.what} violated by {self.gap!r} at (level {self.level}, "
             f"node {self.node}), penalty weight {self.n}"
         )
-
-
-def _normalized_witness(spec, xi):
-    """Rebuild the witness decomposition's last step to end at ``xi``.
-
-    The last-step martingale slope becomes the slope of ``xi`` and the
-    leftover one-step gap is split into the two bounded-variation
-    parts, so the rebuilt process hits the terminal values (up to
-    rounding) while keeping the decomposition consistent.  Its levels
-    ``0..N-1`` are the witness's own, built from the same data, so
-    only its last step is built.
-    """
-    lat = spec.lattice
-    steps = lat.steps
-    S = spec.reconstruct()
-    prev = S.level(steps - 1)
-    xi = np.asarray(xi, dtype=float)
-    gap = 0.5 * (xi[1:] + xi[:-1]) - prev
-    last = level_offset(steps - 1)
-
-    def rebuilt(proc, slot):
-        return np.concatenate([proc.values[:last], slot])
-
-    spec2 = SemimartingaleSpec(
-        spec.s0,
-        IncreasingProcess(lat, rebuilt(spec.vplus, np.maximum(-gap, 0.0))),
-        IncreasingProcess(lat, rebuilt(spec.vminus, np.maximum(gap, 0.0))),
-        PredictableProcess(
-            lat,
-            rebuilt(spec.gamma, (xi[1:] - xi[:-1]) / (2.0 * lat.sqrt_dt)),
-        ),
-    )
-    head = S.values[: level_offset(steps)]
-    nxt = spec2._next_level(steps - 1, prev)
-    return spec2, AdaptedProcess(lat, np.concatenate([head, nxt]))
 
 
 def _first_break(weights, groups):
@@ -332,7 +292,7 @@ def build_family(lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE):
         raise ValueError("schedule needs at least two entries")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    spec2, S = _normalized_witness(spec, barriers.xi)
+    spec2, S = spec.retarget(barriers.xi)
     family = PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
     family._append(schedule)
     return family
@@ -375,7 +335,7 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     with the lower predictable obstacle enforced exactly, and the
     upper limit mirrors it.  Returns ``(Ybar, Yunder)``.
     """
-    spec2, S = _normalized_witness(spec, barriers.xi)
+    spec2, S = spec.retarget(barriers.xi)
     (lower,), (upper,) = _one_sided_pair(
         lattice, bounds, spec2, barriers, barriers.low, barriers.high, (2,)
     )
@@ -398,6 +358,12 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     a failed check raises :class:`ReductionDisagreement`, since it
     would mean the two routes diverged.
     """
+    return _reduce_and_direct(lattice, driver, barriers, agreement_tol)[0]
+
+
+def _reduce_and_direct(lattice, driver, barriers, agreement_tol):
+    """:func:`reduce_and_solve`, returning the reduced solve and the
+    direct merged-obstacle solve it was checked against."""
     if driver.bounds is None:
         raise ValueError("reduction needs the generator's growth bounds")
     spec = barriers.witness
@@ -431,4 +397,4 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
             f"not dominate the generator on the obstacle range)",
             gap,
         )
-    return sol
+    return sol, direct

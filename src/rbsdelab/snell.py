@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .barriers import BarrierSet, effective_barriers
+from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec
 from .lattice import (
     AdaptedProcess,
@@ -30,6 +30,7 @@ from .lattice import (
     PredictableProcess,
     expectation_level,
     increment_level,
+    level_offset,
 )
 from .solver import SkorokhodReport, Solution
 
@@ -52,6 +53,21 @@ class HypothesisAViolated(Exception):
             f"{self.what} at (level {self.level}, node {self.node}) "
             f"by {self.gap!r}"
         )
+
+
+def _raise_first_gap(what, gap, count, shift=0):
+    """Raise :class:`HypothesisAViolated` at the first of ``count``
+    packed levels whose largest ``gap`` is positive, naming that
+    level's largest gap and reporting packed level ``i`` as level
+    ``i + shift``.  A NaN gap makes its level's maximum NaN, so the
+    level passes."""
+    top = np.maximum.reduceat(gap, level_offset(np.arange(count)))
+    offends = top > 0.0
+    if offends.any():
+        i = int(np.argmax(offends))
+        level = gap[level_offset(i) : level_offset(i + 1)]
+        k = int(np.argmax(level))
+        raise HypothesisAViolated(what, i + shift, k, level[k])
 
 
 class SnellInstance:
@@ -107,42 +123,28 @@ class SnellInstance:
             )
             return None
         spec = self.witness
-        for i in range(self.lattice.steps):
-            if np.any(spec.vplus.atom(i) != 0.0) or np.any(
-                spec.vminus.atom(i) != 0.0
-            ):
-                k = int(
-                    np.argmax(
-                        np.abs(spec.vplus.atom(i)) + np.abs(spec.vminus.atom(i))
-                    )
-                )
-                raise HypothesisAViolated(
-                    "witness is not a martingale (bounded-variation mass)",
-                    i + 1,
-                    k,
-                    (spec.vplus.atom(i) + spec.vminus.atom(i))[k],
-                )
+        steps = self.lattice.steps
+        # both parts are >= 0, so their sum is positive wherever either
+        # is nonzero; the mass of slot i acts at time t_{i+1}
+        _raise_first_gap(
+            "witness is not a martingale (bounded-variation mass)",
+            spec.vplus.values + spec.vminus.values,
+            steps,
+            shift=1,
+        )
         M = spec.reconstruct()
-        for i in range(self.lattice.steps + 1):
-            gap = self.L.level(i) - M.level(i)
-            k = int(np.argmax(gap))
-            if gap[k] > 0.0:
-                raise HypothesisAViolated(
-                    "witness below the node obstacle", i, k, gap[k]
-                )
-        for i in range(self.lattice.steps):
-            on = self.delta.support(i)
-            if not on.any():
-                continue
-            gap = np.where(on, self.l.atom(i) - M.level(i), -np.inf)
-            k = int(np.argmax(gap))
-            if gap[k] > 0.0:
-                raise HypothesisAViolated(
-                    "witness left limit below the predictable obstacle",
-                    i,
-                    k,
-                    gap[k],
-                )
+        _raise_first_gap(
+            "witness below the node obstacle", self.L.values - M.values, steps + 1
+        )
+        _raise_first_gap(
+            "witness left limit below the predictable obstacle",
+            np.where(
+                self.delta.values > 0.0,
+                self.l.values - M.values[: level_offset(steps)],
+                -np.inf,
+            ),
+            steps,
+        )
         return M
 
     def __repr__(self):
@@ -162,21 +164,22 @@ def snell_envelope(inst):
     lat = inst.lattice
     steps = lat.steps
     bars = inst.barriers
-    y_levels = [None] * (steps + 1)
-    y_levels[steps] = np.asarray(bars.xi, dtype=float)
-    z_slots = [None] * steps
-    kp_slots = [None] * steps
+    low = bars.low.values
+    # packed buffers, each level written in place
+    n = level_offset(steps)
+    Y = np.empty(level_offset(steps + 1))
+    Y[n:] = bars.xi
+    E, Z = np.empty(n), np.empty(n)
     for j in range(steps - 1, -1, -1):
-        nxt = y_levels[j + 1]
-        E = expectation_level(nxt)
-        low, _ = effective_barriers(bars, j)
-        y_levels[j] = np.maximum(E, low)
-        z_slots[j] = increment_level(nxt, lat.sqrt_dt)
-        kp_slots[j] = np.maximum(low - E, 0.0)
+        at = slice(level_offset(j), level_offset(j + 1))
+        nxt = Y[level_offset(j + 1) : level_offset(j + 2)]
+        E[at] = expectation_level(nxt)
+        Z[at] = increment_level(nxt, lat.sqrt_dt)
+        np.maximum(E[at], low[at], out=Y[at])
     return Solution(
-        Y=AdaptedProcess(lat, y_levels),
-        Z=PredictableProcess(lat, z_slots),
-        Kplus=IncreasingProcess(lat, kp_slots),
+        Y=AdaptedProcess(lat, Y),
+        Z=PredictableProcess(lat, Z),
+        Kplus=IncreasingProcess(lat, np.maximum(low[:n] - E, 0.0)),
         Kminus=IncreasingProcess.zero(lat),
         residuals=SkorokhodReport(0.0, 0.0, 0.0),
         drift=PredictableProcess.constant(lat, 0.0),

@@ -621,15 +621,13 @@ def budget_defect(sol):
     steps = lat.steps
     paths = all_paths(steps)
     nodes = path_nodes(paths)
-    acc = np.full(paths.shape[0], sol.Y.level(0)[0])
-    for j in range(steps):
-        idx = nodes[:, j]
-        db = (2.0 * paths[:, j] - 1.0) * lat.sqrt_dt
-        acc += (
-            sol.Z.atom(j)[idx] * db
-            - sol.drift.atom(j)[idx]
-            - sol.Kplus.atom(j)[idx]
-            + sol.Kminus.atom(j)[idx]
-        )
+    # every slot's increment after a down move (row 0) and an up move
+    db = np.array([[-lat.sqrt_dt], [lat.sqrt_dt]])
+    step = sol.Z.values * db - sol.drift.values - sol.Kplus.values
+    step += sol.Kminus.values
+    # gathered along every path and summed in step order from the root
+    inc = step[paths, nodes[:, :steps] + level_offset(np.arange(steps))]
+    inc[:, 0] += sol.Y.values[0]
+    np.add.accumulate(inc, axis=1, out=inc)
     terminal = sol.Y.terminal()[nodes[:, steps]]
-    return float(np.max(np.abs(terminal - acc)))
+    return float(np.max(np.abs(terminal - inc[:, -1])))

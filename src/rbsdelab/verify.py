@@ -49,8 +49,8 @@ from .penalize import (
     DEFAULT_SCHEDULE,
     ReductionDisagreement,
     SandwichViolation,
+    _reduce_and_direct,
     build_family,
-    reduce_and_solve,
 )
 from .snell import SnellInstance, snell_envelope
 from .solver import budget_defect, comparison_check, solve_rbsde
@@ -178,7 +178,7 @@ def _walk_and_times(lat):
     return walk, lat.times[entry_levels(count)]
 
 
-def random_witness_instance(rng, steps, tight=True, two_sided=True):
+def random_witness_instance(rng, steps, tight=True):
     """Obstacle set built around an explicit node-indexed candidate.
 
     The candidate is a smooth function of time and the walk, decomposed
@@ -204,22 +204,14 @@ def random_witness_instance(rng, steps, tight=True, two_sided=True):
         - pad
         - rng.uniform(0.0, 0.05, k_low)
     )
-    kwargs = {}
-    if two_sided:
-        alpha = IncreasingProcess.from_time_atoms(
-            lat, {k_high: float(rng.uniform(0.5, 2.0))}
-        )
-        high = (
-            S[level_offset(k_high - 1) : level_offset(k_high)]
-            + pad
-            + rng.uniform(0.0, 0.05, k_high)
-        )
-        kwargs = {
-            "u": PredictableProcess.from_time_values(
-                lat, {k_high: high}, fill=np.inf
-            ),
-            "alpha": alpha,
-        }
+    alpha = IncreasingProcess.from_time_atoms(
+        lat, {k_high: float(rng.uniform(0.5, 2.0))}
+    )
+    high = (
+        S[level_offset(k_high - 1) : level_offset(k_high)]
+        + pad
+        + rng.uniform(0.0, 0.05, k_high)
+    )
     # the node obstacles take the candidate's terminal values from build
     bars = BarrierSet.build(
         lat,
@@ -227,9 +219,10 @@ def random_witness_instance(rng, steps, tight=True, two_sided=True):
         L=AdaptedProcess(lat, S - margin),
         U=AdaptedProcess(lat, S + margin),
         l=PredictableProcess.from_time_values(lat, {k_low: low}),
+        u=PredictableProcess.from_time_values(lat, {k_high: high}, fill=np.inf),
         delta=delta,
+        alpha=alpha,
         witness=spec,
-        **kwargs,
     )
     bounds = GrowthBounds.constants(
         lat, eta=float(rng.uniform(0.1, 0.5)), C=float(rng.uniform(0.1, 0.8))
@@ -478,12 +471,13 @@ def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
         bounds = GrowthBounds.constants(lat, eta=eta, C=C)
         drv = Driver.linear(a, b, c, bounds=bounds)
         try:
-            sol = log.add(reduce_and_solve(lat, drv, bars, agreement_tol=tol))
+            sol, direct = _reduce_and_direct(lat, drv, bars, agreement_tol=tol)
         except ReductionDisagreement as exc:
             # a failed case, reported by how far the reduced solve missed
             tally.add(exc.gap, ok=False)
             continue
-        direct = log.add(solve_rbsde(lat, drv, bars))
+        log.add(sol)
+        log.add(direct)
         tally.add(abs(sol.value() - direct.value()))
     return _report(7, "predictable-obstacle reduction agreement", tally)
 

@@ -7,7 +7,6 @@ from rbsdelab.barriers import (
     BarrierSet,
     InfeasibleBarriers,
     check_left_constraint,
-    effective_barriers,
     envelope_profile,
     envelope_star_profile,
 )
@@ -104,6 +103,33 @@ def test_envelope_matches_brute_force():
         assert _within_4ulp(fast.left_limit_values, slow_left)
 
 
+def test_envelope_scan_matches_the_per_point_loop():
+    # the scan keeps the earliest maximizing atom, as a left-to-right
+    # loop with a strict comparison does: ties, infinities and signed
+    # zeros give bitwise the loop's values
+    def loop(t, g, w, n):
+        values, left = np.empty_like(t), np.empty_like(t)
+        best_key, best = -np.inf, -1
+        for k in range(t.size):
+            left[k] = -np.inf if best < 0 else g[best] - n * (t[k] - t[best])
+            if w[k] > 0.0 and g[k] + n * t[k] > best_key:
+                best_key, best = g[k] + n * t[k], k
+            values[k] = -np.inf if best < 0 else g[best] - n * (t[k] - t[best])
+        return values, left
+
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        size = int(rng.integers(1, 12))
+        t = np.cumsum(rng.choice([0.25, 0.5, 1.0], size)) - 0.25
+        g = rng.choice([-np.inf, np.inf, -0.0, 0.0, -1.0, 0.5, 2.0], size)
+        w = rng.choice([0.0, 1.0], size)
+        n = float(rng.choice([0.0, 1.0, 2.0]))
+        prof = envelope_profile(t, g, w, n)
+        values, left = loop(t, g, w, n)
+        assert prof.values.tobytes() == values.tobytes()
+        assert prof.left_limit_values.tobytes() == left.tobytes()
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         envelope_profile(TIMES, GVALS[:3], WEIGHTS, 1.0)
@@ -158,12 +184,12 @@ def test_barrier_build_defaults(lat):
     assert np.all(np.isposinf(bars.U.level(2)))
     assert np.array_equal(bars.L.terminal(), xi)
     assert np.array_equal(bars.U.terminal(), xi)
-    low, high = effective_barriers(bars, lat.steps)
+    low, high = bars.low.level(lat.steps), bars.high.level(lat.steps)
     assert np.array_equal(low, xi)
     assert np.array_equal(high, xi)
     # no clock charges: each merged band is its node obstacle's storage
     for j in range(lat.steps + 1):
-        low, high = effective_barriers(bars, j)
+        low, high = bars.low.level(j), bars.high.level(j)
         assert np.shares_memory(low, bars.L.level(j))
         assert np.shares_memory(high, bars.U.level(j))
 
@@ -234,13 +260,13 @@ def test_effective_barriers_merge(lat):
     bars = BarrierSet.build(
         lat, xi, L=L, U=U, l=l, u=u, delta=delta, alpha=alpha
     )
-    low, high = effective_barriers(bars, 1)  # t2 charged by delta
+    low, high = bars.low.level(1), bars.high.level(1)  # t2 charged by delta
     assert np.all(low == -0.5)
     assert np.all(high == 1.0)
-    low, high = effective_barriers(bars, 2)  # t3 charged by alpha
+    low, high = bars.low.level(2), bars.high.level(2)  # t3 charged by alpha
     assert np.all(low == -1.0)
     assert np.all(high == 0.25)
-    low, high = effective_barriers(bars, 0)  # nothing charges t1
+    low, high = bars.low.level(0), bars.high.level(0)  # nothing charges t1
     assert np.all(low == -1.0)
     assert np.all(high == 1.0)
 
@@ -253,7 +279,7 @@ def test_effective_barriers_ignore_value_off_support(lat):
         lat, xi, l=l, delta=IncreasingProcess.zero(lat)
     )
     for j in range(lat.steps):
-        low, _ = effective_barriers(bars, j)
+        low = bars.low.level(j)
         assert np.all(np.isneginf(low))
 
 
@@ -296,7 +322,7 @@ def test_effective_barriers_are_the_merge_stored_at_construction(lat):
     )
     bars = BarrierSet(L, U, l, u, delta, alpha)
     for j in range(steps):
-        low, high = effective_barriers(bars, j)
+        low, high = bars.low.level(j), bars.high.level(j)
         expect_low = L.level(j).copy()
         expect_high = U.level(j).copy()
         for k in range(j + 1):
@@ -310,9 +336,9 @@ def test_effective_barriers_are_the_merge_stored_at_construction(lat):
         if j not in charged:
             assert np.array_equal(low, L.level(j))
             assert np.array_equal(high, U.level(j))
-    assert np.any(effective_barriers(bars, 1)[0] != L.level(1))
-    assert np.any(effective_barriers(bars, 3)[1] != U.level(3))
-    low, high = effective_barriers(bars, steps)
+    assert np.any(bars.low.level(1) != L.level(1))
+    assert np.any(bars.high.level(3) != U.level(3))
+    low, high = bars.low.level(steps), bars.high.level(steps)
     assert np.array_equal(low, bars.xi) and np.array_equal(high, bars.xi)
     assert not low.flags.writeable and not high.flags.writeable
 

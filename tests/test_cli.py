@@ -146,6 +146,7 @@ def test_terminal_blank_step_columns(tmp_path):
         lambda d: d["barriers"]["u"].append({"time": 4, "value": 1.0}),
         lambda d: d["barriers"]["l"][0].update(values=[-1.5, -1.4, -1.3]),
         lambda d: d.pop("terminal"),
+        lambda d: d.update(terminal={"kind": "table", "values": [0.0, 1.0]}),
     ],
 )
 def test_bad_configs_exit_1(tmp_path, mangle, capsys):
@@ -422,6 +423,54 @@ def test_snell_put_scenario(tmp_path):
     y_col, l_col = header.index("Y"), header.index("L_eff")
     for row in rows:
         assert float(row[y_col]) >= float(row[l_col]) - 1e-12
+
+
+def test_terminal_values_table_reads_as_the_last_levels_row(tmp_path):
+    # {"kind": "table", "values": [...]} gives the terminal level alone;
+    # a levels table reads only its last row
+    xi = [0.1 * j - 0.2 for j in range(6)]
+    by_values = base_scenario(terminal={"kind": "table", "values": xi})
+    by_levels = base_scenario(
+        terminal={
+            "kind": "table",
+            "levels": [[9.0] * (i + 1) for i in range(5)] + [xi],
+        }
+    )
+    csvs = []
+    for name, doc in (("values", by_values), ("levels", by_levels)):
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        csvs.append((out / "solution.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert np.array_equal(ScenarioConfig(by_values).barriers.xi, xi)
+
+
+def test_lebesgue_clock_and_call_payoff(tmp_path):
+    doc = {
+        "schema": 1,
+        "grid": {"T": 1.0, "steps": 5},
+        "barriers": {
+            "L": {"kind": "payoff", "form": "call", "strike": 0.9},
+            "l": [{"time": 2, "value": 0.4}],
+        },
+        "measures": {"delta": "lebesgue"},
+        "terminal": {"kind": "payoff", "form": "call", "strike": 0.9},
+    }
+    scn = ScenarioConfig(doc)
+    lat, bars = scn.lattice, scn.barriers
+    walk = np.concatenate([lat.brownian(i) for i in range(lat.steps + 1)])
+    assert np.array_equal(bars.L.values, np.maximum(np.exp(walk) - 0.9, 0.0))
+    assert np.all(bars.delta.values == lat.dt)
+    # the clock charges every time, so the floor at t_2 joins level 1
+    assert np.array_equal(
+        bars.low.level(1), np.maximum(bars.L.level(1), 0.4)
+    )
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["snell", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    cols = _columns(out / "solution.csv")
+    assert np.array_equal(_bits(_floats(cols["L_eff"])), _bits(bars.low.values))
 
 
 # -------------------------------------------------------------- envelope

@@ -71,7 +71,7 @@ def test_growth_bounds_validation(lat):
     gb = GrowthBounds.constants(lat, eta=0.5, C=2.0, beta=0.25)
     assert np.all(gb.eta.level(3) == 0.5)
     assert np.all(gb.C.level(0) == 2.0)
-    assert not gb.A.support(0).any()
+    assert not (gb.A.atom(0) > 0.0).any()
 
 
 def test_reconstruct_hand_case(lat):

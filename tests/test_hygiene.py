@@ -1,6 +1,6 @@
-"""Source hygiene: every name a package module imports is used there,
-and every public function and method is reached from outside the
-tests."""
+"""Source hygiene: every name a package module, demo or test imports
+is used there, and every public function and method is reached from
+outside the tests."""
 
 import ast
 import inspect
@@ -57,11 +57,17 @@ def test_unused_import_scan_sees_plain_aliased_and_exported_names():
     assert unused_imports(source) == [(1, "math"), (3, "path")]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in SRC.glob("*.py")), ids=str
-)
+# the package modules by file name, the demos and tests by directory too
+SCANNED = {p.name: p for p in SRC.glob("*.py")} | {
+    f"{p.parent.name}/{p.name}": p
+    for folder in ("demos", "tests")
+    for p in (SRC.parent.parent / folder).glob("*.py")
+}
+
+
+@pytest.mark.parametrize("module", sorted(SCANNED), ids=str)
 def test_no_unused_imports(module):
-    found = unused_imports((SRC / module).read_text())
+    found = unused_imports(SCANNED[module].read_text())
     assert not found, f"{module}: unused imports (line, name): {found}"
 
 

@@ -6,7 +6,6 @@ import pytest
 from rbsdelab.barriers import (
     BarrierSet,
     check_left_constraint,
-    effective_barriers,
 )
 from rbsdelab.drivers import (
     Driver,
@@ -27,7 +26,6 @@ from rbsdelab.penalize import (
     ReductionDisagreement,
     SandwichViolation,
     ScheduleExhausted,
-    _normalized_witness,
     _solve_penalized,
     build_family,
     exact_squeeze_barriers,
@@ -108,7 +106,7 @@ def witness_instance(steps=5, seed=3, tight=True):
 def penalized(lat, bounds, spec, bars, n):
     """Both penalized solves at weight ``n``: the lower equation's and
     the upper one's."""
-    spec2, _ = _normalized_witness(spec, bars.xi)
+    spec2, _ = spec.retarget(bars.xi)
     (low,), (high,) = _solve_penalized(lat, bounds, spec2, bars, [n])
     return low, high
 
@@ -160,7 +158,7 @@ def test_obstacles_on_another_grid_are_rejected():
 def test_zero_weight_is_the_unpenalized_solve():
     lat, bounds, spec, bars = witness_instance()
     pair = penalized(lat, bounds, spec, bars, 0)
-    spec2, _ = _normalized_witness(spec, bars.xi)
+    spec2, _ = spec.retarget(bars.xi)
     drv = build_dominated_driver(bounds, spec2)
     plain = (
         solve_rbsde(lat, one_side(drv, 0), BarrierSet.build(lat, bars.xi, L=bars.L)),
@@ -213,7 +211,7 @@ def test_empty_family_grows_one_weight_at_a_time():
     from rbsdelab.penalize import PenalizedFamily
 
     lat, bounds, spec, bars = witness_instance()
-    spec2, S = _normalized_witness(spec, bars.xi)
+    spec2, S = spec.retarget(bars.xi)
     fam = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S)
     assert fam.gaps() == []
     for n in (0, 4, 16):
@@ -475,7 +473,7 @@ def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
     with pytest.raises(ReductionDisagreement) as info:
         reduce_and_solve(lat, drv, bars)
     lowest_cap = min(
-        float(effective_barriers(bars, i)[1].min()) for i in range(lat.steps)
+        float(bars.high.level(i).min()) for i in range(lat.steps)
     )
     assert info.value.gap == 5.0 - lowest_cap
     assert "leaves the original obstacles" in str(info.value)
@@ -489,7 +487,7 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
     def disagree(*args, **kwargs):
         raise ReductionDisagreement("forced", 1.0)
 
-    monkeypatch.setattr(verify, "reduce_and_solve", disagree)
+    monkeypatch.setattr(verify, "_reduce_and_direct", disagree)
     log = verify.CertificateLog()
     report = verify.verify_reduction(cases=2, max_depth=3, log=log)
     assert report["failures"] == 2
@@ -498,7 +496,7 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
     def broken(*args, **kwargs):
         raise RecursionError("forced")
 
-    monkeypatch.setattr(verify, "reduce_and_solve", broken)
+    monkeypatch.setattr(verify, "_reduce_and_direct", broken)
     with pytest.raises(RecursionError):
         verify.verify_reduction(cases=2, max_depth=3, log=log)
 

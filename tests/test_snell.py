@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rbsdelab.barriers import effective_barriers
 from rbsdelab.drivers import Driver, SemimartingaleSpec
 from rbsdelab.lattice import (
     AdaptedProcess,
@@ -149,7 +148,7 @@ def test_envelope_is_a_flat_off_supermartingale():
         E = expectation_level(sol.Y.level(j + 1))
         y = sol.Y.level(j)
         assert np.all(y >= E)
-        low, _ = effective_barriers(inst.barriers, j)
+        low = inst.barriers.low.level(j)
         dkp = sol.Kplus.atom(j)
         assert np.all((dkp == 0.0) | (y == low))
         assert not sol.Kminus.atom(j).any()
@@ -211,7 +210,7 @@ def test_envelope_is_smallest_among_dominating_supermartingales():
         d = np.asarray(inst.xi, dtype=float) + slack[lat.steps]
         dominating = [d]
         for j in range(lat.steps - 1, -1, -1):
-            low, _ = effective_barriers(inst.barriers, j)
+            low = inst.barriers.low.level(j)
             d = np.maximum(expectation_level(d), low) + slack[j]
             dominating.append(d)
         dominating.reverse()

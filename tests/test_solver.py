@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from rbsdelab import solver
-from rbsdelab.barriers import BarrierSet, effective_barriers
+from rbsdelab.barriers import BarrierSet
 from rbsdelab.drivers import Driver, GrowthBounds
 from rbsdelab.lattice import (
     IncreasingProcess,
     Lattice,
     TimeGrid,
+    all_paths,
     expectation_level,
+    path_nodes,
 )
 from rbsdelab.oracle import quadratic_closed_form
 from rbsdelab.solver import (
@@ -320,6 +322,13 @@ def test_growth_bounds_on_another_grid_raise(steps):
         solve_rbsde(lat, drv, free_barriers(lat, xi))
 
 
+def test_obstacles_on_another_grid_raise(lat):
+    other = Lattice(TimeGrid(1.0, lat.steps + 1))
+    bars = free_barriers(other, np.zeros(other.steps + 1))
+    with pytest.raises(ValueError, match="obstacles live on a different grid"):
+        solve_rbsde(lat, Driver.zero(), bars)
+
+
 def test_non_finite_driver_names_the_node(lat):
     def f(j, y, z):
         out = np.zeros_like(y)
@@ -405,7 +414,7 @@ def test_lower_obstacle_flat_off_is_exact(lat):
     assert sol.residuals.flat_off_plus == 0.0
     assert sol.residuals.singularity_defect == 0.0
     for j in range(lat.steps):
-        low, _ = effective_barriers(bars, j)
+        low = bars.low.level(j)
         dkp = sol.Kplus.atom(j)
         y = sol.Y.level(j)
         assert np.all((dkp == 0.0) | (y == low))
@@ -421,7 +430,7 @@ def test_two_sided_clamp_keeps_increments_apart(lat):
     assert sol.residuals.singularity_defect == 0.0
     for j in range(lat.steps):
         assert np.all(sol.Kplus.atom(j) * sol.Kminus.atom(j) == 0.0)
-        low, high = effective_barriers(bars, j)
+        low, high = bars.low.level(j), bars.high.level(j)
         assert np.all(sol.Y.level(j) >= np.where(np.isfinite(low), low, -np.inf))
         assert np.all(sol.Y.level(j) <= np.where(np.isfinite(high), high, np.inf))
 
@@ -462,12 +471,56 @@ def test_comparison_orders_nested_drivers(lat):
     assert swapped.max_order_violation > 0.0
 
 
+def test_comparison_rate_counts_source_and_clock_terms(lat):
+    # the per-step drift is f dt + source + g dA: a source of 0.25 at
+    # every node, or g = 2 against a clock of mass 0.5 at t_3 (slot 2),
+    # is the whole gap to a zero driver
+    bars = free_barriers(lat, np.sin(2.0 * lat.brownian(lat.steps)))
+    zero = Driver.zero()
+    clock = IncreasingProcess.from_time_atoms(lat, {3: 0.5})
+    smalls = (
+        (Driver.zero(source=lambda j: np.full(j + 1, 0.25)), 0.25),
+        (
+            Driver.zero(
+                g=lambda j, y_left, y: np.full_like(y, 2.0),
+                bounds=GrowthBounds.constants(
+                    lat, eta=0.0, C=0.0, beta=2.0, A=clock
+                ),
+            ),
+            1.0,
+        ),
+    )
+    for drv, gap in smalls:
+        sol = solve_rbsde(lat, drv, bars)
+        report = comparison_check(sol, sol, zero, drv, bars, bars)
+        assert not report.drift_domination_ok
+        assert report.max_drift_violation == gap
+        # against itself the terms cancel
+        report = comparison_check(sol, sol, drv, drv, bars, bars)
+        assert report.passed and report.max_drift_violation == 0.0
+
+
 def test_budget_defect_is_rounding_sized():
     lat = Lattice(TimeGrid(1.0, 8))
     xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
     bars = band_barriers(lat, xi, width=0.05)
     sol = solve_rbsde(lat, Driver.linear(0.4, -0.3, 0.8), bars)
     assert budget_defect(sol) < 1e-10
+    # the same sums, accumulated level by level from the root value
+    paths = all_paths(lat.steps)
+    nodes = path_nodes(paths)
+    acc = np.full(paths.shape[0], sol.value())
+    for j in range(lat.steps):
+        k = nodes[:, j]
+        db = (2.0 * paths[:, j] - 1.0) * lat.sqrt_dt
+        acc += (
+            sol.Z.atom(j)[k] * db
+            - sol.drift.atom(j)[k]
+            - sol.Kplus.atom(j)[k]
+            + sol.Kminus.atom(j)[k]
+        )
+    terminal = sol.Y.terminal()[nodes[:, lat.steps]]
+    assert budget_defect(sol) == np.max(np.abs(terminal - acc))
 
 
 def test_solution_repr_mentions_the_root_value(lat):
