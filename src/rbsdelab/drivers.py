@@ -292,13 +292,19 @@ class Driver:
 
     @classmethod
     def linear(cls, a, b, c, **kw):
-        """Rate ``a*y + b*z + c``."""
-        a, b, c = float(a), float(b), float(c)
-        return cls(
-            f=lambda j, y, z: a * y + b * z + c,
-            label=f"linear({a!r},{b!r},{c!r})",
-            **kw,
+        """Rate ``a*y + b*z + c``.  A coefficient is a number, or an
+        array that broadcasts against the levels of a batched solve,
+        such as a ``(B, 1, 1)`` column with one value per instance."""
+        a, b, c = (
+            float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+            for v in (a, b, c)
         )
+        label = (
+            f"linear({a!r},{b!r},{c!r})"
+            if all(isinstance(v, float) for v in (a, b, c))
+            else "linear(batched)"
+        )
+        return cls(f=lambda j, y, z: a * y + b * z + c, label=label, **kw)
 
     @classmethod
     def quadratic(cls, c, **kw):

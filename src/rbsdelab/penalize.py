@@ -34,7 +34,7 @@ import numpy as np
 from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec, build_dominated_driver
 from .lattice import level_offset
-from .solver import _backward, solve_rbsde
+from .solver import _backward, _stacked_bands
 
 __all__ = [
     "ScheduleExhausted",
@@ -374,8 +374,12 @@ def _reduce_and_direct(lattice, driver, barriers, agreement_tol):
     Ybar, Yunder = exact_squeeze_barriers(
         lattice, driver.bounds, spec, barriers
     )
-    reduced_bars = BarrierSet.build(lattice, barriers.xi, L=Yunder, U=Ybar)
-    sol = solve_rbsde(lattice, driver, reduced_bars)
+    # the reduced problem (row 0) and the direct one in one pass; the
+    # reduced obstacle set lives only until its bands are stacked
+    bands = _stacked_bands(
+        [BarrierSet.build(lattice, barriers.xi, L=Yunder, U=Ybar), barriers]
+    )
+    sol, direct = _backward(lattice, driver, barriers.xi, *bands, (2,))
     n = level_offset(lattice.steps)
     y = sol.Y.values[:n]
     excursion = max(
@@ -388,7 +392,6 @@ def _reduce_and_direct(lattice, driver, barriers, agreement_tol):
             f"reduced solve leaves the original obstacles by {excursion!r}",
             excursion,
         )
-    direct = solve_rbsde(lattice, driver, barriers)
     gap = abs(sol.value() - direct.value())
     if gap > agreement_tol:
         raise ReductionDisagreement(

@@ -33,6 +33,7 @@ import numpy as np
 from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
+    Lattice,
     PredictableProcess,
     all_paths,
     expectation_level,
@@ -188,12 +189,15 @@ def _tilt_increment(coef, w, sqrt_dt):
     return out if every else np.where(live, out, 0.0)
 
 
-def _narrow(y, f_y, lo, f_lo, hi, f_hi):
+def _narrow(y, f_y, lo, f_lo, hi, f_hi, only=None):
     """Bracket after a probe, in place: ``y`` replaces ``lo`` where
     ``phi(y) <= 0`` and ``hi`` where ``phi(y) >= 0`` (both where it is a
-    root)."""
+    root), at the nodes of the mask ``only`` when one is given."""
     left = f_y <= 0.0
     right = f_y >= 0.0
+    if only is not None:
+        left &= only
+        right &= only
     np.putmask(lo, left, y)
     np.putmask(f_lo, left, f_y)
     np.putmask(hi, right, y)
@@ -221,16 +225,26 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     and errors name the node within its level.  Returns the root array;
     raises :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
 
+    Every decision is made per node, so a node's root does not depend
+    on which nodes share its array: solving two arrays at once gives,
+    bitwise, the two separate results.  The generator still sees the
+    whole array at every evaluation, so a level takes as many
+    evaluations as its slowest node.
+
     ``phi(y) = y - base - F(y)`` is increasing, so walking outwards
     from the two points where it is already known (``base`` and the
-    fixed-point image ``base + F(base)``) brackets the root.  The
-    bracket is then shrunk by Illinois steps (regula falsi that halves
-    the value kept at an end retained twice running; Dowell and
-    Jarratt, BIT 1971), replaced by a bisection step wherever the last
-    two steps did not halve the bracket.  No step lands closer than
+    fixed-point image ``y0 = base + F(base)``) brackets the root.  A
+    node where ``F`` takes the same value at both points has the exact
+    root ``y0`` and takes it; when every node does, the step returns
+    there.  The bracket is then shrunk by Illinois steps (regula falsi
+    that halves the value kept at an end retained twice running; Dowell
+    and Jarratt, BIT 1971), replaced by a bisection step wherever the
+    last two steps did not halve the bracket.  No step lands closer than
     half the stopping width to either end.  A node is done when its
     bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
-    closes it outright.
+    closes it outright.  A done node keeps its ``y`` from then on: the
+    steps the other nodes still take probe it again at the same point,
+    which changes nothing it returns.
     ``base`` and every generator value are checked, and reaching
     ``_SECANT_MAX`` steps with a bracket still open raises.  One
     fixed-point polish ``base + F(y)`` follows; ``y`` is the last probe,
@@ -240,19 +254,20 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
 
     Which array passes run when: each finite check is one sum, with a
     per-node scan only when the sum is not finite.  ``F`` at the second
-    known point is checked only when the exact exit fails, since to
-    pass it that ``F`` must equal the checked ``F(base)``.  The
+    known point is checked only when some node misses the exact exit,
+    since to take it that ``F`` must equal the checked ``F(base)``.  The
     expansion walk and its ``np.where`` setup run only when some
     node's root lies outside the known pair; otherwise that pair is
-    the bracket.  A root-finding step builds the stopping width, the
-    secant point and the residual in one buffer each, and narrows the
-    bracket in place.  The test against the width two steps back
-    starts at the third step, the bisection midpoint is formed only
-    when some node bisects, and the Illinois halving starts at the
-    second step (at the first, only an exact root matches the zero
-    start sign, and both of its ends are replaced).  Floating-point
-    warnings are silenced for the whole step, generator evaluations
-    included: a non-finite value raises instead.
+    the bracket, and a walk probe narrows only the nodes that walk.  A
+    root-finding step builds the stopping width, the secant point and
+    the residual in one buffer each, freezes the done nodes with one
+    ``np.where``, and narrows the bracket in place.  The test against
+    the width two steps back starts at the third step, the bisection
+    midpoint is formed only when some node bisects, and the Illinois
+    halving starts at the second step (at the first, only an exact root
+    matches the zero start sign, and both of its ends are replaced).
+    Floating-point warnings are silenced for the whole step, generator
+    evaluations included: a non-finite value raises instead.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
@@ -278,11 +293,13 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         Fb = F(base)
         y0 = base + Fb
         F0 = F(y0, check=False)
-        if (F0 == Fb).all():
-            # drift does not depend on the unknown here: y0 is the exact
-            # root (and F0, equal to the checked Fb, is finite)
+        # where the drift does not depend on the unknown, y0 is the
+        # exact root (and F0, equal to the checked Fb, is finite)
+        exact = F0 == Fb
+        if exact.all():
             return y0
         _check_finite(F0, level)
+        some_exact = exact.any()
 
         # phi is known at base (-Fb) and at y0 = base + Fb; call them
         # p < q.  A node with phi(p) > 0 has its root below p, one with
@@ -301,6 +318,11 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         f_b = -Fb
         f_p = np.where(swap, f_y0, f_b)
         f_q = np.where(swap, f_b, f_y0)
+        if some_exact:
+            # an exact node's bracket is closed at y0, a root at both
+            # ends: it neither walks nor steps
+            for a, v in ((p, y0), (q, y0), (f_p, 0.0), (f_q, 0.0)):
+                np.copyto(a, v, where=exact)
         down = f_p > 0.0
         up = f_q < 0.0
         if not (down.any() or up.any()):
@@ -313,17 +335,19 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
             f_hi = np.where(down, f_p, f_q)
             span = np.maximum(q - p, _ULPS * floor)
             probes = 0
-            while down.any() or up.any():
+            walk = down | up
+            while walk.any():
                 if probes == _EXPAND_MAX:
-                    k = int(np.argmax(down | up))
+                    k = int(np.argmax(walk))
                     raise ImplicitStepDivergence(
                         level, k % span.shape[-1], float(span.flat[k])
                     )
                 probes += 1
                 y = np.where(down, hi - span, np.where(up, lo + span, lo))
-                _narrow(y, phi(y), lo, f_lo, hi, f_hi)
+                _narrow(y, phi(y), lo, f_lo, hi, f_hi, walk)
                 down = f_lo > 0.0
                 up = f_hi < 0.0
+                walk = down | up
                 span = 2.0 * span
 
         width = hi - lo
@@ -350,10 +374,13 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
             np.fmax(x, end, out=x)
             np.subtract(hi, nudge, out=end)
             np.fmin(x, end, out=x)
-            # bisect wherever the last two steps did not halve the
-            # bracket, which needs two steps back
-            bisect = done if step < 2 else (width > shrunk) | done
-            y = np.where(bisect, lo + 0.5 * width, x) if bisect.any() else x
+            if step >= 2:
+                # bisect wherever the last two steps did not halve the
+                # bracket
+                bisect = width > shrunk
+                if bisect.any():
+                    x = np.where(bisect, lo + 0.5 * width, x)
+            y = np.where(done, y, x)
             F_y = F(y)
             f_y = y - base
             f_y -= F_y
@@ -393,6 +420,10 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         bound = abs_base + 1.0
         bound *= _SANE_SPAN
         runaway = gap > bound
+        if some_exact:
+            # the exact nodes return y0 unchecked, as they do alone
+            runaway &= ~exact
+            np.copyto(y, y0, where=exact)
     if runaway.any():
         k = int(np.argmax(runaway))
         span = float(gap.flat[k])
@@ -426,15 +457,37 @@ def solve_rbsde(lattice, driver, barriers):
     return _backward(lattice, driver, barriers.xi, *bands)[0]
 
 
+def _stacked_bands(sets):
+    """The merged lower and upper bands of obstacle sets on one depth,
+    each stacked one row per set, as :func:`_backward` reads them."""
+    return [
+        np.stack([getattr(s, side).values for s in sets])
+        for side in ("low", "high")
+    ]
+
+
 def _backward(lattice, driver, xi, low, high, batch=()):
     """:func:`solve_rbsde` over a batch, from the terminal values ``xi``
     and packed merged bands: each level has shape ``batch + (i + 1,)``,
     which the driver's callables see and the bands' leading axes
-    broadcast against.  One solution per entry."""
-    steps = lattice.steps
+    broadcast against.  ``lattice`` is one lattice, or a sequence of
+    lattices of equal depth, one per entry of the first batch axis;
+    then ``dt`` and ``sqrt_dt`` are columns over that axis, and each
+    row's solutions live on its own lattice.  One solution per entry."""
+    single = isinstance(lattice, Lattice)
+    rows = (lattice,) if single else tuple(lattice)
+    steps = rows[0].steps
+    if single:
+        dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
+    else:
+        if batch[:1] != (len(rows),) or any(r.steps != steps for r in rows):
+            raise ValueError("row lattices must be one per row, of equal depth")
+        column = (-1,) + (1,) * len(batch)
+        dt = np.reshape([r.dt for r in rows], column)
+        sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
     bounds = driver.bounds
     if bounds is not None and any(
-        p.lattice.grid != lattice.grid for p in (bounds, bounds.A)
+        p.lattice.grid != r.grid for p in (bounds, bounds.A) for r in rows
     ):
         # the clock's mass is read slot by slot, and on another grid a
         # slot stands for another time
@@ -452,11 +505,11 @@ def _backward(lattice, driver, xi, low, high, batch=()):
     for j in range(steps - 1, -1, -1):
         nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
         E = expectation_level(nxt)
-        z = increment_level(nxt, lattice.sqrt_dt)
+        z = increment_level(nxt, sqrt_dt)
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
-            base = base + _tilt_increment(coef, z - center, lattice.sqrt_dt)
+            base = base + _tilt_increment(coef, z - center, sqrt_dt)
             f_drift = driver.f_rest
         else:
             f_drift = driver.f
@@ -469,7 +522,7 @@ def _backward(lattice, driver, xi, low, high, batch=()):
         y_raw = _implicit_core(
             base,
             z,
-            lattice.dt,
+            dt,
             level=j,
             f_drift=f_drift,
             g_fn=driver.g,
@@ -477,7 +530,7 @@ def _backward(lattice, driver, xi, low, high, batch=()):
             penalty=driver.penalty,
         )
         level = slice(level_offset(j), level_offset(j + 1))
-        np.clip(y_raw, lows[..., level], highs[..., level], out=Y[..., level])
+        y_raw.clip(lows[..., level], highs[..., level], out=Y[..., level])
         Z[..., level] = z
         np.subtract(y_raw, E, out=drift[..., level])
         Kminus[..., level] = y_raw
@@ -493,17 +546,20 @@ def _backward(lattice, driver, xi, low, high, batch=()):
     fminus = _flat_off(Kminus, highs - y)
     defect = np.max(Kplus * Kminus, axis=-1, initial=0.0)
 
-    return [
-        Solution(
-            AdaptedProcess(lattice, Y[k]),
-            PredictableProcess(lattice, Z[k]),
-            IncreasingProcess(lattice, Kplus[k]),
-            IncreasingProcess(lattice, Kminus[k]),
-            SkorokhodReport(float(fplus[k]), float(fminus[k]), float(defect[k])),
-            PredictableProcess(lattice, drift[k]),
+    sols = []
+    for k in np.ndindex(batch):
+        lat = lattice if single else rows[k[0]]
+        sols.append(
+            Solution(
+                AdaptedProcess(lat, Y[k]),
+                PredictableProcess(lat, Z[k]),
+                IncreasingProcess(lat, Kplus[k]),
+                IncreasingProcess(lat, Kminus[k]),
+                SkorokhodReport(float(fplus[k]), float(fminus[k]), float(defect[k])),
+                PredictableProcess(lat, drift[k]),
+            )
         )
-        for k in np.ndindex(batch)
-    ]
+    return sols
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,13 @@ from .penalize import (
     build_family,
 )
 from .snell import SnellInstance, snell_envelope
-from .solver import budget_defect, comparison_check, solve_rbsde
+from .solver import (
+    _backward,
+    _stacked_bands,
+    budget_defect,
+    comparison_check,
+    solve_rbsde,
+)
 
 __all__ = [
     "CertificateLog",
@@ -316,10 +322,11 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
         per_path = not np.any(g_paths[on] > left_limits[on])
         # the same constraint through the hard envelope of every path,
         # tested at every time (it is -inf off the support)
+        head = np.zeros((len(nodes), 1))
         star = envelope_star_profile(
             lat.times,
-            np.pad(g_paths, ((0, 0), (1, 0)), constant_values=-np.inf),
-            np.pad(w_paths, ((0, 0), (1, 0))),
+            np.concatenate([head - np.inf, g_paths], axis=1),
+            np.concatenate([head, w_paths], axis=1),
         )
         pointwise = not np.any(star.values[:, 1:] > left_limits)
         tally.add(0.0 if nodewise == per_path == pointwise else 1.0)
@@ -500,9 +507,12 @@ def certificate_report(log, tol=1e-12):
 def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
     """Criterion 9: ordering of solutions and of upper reflection
     increments on constructed dominating/dominated pairs of depth 3 at
-    least."""
+    least.  Every pair is drawn first; the pairs of one depth are then
+    solved in one backward pass, row 0 of each the dominating problem
+    and row 1 the dominated one, and checked in the order drawn."""
     rng = _rng(seed, "comparison")
     tally = _Tally(tol)
+    pairs = []
     for _ in range(cases):
         lat = _random_lattice(rng, max(max_depth, 3), min_depth=3)
         n = level_offset(lat.steps)
@@ -520,13 +530,27 @@ def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
         a = float(rng.uniform(-0.9, 0.9))
         b = float(rng.uniform(-0.9, 0.9))
         c = float(rng.uniform(-0.8, 0.8))
-        drv_big = Driver.linear(a, b, c)
-        drv_small = Driver.linear(a, b, c - drop)
-        sol_big = log.add(solve_rbsde(lat, drv_big, bars_big))
-        sol_small = log.add(solve_rbsde(lat, drv_small, bars_small))
-        report = comparison_check(
-            sol_big, sol_small, drv_big, drv_small, bars_big, bars_small, tol=tol
-        )
+        drivers = Driver.linear(a, b, c), Driver.linear(a, b, c - drop)
+        pairs.append((lat, (bars_big, bars_small), drivers, (a, b, c, c - drop)))
+
+    sols = [None] * len(pairs)
+    for depth in sorted({pair[0].steps for pair in pairs}):
+        rows = [k for k, pair in enumerate(pairs) if pair[0].steps == depth]
+        lats, sets, _, coefs = zip(*(pairs[k] for k in rows))
+        # (B, 1, 1) columns, the constant rate (B, 2, 1): one per problem
+        a, b, c, c_small = np.array(coefs).T[..., None, None]
+        drv = Driver.linear(a, b, np.concatenate([c, c_small], axis=1))
+        bands = _stacked_bands([bars for pair in sets for bars in pair])
+        low, high = (band.reshape(len(rows), 2, -1) for band in bands)
+        xi = np.stack([big.xi for big, _ in sets])[:, None]
+        out = _backward(lats, drv, xi, low, high, (len(rows), 2))
+        for k, big, small in zip(rows, out[0::2], out[1::2]):
+            sols[k] = big, small
+
+    for (_, sets, drivers, _), pair in zip(pairs, sols):
+        for sol in pair:
+            log.add(sol)
+        report = comparison_check(*pair, *drivers, *sets, tol=tol)
         tally.add(
             max(report.max_order_violation, report.max_kminus_violation),
             ok=report.passed,

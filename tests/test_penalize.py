@@ -122,6 +122,17 @@ def one_side(driver, row):
     )
 
 
+def same_solution(a, b):
+    """Bitwise equal solutions, signs of zero included."""
+    return a.residuals == b.residuals and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in (
+            (getattr(a, name).values, getattr(b, name).values)
+            for name in ("Y", "Z", "Kplus", "Kminus", "drift")
+        )
+    )
+
+
 def test_one_sided_solves_have_one_sided_reflection():
     lat, bounds, spec, bars = witness_instance()
     fam = build_family(lat, bounds, spec, bars, schedule=(0, 1, 8))
@@ -321,14 +332,12 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
     fam = build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
     # one pass, the whole schedule and then the side as the batch
     assert passes == [(len(DEFAULT_SCHEDULE), 2)]
+    # the implicit step decides per node, so every rung is bitwise its
+    # single-weight solve
     for k, n in enumerate(DEFAULT_SCHEDULE):
         pair = penalized(lat, bounds, spec, bars, n)
         for single, sols in zip(pair, (fam.lower_solutions, fam.upper_solutions)):
-            single = single.Y.values
-            batched = sols[k].Y.values
-            assert np.all(
-                np.abs(batched - single) <= 1e-14 * (1.0 + np.abs(single))
-            )
+            assert same_solution(sols[k], single)
     # the exact squeeze solves both sides in one pass too
     passes.clear()
     exact_squeeze_barriers(lat, bounds, spec, bars)
@@ -422,6 +431,57 @@ def test_reduction_matches_the_direct_solve():
     negated = AdaptedProcess(lat, -sol.Y.values)
     cap = PredictableProcess(lat, -bars.u.values)
     assert check_left_constraint(negated, cap, bars.alpha)
+
+
+def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
+    # after the squeeze's pass, one pass holds the reduced problem and
+    # the direct one; each row is bitwise its own solve_rbsde
+    from rbsdelab import penalize
+
+    lat, _, spec, bars = witness_instance()
+    a, b, c = 0.2, -0.4, 0.3
+    ymax = 1.0 + float(np.max(np.abs(spec.reconstruct().values)))
+    # bounds that dominate the linear rate on that range
+    bounds = GrowthBounds.constants(
+        lat, eta=abs(a) * ymax + abs(c) + b * b / 2.0, C=0.5
+    )
+    drv = Driver.linear(a, b, c, bounds=bounds)
+    passes = []
+    backward = penalize._backward
+
+    def counted(*args, **kwargs):
+        passes.append(args[5])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(penalize, "_backward", counted)
+    sol, direct = penalize._reduce_and_direct(lat, drv, bars, 1e-6)
+    assert passes == [(2,), (2,)]
+    assert same_solution(direct, solve_rbsde(lat, drv, bars))
+    Ybar, Yunder = exact_squeeze_barriers(lat, bounds, spec, bars)
+    reduced = BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar)
+    assert same_solution(sol, solve_rbsde(lat, drv, reduced))
+    assert same_solution(reduce_and_solve(lat, drv, bars), sol)
+
+
+def test_verify_comparison_takes_one_pass_per_depth(monkeypatch):
+    from rbsdelab import verify
+
+    passes = []
+    backward = verify._backward
+
+    def counted(*args, **kwargs):
+        passes.append(args[5])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_backward", counted)
+    log = verify.CertificateLog()
+    report = verify.verify_comparison(cases=30, max_depth=5, seed=3, log=log)
+    assert report["passed"] and report["cases"] == 30
+    # depths 3, 4 and 5, each pair one (dominating, dominated) row
+    assert len(passes) == 3
+    assert all(rows == 2 for _, rows in passes)
+    assert sum(count for count, _ in passes) == 30
+    assert log.solves == 60
 
 
 def test_reduction_numeric_route_agrees_with_exact_route():

@@ -156,7 +156,8 @@ def test_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
 
 def test_drift_below_half_an_ulp_of_base_is_bracketed():
     # at node 0, F(base) rounds away in base + F(base), so the two known
-    # points coincide; node 1 keeps the early exact-root return from firing
+    # points coincide and F takes one value at both: node 0 takes the
+    # exact exit, within the bound, while node 1 is bracketed
     drv = Driver.linear(-1.0, 0.0, 1.0)
     base = np.array([1.0 + 2.0**-52, 2.0])
     dt = 0.01
@@ -210,6 +211,70 @@ def test_one_level_expands_up_and_down_and_not_at_all():
     # F at base and at base + F(base), one expansion probe, two secant
     # probes and the polished value's residual
     assert f.calls == 6
+
+
+def bitwise(a, b):
+    """Equal arrays, signs of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def mixed_nodes(rng, count, dt):
+    """Per-node steps, each at random an affine rate, a ladder-like
+    penalty ``k (kink - y)^+`` (or its mirror, weight up to ``2**16``)
+    on a constant rate, or a constant rate, which takes the exact exit.
+    Returns the bases and the coefficient columns of the rate."""
+    kind = rng.integers(0, 3, count)
+    base = rng.normal(size=count) * 10.0 ** rng.uniform(-3.0, 6.0, count)
+    a = np.where(kind == 0, rng.uniform(-0.5, 0.5, count) / dt, 0.0)
+    k = np.where(kind == 1, 2.0 ** rng.integers(0, 17, count) / dt, 0.0)
+    kink = base + rng.normal(size=count) * np.maximum(1.0, np.abs(base))
+    side = np.where(rng.uniform(size=count) < 0.5, 1.0, -1.0)
+    return base, np.stack([a, rng.normal(size=count), k, kink, side])
+
+
+def mixed_step(base, coef, dt):
+    a, c, k, kink, side = coef
+
+    def rate(j, y, z):
+        return a * y + c + side * k * np.maximum(side * (kink - y), 0.0)
+
+    return solver._implicit_core(
+        base, np.zeros_like(base), dt, 0, rate, None, None, None
+    )
+
+
+def test_two_arrays_in_one_step_are_the_two_separate_steps():
+    # every decision is per node, so the nodes an array shares its step
+    # with do not move its roots, not even by an ulp
+    rng = np.random.default_rng(18)
+    dt = 0.01
+    for _ in range(50):
+        parts = [mixed_nodes(rng, int(rng.integers(1, 13)), dt) for _ in range(2)]
+        base = np.concatenate([b for b, _ in parts])
+        coef = np.concatenate([c for _, c in parts], axis=1)
+        alone = np.concatenate([mixed_step(b, c, dt) for b, c in parts])
+        assert bitwise(mixed_step(base, coef, dt), alone)
+
+
+def test_exact_nodes_of_a_mixed_level_return_their_fixed_point():
+    # node 0's constant drift puts y0 far beyond the runaway bound, which
+    # the exact exit does not apply; node 2's drift rounds away in y0;
+    # node 3's y0 is -0.0; node 1 is affine and is bracketed
+    dt = 0.01
+    base = np.array([0.0, 1.0, 1.0 + 2.0**-52, -0.0])
+    a = np.array([0.0, 0.5, -1.0, 0.0])
+    c = np.array([1e15, 0.3, 1.0, -0.0])
+    y = solver._implicit_core(
+        base, np.zeros(4), dt, 0, lambda j, y, z: a * y + c, None, None, None
+    )
+    y0 = base + (a * base + c) * dt
+    assert bitwise(y[[0, 2, 3]], y0[[0, 2, 3]])
+    assert y0[0] == 1e13 and y0[2] == base[2] and np.signbit(y0[3])
+    root = (Fraction(1.0) + Fraction(0.3) * Fraction(dt)) / (
+        1 - Fraction(0.5) * Fraction(dt)
+    )
+    assert abs(Fraction(y[1]) - root) <= np.spacing(float(root))
 
 
 def spike(j, fill, value):
@@ -320,6 +385,60 @@ def test_growth_bounds_on_another_grid_raise(steps):
     xi = np.zeros(lat.steps + 1)
     with pytest.raises(ValueError, match="growth bounds live on a different grid"):
         solve_rbsde(lat, drv, free_barriers(lat, xi))
+
+
+def row_lattices(horizons, steps=5):
+    return [Lattice(TimeGrid(h, steps)) for h in horizons]
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_rows_on_their_own_horizons_are_their_separate_solves(kind):
+    # one pass over three instances of depth 5 with horizons 0.5, 1 and
+    # 1.7: dt and sqrt_dt are columns, and each row lives on its lattice
+    lats = row_lattices([0.5, 1.0, 1.7])
+    rng = np.random.default_rng(4)
+    coef = rng.uniform(-0.8, 0.8, (3, 3))
+    sets = [
+        band_barriers(lat, np.sin(2.0 * lat.brownian(lat.steps)) + 0.1 * k, 0.3)
+        for k, lat in enumerate(lats)
+    ]
+    if kind == "linear":
+        drivers = [Driver.linear(*row) for row in coef]
+        batched = Driver.linear(*coef.T[:, :, None])
+    else:
+        drivers = [Driver.quadratic(1.5)] * 3
+        batched = drivers[0]
+    xi = np.stack([bars.xi for bars in sets])
+    sols = solver._backward(lats, batched, xi, *solver._stacked_bands(sets), (3,))
+    for sol, lat, drv, bars in zip(sols, lats, drivers, sets):
+        alone = solve_rbsde(lat, drv, bars)
+        assert sol.lattice is lat
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            assert bitwise(getattr(sol, name).values, getattr(alone, name).values)
+        assert sol.residuals == alone.residuals
+
+
+def test_row_lattices_must_match_the_batch_rows_and_depth():
+    bars = free_barriers(Lattice(TimeGrid(1.0, 5)), np.zeros(6))
+    bands = bars.low.values, bars.high.values
+    with pytest.raises(ValueError, match="one per row"):
+        solver._backward(
+            row_lattices([1.0, 2.0]), Driver.zero(), bars.xi, *bands, (3,)
+        )
+    lats = [Lattice(TimeGrid(1.0, 5)), Lattice(TimeGrid(1.0, 6))]
+    with pytest.raises(ValueError, match="of equal depth"):
+        solver._backward(lats, Driver.zero(), bars.xi, *bands, (2,))
+
+
+def test_growth_bounds_on_another_grid_raise_for_row_lattices():
+    # the bounds live on the first row's grid only
+    lats = row_lattices([1.0, 2.0])
+    drv = Driver.zero(bounds=GrowthBounds.constants(lats[0], eta=0.0, C=0.0))
+    bars = free_barriers(lats[0], np.zeros(6))
+    bands = bars.low.values, bars.high.values
+    solver._backward(lats[:1], drv, bars.xi, *bands, (1,))
+    with pytest.raises(ValueError, match="growth bounds live on a different grid"):
+        solver._backward(lats, drv, bars.xi, *bands, (2,))
 
 
 def test_obstacles_on_another_grid_raise(lat):
