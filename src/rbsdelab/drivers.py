@@ -331,14 +331,19 @@ def _running_max_envelope(X):
     in their history, so a node-indexed majorant cannot do better) and
     it is nondecreasing along every path.
     """
-    levels = [X.level(0).copy()]
-    for i in range(X.lattice.steps):
-        prev = levels[i]
-        nxt = np.asarray(X.level(i + 1), dtype=float).copy()
-        nxt[: i + 1] = np.maximum(nxt[: i + 1], prev)
-        nxt[1:] = np.maximum(nxt[1:], prev)
-        levels.append(nxt)
-    return AdaptedProcess(X.lattice, levels)
+    return AdaptedProcess(X.lattice, _running_max(X.values, X.lattice.steps))
+
+
+def _running_max(values, steps):
+    """:func:`_running_max_envelope` of packed values over ``steps + 1``
+    levels, any leading axes a batch; returns a new array."""
+    out = np.array(values, dtype=float)
+    for i in range(steps):
+        prev = out[..., level_offset(i) : level_offset(i + 1)]
+        nxt = out[..., level_offset(i + 1) : level_offset(i + 2)]
+        np.maximum(nxt[..., : i + 1], prev, out=nxt[..., : i + 1])
+        np.maximum(nxt[..., 1:], prev, out=nxt[..., 1:])
+    return out
 
 
 def _probe_monotone(phi, samples):
@@ -404,39 +409,63 @@ def build_dominated_driver(bounds, spec):
     below the upper obstacle, row 0 the lower one with every sign flipped.
     The squared-slope part is declared exact (see the module docstring),
     so the one-sided solves stay monotone at any step size.
+
+    ``bounds`` and ``spec`` are one pair, or sequences with one pair per
+    row lattice, all of one depth.  Rows stack every packed part with a
+    leading instance axis, shaped to broadcast against a batch
+    ``(B, W, 2)``: the instance, a weight (one without a penalty), then
+    the side; the driver's ``bounds`` are then the rows' bounds, in order.
     """
-    lattice = bounds.lattice
-    if spec.lattice.grid != lattice.grid:
-        raise ValueError("bounds and witness decomposition on different grids")
-    env = _running_max_envelope(
-        AdaptedProcess(lattice, np.abs(bounds.C.values))
-    )
-    # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
-    m = AdaptedProcess(lattice, 1.0 + 8.0 * env.values)
+    single = isinstance(bounds, GrowthBounds)
+    pairs = [(bounds, spec)] if single else list(zip(bounds, spec))
+    parts = []
+    for b, s in pairs:
+        lattice = b.lattice
+        if s.lattice.grid != lattice.grid:
+            raise ValueError("bounds and witness decomposition on different grids")
+        n = level_offset(lattice.steps)
+        # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
+        m = 1.0 + 8.0 * _running_max(np.abs(b.C.values), lattice.steps)
+        parts.append(
+            (
+                m,
+                s.gamma.values,
+                s.vplus.values + s.vminus.values,
+                b.eta.values[:n],
+                b.C.values[:n],
+                b.beta.values[:n] * b.A.values,
+                lattice.dt,
+            )
+        )
+    if single:
+        m, gamma, dv, eta, C, clock, dt = parts[0]
+    else:
+        m, gamma, dv, eta, C, clock, dt = (
+            np.stack(rows).reshape(len(pairs), 1, 1, -1) for rows in zip(*parts)
+        )
     sgn = np.array([[-1.0], [1.0]])
-    dt = lattice.dt
 
     def f(j, y, z):
-        return sgn * 0.5 * m.level(j) * (z - spec.gamma.atom(j)) ** 2
+        at = slice(level_offset(j), level_offset(j + 1))
+        return sgn * 0.5 * m[..., at] * (z - gamma[..., at]) ** 2
 
     def f_rest(j, y, z):
         return np.zeros_like(y)
 
     def quad(level):
-        return sgn * 0.5 * m.level(level), spec.gamma.atom(level)
+        at = slice(level_offset(level), level_offset(level + 1))
+        return sgn * 0.5 * m[..., at], gamma[..., at]
 
     def source(level):
-        g = spec.gamma.atom(level)
-        dv = spec.vplus.atom(level) + spec.vminus.atom(level)
-        rate = bounds.eta.level(level) + 4.0 * bounds.C.level(level) * g * g
-        return sgn * (
-            dv + bounds.beta.level(level) * bounds.A.atom(level) + rate * dt
-        )
+        at = slice(level_offset(level), level_offset(level + 1))
+        g = gamma[..., at]
+        rate = eta[..., at] + 4.0 * C[..., at] * g * g
+        return sgn * (dv[..., at] + clock[..., at] + rate * dt)
 
     return Driver(
         f=f,
         g=None,
-        bounds=bounds,
+        bounds=bounds if single else tuple(bounds),
         quad=quad,
         f_rest=f_rest,
         source=source,

@@ -177,11 +177,65 @@ def _packed(levels, count, what):
                     f"{what} level {i} must have shape ({i + 1},), got {shape}"
                 )
         out = np.concatenate(levels, dtype=float)
-    if np.isnan(out.min()):  # the minimum is NaN if any entry is
+    if not _admissible(out):
         level = entry_levels(count)[np.argmax(np.isnan(out))]
         raise ValueError(f"{what} level {level} contains NaN")
     out.setflags(write=False)
     return out
+
+
+def _admissible(values, clock=False):
+    """The process constructors' rule on a packed array, or on a buffer
+    of packed rows at once: no NaN, and for a clock every mass finite
+    and >= 0.  One reduction settles the first part, since the minimum
+    is NaN if any entry is."""
+    if not values.size:
+        return True
+    low = values.min()
+    if clock:
+        return low >= 0.0 and values.max() < np.inf
+    return not np.isnan(low)
+
+
+def _process_rows(lattices, parts):
+    """One tuple of processes per packed row of batch buffers.
+
+    ``parts`` holds ``(cls, buffer)`` pairs whose buffers share their
+    leading batch axes; the rows are taken in C order, and row ``k``
+    lives on ``lattices[k]``.  Each buffer is frozen and checked once
+    against its class's rule, and every process adopts a view of its
+    row.  When a buffer fails, the rows are built through the checking
+    constructors, in order, so the first bad row raises the error it
+    raises alone.
+    """
+    for _, buf in parts:
+        buf.setflags(write=False)
+    rows = [buf.reshape(-1, buf.shape[-1]) for _, buf in parts]
+    classes = [cls for cls, _ in parts]
+    if all(
+        _admissible(flat, cls is IncreasingProcess)
+        for cls, flat in zip(classes, rows)
+    ):
+        build = [_adopted(cls) for cls in classes]
+    else:
+        build = classes
+    return [
+        tuple(make(lat, flat[k]) for make, flat in zip(build, rows))
+        for k, lat in enumerate(lattices)
+    ]
+
+
+def _adopted(cls):
+    """Constructor of ``cls`` processes that adopts a packed array
+    already checked and frozen."""
+
+    def make(lattice, values):
+        out = object.__new__(cls)
+        out.lattice = lattice
+        out.values = values
+        return out
+
+    return make
 
 
 class AdaptedProcess:
@@ -306,7 +360,7 @@ class IncreasingProcess:
     def __init__(self, lattice, atoms):
         self.lattice = lattice
         v = _packed(atoms, lattice.steps, "IncreasingProcess")
-        if not (v.min() >= 0.0 and v.max() < np.inf):
+        if not _admissible(v, clock=True):
             bad = ~np.isfinite(v) | (v < 0.0)
             i = entry_levels(lattice.steps)[np.argmax(bad)]
             slot = _level_view(v, i)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .barriers import BarrierSet
 from .drivers import SemimartingaleSpec, build_dominated_driver
-from .lattice import level_offset
+from .lattice import Lattice, level_offset
 from .solver import _backward, _stacked_bands
 
 __all__ = [
@@ -115,44 +115,72 @@ def _first_break(weights, groups):
         raise SandwichViolation(what, weights[w], i, k, gap[k])
 
 
-def _one_sided_pair(lattice, bounds, spec2, barriers, low, high, batch, penalty=None):
-    """The lower equation reflected at the band ``low`` only and the upper
-    one reflected at the band ``high`` only, in one backward pass with
-    the side as the last batch axis (``spec2``: the normalized witness).
-    Returns the lower and the upper solutions, each in batch order."""
-    if barriers.lattice.grid != lattice.grid:
+def _one_sided_pair(lattice, bounds, spec2, barriers, weights=None):
+    """The lower equation reflected at its lower band only and the upper
+    one at its upper band only, in one backward pass.
+
+    Without ``weights`` the bands are the merged ones (the exact
+    squeeze); with them they are the node obstacles, and the predictable
+    obstacles enter as penalties at every weight.  ``lattice``,
+    ``bounds``, ``spec2`` (the normalized witness) and ``barriers`` are
+    one instance, or sequences with one instance per row, all of one
+    depth.  The batch is the instance, the weight, then the side: one
+    instance has no instance axis, and no weight axis without weights;
+    rows without weights take a weight axis of one.  Returns the lower
+    and the upper solutions, each in (instance, weight) order.
+    """
+    single = isinstance(lattice, Lattice)
+    sets = [barriers] if single else list(barriers)
+    lats = [lattice] if single else list(lattice)
+    if any(bars.lattice.grid != lat.grid for lat, bars in zip(lats, sets)):
         raise ValueError("obstacles live on a different grid")
+
+    def stacked(per_row):
+        # rows lead with their instance and a weight axis of one
+        return per_row[0] if single else np.stack(per_row)[:, None]
+
+    penalty = None
+    if weights is not None:
+        # row 0 pushes the lower equation up to l, row 1 the upper one
+        # down to u
+        side = np.array([[1.0], [-1.0]])
+        signed = side * np.asarray(weights, dtype=float)[:, None, None]
+        kinks = stacked([np.stack([b.l.values, b.u.values]) for b in sets])
+        masses = stacked([np.stack([b.delta.values, b.alpha.values]) for b in sets])
+
+        def penalty(level, y):
+            at = slice(level_offset(level), level_offset(level + 1))
+            push = np.maximum(side * (kinks[..., at] - y), 0.0)
+            return signed * push * masses[..., at]
+
+    names = ("low", "high") if weights is None else ("L", "U")
+    low, high = [], []
+    for bars in sets:
+        lo, hi = (getattr(bars, name).values for name in names)
+        inf = np.full_like(lo, np.inf)
+        low.append(np.stack([lo, -inf]))
+        high.append(np.stack([inf, hi]))
+    width = 1 if weights is None else len(weights)
+    if single:
+        xi, batch = barriers.xi, (2,) if weights is None else (width, 2)
+    else:
+        xi = np.stack([bars.xi for bars in sets])[:, None, None]
+        batch = (len(sets), width, 2)
     driver = replace(build_dominated_driver(bounds, spec2), penalty=penalty)
-    inf = np.full_like(low.values, np.inf)
-    bands = np.stack([low.values, -inf]), np.stack([inf, high.values])
-    sols = _backward(lattice, driver, barriers.xi, *bands, batch)
+    sols = _backward(lattice, driver, xi, stacked(low), stacked(high), batch)
     lows, highs = sols[0::2], sols[1::2]
-    assert not any(s.Kminus.values.any() for s in lows)
-    assert not any(s.Kplus.values.any() for s in highs)
+    assert not np.any([s.Kminus.values for s in lows])
+    assert not np.any([s.Kplus.values for s in highs])
     return lows, highs
 
 
 def _solve_penalized(lattice, bounds, spec2, barriers, weights):
     """Both penalized equations at every weight, in one backward pass
-    with the weights and then the side as batch axes; returns the lower
-    and the upper solutions, one per weight."""
+    (:func:`_one_sided_pair`); returns the lower and the upper
+    solutions, one per weight, after one another for rows."""
     if any(n < 0 for n in weights):
         raise ValueError("penalty weight must be >= 0")
-    # row 0 pushes the lower equation up to l, row 1 the upper one down to u
-    side = np.array([[1.0], [-1.0]])
-    signed = side * np.asarray(weights, dtype=float)[:, None, None]
-    kinks = np.stack([barriers.l.values, barriers.u.values])
-    masses = np.stack([barriers.delta.values, barriers.alpha.values])
-
-    def penalty(level, y):
-        at = slice(level_offset(level), level_offset(level + 1))
-        push = np.maximum(side * (kinks[:, at] - y), 0.0)
-        return signed * push * masses[:, at]
-
-    batch = (len(weights), 2)
-    return _one_sided_pair(
-        lattice, bounds, spec2, barriers, barriers.L, barriers.U, batch, penalty
-    )
+    return _one_sided_pair(lattice, bounds, spec2, barriers, weights)
 
 
 class PenalizedFamily:
@@ -229,10 +257,17 @@ class PenalizedFamily:
         self._append([n])
 
     def _append(self, weights):
-        # both sides in one pass, then the ladder from the last rung
-        lows, highs = _solve_penalized(
-            self.lattice, self.bounds, self.spec, self.barriers, weights
+        self._grow(
+            weights,
+            *_solve_penalized(
+                self.lattice, self.bounds, self.spec, self.barriers, weights
+            ),
         )
+
+    def _grow(self, weights, lows, highs):
+        """Check the ladder of the rungs solved at ``weights`` from the
+        last rung (an empty family's first rung against itself), then
+        append them."""
         _check_ladder(
             (self.lower_solutions[-1:] or lows[:1]) + lows,
             (self.upper_solutions[-1:] or highs[:1]) + highs,
@@ -287,15 +322,48 @@ def build_family(lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE):
     weight, then level and node.  Solver errors come before any ladder
     check, whichever weight they occur at.
     """
+    schedule = _checked_schedule(schedule)
+    spec2, S = spec.retarget(barriers.xi)
+    family = PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
+    family._append(schedule)
+    return family
+
+
+def _families(instances, schedule):
+    """:func:`build_family` of instances ``(lattice, bounds, spec,
+    barriers)`` of one depth, every rung of every instance in one
+    backward pass, with each ladder left to check.  Returns one
+    ``(family, rungs)`` pair per instance: an empty family and its
+    solved rungs, which ``family._grow(*rungs)`` checks and appends.
+    """
+    schedule = _checked_schedule(schedule)
+    families = []
+    for lattice, bounds, spec, barriers in instances:
+        spec2, S = spec.retarget(barriers.xi)
+        families.append(
+            PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
+        )
+    lows, highs = _solve_penalized(
+        *(
+            [getattr(family, name) for family in families]
+            for name in ("lattice", "bounds", "spec", "barriers")
+        ),
+        schedule,
+    )
+    w = len(schedule)
+    return [
+        (family, (schedule, lows[k * w : (k + 1) * w], highs[k * w : (k + 1) * w]))
+        for k, family in enumerate(families)
+    ]
+
+
+def _checked_schedule(schedule):
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2:
         raise ValueError("schedule needs at least two entries")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    spec2, S = spec.retarget(barriers.xi)
-    family = PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
-    family._append(schedule)
-    return family
+    return schedule
 
 
 def squeeze_limits(family, *, tol, n_max=2 ** 16):
@@ -335,17 +403,32 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     with the lower predictable obstacle enforced exactly, and the
     upper limit mirrors it.  Returns ``(Ybar, Yunder)``.
     """
-    spec2, S = spec.retarget(barriers.xi)
-    (lower,), (upper,) = _one_sided_pair(
-        lattice, bounds, spec2, barriers, barriers.low, barriers.high, (2,)
+    return _exact_limits(lattice, bounds, spec, barriers)[0]
+
+
+def _exact_limits(lattice, bounds, spec, barriers):
+    """:func:`exact_squeeze_barriers` of one instance, or of sequences
+    with one instance per row, all of one depth, in one backward pass;
+    one ``(Ybar, Yunder)`` pair per instance."""
+    single = isinstance(lattice, Lattice)
+    pairs = [(spec, barriers)] if single else list(zip(spec, barriers))
+    targets = [s.retarget(bars.xi) for s, bars in pairs]
+    spec2 = [t[0] for t in targets]
+    lows, highs = _one_sided_pair(
+        lattice, bounds, spec2[0] if single else spec2, barriers
     )
-    rows = (
-        ("lower limit below witness", lower.Y.values - S.values),
-        ("witness below upper limit", S.values - upper.Y.values),
-    )
-    levels = lattice.steps + 1
-    _first_break(("inf",), [(levels, [(w, g[None], _ORDER_TOL)]) for w, g in rows])
-    return upper.Y, lower.Y
+    limits = []
+    for (_, S), lower, upper in zip(targets, lows, highs):
+        rows = (
+            ("lower limit below witness", lower.Y.values - S.values),
+            ("witness below upper limit", S.values - upper.Y.values),
+        )
+        levels = S.lattice.steps + 1
+        _first_break(
+            ("inf",), [(levels, [(w, g[None], _ORDER_TOL)]) for w, g in rows]
+        )
+        limits.append((upper.Y, lower.Y))
+    return limits
 
 
 def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
@@ -364,23 +447,59 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
 def _reduce_and_direct(lattice, driver, barriers, agreement_tol):
     """:func:`reduce_and_solve`, returning the reduced solve and the
     direct merged-obstacle solve it was checked against."""
+    ((sol, direct),) = _reduce_pass(lattice, driver, barriers)
+    _check_reduction(sol, direct, barriers, agreement_tol)
+    return sol, direct
+
+
+def _reduce_pass(lattice, driver, barriers):
+    """The reduced and the direct solve of one instance, or of
+    sequences with one instance per row, all of one depth, unchecked.
+
+    For rows, ``driver`` is batched over them, with one growth bound
+    per row.  After the squeeze's pass, one pass holds the reduced
+    problem and the direct one as the last batch axis.  Returns one
+    ``(reduced, direct)`` pair per instance.
+    """
     if driver.bounds is None:
         raise ValueError("reduction needs the generator's growth bounds")
-    spec = barriers.witness
-    if not isinstance(spec, SemimartingaleSpec):
+    single = isinstance(lattice, Lattice)
+    rows = [(lattice, barriers)] if single else list(zip(lattice, barriers))
+    specs = [bars.witness for _, bars in rows]
+    if not all(isinstance(spec, SemimartingaleSpec) for spec in specs):
         raise ValueError(
             "reduction needs a witness decomposition on the obstacle set"
         )
-    Ybar, Yunder = exact_squeeze_barriers(
-        lattice, driver.bounds, spec, barriers
+    limits = (
+        [exact_squeeze_barriers(lattice, driver.bounds, specs[0], barriers)]
+        if single
+        else _exact_limits(lattice, driver.bounds, specs, barriers)
     )
-    # the reduced problem (row 0) and the direct one in one pass; the
-    # reduced obstacle set lives only until its bands are stacked
-    bands = _stacked_bands(
-        [BarrierSet.build(lattice, barriers.xi, L=Yunder, U=Ybar), barriers]
+    # the reduced problem and the direct one of every row; the reduced
+    # obstacle sets live only until their bands are stacked
+    low, high = _stacked_bands(
+        [
+            s
+            for (lat, bars), (Ybar, Yunder) in zip(rows, limits)
+            for s in (BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar), bars)
+        ]
     )
-    sol, direct = _backward(lattice, driver, barriers.xi, *bands, (2,))
-    n = level_offset(lattice.steps)
+    del limits
+    if single:
+        xi, batch = barriers.xi, (2,)
+    else:
+        xi = np.stack([bars.xi for _, bars in rows])[:, None]
+        batch = (len(rows), 2)
+        low, high = (band.reshape(batch + (-1,)) for band in (low, high))
+    sols = _backward(lattice, driver, xi, low, high, batch)
+    return list(zip(sols[0::2], sols[1::2]))
+
+
+def _check_reduction(sol, direct, barriers, agreement_tol):
+    """Raise :class:`ReductionDisagreement` where the reduced solve
+    ``sol`` leaves the original obstacles, or where its root value and
+    the direct solve's differ by more than ``agreement_tol``."""
+    n = level_offset(barriers.lattice.steps)
     y = sol.Y.values[:n]
     excursion = max(
         0.0,
@@ -400,4 +519,3 @@ def _reduce_and_direct(lattice, driver, barriers, agreement_tol):
             f"not dominate the generator on the obstacle range)",
             gap,
         )
-    return sol, direct

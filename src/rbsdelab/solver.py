@@ -30,11 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drivers import GrowthBounds
 from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
     Lattice,
     PredictableProcess,
+    _process_rows,
     all_paths,
     expectation_level,
     increment_level,
@@ -245,7 +247,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     closes it outright.  A done node keeps its ``y`` from then on: the
     steps the other nodes still take probe it again at the same point,
     which changes nothing it returns.
-    ``base`` and every generator value are checked, and reaching
+    ``base``, ``y0`` and every generator value are checked, and reaching
     ``_SECANT_MAX`` steps with a bracket still open raises.  One
     fixed-point polish ``base + F(y)`` follows; ``y`` is the last probe,
     so ``F(y)`` is already known and the polish costs one evaluation,
@@ -292,6 +294,8 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         _check_finite(base, level)
         Fb = F(base)
         y0 = base + Fb
+        # finite parts can still sum past the largest float
+        _check_finite(y0, level)
         F0 = F(y0, check=False)
         # where the drift does not depend on the unknown, y0 is the
         # exact root (and F0, equal to the checked Fb, is finite)
@@ -473,27 +477,44 @@ def _backward(lattice, driver, xi, low, high, batch=()):
     broadcast against.  ``lattice`` is one lattice, or a sequence of
     lattices of equal depth, one per entry of the first batch axis;
     then ``dt`` and ``sqrt_dt`` are columns over that axis, and each
-    row's solutions live on its own lattice.  One solution per entry."""
+    row's solutions live on its own lattice.  ``driver.bounds`` is one
+    :class:`GrowthBounds` for every row, or with row lattices a
+    sequence of them, one per row, each on its row's grid.  One
+    solution per entry, built from the output buffers checked once."""
     single = isinstance(lattice, Lattice)
     rows = (lattice,) if single else tuple(lattice)
     steps = rows[0].steps
+    column = (-1,) + (1,) * len(batch)
     if single:
         dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
     else:
         if batch[:1] != (len(rows),) or any(r.steps != steps for r in rows):
             raise ValueError("row lattices must be one per row, of equal depth")
-        column = (-1,) + (1,) * len(batch)
         dt = np.reshape([r.dt for r in rows], column)
         sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
     bounds = driver.bounds
+    per_row = bounds is not None and not isinstance(bounds, GrowthBounds)
+    if per_row:
+        bounds = tuple(bounds)
+        if single or len(bounds) != len(rows):
+            raise ValueError("growth bounds must be one per row lattice")
+    elif bounds is not None:
+        bounds = (bounds,) * len(rows)
     if bounds is not None and any(
-        p.lattice.grid != r.grid for p in (bounds, bounds.A) for r in rows
+        p.lattice.grid != r.grid for b, r in zip(bounds, rows) for p in (b, b.A)
     ):
         # the clock's mass is read slot by slot, and on another grid a
         # slot stands for another time
         raise ValueError("growth bounds live on a different grid")
-    # packed buffers: each level is written in place, and each row is
-    # frozen by its process at the end
+    clock = None
+    if driver.g is not None and bounds is not None:
+        # the clock's atoms, one row per lattice row when they differ
+        clock = bounds[0].A.values
+        if per_row:
+            clock = np.stack([b.A.values for b in bounds])
+            clock = clock.reshape(column[:-1] + clock.shape[-1:])
+    # packed buffers: each level is written in place, and each buffer
+    # is checked and frozen once at the end
     n = level_offset(steps)
     Y = np.empty(batch + (level_offset(steps + 1),))
     Y[..., n:] = xi
@@ -518,7 +539,7 @@ def _backward(lattice, driver, xi, low, high, batch=()):
             if src.shape != E.shape:
                 src = np.broadcast_to(src, E.shape)
             base = base + src
-        dA = bounds.A.atom(j) if bounds is not None else None
+        level = slice(level_offset(j), level_offset(j + 1))
         y_raw = _implicit_core(
             base,
             z,
@@ -526,10 +547,9 @@ def _backward(lattice, driver, xi, low, high, batch=()):
             level=j,
             f_drift=f_drift,
             g_fn=driver.g,
-            dA=dA,
+            dA=None if clock is None else clock[..., level],
             penalty=driver.penalty,
         )
-        level = slice(level_offset(j), level_offset(j + 1))
         y_raw.clip(lows[..., level], highs[..., level], out=Y[..., level])
         Z[..., level] = z
         np.subtract(y_raw, E, out=drift[..., level])
@@ -546,20 +566,21 @@ def _backward(lattice, driver, xi, low, high, batch=()):
     fminus = _flat_off(Kminus, highs - y)
     defect = np.max(Kplus * Kminus, axis=-1, initial=0.0)
 
-    sols = []
-    for k in np.ndindex(batch):
-        lat = lattice if single else rows[k[0]]
-        sols.append(
-            Solution(
-                AdaptedProcess(lat, Y[k]),
-                PredictableProcess(lat, Z[k]),
-                IncreasingProcess(lat, Kplus[k]),
-                IncreasingProcess(lat, Kminus[k]),
-                SkorokhodReport(float(fplus[k]), float(fminus[k]), float(defect[k])),
-                PredictableProcess(lat, drift[k]),
-            )
-        )
-    return sols
+    # row k of the flattened batch lives on the lattice of its first index
+    per_lattice = math.prod(batch if single else batch[1:])
+    lats = [r for r in rows for _ in range(per_lattice)]
+    parts = (
+        (AdaptedProcess, Y),
+        (PredictableProcess, Z),
+        (IncreasingProcess, Kplus),
+        (IncreasingProcess, Kminus),
+        (PredictableProcess, drift),
+    )
+    reports = zip(*(np.ravel(r).tolist() for r in (fplus, fminus, defect)))
+    return [
+        Solution(y, z, kp, km, SkorokhodReport(*report), d)
+        for (y, z, kp, km, d), report in zip(_process_rows(lats, parts), reports)
+    ]
 
 
 @dataclass(frozen=True)

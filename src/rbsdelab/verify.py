@@ -49,8 +49,9 @@ from .penalize import (
     DEFAULT_SCHEDULE,
     ReductionDisagreement,
     SandwichViolation,
-    _reduce_and_direct,
-    build_family,
+    _check_reduction,
+    _families,
+    _reduce_pass,
 )
 from .snell import SnellInstance, snell_envelope
 from .solver import (
@@ -432,24 +433,30 @@ def verify_sandwich(
     cases=100, max_depth=6, seed=7, schedule=DEFAULT_SCHEDULE, *, log
 ):
     """Criterion 6: the full penalized ordering ladder over the weight
-    schedule, on random witness-first instances of depth 3 at least."""
+    schedule, on random witness-first instances of depth 3 at least.
+    Every instance is drawn first; the instances of one depth are then
+    solved in one backward pass, and each ladder is checked and logged
+    before the next depth is solved."""
     rng = _rng(seed, "sandwich")
     tally = _Tally(0.0)
     solved = 0
+    drawn = []
     for _ in range(cases):
         steps = int(rng.integers(3, max(max_depth, 3) + 1))
-        lat, bounds, spec, bars = random_witness_instance(
-            rng, steps, tight=bool(rng.random() < 0.5)
-        )
-        try:
-            fam = build_family(lat, bounds, spec, bars, schedule=schedule)
-        except SandwichViolation:
-            tally.add(1.0)
-            continue
-        tally.add(0.0)
-        solved += len(fam.n_schedule)
-        for s in fam.lower_solutions + fam.upper_solutions:
-            log.add(s)
+        tight = bool(rng.random() < 0.5)
+        drawn.append(random_witness_instance(rng, steps, tight=tight))
+    for depth in sorted({inst[0].steps for inst in drawn}):
+        group = [inst for inst in drawn if inst[0].steps == depth]
+        for fam, rungs in _families(group, schedule):
+            try:
+                fam._grow(*rungs)
+            except SandwichViolation:
+                tally.add(1.0)
+                continue
+            tally.add(0.0)
+            solved += len(fam.n_schedule)
+            for s in fam.lower_solutions + fam.upper_solutions:
+                log.add(s)
     return _report(
         6,
         "penalized family ordering ladder",
@@ -461,9 +468,12 @@ def verify_sandwich(
 
 def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
     """Criterion 7: the squeeze-and-reduce route against the direct
-    merged-obstacle solve, at the root, at depth ``max_depth``."""
+    merged-obstacle solve, at the root, at depth ``max_depth``.  Every
+    instance is drawn first, then all are solved together: one pass for
+    the squeeze and one for the reduced and the direct problems."""
     rng = _rng(seed, "reduction")
     tally = _Tally(tol)
+    lats, sets, bounds, coefs = [], [], [], []
     for _ in range(cases):
         lat, _, spec, bars = random_witness_instance(rng, max_depth)
         a = float(rng.uniform(-0.5, 0.5))
@@ -475,10 +485,18 @@ def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
         ymax = 1.0 + float(np.max(np.abs(spec.reconstruct().values)))
         C = float(rng.uniform(0.2, 0.8))
         eta = abs(a) * ymax + abs(c) + b * b / (4.0 * C) + 0.1
-        bounds = GrowthBounds.constants(lat, eta=eta, C=C)
-        drv = Driver.linear(a, b, c, bounds=bounds)
+        lats.append(lat)
+        sets.append(bars)
+        bounds.append(GrowthBounds.constants(lat, eta=eta, C=C))
+        coefs.append((a, b, c))
+    solved = []
+    if sets:
+        # (B, 1, 1) coefficient columns, one growth bound per row
+        drv = Driver.linear(*np.array(coefs).T[..., None, None], bounds=bounds)
+        solved = _reduce_pass(lats, drv, sets)
+    for bars, (sol, direct) in zip(sets, solved):
         try:
-            sol, direct = _reduce_and_direct(lat, drv, bars, agreement_tol=tol)
+            _check_reduction(sol, direct, bars, tol)
         except ReductionDisagreement as exc:
             # a failed case, reported by how far the reduced solve missed
             tally.add(exc.gap, ok=False)

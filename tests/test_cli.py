@@ -300,6 +300,21 @@ def test_divergent_implicit_step_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_drift_summing_past_the_largest_float_exits_3(tmp_path, capsys):
+    # finite terminal value and drift whose sum overflows in the
+    # implicit step: a numerical failure at its node
+    doc = {
+        "schema": 1,
+        "grid": {"T": 1.0, "steps": 1},
+        "driver": {"name": "constant", "params": {"value": 1.7e308}},
+        "terminal": {"kind": "table", "values": [1e308, 0.0]},
+    }
+    cfg = write_config(tmp_path, doc)
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert "non-finite drift value at (level 0, node 0)" in capsys.readouterr().err
+
+
 def test_root_finder_at_its_step_cap_exits_3(tmp_path, capsys, monkeypatch):
     # a step cap reached with the bracket still open is a failure, not
     # an answer

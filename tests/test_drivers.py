@@ -203,6 +203,41 @@ def test_dominated_driver_orientation_mirror(lat):
         assert np.all(rows[1] > 0.0)
 
 
+def test_dominated_driver_rows_stack_the_single_drivers():
+    # one pair per row lattice: each part leads with the instance axis,
+    # shaped (B, 1, 2, nodes), and row k is bitwise the single driver k
+    lats = [Lattice(TimeGrid(h, 4)) for h in (0.5, 1.0, 1.5)]
+    rng = np.random.default_rng(5)
+    pairs = [
+        (
+            GrowthBounds(
+                AdaptedProcess(r, rng.uniform(0.0, 1.0, 15)),
+                AdaptedProcess(r, rng.uniform(0.0, 2.0, 15)),
+                AdaptedProcess.constant(r, 0.3),
+                A=IncreasingProcess.lebesgue(r),
+            ),
+            constant_spec(r, slope=k - 0.5, drift_up=0.01 * k),
+        )
+        for k, r in enumerate(lats)
+    ]
+    rows = build_dominated_driver(*zip(*pairs))
+    assert rows.bounds == tuple(b for b, _ in pairs)
+    singles = [build_dominated_driver(b, s) for b, s in pairs]
+    for i in range(4):
+        y = np.zeros((3, 1, 2, i + 1))
+        z = rng.normal(0.0, 2.0, (3, 1, 2, i + 1))
+        parts = (
+            (rows.f(i, y, z), [d.f(i, y[k, 0], z[k, 0]) for k, d in enumerate(singles)]),
+            (rows.quad(i)[0], [d.quad(i)[0] for d in singles]),
+            (rows.source(i), [d.source(i) for d in singles]),
+        )
+        for got, alone in parts:
+            assert got.shape == (3, 1, 2, i + 1)
+            assert np.array_equal(got[:, 0], np.stack(alone))
+        center = rows.quad(i)[1]
+        assert np.array_equal(center[:, 0, 0], np.stack([d.quad(i)[1] for d in singles]))
+
+
 def test_dominated_driver_structure_consistent(lat):
     # declared split must reproduce f: f == f_rest + q * (z - center)^2
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,

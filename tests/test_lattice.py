@@ -7,9 +7,11 @@ from rbsdelab.lattice import (
     Lattice,
     PredictableProcess,
     TimeGrid,
+    _process_rows,
     all_paths,
     expectation_level,
     increment_level,
+    level_offset,
     path_nodes,
 )
 
@@ -123,6 +125,47 @@ def test_adapted_is_frozen(lat):
     # infinities are legal values, NaN is not
     Y = AdaptedProcess.constant(lat, -np.inf)
     assert np.all(np.isneginf(Y.terminal()))
+
+
+def batch_parts(lat, rng):
+    """A (3, 2) batch of adapted, predictable and clock rows."""
+    adapted = rng.normal(size=(3, 2, level_offset(lat.steps + 1)))
+    slots = rng.uniform(0.0, 1.0, (2, 3, 2, level_offset(lat.steps)))
+    return [
+        (AdaptedProcess, adapted),
+        (PredictableProcess, slots[0]),
+        (IncreasingProcess, slots[1]),
+    ]
+
+
+def test_batch_rows_adopt_frozen_views(lat):
+    parts = batch_parts(lat, np.random.default_rng(2))
+    rows = _process_rows([lat] * 6, parts)
+    assert len(rows) == 6
+    for k, row in enumerate(rows):
+        for (cls, buf), proc in zip(parts, row):
+            assert type(proc) is cls and proc.lattice is lat
+            assert np.array_equal(proc.values, buf.reshape(6, -1)[k])
+            assert np.shares_memory(proc.values, buf)
+            assert not proc.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "part, slot, value",
+    [(0, (1, 0, 4), np.nan), (1, (2, 1, 7), np.nan), (2, (1, 1, 3), -0.5),
+     (2, (0, 1, 9), np.inf), (2, (2, 0, 2), np.nan)],
+    ids=["adapted_nan", "predictable_nan", "negative_mass", "infinite_mass",
+         "nan_mass"],
+)
+def test_a_bad_row_of_a_batch_raises_as_its_constructor(lat, part, slot, value):
+    parts = batch_parts(lat, np.random.default_rng(3))
+    cls, buf = parts[part]
+    buf[slot] = value
+    with pytest.raises(ValueError) as alone:
+        cls(lat, buf[slot[:2]].copy())
+    with pytest.raises(ValueError) as batch:
+        _process_rows([lat] * 6, parts)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_with_terminal(lat):

@@ -463,6 +463,106 @@ def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
     assert same_solution(reduce_and_solve(lat, drv, bars), sol)
 
 
+def counted_passes(monkeypatch):
+    """The batch of every backward pass that ``penalize`` makes."""
+    from rbsdelab import penalize
+
+    passes = []
+    backward = penalize._backward
+
+    def counted(*args, **kwargs):
+        passes.append(args[5])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(penalize, "_backward", counted)
+    return passes
+
+
+def drawn_instances(steps, seed=5):
+    from rbsdelab.verify import random_witness_instance
+
+    rng = np.random.default_rng(seed)
+    return [random_witness_instance(rng, k, tight=k % 2 == 0) for k in steps]
+
+
+def test_every_rung_of_a_cross_instance_pass_is_its_own_family(monkeypatch):
+    # instances of depths 3 and 4 on their own horizons, one pass per
+    # depth; every rung is bitwise the one build_family solves alone
+    from rbsdelab import penalize
+
+    schedule = (0, 1, 8, 64, 2**12)
+    drawn = drawn_instances([3, 4, 3, 4, 3])
+    assert len({inst[0].grid.horizon for inst in drawn}) == 5
+    passes = counted_passes(monkeypatch)
+    for depth in (3, 4):
+        group = [inst for inst in drawn if inst[0].steps == depth]
+        for inst, (fam, rungs) in zip(group, penalize._families(group, schedule)):
+            fam._grow(*rungs)
+            alone = build_family(*inst, schedule=schedule)
+            assert fam.n_schedule == alone.n_schedule == list(schedule)
+            for side in ("lower_solutions", "upper_solutions"):
+                for a, b in zip(getattr(fam, side), getattr(alone, side)):
+                    assert a.lattice is inst[0]
+                    assert same_solution(a, b)
+    # one pass per depth, then one per family alone
+    assert passes == [(3, 5, 2)] + [(5, 2)] * 3 + [(2, 5, 2)] + [(5, 2)] * 2
+
+
+def test_every_row_of_the_batched_reduction_is_its_own_reduction(monkeypatch):
+    from rbsdelab import penalize
+
+    drawn = drawn_instances([4, 4, 4, 4])
+    rng = np.random.default_rng(6)
+    coef = rng.uniform(-0.4, 0.4, (4, 3))
+    bounds = [
+        GrowthBounds.constants(lat, eta=2.0 + rng.uniform(), C=0.5)
+        for lat, *_ in drawn
+    ]
+    lats, sets = [inst[0] for inst in drawn], [inst[3] for inst in drawn]
+    drv = Driver.linear(*coef.T[..., None, None], bounds=bounds)
+    passes = counted_passes(monkeypatch)
+    rows = penalize._reduce_pass(lats, drv, sets)
+    assert passes == [(4, 1, 2), (4, 2)]
+    for lat, bars, b, abc, (sol, direct) in zip(lats, sets, bounds, coef, rows):
+        penalize._check_reduction(sol, direct, bars, 1e-6)
+        alone = penalize._reduce_and_direct(
+            lat, Driver.linear(*abc, bounds=b), bars, 1e-6
+        )
+        assert sol.lattice is lat and direct.lattice is lat
+        assert same_solution(sol, alone[0]) and same_solution(direct, alone[1])
+
+
+def test_verify_sandwich_takes_one_pass_per_depth(monkeypatch):
+    from rbsdelab import verify
+
+    passes = counted_passes(monkeypatch)
+    log = verify.CertificateLog()
+    report = verify.verify_sandwich(
+        cases=12, max_depth=5, seed=3, schedule=(0, 1, 4), log=log
+    )
+    assert report["passed"] and report["cases"] == 12
+    # depths 3, 4 and 5: (instances, weights, side) each
+    assert len(passes) == 3
+    assert all(shape[1:] == (3, 2) for shape in passes)
+    assert sum(shape[0] for shape in passes) == 12
+    assert log.solves == report["weights_solved"] * 2 == 12 * 3 * 2
+
+
+def test_verify_reduction_takes_two_passes(monkeypatch):
+    from rbsdelab import verify
+
+    passes = counted_passes(monkeypatch)
+    log = verify.CertificateLog()
+    report = verify.verify_reduction(cases=6, max_depth=4, seed=3, log=log)
+    assert report["passed"] and report["cases"] == 6
+    assert passes == [(6, 1, 2), (6, 2)]
+    assert log.solves == 12
+    # no instance, no pass
+    assert verify.verify_reduction(cases=0, log=log)["cases"] == 0
+    assert verify.verify_sandwich(cases=0, log=log)["cases"] == 0
+    assert len(passes) == 2 and log.solves == 12
+
+
 def test_verify_comparison_takes_one_pass_per_depth(monkeypatch):
     from rbsdelab import verify
 
@@ -541,13 +641,14 @@ def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
 
 def test_verify_reduction_counts_disagreements_only(monkeypatch):
     # a disagreement is a failed case; any other error is a bug and
-    # must surface, even one that subclasses RuntimeError
+    # must surface, even one that subclasses RuntimeError.  Each row of
+    # the batched pass is checked on its own
     from rbsdelab import verify
 
     def disagree(*args, **kwargs):
         raise ReductionDisagreement("forced", 1.0)
 
-    monkeypatch.setattr(verify, "_reduce_and_direct", disagree)
+    monkeypatch.setattr(verify, "_check_reduction", disagree)
     log = verify.CertificateLog()
     report = verify.verify_reduction(cases=2, max_depth=3, log=log)
     assert report["failures"] == 2
@@ -556,7 +657,7 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
     def broken(*args, **kwargs):
         raise RecursionError("forced")
 
-    monkeypatch.setattr(verify, "_reduce_and_direct", broken)
+    monkeypatch.setattr(verify, "_check_reduction", broken)
     with pytest.raises(RecursionError):
         verify.verify_reduction(cases=2, max_depth=3, log=log)
 
@@ -580,12 +681,13 @@ def test_verify_dynkin_fails_a_game_without_value(monkeypatch):
 
 
 def test_verify_sandwich_counts_a_broken_ladder(monkeypatch):
-    from rbsdelab import verify
+    # each instance's ladder is checked on its own after the batched pass
+    from rbsdelab import penalize, verify
 
     def broken(*args, **kwargs):
         raise SandwichViolation("forced", 1, 0, 0, 0.5)
 
-    monkeypatch.setattr(verify, "build_family", broken)
+    monkeypatch.setattr(penalize, "_check_ladder", broken)
     report = verify.verify_sandwich(
         cases=2, max_depth=3, log=verify.CertificateLog()
     )

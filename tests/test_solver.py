@@ -277,6 +277,21 @@ def test_exact_nodes_of_a_mixed_level_return_their_fixed_point():
     assert abs(Fraction(y[1]) - root) <= np.spacing(float(root))
 
 
+@pytest.mark.parametrize(
+    "driver",
+    [Driver.constant(1.7e308), Driver.linear(0.0, 0.0, 1.7e308)],
+    ids=["constant", "linear"],
+)
+def test_an_exact_exit_root_past_the_largest_float_is_named(driver):
+    # base 1e308 plus a finite drift of 1.7e308 overflows in y0; the
+    # constant drift would take that infinity as its exact root
+    lat = Lattice(TimeGrid(1.0, 1))
+    bars = BarrierSet.build(lat, [1e308, 0.0])
+    with pytest.raises(NonFiniteDriver) as info:
+        solve_rbsde(lat, driver, bars)
+    assert (info.value.level, info.value.node) == (0, 0)
+
+
 def spike(j, fill, value):
     """``fill`` at every node of level ``j``, except ``value`` at node 1
     of level 2."""
@@ -439,6 +454,66 @@ def test_growth_bounds_on_another_grid_raise_for_row_lattices():
     solver._backward(lats[:1], drv, bars.xi, *bands, (1,))
     with pytest.raises(ValueError, match="growth bounds live on a different grid"):
         solver._backward(lats, drv, bars.xi, *bands, (2,))
+
+
+def test_row_bounds_are_checked_against_their_own_rows():
+    lats = row_lattices([1.0, 2.0])
+    bars = free_barriers(lats[0], np.zeros(6))
+    bands = bars.low.values, bars.high.values
+    own = [GrowthBounds.constants(r, eta=0.0, C=0.0) for r in lats]
+    sols = solver._backward(lats, Driver.zero(bounds=own), bars.xi, *bands, (2,))
+    assert [s.lattice for s in sols] == lats
+    # row 1's bounds on row 0's grid
+    crossed = Driver.zero(bounds=[own[0], own[0]])
+    with pytest.raises(ValueError, match="growth bounds live on a different grid"):
+        solver._backward(lats, crossed, bars.xi, *bands, (2,))
+    with pytest.raises(ValueError, match="one per row lattice"):
+        solver._backward(lats, Driver.zero(bounds=own[:1]), bars.xi, *bands, (2,))
+    with pytest.raises(ValueError, match="one per row lattice"):
+        solver._backward(lats[0], Driver.zero(bounds=own[:1]), bars.xi, *bands)
+
+
+def test_row_clocks_are_read_per_row():
+    # one clock per row under a clock rate: each row is its own solve
+    lats = row_lattices([0.5, 1.0, 1.7])
+    rate = lambda j, y_left, y: 0.3 - 0.2 * y  # noqa: E731
+    drivers = [
+        Driver.zero(
+            g=rate,
+            bounds=GrowthBounds.constants(
+                r, eta=0.0, C=0.0, beta=1.0,
+                A=IncreasingProcess.from_time_atoms(r, {k + 1: 0.5 + k, 4: 1.0}),
+            ),
+        )
+        for k, r in enumerate(lats)
+    ]
+    sets = [
+        band_barriers(r, np.sin(2.0 * r.brownian(r.steps)), 0.3) for r in lats
+    ]
+    batched = Driver.zero(g=rate, bounds=[d.bounds for d in drivers])
+    xi = np.stack([bars.xi for bars in sets])
+    sols = solver._backward(lats, batched, xi, *solver._stacked_bands(sets), (3,))
+    for sol, lat, drv, bars in zip(sols, lats, drivers, sets):
+        alone = solve_rbsde(lat, drv, bars)
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            assert bitwise(getattr(sol, name).values, getattr(alone, name).values)
+        assert sol.residuals == alone.residuals
+
+
+def test_outputs_of_a_batched_pass_are_read_only():
+    lats = row_lattices([0.5, 1.0])
+    sets = [band_barriers(r, np.sin(r.brownian(r.steps)), 0.3) for r in lats]
+    xi = np.stack([bars.xi for bars in sets])[:, None]
+    low, high = (b[:, None] for b in solver._stacked_bands(sets))
+    drv = Driver.linear(0.2, -0.3, np.array([[[0.1], [0.4]]]))
+    sols = solver._backward(lats, drv, xi, low, high, (2, 2))
+    assert len(sols) == 4
+    for sol in sols:
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            values = getattr(sol, name).values
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
 
 def test_obstacles_on_another_grid_raise(lat):
