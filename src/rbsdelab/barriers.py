@@ -64,15 +64,16 @@ class InfeasibleBarriers(Exception):
 class EnvelopeResult:
     """Envelope of a sampled function along a clock, at one penalty weight.
 
-    ``values[k]`` is the envelope at grid time ``t_k`` and
-    ``left_limit_values[k]`` its left limit there (atoms strictly
-    before ``t_k`` only).  ``n`` is ``math.inf`` for the hard limit.
+    ``values[..., k]`` is the envelope at grid time ``t_k`` and
+    ``left_limit_values[..., k]`` its left limit there (atoms strictly
+    before ``t_k`` only); leading axes are rows.  ``n`` is ``math.inf``
+    for the hard limit, and a read-only array for one weight per row.
     """
 
     __slots__ = ("n", "values", "left_limit_values")
 
     def __init__(self, n, values, left_limit_values):
-        self.n = float(n)
+        self.n = float(n) if np.ndim(n) == 0 else _frozen(n)
         self.values = _frozen(values)
         self.left_limit_values = _frozen(left_limit_values)
 
@@ -80,62 +81,97 @@ class EnvelopeResult:
         return f"EnvelopeResult(n={self.n!r}, points={self.values.size})"
 
 
+def _profile_arrays(times, g, weights):
+    """The float arrays of a sampled function along a clock, checked:
+    ``g`` and ``weights`` of one shape, rows along the last axis, and
+    ``times`` one row for all or broadcasting against them; no NaN in
+    ``g``, and every clock mass finite and >= 0."""
+    t, gv, w = (np.asarray(a, dtype=float) for a in (times, g, weights))
+    lead = gv.ndim - t.ndim
+    if (
+        gv.ndim == 0
+        or w.shape != gv.shape
+        or lead < 0
+        or t.shape[-1:] != gv.shape[-1:]
+        or any(a not in (1, b) for a, b in zip(t.shape, gv.shape[lead:]))
+    ):
+        raise ValueError("g, weights must be equal-shape rows as long as times")
+    if np.isnan(gv).any():
+        raise ValueError("g contains NaN")
+    if not (np.all(w >= 0.0) and np.all(w < np.inf)):
+        raise ValueError("clock weights must be finite and >= 0")
+    return t, gv, w
+
+
+def _shifted(a, fill):
+    """``a`` shifted one place later along the last axis, ``fill`` in
+    front."""
+    out = np.full_like(a, fill)
+    out[..., 1:] = a[..., :-1]
+    return out
+
+
+def _lagged(t, g, n, s):
+    """``g[s] - n (t - t[s])`` along the last axis wherever ``s >= 0``,
+    and -inf where ``s`` is -1 (no atom yet); all four arrays have one
+    shape, and nothing is computed where ``s`` is -1."""
+    past = s >= 0
+    at = np.maximum(s, 0)
+    lag = np.zeros(g.shape)
+    np.subtract(t, np.take_along_axis(t, at, axis=-1), out=lag, where=past)
+    np.multiply(n, lag, out=lag, where=past)
+    # subtracting last avoids the cancellation a large n*t would force
+    # on the lifted form
+    out = np.full(g.shape, -np.inf)
+    return np.subtract(np.take_along_axis(g, at, axis=-1), lag, out=out, where=past)
+
+
 def envelope_profile(times, g, weights, n):
     """One-scan envelope of ``g`` along a deterministic clock.
 
     Parameters
     ----------
-    times : array, shape (N+1,)
-        Grid times, strictly increasing.
-    g : array, shape (N+1,)
+    times : array, shape (N+1,) or rows (..., N+1)
+        Grid times, strictly increasing along the last axis; one row
+        serves every row of ``g``.
+    g : array, shape (N+1,) or rows (..., N+1)
         Function values at the grid times; only entries on the clock's
         support matter.  May contain +-inf, never NaN.
-    weights : array, shape (N+1,)
-        Clock mass at each grid time, all >= 0.  ``weights[k] > 0``
-        marks an atom at ``t_k``.
-    n : nonnegative finite float
+    weights : array, shaped like ``g``
+        Clock mass at each grid time, all finite and >= 0.
+        ``weights[..., k] > 0`` marks an atom at ``t_k``.
+    n : nonnegative finite float, or one per row
         Penalty weight.
 
     Returns
     -------
     EnvelopeResult
         ``values[k] = -n*t_k + max{g[s] + n*t_s : s <= k, weights[s] > 0}``
-        and the strict-past variant in ``left_limit_values``; both are
-        ``-inf`` while no atom has occurred.
+        and the strict-past variant in ``left_limit_values``, row by
+        row; both are ``-inf`` while no atom has occurred.  A point
+        never changes the envelope before it, so rows of different
+        lengths may be padded at the end with later non-atoms.
     """
-    t = np.asarray(times, dtype=float)
-    gv = np.asarray(g, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if t.ndim != 1 or gv.shape != t.shape or w.shape != t.shape:
-        raise ValueError("times, g, weights must be equal-length 1-d arrays")
-    if np.isnan(gv).any():
-        raise ValueError("g contains NaN")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("clock weights must be finite and >= 0")
-    n = float(n)
-    if not (n >= 0.0) or not math.isfinite(n):
+    t, gv, w = _profile_arrays(times, g, weights)
+    n = np.asarray(n, dtype=float)
+    if not (np.all(n >= 0.0) and np.all(n < np.inf)):
         raise ValueError("n must be a finite nonnegative number")
+    # every step below is elementwise on full rows
+    t = np.broadcast_to(t, gv.shape)
+    nb = np.broadcast_to(n[..., None], gv.shape)
 
     # the atom carrying the envelope at a time is the earliest maximizer
     # of the drift-lifted key g(s) + n*s so far: the last atom whose key
     # is a strict new running maximum (an atom with g = -inf never is)
-    on = np.flatnonzero((w > 0.0) & (gv > -np.inf))
-    key = gv[on] + n * t[on]
-    top = np.maximum.accumulate(np.concatenate([[-np.inf], key]))
-    lead = on[key > top[:-1]]
-    values = np.full_like(t, -np.inf)
-    left = np.full_like(t, -np.inf)
-    if lead.size:
-        # evaluate as g(s*) - n*(t - s*): subtracting first avoids the
-        # cancellation a large n*t would force on the lifted form
-        first = lead[0]
-        mark = np.full(t.size, -1)
-        mark[lead] = lead
-        s = np.maximum.accumulate(mark)[first:]
-        values[first:] = gv[s] - n * (t[first:] - t[s])
-        s = s[:-1]
-        left[first + 1 :] = gv[s] - n * (t[first + 1 :] - t[s])
-    return EnvelopeResult(n, values, left)
+    on = (w > 0.0) & (gv > -np.inf)
+    key = np.full(gv.shape, -np.inf)
+    np.add(gv, np.multiply(nb, t, where=on, out=key), out=key, where=on)
+    lead = key > _shifted(np.maximum.accumulate(key, axis=-1), -np.inf)
+    k = np.arange(gv.shape[-1])
+    s = np.maximum.accumulate(np.where(lead, k, -1), axis=-1)
+    return EnvelopeResult(
+        n, _lagged(t, gv, nb, s), _lagged(t, gv, nb, _shifted(s, -1))
+    )
 
 
 def envelope_star_profile(times, g, weights):
@@ -143,16 +179,10 @@ def envelope_star_profile(times, g, weights):
 
     For a clock with finitely many atoms the left limit is -inf
     everywhere, since a left neighborhood of any time is eventually
-    atom-free.  ``g`` and ``weights`` may also be ``(P, N+1)``: one
-    function and clock per row, and one result row each.
+    atom-free.  Shapes are as for :func:`envelope_profile`: ``g`` and
+    ``weights`` may hold rows, one result row each.
     """
-    t = np.asarray(times, dtype=float)
-    gv = np.asarray(g, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if t.ndim != 1 or gv.ndim > 2 or gv.shape[-1:] != t.shape or w.shape != gv.shape:
-        raise ValueError("g, weights must be equal-shape rows as long as times")
-    if np.isnan(gv).any():
-        raise ValueError("g contains NaN")
+    _, gv, w = _profile_arrays(times, g, weights)
     values = np.where(w > 0.0, gv, -np.inf)
     left = np.full_like(gv, -np.inf)
     return EnvelopeResult(math.inf, values, left)
@@ -322,12 +352,18 @@ class BarrierSet:
 def check_left_constraint(Y, g, rho):
     """Does ``g <= Y_{t-}`` hold at every atom of ``rho``?
 
-    ``Y`` is node-indexed, ``g`` predictable, ``rho`` a clock.  The
-    left limit at ``t_{i+1}`` is the level-``i`` value, so the per-path
-    quantifier reduces to a node-wise test.  Ties pass.
+    ``Y`` is node-indexed, ``g`` predictable, ``rho`` a clock, all on
+    one grid.  The left limit at ``t_{i+1}`` is the level-``i`` value,
+    so the per-path quantifier reduces to a node-wise test.  Ties pass.
+    Each argument may also be a sequence of processes, one per row, on
+    lattices of one depth; the verdict is then one bool per row.
     """
-    if Y.lattice.grid != rho.lattice.grid:
+    single = isinstance(Y, AdaptedProcess)
+    rows = [(Y, g, rho)] if single else list(zip(Y, g, rho, strict=True))
+    if any(
+        not y.lattice.grid == p.lattice.grid == r.lattice.grid for y, p, r in rows
+    ):
         raise ValueError("processes live on different grids")
-    on = rho.values > 0.0
-    left = Y.values[: on.size]
-    return not np.any(g.values[on] > left[on])
+    Y, g, rho = (np.stack([row[k].values for row in rows]) for k in range(3))
+    ok = ~np.any((g > Y[:, : rho.shape[-1]]) & (rho > 0.0), axis=-1)
+    return bool(ok[0]) if single else ok

@@ -55,7 +55,12 @@ from .penalize import (
     build_family,
     reduce_and_solve,
 )
-from .snell import HypothesisAViolated, SnellInstance, snell_envelope
+from .snell import (
+    _NO_WITNESS,
+    HypothesisAViolated,
+    SnellInstance,
+    snell_envelope,
+)
 from .solver import (
     ImplicitStepDivergence,
     NonFiniteDriver,
@@ -609,7 +614,7 @@ def run_snell(scn, outdir):
         witness=scn.witness,
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", _NO_WITNESS, UserWarning)
         sol = snell_envelope(inst)
     path = outdir / scn.outputs["solution"]
     write_solution_csv(path, sol, inst.barriers)

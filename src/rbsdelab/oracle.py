@@ -19,6 +19,7 @@ caps: a depth-5 tree already has 2^15 markings and a depth-4 game
 2^20 marking pairs.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -44,6 +45,9 @@ _MAX_RULE_BITS = 21
 # payoff of the convergence test 100 nodes agree with 200 to 3e-12, and
 # numpy's weights overflow from about 375 nodes on
 _HERMITE_POINTS = 120
+# candidates the envelope rescan builds at once (rows x grid points x
+# atoms), 1 MB of floats
+_RESCAN_BLOCK = 2 ** 17
 
 
 class DepthTooLarge(Exception):
@@ -120,18 +124,21 @@ def _payoff_matrix(L, xi, nodes):
     return payoff[level_offset(np.arange(steps + 1)) + nodes]
 
 
-def _distinct_stop_levels(nodes, bits):
+@functools.lru_cache(maxsize=None)
+def _distinct_stop_levels(steps, bits):
     """Distinct rows of the first-marked-level matrix of all 2**bits rules.
 
-    ``nodes`` is the per-path node matrix from :func:`path_nodes`.
     Interior node (i, j) is rule bit i(i+1)/2 + j.  A row holds one
-    rule's stop level per path, ``steps`` when the rule never marks the
-    path.  Rules whose marks differ only on shadowed nodes share a row,
-    and everything the oracles compute depends on a rule only through
-    its row, so one row of each is kept, in no particular order.
+    rule's stop level per path of :func:`all_paths`, ``steps`` when the
+    rule never marks the path.  Rules whose marks differ only on
+    shadowed nodes share a row, and everything the oracles compute
+    depends on a rule only through its row, so one row of each is kept,
+    in no particular order.  The table depends on nothing else, so it
+    is built once per ``(steps, bits)`` and returned read-only; the
+    depth caps bound how many are kept.
     """
+    nodes = path_nodes(all_paths(steps))
     n_paths = nodes.shape[0]
-    steps = nodes.shape[1] - 1
     flat = level_offset(np.arange(steps, dtype=np.int64)) + nodes[:, :steps]
     row = np.dtype((np.void, n_paths))  # one uint8 row as one sortable key
     block = 2 ** 15  # rules per pass: int64 temporaries stay under 16 MB
@@ -145,6 +152,7 @@ def _distinct_stop_levels(nodes, bits):
         stop = np.concatenate([distinct, stop])
         _, first = np.unique(stop.view(row), return_index=True)
         distinct = stop[first]
+    distinct.setflags(write=False)
     return distinct
 
 
@@ -186,7 +194,7 @@ def exhaustive_stopping_value(L, xi, max_depth=5):
     steps = L.lattice.steps
     bits = _interior_bits(steps, max_depth, _MAX_RULE_BITS)
     nodes = path_nodes(all_paths(steps))
-    stop = _distinct_stop_levels(nodes, bits)
+    stop = _distinct_stop_levels(steps, bits)
     n_paths = nodes.shape[0]
     pay = _payoff_matrix(L, xi, nodes)[np.arange(n_paths), stop]
     return float((pay.sum(axis=1) / n_paths).max())
@@ -207,7 +215,7 @@ def exhaustive_dynkin_value(L, U, xi, max_depth=4, tol=1e-12):
         raise ValueError("L and U live on different grids")
     bits = _interior_bits(steps, max_depth, _MAX_RULE_BITS // 2)
     nodes = path_nodes(all_paths(steps))
-    stop = _distinct_stop_levels(nodes, bits)
+    stop = _distinct_stop_levels(steps, bits)
     n_paths = nodes.shape[0]
     path_ids = np.arange(n_paths)
     low_at_stop = _payoff_matrix(L, xi, nodes)[path_ids, stop]
@@ -296,21 +304,43 @@ def envelope_brute_force(times, g, weights, n):
     """Quadratic rescan of the penalized envelope, plus its left variant.
 
     For every grid index the maximum of ``g(s) - n (t - s)`` is taken
-    over the atoms ``s <= t`` (strictly before ``t`` for the left
-    variant), each candidate computed from scratch in one matrix over
-    all pairs of indices; -inf over an empty set.
+    over the atoms ``s`` strictly before ``t`` for the left variant,
+    each candidate computed from scratch in one array over all pairs of
+    a grid index and an atom; -inf over an empty set.  The envelope
+    also takes the candidate at ``s = t`` when ``t`` is an atom.
+    ``times``, ``g`` and ``weights`` may also hold rows of one length
+    along their last axis, with ``n`` one weight per row: rows are
+    rescanned in blocks of at most ``_RESCAN_BLOCK`` candidates.
     """
-    t = np.asarray(times, dtype=float)
-    gv = np.asarray(g, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    n = float(n)
-    k = np.arange(t.size)
-    cand = np.where(
-        (k[None, :] <= k[:, None]) & (w[None, :] > 0.0),
-        gv[None, :] - n * (t[:, None] - t[None, :]),
-        -np.inf,
+    g = np.asarray(g, dtype=float)
+    shape = g.shape
+    flat = (math.prod(shape[:-1]), shape[-1])
+    t, w = (
+        np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(flat)
+        for a in (times, weights)
     )
-    values = cand.max(axis=1, initial=-np.inf)
-    np.fill_diagonal(cand, -np.inf)
-    left = cand.max(axis=1, initial=-np.inf)
-    return values, left
+    n = np.broadcast_to(np.asarray(n, dtype=float), shape[:-1]).reshape(-1, 1)
+    g = g.reshape(flat)
+    atom = w > 0.0
+    count = atom.sum(axis=1)
+    size = flat[1]
+    k = np.arange(size)
+    left = np.empty(flat)
+    rows = max(1, _RESCAN_BLOCK // max(1, size * count.max(initial=0)))
+    for lo in range(0, flat[0], rows):
+        at = slice(lo, lo + rows)
+        # each row's atoms first, in index order; a column past a row's
+        # last atom stands for none and is masked like a later atom
+        cols = np.argsort(~atom[at], axis=1, kind="stable")
+        cols = cols[:, : count[at].max(initial=0)]
+        late = np.where(np.take_along_axis(atom[at], cols, axis=1), cols, size)
+        cand = t[at, :, None] - np.take_along_axis(t[at], cols, axis=1)[:, None]
+        cand *= n[at, :, None]
+        np.subtract(
+            np.take_along_axis(g[at], cols, axis=1)[:, None], cand, out=cand
+        )
+        cand[late[:, None] >= k[:, None]] = -np.inf
+        left[at] = cand.max(axis=2, initial=-np.inf)
+    # the candidate at s = t itself, by the same formula
+    here = np.where(atom, g - n * (t - t), -np.inf)
+    return np.maximum(left, here).reshape(shape), left.reshape(shape)

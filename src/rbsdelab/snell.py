@@ -40,6 +40,10 @@ __all__ = [
     "snell_envelope",
 ]
 
+# the warning of an instance without a witness; callers that know they
+# gave none ignore this message alone
+_NO_WITNESS = "no martingale witness supplied; domination audit skipped"
+
 
 class HypothesisAViolated(Exception):
     """The supplied witness fails the domination audit."""
@@ -117,10 +121,7 @@ class SnellInstance:
         :class:`HypothesisAViolated` on any failure.
         """
         if self.witness is None:
-            warnings.warn(
-                "no martingale witness supplied; domination audit skipped",
-                stacklevel=2,
-            )
+            warnings.warn(_NO_WITNESS, stacklevel=2)
             return None
         spec = self.witness
         steps = self.lattice.steps

@@ -13,7 +13,6 @@ Each suite's signature defaults are the package's acceptance gate.
 line can run cheaper or deeper sweeps of the same checks.
 """
 
-import math
 import warnings
 import zlib
 
@@ -53,7 +52,7 @@ from .penalize import (
     _families,
     _reduce_pass,
 )
-from .snell import SnellInstance, snell_envelope
+from .snell import _NO_WITNESS, SnellInstance, snell_envelope
 from .solver import (
     _backward,
     _stacked_bands,
@@ -81,6 +80,9 @@ __all__ = [
 # sizes and tolerances of the gate that no caller varies
 _ENVELOPE_POINTS = 200
 _ENVELOPE_ULPS = 4.0
+_ENVELOPE_WINDOW = 250  # profiles drawn before one is checked
+_ENVELOPE_BLOCK = 2 ** 18  # rows x padded points squared checked at once
+_EQUIVALENCE_CHUNK = 2 ** 14  # row x path x level entries checked at once
 _ORACLE_MAX_DEPTH = 4  # the exhaustive oracles enumerate every path
 _PUT_DEPTHS = range(3, 13)
 _QUAD_DEPTHS = range(4, 11)
@@ -256,43 +258,83 @@ def _random_band(rng, lat, gap_low, gap_high):
 # ------------------------------------------------------------------ suites
 
 
-def _max_ulp(a, b):
-    """Worst elementwise distance in units of spacing; inf on a
-    mismatch involving an infinity."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _max_ulp(a, b, real):
+    """Worst distance in units of spacing over the ``real`` points of
+    each row; inf for a row with a mismatch involving an infinity."""
     same = a == b
     finite = np.isfinite(a) & np.isfinite(b)
-    if np.any(~same & ~finite):
-        return math.inf
     with np.errstate(invalid="ignore"):
         ulp = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.where(same | ~finite, 0.0, ulp), initial=0.0))
+    worst = np.where(same | ~finite | ~real, 0.0, ulp).max(axis=-1, initial=0.0)
+    return np.where(np.any(~same & ~finite & real, axis=-1), np.inf, worst)
+
+
+def _length_blocks(profiles):
+    """Indices of ``profiles`` in blocks of similar length: sorted by
+    length, each block as many as ``_ENVELOPE_BLOCK`` allows when padded
+    to its longest."""
+    lengths = np.array([times.size for times, *_ in profiles])
+    order = np.argsort(lengths, kind="stable")
+    blocks, start = [], 0
+    for end, k in enumerate(order):
+        if end > start and (end + 1 - start) * lengths[k] ** 2 > _ENVELOPE_BLOCK:
+            blocks.append(order[start:end])
+            start = end
+    return blocks + [order[start:]]
+
+
+def _padded(profiles):
+    """Profiles as rows of their longest one's length: each row padded
+    at the end with later non-atoms (a unit apart, ``g = -inf``, no
+    mass), which cannot change the envelope at a real point.  Returns
+    the rows of times, ``g`` and masses, the penalty weights, and the
+    mask of real points."""
+    lengths = np.array([times.size for times, *_ in profiles])
+    k = np.arange(lengths.max())
+    real = k < lengths[:, None]
+    times, w = np.zeros(real.shape), np.zeros(real.shape)
+    g = np.full(real.shape, -np.inf)
+    for rows, part in zip((times, g, w), zip(*profiles)):
+        rows[real] = np.concatenate(part)
+    last = times[np.arange(len(profiles)), lengths - 1]
+    times[~real] = (last[:, None] + (k + 1 - lengths[:, None]))[~real]
+    return times, g, w, np.array([p[3] for p in profiles]), real
 
 
 def verify_envelope(cases=1000, seed=7):
-    """Criterion 1: the one-scan envelope against the quadratic rescan."""
+    """Criterion 1: the one-scan envelope against the quadratic rescan.
+    Profiles are drawn in windows; each window is sorted by length and
+    checked block by block as padded rows, and the errors are tallied
+    in the order drawn."""
     rng = _rng(seed, "envelope")
     tally = _Tally(_ENVELOPE_ULPS)
-    for _ in range(cases):
-        times, g, w, n = _random_profile(rng, _ENVELOPE_POINTS)
-        prof = envelope_profile(times, g, w, n)
-        values, left = envelope_brute_force(times, g, w, n)
-        tally.add(
-            max(
-                _max_ulp(prof.values, values),
-                _max_ulp(prof.left_limit_values, left),
+    for lo in range(0, cases, _ENVELOPE_WINDOW):
+        window = [
+            _random_profile(rng, _ENVELOPE_POINTS)
+            for _ in range(min(_ENVELOPE_WINDOW, cases - lo))
+        ]
+        err = np.empty(len(window))
+        for block in _length_blocks(window):
+            times, g, w, n, real = _padded([window[k] for k in block])
+            prof = envelope_profile(times, g, w, n)
+            values, left = envelope_brute_force(times, g, w, n)
+            err[block] = np.maximum(
+                _max_ulp(prof.values, values, real),
+                _max_ulp(prof.left_limit_values, left, real),
             )
-        )
+        for e in err.tolist():
+            tally.add(e)
     return _report(1, "envelope scan vs quadratic rescan", tally)
 
 
 def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
     """Criterion 2: the node-wise left-limit test, the per-path atom
     enumeration, and the pointwise hard-envelope test must all agree,
-    in both directions, on every instance."""
+    in both directions, on every instance.  Every instance is drawn
+    first; the instances of one depth are then checked as rows, a
+    chunk at a time, and tallied in the order drawn."""
     rng = _rng(seed, "equivalence")
-    tally = _Tally(0.0)
+    drawn = []
     for _ in range(cases):
         lat = _random_lattice(rng, max_depth)
         steps = lat.steps
@@ -310,27 +352,40 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
                 for i in range(steps)
             ],
         )
-        nodewise = check_left_constraint(Y, g, rho)
+        drawn.append((Y, g, rho))
 
+    agree = np.empty(cases, dtype=bool)
+    for depth in sorted({Y.lattice.steps for Y, _, _ in drawn}):
+        rows = [k for k, (Y, *_) in enumerate(drawn) if Y.lattice.steps == depth]
         # the packed entries every path visits before the horizon
-        nodes = path_nodes(all_paths(steps))[:, :steps]
-        flat = level_offset(np.arange(steps)) + nodes
-        g_paths = g.values[flat]
-        w_paths = rho.values[flat]
-        left_limits = Y.values[flat]
-        # atoms of the clock along every path, tested directly
-        on = w_paths > 0.0
-        per_path = not np.any(g_paths[on] > left_limits[on])
-        # the same constraint through the hard envelope of every path,
-        # tested at every time (it is -inf off the support)
-        head = np.zeros((len(nodes), 1))
-        star = envelope_star_profile(
-            lat.times,
-            np.concatenate([head - np.inf, g_paths], axis=1),
-            np.concatenate([head, w_paths], axis=1),
-        )
-        pointwise = not np.any(star.values[:, 1:] > left_limits)
-        tally.add(0.0 if nodewise == per_path == pointwise else 1.0)
+        nodes = path_nodes(all_paths(depth))[:, :depth]
+        flat = level_offset(np.arange(depth)) + nodes
+        size = max(1, _EQUIVALENCE_CHUNK // flat.size)
+        for lo in range(0, len(rows), size):
+            chunk = rows[lo : lo + size]
+            Ys, gs, rhos = zip(*(drawn[k] for k in chunk))
+            nodewise = check_left_constraint(Ys, gs, rhos)
+
+            g_paths, w_paths, left_limits = (
+                np.stack([p.values for p in part])[:, flat]
+                for part in (gs, rhos, Ys)
+            )
+            # atoms of the clock along every path, tested directly
+            on = w_paths > 0.0
+            per_path = ~np.any((g_paths > left_limits) & on, axis=(1, 2))
+            # the same constraint through the hard envelope of every
+            # path, tested at every time (it is -inf off the support)
+            head = np.zeros(g_paths.shape[:-1] + (1,))
+            star = envelope_star_profile(
+                np.stack([Y.lattice.times for Y in Ys])[:, None],
+                np.concatenate([head - np.inf, g_paths], axis=-1),
+                np.concatenate([head, w_paths], axis=-1),
+            )
+            pointwise = ~np.any(star.values[..., 1:] > left_limits, axis=(1, 2))
+            agree[chunk] = (nodewise == per_path) & (per_path == pointwise)
+    tally = _Tally(0.0)
+    for ok in agree.tolist():
+        tally.add(0.0 if ok else 1.0)
     return _report(2, "left-limit constraint equivalence", tally)
 
 
@@ -364,7 +419,7 @@ def verify_snell(
         walk, _ = _walk_and_times(lat)
         L = AdaptedProcess(lat, np.maximum(strike - np.exp(walk), 0.0))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", _NO_WITNESS, UserWarning)
             sol = snell_envelope(SnellInstance(L, None, None, L.terminal()))
         log.add(sol)
         v = L.terminal()
@@ -384,9 +439,13 @@ def verify_snell(
 def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
     """Criterion 4: the driverless double-obstacle solve against the
     enumerated two-player game.  A game without a value is a failure,
-    its error the gap between the two one-sided optima."""
+    its error the gap between the two one-sided optima, and is not
+    solved.  Every game is drawn and enumerated first; the games of one
+    depth with a value are then solved in one backward pass, and all
+    are checked in the order drawn."""
     rng = _rng(seed, "dynkin")
     tally = _Tally(tol)
+    games = []
     for _ in range(cases):
         lat = _random_lattice(rng, min(max_depth, _ORACLE_MAX_DEPTH))
         steps = lat.steps
@@ -405,11 +464,28 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
         try:
             reference = exhaustive_dynkin_value(L, U, xi)
         except NoValue as exc:
-            tally.add(abs(exc.maxmin - exc.minmax), ok=False)
+            games.append((None, abs(exc.maxmin - exc.minmax)))
             continue
-        bars = BarrierSet.build(lat, xi, L=L, U=U)
-        sol = log.add(solve_rbsde(lat, Driver.zero(), bars))
-        tally.add(abs(sol.value() - reference))
+        games.append((BarrierSet.build(lat, xi, L=L, U=U), reference))
+
+    sols = [None] * len(games)
+    valued = [k for k, (bars, _) in enumerate(games) if bars is not None]
+    for depth in sorted({games[k][0].lattice.steps for k in valued}):
+        rows = [k for k in valued if games[k][0].lattice.steps == depth]
+        sets = [games[k][0] for k in rows]
+        low, high = _stacked_bands(sets)
+        xi = np.stack([bars.xi for bars in sets])
+        lats = [bars.lattice for bars in sets]
+        out = _backward(lats, Driver.zero(), xi, low, high, (len(rows),))
+        for k, sol in zip(rows, out):
+            sols[k] = sol
+
+    for (_, reference), sol in zip(games, sols):
+        if sol is None:
+            # the reference is the gap of a game without a value
+            tally.add(reference, ok=False)
+        else:
+            tally.add(abs(log.add(sol).value() - reference))
     return _report(4, "two-player stopping game identification", tally)
 
 

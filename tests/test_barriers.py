@@ -130,6 +130,71 @@ def test_envelope_scan_matches_the_per_point_loop():
         assert prof.left_limit_values.tobytes() == left.tobytes()
 
 
+def padded_profiles(seed=29, count=40):
+    """Profiles of mixed lengths, with infinite values, zero weights and
+    profiles without atoms, and their rows padded with later non-atoms."""
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for k in range(count):
+        size = int(rng.integers(1, 30))
+        times = np.cumsum(rng.uniform(0.01, 1.0, size))
+        g = rng.normal(0.0, 3.0, size)
+        g[rng.random(size) < 0.15] = -np.inf
+        g[rng.random(size) < 0.1] = np.inf
+        w = np.where(rng.random(size) < 0.5, rng.exponential(1.0, size), 0.0)
+        if k % 7 == 0:
+            w[:] = 0.0
+        n = 0.0 if k % 5 == 0 else float(10.0 ** rng.uniform(-2, 3))
+        profiles.append((times, g, w, n))
+    width = max(p[0].size for p in profiles)
+    times, w = np.zeros((count, width)), np.zeros((count, width))
+    g = np.full((count, width), -np.inf)
+    for r, (t1, g1, w1, _) in enumerate(profiles):
+        size = t1.size
+        times[r] = np.concatenate([t1, t1[-1] + 1.0 + np.arange(width - size)])
+        g[r, :size] = g1
+        w[r, :size] = w1
+    return profiles, (times, g, w, np.array([p[3] for p in profiles]))
+
+
+def test_envelope_rows_are_bitwise_the_one_row_calls():
+    profiles, (times, g, w, n) = padded_profiles()
+    prof = envelope_profile(times, g, w, n)
+    slow_values, slow_left = envelope_brute_force(times, g, w, n)
+    assert np.array_equal(prof.n, n) and not prof.n.flags.writeable
+    for r, (t1, g1, w1, n1) in enumerate(profiles):
+        real = slice(0, t1.size)
+        one = envelope_profile(t1, g1, w1, n1)
+        ref_values, ref_left = envelope_brute_force(t1, g1, w1, n1)
+        assert prof.values[r, real].tobytes() == one.values.tobytes()
+        assert prof.left_limit_values[r, real].tobytes() == (
+            one.left_limit_values.tobytes()
+        )
+        assert slow_values[r, real].tobytes() == ref_values.tobytes()
+        assert slow_left[r, real].tobytes() == ref_left.tobytes()
+        # the padded row through the 1-d call: the pads change nothing
+        padded = envelope_profile(times[r], g[r], w[r], n1)
+        assert padded.values[real].tobytes() == one.values.tobytes()
+        assert padded.left_limit_values[real].tobytes() == (
+            one.left_limit_values.tobytes()
+        )
+
+
+def test_envelope_rows_share_one_row_of_times():
+    rng = np.random.default_rng(31)
+    g = rng.normal(0.0, 1.0, (3, 2, TIMES.size))
+    w = np.where(rng.random(g.shape) < 0.5, 1.0, 0.0)
+    prof = envelope_profile(TIMES, g, w, 2.0)
+    star = envelope_star_profile(TIMES, g, w)
+    assert prof.values.shape == star.values.shape == g.shape
+    for i in range(3):
+        for j in range(2):
+            one = envelope_profile(TIMES, g[i, j], w[i, j], 2.0)
+            assert prof.values[i, j].tobytes() == one.values.tobytes()
+            one_star = envelope_star_profile(TIMES, g[i, j], w[i, j])
+            assert star.values[i, j].tobytes() == one_star.values.tobytes()
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         envelope_profile(TIMES, GVALS[:3], WEIGHTS, 1.0)
@@ -141,6 +206,37 @@ def test_envelope_validation():
         envelope_profile(TIMES, GVALS, WEIGHTS, -1.0)
     with pytest.raises(ValueError):
         envelope_profile(TIMES, GVALS, WEIGHTS, np.inf)
+    with pytest.raises(ValueError):
+        envelope_profile(TIMES, np.stack([GVALS] * 2), WEIGHTS, 1.0)
+    rows = np.stack([GVALS] * 2), np.stack([WEIGHTS] * 2)
+    with pytest.raises(ValueError):
+        envelope_profile(TIMES, *rows, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("profile", [envelope_profile, envelope_star_profile])
+@pytest.mark.parametrize(
+    "weights", [[0.0, np.nan, -1.0], [0.0, -1.0, 1.0], [0.0, np.inf, 1.0]]
+)
+def test_both_profiles_reject_invalid_clock_masses(profile, weights):
+    args = (1.0,) if profile is envelope_profile else ()
+    with pytest.raises(ValueError, match="clock weights must be finite and >= 0"):
+        profile([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], weights, *args)
+
+
+@pytest.mark.parametrize("profile", [envelope_profile, envelope_star_profile])
+def test_both_profiles_check_shapes_and_nan(profile):
+    args = (1.0,) if profile is envelope_profile else ()
+    with pytest.raises(ValueError, match="equal-shape rows"):
+        profile(TIMES, GVALS, WEIGHTS[:3], *args)
+    with pytest.raises(ValueError, match="equal-shape rows"):
+        profile(TIMES[:3], GVALS, WEIGHTS, *args)
+    rows = np.stack([GVALS] * 2), np.stack([WEIGHTS] * 2)
+    with pytest.raises(ValueError, match="equal-shape rows"):
+        profile(np.stack([TIMES] * 3), *rows, *args)
+    with pytest.raises(ValueError, match="equal-shape rows"):
+        profile(1.0, 2.0, 1.0, *args)
+    with pytest.raises(ValueError, match="NaN"):
+        profile(TIMES, np.where(GVALS > 3, np.nan, GVALS), WEIGHTS, *args)
 
 
 def test_envelope_result_frozen():
@@ -419,3 +515,34 @@ def test_check_left_constraint(lat):
     # the violation is invisible to a clock that never charges t3
     rho_off = IncreasingProcess.from_time_atoms(lat, {1: 1.0})
     assert check_left_constraint(Y, g_bad, rho_off)
+
+
+def test_check_left_constraint_checks_every_grid(lat):
+    short = Lattice(TimeGrid(1.0, 3))
+    Y = AdaptedProcess.constant(short, 0.0)
+    rho = IncreasingProcess.from_time_atoms(short, {2: 1.0})
+    # same depth on a longer horizon, then one level deeper
+    for other in (Lattice(TimeGrid(2.0, 3)), lat):
+        g = PredictableProcess.constant(other, 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            check_left_constraint(Y, g, rho)
+        with pytest.raises(ValueError, match="different grids"):
+            check_left_constraint([Y], [g], [rho])
+
+
+def test_check_left_constraint_rows_are_the_one_row_calls():
+    rng = np.random.default_rng(37)
+    rows = []
+    for horizon in (0.5, 1.0, 1.5, 2.0, 2.5):
+        row_lat = Lattice(TimeGrid(horizon, 3))
+        Y = AdaptedProcess(row_lat, rng.normal(0.0, 1.0, 10))
+        g = PredictableProcess(row_lat, Y.values[:6] + rng.normal(0.0, 0.3, 6))
+        rho = IncreasingProcess(row_lat, np.where(rng.random(6) < 0.5, 1.0, 0.0))
+        rows.append((Y, g, rho))
+    verdicts = check_left_constraint(*zip(*rows))
+    assert verdicts.tolist() == [check_left_constraint(*row) for row in rows]
+    assert verdicts.any() and not verdicts.all()
+    # one clock for two rows
+    Ys, gs, _ = zip(*rows[:2])
+    with pytest.raises(ValueError):
+        check_left_constraint(Ys, gs, [rows[0][2]])

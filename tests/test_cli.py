@@ -440,6 +440,26 @@ def test_snell_put_scenario(tmp_path):
         assert float(row[y_col]) >= float(row[l_col]) - 1e-12
 
 
+def test_snell_shows_numeric_warnings(tmp_path, capsys):
+    # obstacles near the largest float overflow the expectation; the
+    # run still fails on the NaN slope, but the warnings now show
+    big = 1.7e308
+    doc = {
+        "schema": 1,
+        "grid": {"T": 1.0, "steps": 4},
+        "barriers": {"L": {"kind": "constant", "value": big}},
+        "terminal": {"kind": "table", "values": [big] * 5},
+    }
+    cfg = write_config(tmp_path, doc)
+    with pytest.warns(RuntimeWarning) as seen:
+        code = main(["snell", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    messages = [str(w.message) for w in seen]
+    assert any("overflow" in m for m in messages)
+    assert any("invalid value" in m for m in messages)
+    assert "contains NaN" in capsys.readouterr().err
+
+
 def test_terminal_values_table_reads_as_the_last_levels_row(tmp_path):
     # {"kind": "table", "values": [...]} gives the terminal level alone;
     # a levels table reads only its last row

@@ -16,6 +16,7 @@ from rbsdelab.oracle import (
     DepthTooLarge,
     NoValue,
     StoppingRule,
+    _distinct_stop_levels,
     envelope_brute_force,
     exhaustive_dynkin_value,
     exhaustive_stopping_value,
@@ -314,6 +315,7 @@ def envelope_index_loop(times, g, weights, n):
 def test_envelope_rescan_matches_the_index_loop():
     rng = np.random.default_rng(13)
     profiles = [
+        ([], [], [], 1.0),  # no point
         ([0.0], [1.5], [2.0], 3.0),  # a single point
         ([0.0], [1.5], [0.0], 3.0),  # a single point without weight
         ([0.0, 0.5, 2.0], [1.0, -np.inf, 4.0], [0.0, 0.0, 0.0], 1.0),
@@ -350,3 +352,43 @@ def test_depth_four_game_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_envelope_rescan_rows_are_the_one_row_calls(monkeypatch):
+    # rows of one padded length, rescanned in blocks of a few rows: each
+    # row's real points are bitwise its own call's
+    rng = np.random.default_rng(17)
+    size, count = 12, 9
+    times = np.cumsum(rng.uniform(0.1, 1.0, (count, size)), axis=1)
+    g = rng.normal(0.0, 2.0, (count, size))
+    g[rng.random(g.shape) < 0.1] = -np.inf
+    g[rng.random(g.shape) < 0.05] = np.inf
+    w = np.where(rng.random(g.shape) < 0.5, rng.exponential(1.0, g.shape), 0.0)
+    w[3] = 0.0  # a row without atoms
+    n = np.array([0.0, 1.0, 1e3, 2.5, 0.5, 0.0, 7.0, 1e-2, 3.0])
+    monkeypatch.setattr("rbsdelab.oracle._RESCAN_BLOCK", 2 * size * size)
+    values, left = envelope_brute_force(times, g, w, n)
+    assert values.shape == left.shape == g.shape
+    for r in range(count):
+        one_values, one_left = envelope_brute_force(times[r], g[r], w[r], n[r])
+        assert values[r].tobytes() == one_values.tobytes()
+        assert left[r].tobytes() == one_left.tobytes()
+        ref_values, ref_left = envelope_index_loop(times[r], g[r], w[r], n[r])
+        assert np.array_equal(one_values, ref_values)
+        assert np.array_equal(one_left, ref_left)
+    assert np.all(np.isneginf(values[3])) and np.all(np.isneginf(left[3]))
+
+
+def test_stop_rule_table_is_built_once_and_read_only():
+    for steps in (1, 2, 3, 4):
+        bits = steps * (steps + 1) // 2
+        table = _distinct_stop_levels(steps, bits)
+        assert _distinct_stop_levels(steps, bits) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        fresh = _distinct_stop_levels.__wrapped__(steps, bits)
+        assert fresh is not table
+        assert np.array_equal(fresh, table)
+        # depths 1 to 4 have 2, 5, 18 and 97 distinct rules
+        assert table.shape[0] == {1: 2, 2: 5, 3: 18, 4: 97}[steps]

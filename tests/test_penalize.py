@@ -662,6 +662,75 @@ def test_verify_reduction_counts_disagreements_only(monkeypatch):
         verify.verify_reduction(cases=2, max_depth=3, log=log)
 
 
+def test_verify_dynkin_takes_one_pass_per_depth(monkeypatch):
+    # the games with a value are solved one depth per pass, each row
+    # bitwise its own solve
+    from rbsdelab import verify
+
+    passes, stacked = [], []
+    backward, stack = verify._backward, verify._stacked_bands
+
+    def counted(*args, **kwargs):
+        out = backward(*args, **kwargs)
+        passes.append((args[5], out))
+        return out
+
+    def recorded(sets):
+        stacked.append(list(sets))
+        return stack(sets)
+
+    monkeypatch.setattr(verify, "_backward", counted)
+    monkeypatch.setattr(verify, "_stacked_bands", recorded)
+    log = verify.CertificateLog()
+    report = verify.verify_dynkin(cases=40, seed=3, log=log)
+    assert report["passed"] and report["cases"] == 40
+    # depths 1 to 4, every game with a value
+    assert len(passes) == 4
+    assert sum(batch[0] for batch, _ in passes) == log.solves == 40
+    for (batch, out), sets in zip(passes, stacked):
+        assert batch == (len(sets),)
+        assert len({bars.lattice.steps for bars in sets}) == 1
+        for sol, bars in zip(out, sets):
+            alone = solve_rbsde(bars.lattice, Driver.zero(), bars)
+            for part in ("Y", "Z", "Kplus", "Kminus", "drift"):
+                got = getattr(sol, part).values
+                assert got.tobytes() == getattr(alone, part).values.tobytes()
+            assert sol.residuals == alone.residuals
+            assert sol.lattice is bars.lattice
+
+
+def test_verify_dynkin_skips_the_pass_of_games_without_value(monkeypatch):
+    # games without a value are failures and never solved; the rest of
+    # their depth still is, in one pass
+    from rbsdelab import verify
+    from rbsdelab.oracle import NoValue
+
+    exhaustive = verify.exhaustive_dynkin_value
+    calls = []
+
+    def every_other(L, U, xi):
+        calls.append(L.lattice.steps)
+        if len(calls) % 2:
+            raise NoValue(0.0, 0.5)
+        return exhaustive(L, U, xi)
+
+    passes = []
+    backward = verify._backward
+
+    def counted(*args, **kwargs):
+        passes.append(args[5])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "exhaustive_dynkin_value", every_other)
+    monkeypatch.setattr(verify, "_backward", counted)
+    log = verify.CertificateLog()
+    report = verify.verify_dynkin(cases=20, seed=3, log=log)
+    assert (report["cases"], report["failures"]) == (20, 10)
+    assert report["max_err"] == 0.5
+    assert log.solves == sum(batch[0] for batch in passes) == 10
+    assert len(passes) == len(set(calls[1::2]))
+
+
 def test_verify_dynkin_fails_a_game_without_value(monkeypatch):
     # a game without a value fails whatever the tolerance, and its
     # error is the gap between the two one-sided optima

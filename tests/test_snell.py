@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,23 @@ def test_stopping_time_atom_inactive_when_low():
         )
     for i in range(lat.steps + 1):
         assert np.array_equal(plain.Y.level(i), tied.Y.level(i))
+
+
+def test_verify_snell_hides_only_the_missing_witness_warning(monkeypatch):
+    # the strike loop gives no witness on purpose; any other warning of
+    # the envelope, a numeric one above all, still reaches the caller
+    from rbsdelab import verify
+
+    def noisy(inst):
+        warnings.warn("overflow in a test envelope", RuntimeWarning)
+        return snell_envelope(inst)
+
+    monkeypatch.setattr(verify, "snell_envelope", noisy)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        report = verify.verify_snell(cases=0, log=verify.CertificateLog())
+    assert report["passed"]
+    kinds = [(w.category, str(w.message)) for w in seen]
+    # one numeric warning per strike depth, and no missing-witness one
+    assert kinds.count((RuntimeWarning, "overflow in a test envelope")) == 10
+    assert len(kinds) == 10
