@@ -84,8 +84,9 @@ class EnvelopeResult:
 def _profile_arrays(times, g, weights):
     """The float arrays of a sampled function along a clock, checked:
     ``g`` and ``weights`` of one shape, rows along the last axis, and
-    ``times`` one row for all or broadcasting against them; no NaN in
-    ``g``, and every clock mass finite and >= 0."""
+    ``times`` one row for all or broadcasting against them; times
+    finite and strictly increasing along their rows, no NaN in ``g``,
+    and every clock mass finite and >= 0."""
     t, gv, w = (np.asarray(a, dtype=float) for a in (times, g, weights))
     lead = gv.ndim - t.ndim
     if (
@@ -96,6 +97,8 @@ def _profile_arrays(times, g, weights):
         or any(a not in (1, b) for a, b in zip(t.shape, gv.shape[lead:]))
     ):
         raise ValueError("g, weights must be equal-shape rows as long as times")
+    if not (np.isfinite(t).all() and (np.diff(t, axis=-1) > 0.0).all()):
+        raise ValueError("times must be finite and strictly increasing")
     if np.isnan(gv).any():
         raise ValueError("g contains NaN")
     if not (np.all(w >= 0.0) and np.all(w < np.inf)):

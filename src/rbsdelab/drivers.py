@@ -14,7 +14,11 @@ generator may carry structural hints the backward solver exploits:
   slope (bounded variation and clock terms of the penalized equations,
   and any rate that depends on the node alone, times ``dt``);
 - ``penalty``: a per-node increment, nonincreasing in the unknown, for
-  constraint penalties.
+  constraint penalties.  A penalty may also declare where it bends: a
+  ``kink(j)`` method giving, per node, the value of the unknown at its
+  kink, which the implicit step probes first.  The penalized equations
+  pass a record of that kind, holding the predictable obstacles (the
+  kinks), their clock masses, the signed weights and the side.
 
 Per step from level ``j``, the drift is
 ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``.

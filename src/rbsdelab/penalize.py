@@ -27,7 +27,7 @@ reduction uses those hard-constraint solves and the finite-n family
 stays an exhibit of the convergence.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,6 +115,33 @@ def _first_break(weights, groups):
         raise SandwichViolation(what, weights[w], i, k, gap[k])
 
 
+@dataclass(frozen=True, eq=False)
+class _Penalty:
+    """The penalty of both one-sided equations at every weight,
+    ``signed * mass * (side * (kink - y))^+`` per node.
+
+    ``kinks`` and ``masses`` are the packed predictable obstacles
+    (``l``, ``u``) and their clocks (``delta``, ``alpha``), side by
+    side; ``signed`` is the side times each weight.  Called as
+    ``penalty(level, y)``, it is a driver's penalty; :meth:`kink`
+    declares where each node's penalty bends, which the implicit step
+    probes first.
+    """
+
+    kinks: np.ndarray
+    masses: np.ndarray
+    signed: np.ndarray
+    side: np.ndarray
+
+    def kink(self, level):
+        return self.kinks[..., level_offset(level) : level_offset(level + 1)]
+
+    def __call__(self, level, y):
+        at = slice(level_offset(level), level_offset(level + 1))
+        push = np.maximum(self.side * (self.kinks[..., at] - y), 0.0)
+        return self.signed * push * self.masses[..., at]
+
+
 def _one_sided_pair(lattice, bounds, spec2, barriers, weights=None):
     """The lower equation reflected at its lower band only and the upper
     one at its upper band only, in one backward pass.
@@ -144,14 +171,12 @@ def _one_sided_pair(lattice, bounds, spec2, barriers, weights=None):
         # row 0 pushes the lower equation up to l, row 1 the upper one
         # down to u
         side = np.array([[1.0], [-1.0]])
-        signed = side * np.asarray(weights, dtype=float)[:, None, None]
-        kinks = stacked([np.stack([b.l.values, b.u.values]) for b in sets])
-        masses = stacked([np.stack([b.delta.values, b.alpha.values]) for b in sets])
-
-        def penalty(level, y):
-            at = slice(level_offset(level), level_offset(level + 1))
-            push = np.maximum(side * (kinks[..., at] - y), 0.0)
-            return signed * push * masses[..., at]
+        penalty = _Penalty(
+            kinks=stacked([np.stack([b.l.values, b.u.values]) for b in sets]),
+            masses=stacked([np.stack([b.delta.values, b.alpha.values]) for b in sets]),
+            signed=side * np.asarray(weights, dtype=float)[:, None, None],
+            side=side,
+        )
 
     names = ("low", "high") if weights is None else ("L", "U")
     low, high = [], []

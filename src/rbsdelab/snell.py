@@ -28,11 +28,12 @@ from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
     PredictableProcess,
+    entry_levels,
     expectation_level,
     increment_level,
     level_offset,
 )
-from .solver import SkorokhodReport, Solution
+from .solver import NonFiniteDriver, SkorokhodReport, Solution
 
 __all__ = [
     "HypothesisAViolated",
@@ -157,9 +158,11 @@ def snell_envelope(inst):
     """The envelope by direct backward recursion.
 
     Audits the witness first (or warns when there is none), then runs
-    ``Y_j = max(E, merged obstacle)`` down to the root.  The upward
-    reflection increment is ``(obstacle - E)^+``; the downward one and
-    the realized drift are identically zero.
+    ``Y_j = max(E, merged obstacle)`` down to the root.  A non-finite
+    expectation or slope raises :class:`NonFiniteDriver` at its first
+    node in backward order.  The upward reflection increment is
+    ``(obstacle - E)^+``; the downward one and the realized drift are
+    identically zero.
     """
     inst.audit()
     lat = inst.lattice
@@ -177,6 +180,13 @@ def snell_envelope(inst):
         E[at] = expectation_level(nxt)
         Z[at] = increment_level(nxt, lat.sqrt_dt)
         np.maximum(E[at], low[at], out=Y[at])
+    # obstacles near the largest float overflow the expectation: name
+    # the first non-finite node in backward order, as the solver does
+    bad = ~(np.isfinite(E) & np.isfinite(Z))
+    if bad.any():
+        j = int(entry_levels(steps)[bad].max())
+        at = slice(level_offset(j), level_offset(j + 1))
+        raise NonFiniteDriver(j, np.argmax(bad[at]))
     return Solution(
         Y=AdaptedProcess(lat, Y),
         Z=PredictableProcess(lat, Z),

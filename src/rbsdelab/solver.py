@@ -238,11 +238,16 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     fixed-point image ``y0 = base + F(base)``) brackets the root.  A
     node where ``F`` takes the same value at both points has the exact
     root ``y0`` and takes it; when every node does, the step returns
-    there.  The bracket is then shrunk by Illinois steps (regula falsi
-    that halves the value kept at an end retained twice running; Dowell
-    and Jarratt, BIT 1971), replaced by a bisection step wherever the
-    last two steps did not halve the bracket.  No step lands closer than
-    half the stopping width to either end.  A node is done when its
+    there.  A penalty that declares its kinks (``penalty.kink(level)``)
+    gets one probe at each node's kink that lies strictly inside the
+    node's open bracket, narrowing those nodes only.  For a penalty of
+    two affine pieces on an affine rest, every bracket then lies on one
+    piece, and the first secant is exact to rounding.  The bracket is
+    then shrunk by Illinois steps (regula falsi that halves the value
+    kept at an end retained twice running; Dowell and Jarratt, BIT
+    1971), replaced by a bisection step wherever the last two steps did
+    not halve the bracket.  No step lands closer than half the stopping
+    width to either end.  A node is done when its
     bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
     closes it outright.  A done node keeps its ``y`` from then on: the
     steps the other nodes still take probe it again at the same point,
@@ -260,7 +265,8 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     since to take it that ``F`` must equal the checked ``F(base)``.  The
     expansion walk and its ``np.where`` setup run only when some
     node's root lies outside the known pair; otherwise that pair is
-    the bracket, and a walk probe narrows only the nodes that walk.  A
+    the bracket, and a walk probe narrows only the nodes that walk.  The
+    kink probe costs an evaluation only when some kink is inside.  A
     root-finding step builds the stopping width, the secant point and
     the residual in one buffer each, freezes the done nodes with one
     ``np.where``, and narrows the bracket in place.  The test against
@@ -353,6 +359,16 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
                 up = f_hi < 0.0
                 walk = down | up
                 span = 2.0 * span
+
+        kink = getattr(penalty, "kink", None)
+        if kink is not None:
+            # probe the penalty's kink where it splits a bracket, so
+            # that the penalty is affine on every bracket
+            k = kink(level)
+            inside = (lo < k) & (k < hi)
+            if inside.any():
+                y = np.where(inside, k, lo)
+                _narrow(y, phi(y), lo, f_lo, hi, f_hi, inside)
 
         width = hi - lo
         y = lo + 0.5 * width

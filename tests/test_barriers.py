@@ -224,6 +224,25 @@ def test_both_profiles_reject_invalid_clock_masses(profile, weights):
 
 
 @pytest.mark.parametrize("profile", [envelope_profile, envelope_star_profile])
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.0, np.nan, 1.0],
+        [0.0, 1.0, np.inf],
+        [0.0, 1.0, 1.0],
+        [[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]],
+    ],
+    ids=["nan", "inf", "repeated", "row_decreasing"],
+)
+def test_both_profiles_reject_invalid_times(profile, times):
+    # a NaN time once gave [1, nan, 0] silently
+    args = (1.0,) if profile is envelope_profile else ()
+    g, w = np.ones((2, 3)), np.ones((2, 3))
+    with pytest.raises(ValueError, match="times must be finite and strictly"):
+        profile(times, g, w, *args)
+
+
+@pytest.mark.parametrize("profile", [envelope_profile, envelope_star_profile])
 def test_both_profiles_check_shapes_and_nan(profile):
     args = (1.0,) if profile is envelope_profile else ()
     with pytest.raises(ValueError, match="equal-shape rows"):

@@ -441,8 +441,9 @@ def test_snell_put_scenario(tmp_path):
 
 
 def test_snell_shows_numeric_warnings(tmp_path, capsys):
-    # obstacles near the largest float overflow the expectation; the
-    # run still fails on the NaN slope, but the warnings now show
+    # obstacles near the largest float overflow the expectation: the
+    # run fails as a numerical failure naming the node, and the
+    # warnings show
     big = 1.7e308
     doc = {
         "schema": 1,
@@ -453,11 +454,11 @@ def test_snell_shows_numeric_warnings(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     with pytest.warns(RuntimeWarning) as seen:
         code = main(["snell", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
+    assert code == EXIT_NUMERICAL
     messages = [str(w.message) for w in seen]
     assert any("overflow" in m for m in messages)
     assert any("invalid value" in m for m in messages)
-    assert "contains NaN" in capsys.readouterr().err
+    assert "non-finite drift value at (level 3, node 0)" in capsys.readouterr().err
 
 
 def test_terminal_values_table_reads_as_the_last_levels_row(tmp_path):

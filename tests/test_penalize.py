@@ -33,7 +33,6 @@ from rbsdelab.penalize import (
     squeeze_limits,
 )
 from rbsdelab.solver import (
-    ImplicitStepDivergence,
     NonFiniteDriver,
     solve_rbsde,
 )
@@ -291,12 +290,15 @@ def test_first_broken_rung_is_raised_before_later_ones():
 
 def test_overflowing_weight_names_its_node_within_the_level():
     # a heavy floor atom on a binding penalty: weight 2**1023 overflows
-    # the lower equation at level 1.  With the binding cap kept, the
-    # upper equation's root runs away first, at level 2: one pass over
-    # both sides reports the first failure in backward order
+    # the lower equation at level 1.  With a heavy atom on the binding
+    # cap too, the upper equation overflows first, at level 2: one pass
+    # over both sides reports the first failure in backward order
     lat, bounds, spec, bars = witness_instance(tight=True)
-    caps = {"u": bars.u, "alpha": bars.alpha}
-    for upper, error in ((caps, ImplicitStepDivergence), ({}, NonFiniteDriver)):
+    caps = {
+        "u": bars.u,
+        "alpha": IncreasingProcess.from_time_atoms(lat, {lat.steps - 2: 100.0}),
+    }
+    for upper, level in ((caps, 2), ({}, 1)):
         heavy = BarrierSet.build(
             lat,
             bars.xi,
@@ -308,13 +310,13 @@ def test_overflowing_weight_names_its_node_within_the_level():
             **upper,
         )
         with np.errstate(over="ignore"):
-            with pytest.raises(error) as single:
+            with pytest.raises(NonFiniteDriver) as single:
                 penalized(lat, bounds, spec, heavy, 2**1023)
-            with pytest.raises(error) as family:
+            with pytest.raises(NonFiniteDriver) as family:
                 build_family(lat, bounds, spec, heavy, schedule=(0, 2**1023))
         e = family.value
         assert (e.level, e.node) == (single.value.level, single.value.node)
-        assert 0 <= e.node <= e.level
+        assert e.level == level and 0 <= e.node <= e.level
 
 
 def test_batched_family_matches_single_rung_solves(monkeypatch):

@@ -289,3 +289,21 @@ def test_verify_snell_hides_only_the_missing_witness_warning(monkeypatch):
     # one numeric warning per strike depth, and no missing-witness one
     assert kinds.count((RuntimeWarning, "overflow in a test envelope")) == 10
     assert len(kinds) == 10
+
+
+def test_overflowing_expectation_names_its_node():
+    # two terminal values near the largest float overflow their
+    # midpoint at (level 3, node 3), the first failure in backward order
+    from rbsdelab.solver import NonFiniteDriver
+
+    lat = Lattice(TimeGrid(1.0, 4))
+    xi = np.array([0.0, 0.0, 0.0, 1.7e308, 1.7e308])
+    L = AdaptedProcess(lat, [np.zeros(i + 1) for i in range(4)] + [xi])
+    inst = SnellInstance(
+        L, PredictableProcess.constant(lat, -np.inf), IncreasingProcess.zero(lat), xi
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NonFiniteDriver) as info:
+            snell_envelope(inst)
+    assert (info.value.level, info.value.node) == (3, 3)

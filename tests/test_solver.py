@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from fractions import Fraction
@@ -61,13 +62,15 @@ def band_barriers(lattice, xi, width):
     )
 
 
-def implicit_step(E, f, dt, g=None, dA=None):
+def implicit_step(E, f, dt, g=None, dA=None, penalty=None):
     """One node's implicit step ``y = E + f(j, y, 0) dt + g(j, y, y) dA``
-    at level ``j = -1``, which the errors name."""
+    at level ``j = -1``, which the errors name; with a ``penalty``, plus
+    ``penalty(j, y)`` at level ``j = 0``, where its packed data start."""
     if dA is not None:
         dA = np.array([dA])
+    level = -1 if penalty is None else 0
     y = solver._implicit_core(
-        np.array([E]), np.zeros(1), dt, -1, f, g, dA, None
+        np.array([E]), np.zeros(1), dt, level, f, g, dA, penalty
     )
     return float(y[0])
 
@@ -329,48 +332,70 @@ def _affine_case(rng, dt):
         return a * y + c
 
     qE, qc, qa, qdt = map(Fraction, (E, c, a, dt))
-    return E, rate, (qE + qc * qdt) / (1 - qa * qdt)
+    return E, rate, None, (qE + qc * qdt) / (1 - qa * qdt)
 
 
-def _kinked_case(rng, dt):
-    # penalty n * mass * (l - y)^+ (or its upper mirror) on a constant
-    # rate, as in the penalized ladder, n up to 2**16
+def _kink_parts(rng, dt):
+    """Rate ``c`` plus a penalty ``k * (kink - y)^+`` (``side`` 1) or its
+    upper mirror (``side`` -1), as in the penalized ladder, ``k dt`` up
+    to 2**17; returns ``E``, ``c``, ``k``, ``kink``, ``side`` and the
+    exact root."""
     k = 2.0 ** rng.integers(0, 17) * rng.uniform(0.5, 2.0) / dt
     c = rng.normal()
     E = rng.normal() * 10.0 ** rng.uniform(-3.0, 6.0)
     kink = E + rng.normal() * max(1.0, abs(E))
     side = 1.0 if rng.uniform() < 0.5 else -1.0
-
-    def rate(j, y, z):
-        return c + side * k * np.maximum(side * (kink - y), 0.0)
-
     free = Fraction(E) + Fraction(c) * Fraction(dt)
     if side * (Fraction(kink) - free) <= 0:
         root = free  # penalty inactive at the root
     else:
         kdt = Fraction(k) * Fraction(dt)
         root = (free + kdt * Fraction(kink)) / (1 + kdt)
-    return E, rate, root
+    return E, c, k, kink, side, root
 
 
-@pytest.mark.parametrize("case", [_affine_case, _kinked_case])
+def _kinked_case(rng, dt):
+    # the penalty inside the rate, where the step cannot see its kink
+    E, c, k, kink, side, root = _kink_parts(rng, dt)
+
+    def rate(j, y, z):
+        return c + side * k * np.maximum(side * (kink - y), 0.0)
+
+    return E, rate, None, root
+
+
+def _declared_kink_case(rng, dt):
+    # the same penalty as the ladder's record, which declares its kink
+    from rbsdelab.penalize import _Penalty
+
+    E, c, k, kink, side, root = _kink_parts(rng, dt)
+    one = np.ones(1)
+    penalty = _Penalty(
+        kinks=kink * one, masses=k * one, signed=side * dt * one, side=side * one
+    )
+    return E, lambda j, y, z: np.full_like(y, c), penalty, root
+
+
+@pytest.mark.parametrize("case", [_affine_case, _kinked_case, _declared_kink_case])
 def test_root_finder_property(case):
     """Closed-form roots to 4 ulps of the scale ``|E| + |root|``, in no
     more calls than bisection of the former bracket needs to reach
-    that width."""
+    that width, or than 8 where a penalty declares its kink."""
     rng = np.random.default_rng(2020)
     dt = 0.01
     for _ in range(200):
-        E, rate, root = case(rng, dt)
+        E, rate, penalty, root = case(rng, dt)
         f = counting(rate)
-        y = implicit_step(E, f, dt)
+        y = implicit_step(E, f, dt, penalty=penalty)
         scale = abs(E) + abs(float(root))
         width = 4.0 * np.spacing(scale)
         assert abs(Fraction(y) - root) <= width, (E, y, float(root))
-        y0 = E + float(rate(-1, np.array([E]), 0.0)[0]) * dt
-        bracket = abs(y0 - E) + 2.0
-        halvings = max(0, math.ceil(math.log2(bracket / width)))
-        assert f.calls <= 2 + halvings, (E, f.calls, halvings)
+        bound = 8
+        if penalty is None:
+            y0 = E + float(rate(-1, np.array([E]), 0.0)[0]) * dt
+            bracket = abs(y0 - E) + 2.0
+            bound = 2 + max(0, math.ceil(math.log2(bracket / width)))
+        assert f.calls <= bound, (E, f.calls, bound)
 
 
 @pytest.mark.parametrize("a, calls", [(-0.4, 5), (0.4, 6)])
@@ -384,6 +409,55 @@ def test_linear_solve_generator_calls_per_level(a, calls):
     f = counting(drv.f)
     solve_rbsde(lat, dataclasses.replace(drv, f=f), band_barriers(lat, xi, 0.3))
     assert f.calls <= calls * lat.steps
+
+
+def penalized_evaluations(monkeypatch):
+    """The level of every generator evaluation in the penalized passes
+    that ``penalize`` makes: the dominated driver's ``f_rest`` runs once
+    per evaluation."""
+    from rbsdelab import penalize
+
+    levels = []
+    build = penalize.build_dominated_driver
+
+    def counted(*args):
+        drv = build(*args)
+
+        def f_rest(j, y, z):
+            levels.append(j)
+            return drv.f_rest(j, y, z)
+
+        return dataclasses.replace(drv, f_rest=f_rest)
+
+    monkeypatch.setattr(penalize, "build_dominated_driver", counted)
+    return levels
+
+
+def test_penalized_ladder_generator_calls_per_level(monkeypatch):
+    # the penalty n mass (l - y)^+ bends only at its declared kink: one
+    # probe there leaves each bracket on one affine piece, so a level of
+    # the ladder up to weight 2**16 takes at most 8 evaluations (about
+    # 60 without the probe)
+    from rbsdelab.penalize import DEFAULT_SCHEDULE, build_family
+    from rbsdelab.verify import random_witness_instance
+
+    levels = penalized_evaluations(monkeypatch)
+    rng = np.random.default_rng(22)
+    for _ in range(6):
+        lat, bounds, spec, bars = random_witness_instance(rng, 8)
+        build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
+        assert max(collections.Counter(levels).values()) <= 8
+        levels.clear()
+
+
+def test_criterion_6_generator_evaluations(monkeypatch):
+    # criterion 6 at its acceptance scale, seed 7: 4 passes over 18
+    # levels, 1,111 evaluations without the kink probe
+    from rbsdelab.verify import CertificateLog, verify_sandwich
+
+    levels = penalized_evaluations(monkeypatch)
+    assert verify_sandwich(log=CertificateLog())["passed"]
+    assert len(levels) <= 150
 
 
 @pytest.mark.parametrize("steps", [10, 2], ids=["finer", "coarser"])
