@@ -318,21 +318,12 @@ class BarrierSet:
         pieces default to the unconstrained ones: ``L = -inf``,
         ``U = +inf``, predictable obstacles vacuous, clocks zero.
         """
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 0:
-            xi = np.full(lattice.steps + 1, float(xi))
-        if L is None:
-            L = AdaptedProcess.constant(lattice, -np.inf)
-        if U is None:
-            U = AdaptedProcess.constant(lattice, np.inf)
-        if l is None:
-            l = PredictableProcess.constant(lattice, -np.inf)
-        if u is None:
-            u = PredictableProcess.constant(lattice, np.inf)
-        if delta is None:
-            delta = IncreasingProcess.zero(lattice)
-        if alpha is None:
-            alpha = IncreasingProcess.zero(lattice)
+        L = AdaptedProcess.constant(lattice, -np.inf) if L is None else L
+        U = AdaptedProcess.constant(lattice, np.inf) if U is None else U
+        l = PredictableProcess.constant(lattice, -np.inf) if l is None else l
+        u = PredictableProcess.constant(lattice, np.inf) if u is None else u
+        delta = IncreasingProcess.zero(lattice) if delta is None else delta
+        alpha = IncreasingProcess.zero(lattice) if alpha is None else alpha
         return cls(
             L.with_terminal(xi),
             U.with_terminal(xi),

@@ -80,6 +80,7 @@ _OUTPUTS = {
     "report": "verify.csv",
 }
 _MANIFEST = "manifest.json"
+_BLOCK = 8192  # rows of solution.csv formatted and written at a time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -469,34 +470,42 @@ def _reprs(values):
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _write_rows(path, header, rows):
-    """Comma-separated lines; no field needs quoting, since each is a
-    number, a blank or a fixed name.  Makes the output directory."""
+def _write_rows(path, header, blocks):
+    """Comma-separated lines, written one block of rows at a time; no
+    field needs quoting, since each is a number, a blank or a fixed
+    name.  Makes the output directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
+        fh.write(",".join(header) + "\n")
+        for rows in blocks:
+            fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def write_solution_csv(path, sol, bars):
     """One row per node in packed order; step-attributed columns blank
-    at the horizon."""
+    at the horizon.  The rows are formatted one block at a time."""
     lat = sol.lattice
     levels = entry_levels(lat.steps + 1)
     nodes = np.arange(levels.size) - level_offset(levels)
-    blank = [""] * (lat.steps + 1)
-    cols = [
-        list(map(str, levels.tolist())),
-        list(map(str, nodes.tolist())),
-        np.array(_reprs(lat.times), dtype=object)[levels].tolist(),
-        _reprs(sol.Y.values),
-        *(_reprs(p.values) + blank for p in (sol.Z, sol.Kplus, sol.Kminus)),
-        _reprs(bars.low.values),
-        _reprs(bars.high.values),
-    ]
+    times = np.array(_reprs(lat.times), dtype=object)
+    procs = (sol.Y, sol.Z, sol.Kplus, sol.Kminus, bars.low, bars.high)
+
+    def blocks():
+        # zip stops with the node columns, so the blanks only fill the
+        # step columns, which end before the horizon
+        for a in range(0, levels.size, _BLOCK):
+            at = slice(a, a + _BLOCK)
+            yield zip(
+                map(str, levels[at].tolist()),
+                map(str, nodes[at].tolist()),
+                times[levels[at]].tolist(),
+                *(_reprs(p.values[at]) + [""] * _BLOCK for p in procs),
+            )
+
     _write_rows(
         path,
         ["level", "node", "t", "Y", "Z", "dKplus", "dKminus", "L_eff", "U_eff"],
-        zip(*cols),
+        blocks(),
     )
 
 
@@ -508,7 +517,7 @@ def write_convergence_csv(path, family):
     ):
         rows.append(["lower", str(n), lo, repr(low.value())])
         rows.append(["upper", str(n), hi, repr(high.value())])
-    _write_rows(path, ["side", "n", "sup_gap", "y0"], rows)
+    _write_rows(path, ["side", "n", "sup_gap", "y0"], [rows])
 
 
 def write_envelope_csv(path, times, g, weights):
@@ -528,7 +537,7 @@ def write_envelope_csv(path, times, g, weights):
         + [f"env_{n:g}" for n in _ENVELOPE_WEIGHTS]
         + ["env_star"]
     )
-    _write_rows(path, header, zip(*cols))
+    _write_rows(path, header, [zip(*cols)])
 
 
 def write_verify_csv(path, reports):
@@ -546,11 +555,31 @@ def write_verify_csv(path, reports):
     _write_rows(
         path,
         ["criterion", "name", "cases", "failures", "max_err", "tol", "status"],
-        rows,
+        [rows],
     )
 
 
-def write_manifest(outdir, config_bytes, subcommand, artifacts, started):
+class _Laps:
+    """Wall time of one run by phase: ``lap(phase)`` adds the time since
+    the previous lap, or since the start, to ``phase``."""
+
+    def __init__(self):
+        self.started = self.last = time.perf_counter()
+        self.phases = dict(parse_s=0.0, build_s=0.0, run_s=0.0, write_s=0.0)
+
+    def lap(self, phase):
+        now = time.perf_counter()
+        self.phases[phase] += now - self.last
+        self.last = now
+
+    def write(self, writer, *args):
+        """``writer(*args)`` timed as writing, after a lap of running."""
+        self.lap("run_s")
+        writer(*args)
+        self.lap("write_s")
+
+
+def write_manifest(outdir, config_bytes, subcommand, artifacts, laps):
     manifest = {
         "schema": _SCHEMA,
         "subcommand": subcommand,
@@ -563,7 +592,10 @@ def write_manifest(outdir, config_bytes, subcommand, artifacts, started):
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "timings": {"total_s": round(time.perf_counter() - started, 6)},
+        "timings": {
+            "total_s": round(time.perf_counter() - laps.started, 6),
+            **{k: round(v, 6) for k, v in laps.phases.items()},
+        },
     }
     path = Path(outdir) / _MANIFEST
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -574,15 +606,15 @@ def write_manifest(outdir, config_bytes, subcommand, artifacts, started):
 # ------------------------------------------------------------- subcommands
 
 
-def run_solve(scn, outdir):
+def run_solve(scn, outdir, laps):
     sol = solve_rbsde(scn.lattice, scn.driver, scn.barriers)
     path = outdir / scn.outputs["solution"]
-    write_solution_csv(path, sol, scn.barriers)
+    laps.write(write_solution_csv, path, sol, scn.barriers)
     print(f"solve: Y0 = {sol.value()!r} -> {path}")
     return [path.name]
 
 
-def run_penalize(scn, outdir, schedule_max=None):
+def run_penalize(scn, outdir, laps, schedule_max=None):
     if scn.witness is None:
         raise ConfigError("penalize needs a witness in the scenario")
     if scn.bounds is None:
@@ -594,10 +626,10 @@ def run_penalize(scn, outdir, schedule_max=None):
         scn.lattice, scn.bounds, scn.witness, scn.barriers, schedule=schedule
     )
     conv_path = outdir / scn.outputs["convergence"]
-    write_convergence_csv(conv_path, family)
+    laps.write(write_convergence_csv, conv_path, family)
     sol = reduce_and_solve(scn.lattice, scn.driver, scn.barriers)
     sol_path = outdir / scn.outputs["solution"]
-    write_solution_csv(sol_path, sol, scn.barriers)
+    laps.write(write_solution_csv, sol_path, sol, scn.barriers)
     print(
         f"penalize: {len(schedule)} weights, reduced Y0 = {sol.value()!r} "
         f"-> {conv_path}, {sol_path}"
@@ -605,7 +637,7 @@ def run_penalize(scn, outdir, schedule_max=None):
     return [conv_path.name, sol_path.name]
 
 
-def run_snell(scn, outdir):
+def run_snell(scn, outdir, laps):
     inst = SnellInstance(
         scn.barriers.L,
         scn.barriers.l,
@@ -617,12 +649,12 @@ def run_snell(scn, outdir):
         warnings.filterwarnings("ignore", _NO_WITNESS, UserWarning)
         sol = snell_envelope(inst)
     path = outdir / scn.outputs["solution"]
-    write_solution_csv(path, sol, inst.barriers)
+    laps.write(write_solution_csv, path, sol, inst.barriers)
     print(f"snell: Y0 = {sol.value()!r} -> {path}")
     return [path.name]
 
 
-def run_envelope(scn, outdir):
+def run_envelope(scn, outdir, laps):
     lat = scn.lattice
     try:
         weights = scn.barriers.delta.weights_by_time()
@@ -638,12 +670,12 @@ def run_envelope(scn, outdir):
     g = np.full(lat.steps + 1, -np.inf)
     g[1:] = l[level_offset(np.arange(lat.steps))]
     path = outdir / scn.outputs["envelope"]
-    write_envelope_csv(path, lat.times, g, weights)
+    laps.write(write_envelope_csv, path, lat.times, g, weights)
     print(f"envelope: {lat.steps + 1} grid times -> {path}")
     return [path.name]
 
 
-def run_verify(args, report_name, outdir):
+def run_verify(args, report_name, outdir, laps):
     seed = {} if args.seed is None else {"seed": args.seed}
     reports, log = run_all(
         **seed,
@@ -653,7 +685,7 @@ def run_verify(args, report_name, outdir):
         schedule_max=args.schedule_max,
     )
     path = outdir / report_name
-    write_verify_csv(path, reports)
+    laps.write(write_verify_csv, path, reports)
     for r in reports:
         status = "PASS" if r["passed"] else "FAIL"
         print(
@@ -699,7 +731,7 @@ def _parser():
 
 def main(argv=None):
     """Run one subcommand; returns the process exit code."""
-    started = time.perf_counter()
+    laps = _Laps()
     parser = _parser()
     try:
         args = parser.parse_args(argv)
@@ -715,22 +747,26 @@ def main(argv=None):
                 cfg, config_bytes = load_config(args.config)
             if args.seed is None:
                 args.seed = cfg.get("seed")
-            artifacts = run_verify(args, _output_names(cfg)["report"], outdir)
+            laps.lap("parse_s")
+            report = _output_names(cfg)["report"]
+            artifacts = run_verify(args, report, outdir, laps)
         else:
             cfg, config_bytes = load_config(args.config)
+            laps.lap("parse_s")
             scn = ScenarioConfig(cfg)
+            laps.lap("build_s")
             if args.subcommand == "solve":
-                artifacts = run_solve(scn, outdir)
+                artifacts = run_solve(scn, outdir, laps)
             elif args.subcommand == "penalize":
                 artifacts = run_penalize(
-                    scn, outdir, schedule_max=args.schedule_max
+                    scn, outdir, laps, schedule_max=args.schedule_max
                 )
             elif args.subcommand == "snell":
-                artifacts = run_snell(scn, outdir)
+                artifacts = run_snell(scn, outdir, laps)
             else:
-                artifacts = run_envelope(scn, outdir)
+                artifacts = run_envelope(scn, outdir, laps)
         manifest = write_manifest(
-            outdir, config_bytes, args.subcommand, artifacts, started
+            outdir, config_bytes, args.subcommand, artifacts, laps
         )
         print(f"manifest -> {manifest}")
         return EXIT_OK

@@ -20,7 +20,9 @@ entries ``i + 1`` and ``i + 2`` further on.
   likewise read at level ``i``.
 
 ``level(i)``, ``atom(i)`` and ``terminal()`` return views into the
-packed array.
+packed array.  A constant process stores one read-only zero-stride
+view of its value instead, so hot paths must not call
+``np.ascontiguousarray`` on ``values``, which would copy it out.
 
 Conditional expectation one step ahead is the exact midpoint of the
 two children, and the integrand of the martingale part is the exact
@@ -238,6 +240,16 @@ def _adopted(cls):
     return make
 
 
+def _constant(cls, lattice, value):
+    """A ``cls`` process equal to ``value`` everywhere, stored as one
+    read-only zero-stride view; a value the class's rule rejects goes
+    through the checking constructor, which raises its usual error."""
+    count = lattice.steps + (cls is AdaptedProcess)
+    values = np.broadcast_to(float(value), (level_offset(count),))
+    ok = _admissible(values[:1], cls is IncreasingProcess)
+    return (_adopted(cls) if ok else cls)(lattice, values)
+
+
 class AdaptedProcess:
     """Node-indexed process: one value per lattice node.
 
@@ -246,7 +258,8 @@ class AdaptedProcess:
     their packed concatenation.  Values may be +-inf (extended-real
     obstacles) but never NaN.  They are stored packed, read-only, in
     ``values``; a packed array passed in becomes that storage and is
-    frozen in place, so pass a copy to keep a writable one.
+    frozen in place, so pass a copy to keep a writable one.  A
+    ``constant`` is stored as one read-only zero-stride view.
     """
 
     __slots__ = ("lattice", "values")
@@ -257,9 +270,7 @@ class AdaptedProcess:
 
     @classmethod
     def constant(cls, lattice, value):
-        return cls(
-            lattice, np.full(level_offset(lattice.steps + 1), float(value))
-        )
+        return _constant(cls, lattice, value)
 
     def level(self, i):
         return _level_view(self.values, i)
@@ -295,7 +306,8 @@ class PredictableProcess:
     ``i + 1`` entries (the nodes of level ``i``) and representing the
     value effective at time ``t_{i+1}``, or their packed concatenation.
     There is no entry for time 0.  Values may be +-inf but never NaN;
-    they are stored packed, read-only, in ``values``.
+    they are stored packed, read-only, in ``values``, and a
+    ``constant`` as one read-only zero-stride view.
     """
 
     __slots__ = ("lattice", "values")
@@ -306,7 +318,7 @@ class PredictableProcess:
 
     @classmethod
     def constant(cls, lattice, value):
-        return cls(lattice, np.full(level_offset(lattice.steps), float(value)))
+        return _constant(cls, lattice, value)
 
     @classmethod
     def from_time_values(cls, lattice, pairs, fill=-np.inf):
@@ -352,7 +364,8 @@ class IncreasingProcess:
     their packed concatenation, stored packed in ``values``).  The
     process starts at 0 and is purely atomic on the grid; a continuous
     part would put mass on every interval, which is the `lebesgue`
-    constructor.
+    constructor.  ``zero`` and ``lebesgue`` are stored as one read-only
+    zero-stride view.
     """
 
     __slots__ = ("lattice", "values")
@@ -370,12 +383,12 @@ class IncreasingProcess:
 
     @classmethod
     def zero(cls, lattice):
-        return cls(lattice, np.zeros(level_offset(lattice.steps)))
+        return _constant(cls, lattice, 0.0)
 
     @classmethod
     def lebesgue(cls, lattice):
         """Clock with mass ``dt`` at every grid time (discrete dt)."""
-        return cls(lattice, np.full(level_offset(lattice.steps), lattice.dt))
+        return _constant(cls, lattice, lattice.dt)
 
     @classmethod
     def from_time_atoms(cls, lattice, pairs):

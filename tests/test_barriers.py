@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ from rbsdelab.barriers import (
     envelope_profile,
     envelope_star_profile,
 )
+from rbsdelab.drivers import Driver, GrowthBounds, SemimartingaleSpec
 from rbsdelab.lattice import (
     AdaptedProcess,
     IncreasingProcess,
     Lattice,
     PredictableProcess,
     TimeGrid,
+    level_offset,
 )
 from rbsdelab.oracle import envelope_brute_force
+from rbsdelab.penalize import reduce_and_solve
+from rbsdelab.snell import SnellInstance, snell_envelope
+from rbsdelab.solver import solve_rbsde
 
 
 @pytest.fixture
@@ -307,6 +313,110 @@ def test_barrier_build_defaults(lat):
         low, high = bars.low.level(j), bars.high.level(j)
         assert np.shares_memory(low, bars.L.level(j))
         assert np.shares_memory(high, bars.U.level(j))
+
+
+def test_an_unconstrained_set_keeps_only_its_node_obstacles():
+    # the absent pieces are constants, stored as one value each; only L
+    # and U, which end at xi, hold packed buffers (and low and high are
+    # those, since no clock charges)
+    lat = Lattice(TimeGrid(1.0, 2000))
+    xi = lat.brownian(lat.steps)
+    buffer = 8 * level_offset(lat.steps + 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bars = BarrierSet.build(lat, xi)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bars.low is bars.L and bars.high is bars.U
+    assert kept <= 2 * buffer + 2**20
+
+
+def full_of(X):
+    """The constant process ``X`` rebuilt on a packed buffer of its own."""
+    return type(X)(X.lattice, np.full(X.values.shape, X.values[0]))
+
+
+def same_bits(a, b):
+    return all(
+        getattr(a, k).values.tobytes() == getattr(b, k).values.tobytes()
+        for k in ("Y", "Z", "Kplus", "Kminus", "drift")
+    )
+
+
+def test_unconstrained_solve_is_bitwise_the_one_on_full_buffers():
+    lat = Lattice(TimeGrid(1.0, 200))
+    xi = np.sin(lat.brownian(lat.steps))
+    views = BarrierSet.build(lat, xi)
+    pieces = {k: getattr(views, k) for k in ("l", "u", "delta", "alpha")}
+    full = BarrierSet.build(
+        lat,
+        xi,
+        L=full_of(AdaptedProcess.constant(lat, -np.inf)),
+        U=full_of(AdaptedProcess.constant(lat, np.inf)),
+        **{k: full_of(p) for k, p in pieces.items()},
+    )
+    assert views.delta.values.strides == (0,)
+    assert full.delta.values.strides == (8,)
+    drv = Driver.quadratic(0.7)
+    assert same_bits(solve_rbsde(lat, drv, views), solve_rbsde(lat, drv, full))
+
+
+def test_snell_envelope_is_bitwise_the_one_on_full_buffers():
+    # an American put on the walk, under a constant martingale witness
+    lat = Lattice(TimeGrid(1.0, 200))
+    walk = np.concatenate([lat.brownian(i) for i in range(lat.steps + 1)])
+    L = AdaptedProcess(lat, np.maximum(1.0 - np.exp(0.3 * walk), 0.0))
+    pieces = (
+        PredictableProcess.constant(lat, -np.inf),
+        IncreasingProcess.zero(lat),
+        IncreasingProcess.zero(lat),
+        IncreasingProcess.zero(lat),
+        PredictableProcess.constant(lat, 0.0),
+    )
+
+    def envelope(l, delta, vplus, vminus, gamma):
+        spec = SemimartingaleSpec(1.0, vplus, vminus, gamma)
+        return snell_envelope(
+            SnellInstance(L, l, delta, L.terminal(), witness=spec)
+        )
+
+    views = envelope(*pieces)
+    assert same_bits(views, envelope(*map(full_of, pieces)))
+    assert views.value() > 0.0
+
+
+def test_reduction_is_bitwise_the_one_on_full_buffers():
+    # a linear rate pushed up against a flat cap, a floor on the left
+    # limit charged at every grid time, the zero process as witness and
+    # constant growth bounds that dominate the rate on [-0.2, 0.1]
+    lat = Lattice(TimeGrid(1.0, 200))
+    pieces = (
+        AdaptedProcess.constant(lat, -0.2),
+        AdaptedProcess.constant(lat, 0.1),
+        PredictableProcess.constant(lat, -0.1),
+        IncreasingProcess.lebesgue(lat),
+        IncreasingProcess.zero(lat),
+        PredictableProcess.constant(lat, 0.0),
+    )
+    bounds = GrowthBounds.constants(lat, eta=0.58, C=0.5)
+
+    def reduce(L, U, l, delta, zero, gamma, eta, C, beta, A):
+        spec = SemimartingaleSpec(0.0, zero, zero, gamma)
+        bars = BarrierSet.build(
+            lat, 0.0, L=L, U=U, l=l, delta=delta, witness=spec
+        )
+        drv = Driver.linear(
+            0.2, -0.4, 0.3, bounds=GrowthBounds(eta, C, beta, A)
+        )
+        return reduce_and_solve(lat, drv, bars)
+
+    parts = pieces + (bounds.eta, bounds.C, bounds.beta, bounds.A)
+    assert all(p.values.strides == (0,) for p in parts)
+    views, full = reduce(*parts), reduce(*map(full_of, parts))
+    assert np.any(views.Kminus.values > 0.0)
+    assert same_bits(views, full)
 
 
 def test_barrier_terminal_must_be_finite(lat):

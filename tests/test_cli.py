@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,13 @@ from rbsdelab.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _BLOCK,
     ScenarioConfig,
     _parser,
     main,
 )
 from rbsdelab.lattice import entry_levels, level_offset
+from rbsdelab.snell import SnellInstance, snell_envelope
 from rbsdelab.solver import solve_rbsde
 
 
@@ -83,6 +86,22 @@ def test_solve_writes_solution_and_manifest(tmp_path):
     ).hexdigest()
     assert manifest["versions"]["rbsdelab"]
     assert manifest["timings"]["total_s"] >= 0.0
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "snell", "envelope", "verify"])
+def test_manifest_times_each_phase(tmp_path, subcommand):
+    doc = witness_scenario() if subcommand == "envelope" else base_scenario()
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    argv = [subcommand, "--config", str(cfg), "--out", str(out)]
+    if subcommand == "verify":
+        argv += ["--cases", "1", "--depth", "2", "--schedule-max", "4"]
+    assert main(argv) == EXIT_OK
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    phases = ("parse_s", "build_s", "run_s", "write_s")
+    assert set(timings) == {"total_s", *phases}
+    assert all(timings[k] >= 0.0 for k in timings)
+    assert sum(timings[k] for k in phases) <= timings["total_s"]
 
 
 def test_solve_output_is_byte_identical_across_runs(tmp_path):
@@ -724,6 +743,62 @@ def test_solution_csv_reads_back_bitwise(tmp_path):
         assert cols[name][inner:] == [""] * (lat.steps + 1)
         got = _floats(cols[name][:inner])
         assert np.array_equal(_bits(got), _bits(proc.values)), name
+
+
+def one_string_solution_csv(sol, bars):
+    """The solution table formatted whole, as one string: the reference
+    that the block writer must match byte for byte."""
+    lat = sol.lattice
+    levels = entry_levels(lat.steps + 1)
+    nodes = np.arange(levels.size) - level_offset(levels)
+    blank = [""] * (lat.steps + 1)
+
+    def reprs(values):
+        return [repr(x) for x in np.asarray(values, dtype=float).tolist()]
+
+    cols = [
+        [str(i) for i in levels.tolist()],
+        [str(j) for j in nodes.tolist()],
+        reprs(lat.times[levels]),
+        reprs(sol.Y.values),
+        *(reprs(p.values) + blank for p in (sol.Z, sol.Kplus, sol.Kminus)),
+        reprs(bars.low.values),
+        reprs(bars.high.values),
+    ]
+    header = ["level", "node", "t", "Y", "Z", "dKplus", "dKminus", "L_eff",
+              "U_eff"]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cols)])
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "snell"])
+def test_block_writer_is_byte_identical_to_one_string(tmp_path, subcommand):
+    # the terminal rows, whose step columns are blank, straddle the end
+    # of the first block, and the table is longer than one block
+    steps = 127
+    assert level_offset(steps) < _BLOCK < level_offset(steps + 1)
+    doc = base_scenario(grid={"T": 1.0, "steps": steps})
+    if subcommand == "snell":
+        doc["barriers"] = {
+            "L": {"kind": "payoff", "form": "put", "strike": 1.1},
+            "l": [{"time": 3, "value": 0.6}],
+        }
+        doc["measures"] = {"delta": [{"time": 3, "mass": 1.0}]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    scn = ScenarioConfig(doc)
+    bars = scn.barriers
+    if subcommand == "solve":
+        sol = solve_rbsde(scn.lattice, scn.driver, bars)
+    else:
+        inst = SnellInstance(bars.L, bars.l, bars.delta, bars.xi)
+        bars = inst.barriers
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sol = snell_envelope(inst)
+    want = one_string_solution_csv(sol, bars)
+    assert want.count("\n") > _BLOCK + 1
+    assert (out / "solution.csv").read_bytes() == want.encode()
 
 
 def test_envelope_csv_reads_back_bitwise(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,20 @@ def test_growth_bounds_validation(lat):
     assert np.all(gb.eta.level(3) == 0.5)
     assert np.all(gb.C.level(0) == 2.0)
     assert not (gb.A.atom(0) > 0.0).any()
+
+
+def test_constant_growth_bounds_keep_no_buffer():
+    lat = Lattice(TimeGrid(1.0, 2000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gb = GrowthBounds.constants(lat, eta=0.5, C=2.0, beta=0.25)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for k in ("eta", "C", "beta", "A"):
+        assert getattr(gb, k).values.strides == (0,)
+    assert kept <= 2**20
 
 
 def test_reconstruct_hand_case(lat):

@@ -127,6 +127,34 @@ def test_adapted_is_frozen(lat):
     assert np.all(np.isneginf(Y.terminal()))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda lat: AdaptedProcess.constant(lat, -np.inf),
+        lambda lat: PredictableProcess.constant(lat, np.inf),
+        IncreasingProcess.zero,
+        IncreasingProcess.lebesgue,
+    ],
+    ids=["adapted", "predictable", "zero_clock", "lebesgue_clock"],
+)
+def test_a_constant_is_one_read_only_zero_stride_view(lat, make):
+    X = make(lat)
+    count = lat.steps + isinstance(X, AdaptedProcess)
+    assert X.values.shape == (level_offset(count),)
+    assert X.values.strides == (0,)
+    with pytest.raises(ValueError):
+        X.values[0] = 1.0
+    with pytest.raises(ValueError):
+        X.values[-3:] = 1.0
+
+
+@pytest.mark.parametrize("cls", [AdaptedProcess, PredictableProcess])
+def test_a_nan_constant_raises_as_its_constructor(lat, cls):
+    with pytest.raises(ValueError) as info:
+        cls.constant(lat, np.nan)
+    assert str(info.value) == f"{cls.__name__} level 0 contains NaN"
+
+
 def batch_parts(lat, rng):
     """A (3, 2) batch of adapted, predictable and clock rows."""
     adapted = rng.normal(size=(3, 2, level_offset(lat.steps + 1)))
