@@ -31,7 +31,7 @@ and the bounds feed the construction of the dominating generator whose
 drift beats every generator within them after recentering the slope.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .lattice import (
     IncreasingProcess,
     PredictableProcess,
     _packed,
+    _stack_rows,
     entry_levels,
     level_offset,
 )
@@ -256,10 +257,14 @@ class SemimartingaleSpec:
 class Driver:
     """Generator of the backward equation.
 
-    ``f(j, y, z)`` must accept a level index and equal-shape arrays and
-    return a broadcastable array; same for ``g(j, y_left, y)``.  Per
-    step from level ``j`` the drift is
-    ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``.  The
+    ``f(j, y, z)`` must accept a level index and equal-shape arrays of
+    shape ``batch + (nodes,)`` and return a broadcastable array, working
+    elementwise; same for ``g(j, y_left, y)``.  :func:`solve_rbsde`
+    passes ``(nodes,)``; :func:`reduce_and_solve` and the penalized
+    ladder add leading batch axes (``(1, 2, nodes)`` for one reduction).
+    Per step from level ``j`` the drift is
+    ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``, with
+    the clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.  The
     optional structural fields are described in the module docstring;
     when ``quad`` is given, ``f_rest`` must hold the remainder so that
     ``f == f_rest + q * (z - center)**2`` at every node.
@@ -275,6 +280,11 @@ class Driver:
     label: str = "custom"
 
     def __post_init__(self):
+        if self.g is not None and self.bounds is None:
+            raise ValueError(
+                "a driver with a clock rate g needs bounds: the clock A "
+                "that g integrates against lives on the growth bounds"
+            )
         if self.quad is not None and self.f_rest is None:
             raise ValueError(
                 "a driver with an exact squared-slope part must also "
@@ -413,17 +423,19 @@ def build_dominated_driver(bounds, spec):
     below the upper obstacle, row 0 the lower one with every sign flipped.
     The squared-slope part is declared exact (see the module docstring),
     so the one-sided solves stay monotone at any step size.
-
-    ``bounds`` and ``spec`` are one pair, or sequences with one pair per
-    row lattice, all of one depth.  Rows stack every packed part with a
-    leading instance axis, shaped to broadcast against a batch
-    ``(B, W, 2)``: the instance, a weight (one without a penalty), then
-    the side; the driver's ``bounds`` are then the rows' bounds, in order.
     """
-    single = isinstance(bounds, GrowthBounds)
-    pairs = [(bounds, spec)] if single else list(zip(bounds, spec))
+    return replace(_dominated_driver([bounds], [spec], (-1,)), bounds=bounds)
+
+
+def _dominated_driver(bounds, specs, shape):
+    """:func:`build_dominated_driver` of pairs ``(bounds, specs)``, one
+    per row lattice, all of one depth.  Every packed part stacks the
+    rows and takes ``shape``, such as ``(B, 1, 1, -1)`` to broadcast
+    against a batch ``(B, W, 2)``: the instance, a weight (one without
+    a penalty), then the side.  The driver's ``bounds`` are the rows'
+    bounds, in order."""
     parts = []
-    for b, s in pairs:
+    for b, s in zip(bounds, specs, strict=True):
         lattice = b.lattice
         if s.lattice.grid != lattice.grid:
             raise ValueError("bounds and witness decomposition on different grids")
@@ -438,15 +450,12 @@ def build_dominated_driver(bounds, spec):
                 b.eta.values[:n],
                 b.C.values[:n],
                 b.beta.values[:n] * b.A.values,
-                lattice.dt,
             )
         )
-    if single:
-        m, gamma, dv, eta, C, clock, dt = parts[0]
-    else:
-        m, gamma, dv, eta, C, clock, dt = (
-            np.stack(rows).reshape(len(pairs), 1, 1, -1) for rows in zip(*parts)
-        )
+    m, gamma, dv, eta, C, clock = (
+        _stack_rows(rows).reshape(shape) for rows in zip(*parts)
+    )
+    dt = np.reshape([b.lattice.dt for b in bounds], shape[:-1] + (1,))
     sgn = np.array([[-1.0], [1.0]])
 
     def f(j, y, z):
@@ -469,7 +478,7 @@ def build_dominated_driver(bounds, spec):
     return Driver(
         f=f,
         g=None,
-        bounds=bounds if single else tuple(bounds),
+        bounds=tuple(bounds),
         quad=quad,
         f_rest=f_rest,
         source=source,

@@ -199,6 +199,14 @@ def _admissible(values, clock=False):
     return not np.isnan(low)
 
 
+def _stack_rows(arrays):
+    """The arrays as the rows of one new array; a single array is
+    adopted as the view ``a[None]``, so a zero-stride constant stays one
+    value."""
+    arrays = list(arrays)
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _process_rows(lattices, parts):
     """One tuple of processes per packed row of batch buffers.
 

@@ -12,10 +12,10 @@ penalty terms with weight ``n``.  Each is solved one-sided:
   the witness dominates it;
 - the upper equation mirrors this below the upper node obstacle.
 
-Both equations along a weight schedule take one backward pass: the
-weights, then the side, are batch axes.  Containment by the witness
-(lower solutions below it, upper ones above) and monotonicity in ``n``
-are then verified for every weight at once, not assumed, with a small
+Both equations along a weight schedule take one backward pass, batched
+over instance, weight and side.  Containment by the witness (lower
+solutions below it, upper ones above) and monotonicity in ``n`` are
+then verified for every weight at once, not assumed, with a small
 tolerance absorbing the rounding left in the implicit steps.
 The squeeze estimates the two monotone limits along a doubling
 schedule; since a binding penalty converges only like ``1/n``, the
@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barriers import BarrierSet
-from .drivers import SemimartingaleSpec, build_dominated_driver
-from .lattice import Lattice, level_offset
-from .solver import _backward, _stacked_bands
+from .drivers import SemimartingaleSpec, _dominated_driver
+from .lattice import _stack_rows, level_offset
+from .solver import _backward, _row_bounds, _stacked_sets
 
 __all__ = [
     "ScheduleExhausted",
@@ -142,70 +142,54 @@ class _Penalty:
         return self.signed * push * self.masses[..., at]
 
 
-def _one_sided_pair(lattice, bounds, spec2, barriers, weights=None):
+def _one_sided_pair(lattices, bounds, specs, sets, weights=None):
     """The lower equation reflected at its lower band only and the upper
     one at its upper band only, in one backward pass.
 
     Without ``weights`` the bands are the merged ones (the exact
     squeeze); with them they are the node obstacles, and the predictable
-    obstacles enter as penalties at every weight.  ``lattice``,
-    ``bounds``, ``spec2`` (the normalized witness) and ``barriers`` are
-    one instance, or sequences with one instance per row, all of one
-    depth.  The batch is the instance, the weight, then the side: one
-    instance has no instance axis, and no weight axis without weights;
-    rows without weights take a weight axis of one.  Returns the lower
+    obstacles enter as penalties at every weight.  ``lattices``,
+    ``bounds``, ``specs`` (the normalized witnesses) and ``sets`` hold
+    one instance per row, all of one depth.  The batch is the instance,
+    the weight (one without weights), then the side.  Returns the lower
     and the upper solutions, each in (instance, weight) order.
     """
-    single = isinstance(lattice, Lattice)
-    sets = [barriers] if single else list(barriers)
-    lats = [lattice] if single else list(lattice)
-    if any(bars.lattice.grid != lat.grid for lat, bars in zip(lats, sets)):
+    if weights is not None and any(n < 0 for n in weights):
+        raise ValueError("penalty weight must be >= 0")
+    names = ("low", "high") if weights is None else ("L", "U")
+    own, xi, lo, hi = _stacked_sets(sets, names)
+    if any(lat.grid != their.grid for lat, their in zip(lattices, own)):
         raise ValueError("obstacles live on a different grid")
-
-    def stacked(per_row):
-        # rows lead with their instance and a weight axis of one
-        return per_row[0] if single else np.stack(per_row)[:, None]
-
     penalty = None
     if weights is not None:
         # row 0 pushes the lower equation up to l, row 1 the upper one
         # down to u
         side = np.array([[1.0], [-1.0]])
+        # the instance leads, then a weight axis of one and the side
+        kinks, masses = (
+            _stack_rows(
+                [np.stack([getattr(b, name).values for name in pair]) for b in sets]
+            )[:, None]
+            for pair in (("l", "u"), ("delta", "alpha"))
+        )
         penalty = _Penalty(
-            kinks=stacked([np.stack([b.l.values, b.u.values]) for b in sets]),
-            masses=stacked([np.stack([b.delta.values, b.alpha.values]) for b in sets]),
+            kinks=kinks,
+            masses=masses,
             signed=side * np.asarray(weights, dtype=float)[:, None, None],
             side=side,
         )
-
-    names = ("low", "high") if weights is None else ("L", "U")
-    low, high = [], []
-    for bars in sets:
-        lo, hi = (getattr(bars, name).values for name in names)
-        inf = np.full_like(lo, np.inf)
-        low.append(np.stack([lo, -inf]))
-        high.append(np.stack([inf, hi]))
-    width = 1 if weights is None else len(weights)
-    if single:
-        xi, batch = barriers.xi, (2,) if weights is None else (width, 2)
-    else:
-        xi = np.stack([bars.xi for bars in sets])[:, None, None]
-        batch = (len(sets), width, 2)
-    driver = replace(build_dominated_driver(bounds, spec2), penalty=penalty)
-    sols = _backward(lattice, driver, xi, stacked(low), stacked(high), batch)
+    inf = np.full_like(lo, np.inf)
+    low = np.stack([lo, -inf], axis=1)[:, None]
+    high = np.stack([inf, hi], axis=1)[:, None]
+    batch = (len(sets), 1 if weights is None else len(weights), 2)
+    driver = replace(
+        _dominated_driver(bounds, specs, (len(sets), 1, 1, -1)), penalty=penalty
+    )
+    sols = _backward(lattices, driver, xi[:, None, None], low, high, batch)
     lows, highs = sols[0::2], sols[1::2]
     assert not np.any([s.Kminus.values for s in lows])
     assert not np.any([s.Kplus.values for s in highs])
     return lows, highs
-
-
-def _solve_penalized(lattice, bounds, spec2, barriers, weights):
-    """Both penalized equations at every weight, in one backward pass
-    (:func:`_one_sided_pair`); returns the lower and the upper
-    solutions, one per weight, after one another for rows."""
-    if any(n < 0 for n in weights):
-        raise ValueError("penalty weight must be >= 0")
-    return _one_sided_pair(lattice, bounds, spec2, barriers, weights)
 
 
 class PenalizedFamily:
@@ -279,15 +263,8 @@ class PenalizedFamily:
         """
         if self.n_schedule and n <= self.n_schedule[-1]:
             raise ValueError("schedule must increase")
-        self._append([n])
-
-    def _append(self, weights):
-        self._grow(
-            weights,
-            *_solve_penalized(
-                self.lattice, self.bounds, self.spec, self.barriers, weights
-            ),
-        )
+        rows = ([self.lattice], [self.bounds], [self.spec], [self.barriers])
+        self._grow([n], *_one_sided_pair(*rows, [n]))
 
     def _grow(self, weights, lows, highs):
         """Check the ladder of the rungs solved at ``weights`` from the
@@ -347,10 +324,8 @@ def build_family(lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE):
     weight, then level and node.  Solver errors come before any ladder
     check, whichever weight they occur at.
     """
-    schedule = _checked_schedule(schedule)
-    spec2, S = spec.retarget(barriers.xi)
-    family = PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
-    family._append(schedule)
+    ((family, rungs),) = _families([(lattice, bounds, spec, barriers)], schedule)
+    family._grow(*rungs)
     return family
 
 
@@ -368,7 +343,7 @@ def _families(instances, schedule):
         families.append(
             PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
         )
-    lows, highs = _solve_penalized(
+    lows, highs = _one_sided_pair(
         *(
             [getattr(family, name) for family in families]
             for name in ("lattice", "bounds", "spec", "barriers")
@@ -428,20 +403,15 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     with the lower predictable obstacle enforced exactly, and the
     upper limit mirrors it.  Returns ``(Ybar, Yunder)``.
     """
-    return _exact_limits(lattice, bounds, spec, barriers)[0]
+    return _exact_limits([lattice], [bounds], [spec], [barriers])[0]
 
 
-def _exact_limits(lattice, bounds, spec, barriers):
-    """:func:`exact_squeeze_barriers` of one instance, or of sequences
-    with one instance per row, all of one depth, in one backward pass;
-    one ``(Ybar, Yunder)`` pair per instance."""
-    single = isinstance(lattice, Lattice)
-    pairs = [(spec, barriers)] if single else list(zip(spec, barriers))
-    targets = [s.retarget(bars.xi) for s, bars in pairs]
-    spec2 = [t[0] for t in targets]
-    lows, highs = _one_sided_pair(
-        lattice, bounds, spec2[0] if single else spec2, barriers
-    )
+def _exact_limits(lattices, bounds, specs, sets):
+    """:func:`exact_squeeze_barriers` of sequences with one instance per
+    row, all of one depth, in one backward pass; one ``(Ybar, Yunder)``
+    pair per instance."""
+    targets = [spec.retarget(bars.xi) for spec, bars in zip(specs, sets)]
+    lows, highs = _one_sided_pair(lattices, bounds, [t[0] for t in targets], sets)
     limits = []
     for (_, S), lower, upper in zip(targets, lows, highs):
         rows = (
@@ -466,57 +436,42 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     a failed check raises :class:`ReductionDisagreement`, since it
     would mean the two routes diverged.
     """
-    return _reduce_and_direct(lattice, driver, barriers, agreement_tol)[0]
-
-
-def _reduce_and_direct(lattice, driver, barriers, agreement_tol):
-    """:func:`reduce_and_solve`, returning the reduced solve and the
-    direct merged-obstacle solve it was checked against."""
-    ((sol, direct),) = _reduce_pass(lattice, driver, barriers)
+    ((sol, direct),) = _reduce_pass([lattice], driver, [barriers])
     _check_reduction(sol, direct, barriers, agreement_tol)
-    return sol, direct
+    return sol
 
 
-def _reduce_pass(lattice, driver, barriers):
-    """The reduced and the direct solve of one instance, or of
-    sequences with one instance per row, all of one depth, unchecked.
+def _reduce_pass(lattices, driver, sets):
+    """The reduced and the direct solve of sequences with one instance
+    per row, all of one depth, unchecked.
 
-    For rows, ``driver`` is batched over them, with one growth bound
-    per row.  After the squeeze's pass, one pass holds the reduced
-    problem and the direct one as the last batch axis.  Returns one
-    ``(reduced, direct)`` pair per instance.
+    ``driver`` is batched over the rows, with one growth bound for
+    every row or one per row.  After the squeeze's pass, one pass holds
+    the reduced problem and the direct one as the last batch axis.
+    Returns one ``(reduced, direct)`` pair per instance.
     """
     if driver.bounds is None:
         raise ValueError("reduction needs the generator's growth bounds")
-    single = isinstance(lattice, Lattice)
-    rows = [(lattice, barriers)] if single else list(zip(lattice, barriers))
-    specs = [bars.witness for _, bars in rows]
+    specs = [bars.witness for bars in sets]
     if not all(isinstance(spec, SemimartingaleSpec) for spec in specs):
         raise ValueError(
             "reduction needs a witness decomposition on the obstacle set"
         )
-    limits = (
-        [exact_squeeze_barriers(lattice, driver.bounds, specs[0], barriers)]
-        if single
-        else _exact_limits(lattice, driver.bounds, specs, barriers)
-    )
+    bounds = _row_bounds(driver.bounds, lattices)
+    limits = _exact_limits(lattices, bounds, specs, sets)
     # the reduced problem and the direct one of every row; the reduced
     # obstacle sets live only until their bands are stacked
-    low, high = _stacked_bands(
+    _, xi, low, high = _stacked_sets(
         [
             s
-            for (lat, bars), (Ybar, Yunder) in zip(rows, limits)
+            for lat, bars, (Ybar, Yunder) in zip(lattices, sets, limits)
             for s in (BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar), bars)
         ]
     )
     del limits
-    if single:
-        xi, batch = barriers.xi, (2,)
-    else:
-        xi = np.stack([bars.xi for _, bars in rows])[:, None]
-        batch = (len(rows), 2)
-        low, high = (band.reshape(batch + (-1,)) for band in (low, high))
-    sols = _backward(lattice, driver, xi, low, high, batch)
+    batch = (len(sets), 2)
+    xi, low, high = (a.reshape(batch + (-1,)) for a in (xi, low, high))
+    sols = _backward(lattices, driver, xi, low, high, batch)
     return list(zip(sols[0::2], sols[1::2]))
 
 

@@ -34,9 +34,9 @@ from .drivers import GrowthBounds
 from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
-    Lattice,
     PredictableProcess,
     _process_rows,
+    _stack_rows,
     all_paths,
     expectation_level,
     increment_level,
@@ -474,59 +474,60 @@ def solve_rbsde(lattice, driver, barriers):
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
     bands = barriers.low.values, barriers.high.values
-    return _backward(lattice, driver, barriers.xi, *bands)[0]
+    return _backward([lattice], driver, barriers.xi, *bands)[0]
 
 
-def _stacked_bands(sets):
-    """The merged lower and upper bands of obstacle sets on one depth,
-    each stacked one row per set, as :func:`_backward` reads them."""
-    return [
-        np.stack([getattr(s, side).values for s in sets])
-        for side in ("low", "high")
-    ]
+def _stacked_sets(sets, bands=("low", "high")):
+    """What :func:`_backward` reads from obstacle sets on one depth: their
+    lattices, then their terminal values and the two named bands (the
+    merged ones by default), each stacked one row per set."""
+    return (
+        [s.lattice for s in sets],
+        _stack_rows([s.xi for s in sets]),
+        *(_stack_rows([getattr(s, band).values for s in sets]) for band in bands),
+    )
 
 
-def _backward(lattice, driver, xi, low, high, batch=()):
-    """:func:`solve_rbsde` over a batch, from the terminal values ``xi``
-    and packed merged bands: each level has shape ``batch + (i + 1,)``,
-    which the driver's callables see and the bands' leading axes
-    broadcast against.  ``lattice`` is one lattice, or a sequence of
-    lattices of equal depth, one per entry of the first batch axis;
-    then ``dt`` and ``sqrt_dt`` are columns over that axis, and each
-    row's solutions live on its own lattice.  ``driver.bounds`` is one
-    :class:`GrowthBounds` for every row, or with row lattices a
-    sequence of them, one per row, each on its row's grid.  One
-    solution per entry, built from the output buffers checked once."""
-    single = isinstance(lattice, Lattice)
-    rows = (lattice,) if single else tuple(lattice)
-    steps = rows[0].steps
-    column = (-1,) + (1,) * len(batch)
-    if single:
-        dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
-    else:
-        if batch[:1] != (len(rows),) or any(r.steps != steps for r in rows):
-            raise ValueError("row lattices must be one per row, of equal depth")
-        dt = np.reshape([r.dt for r in rows], column)
-        sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
-    bounds = driver.bounds
-    per_row = bounds is not None and not isinstance(bounds, GrowthBounds)
-    if per_row:
-        bounds = tuple(bounds)
-        if single or len(bounds) != len(rows):
-            raise ValueError("growth bounds must be one per row lattice")
-    elif bounds is not None:
+def _row_bounds(bounds, rows):
+    """A driver's ``bounds`` as one :class:`GrowthBounds` per lattice of
+    ``rows``, each checked to live on its row's grid: ``bounds`` is one
+    for every row, or one per row already."""
+    if isinstance(bounds, GrowthBounds):
         bounds = (bounds,) * len(rows)
-    if bounds is not None and any(
-        p.lattice.grid != r.grid for b, r in zip(bounds, rows) for p in (b, b.A)
-    ):
+    bounds = tuple(bounds)
+    if len(bounds) != len(rows):
+        raise ValueError("growth bounds must be one per row lattice")
+    if any(p.lattice.grid != r.grid for b, r in zip(bounds, rows) for p in (b, b.A)):
         # the clock's mass is read slot by slot, and on another grid a
         # slot stands for another time
         raise ValueError("growth bounds live on a different grid")
+    return bounds
+
+
+def _backward(lattices, driver, xi, low, high, batch=()):
+    """:func:`solve_rbsde` over a batch, from the terminal values ``xi``
+    and packed merged bands: each level has shape ``batch + (i + 1,)``,
+    which the driver's callables see and the bands' leading axes
+    broadcast against.  ``lattices`` are of equal depth, one per entry
+    of the first batch axis, and an empty batch is one row on one
+    lattice; ``dt`` and ``sqrt_dt`` are columns over that axis, and
+    each row's solutions live on its own lattice.  ``driver.bounds`` is
+    one :class:`GrowthBounds` for every row or a sequence of them, one
+    per row, each on its row's grid.  One solution per entry, built
+    from the output buffers checked once."""
+    rows = tuple(lattices)
+    steps = rows[0].steps
+    if (batch[:1] or (1,)) != (len(rows),) or any(r.steps != steps for r in rows):
+        raise ValueError("row lattices must be one per row, of equal depth")
+    column = (-1,) + (1,) * len(batch)
+    dt = np.reshape([r.dt for r in rows], column)
+    sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
+    bounds = None if driver.bounds is None else _row_bounds(driver.bounds, rows)
     clock = None
-    if driver.g is not None and bounds is not None:
+    if driver.g is not None:
         # the clock's atoms, one row per lattice row when they differ
         clock = bounds[0].A.values
-        if per_row:
+        if any(b is not bounds[0] for b in bounds):
             clock = np.stack([b.A.values for b in bounds])
             clock = clock.reshape(column[:-1] + clock.shape[-1:])
     # packed buffers: each level is written in place, and each buffer
@@ -583,7 +584,7 @@ def _backward(lattice, driver, xi, low, high, batch=()):
     defect = np.max(Kplus * Kminus, axis=-1, initial=0.0)
 
     # row k of the flattened batch lives on the lattice of its first index
-    per_lattice = math.prod(batch if single else batch[1:])
+    per_lattice = math.prod(batch[1:])
     lats = [r for r in rows for _ in range(per_lattice)]
     parts = (
         (AdaptedProcess, Y),
@@ -659,7 +660,7 @@ def comparison_check(
         out = np.asarray(driver.f(j, y, z), dtype=float) * lat.dt
         if driver.source is not None:
             out = out + np.asarray(driver.source(j), dtype=float)
-        if driver.g is not None and driver.bounds is not None:
+        if driver.g is not None:
             dA = driver.bounds.A.atom(j)
             out = out + np.asarray(driver.g(j, y, y), dtype=float) * dA
         return out

@@ -55,7 +55,7 @@ from .penalize import (
 from .snell import _NO_WITNESS, SnellInstance, snell_envelope
 from .solver import (
     _backward,
-    _stacked_bands,
+    _stacked_sets,
     budget_defect,
     comparison_check,
     solve_rbsde,
@@ -472,10 +472,7 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
     valued = [k for k, (bars, _) in enumerate(games) if bars is not None]
     for depth in sorted({games[k][0].lattice.steps for k in valued}):
         rows = [k for k in valued if games[k][0].lattice.steps == depth]
-        sets = [games[k][0] for k in rows]
-        low, high = _stacked_bands(sets)
-        xi = np.stack([bars.xi for bars in sets])
-        lats = [bars.lattice for bars in sets]
+        lats, xi, low, high = _stacked_sets([games[k][0] for k in rows])
         out = _backward(lats, Driver.zero(), xi, low, high, (len(rows),))
         for k, sol in zip(rows, out):
             sols[k] = sol
@@ -634,10 +631,10 @@ def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
         # (B, 1, 1) columns, the constant rate (B, 2, 1): one per problem
         a, b, c, c_small = np.array(coefs).T[..., None, None]
         drv = Driver.linear(a, b, np.concatenate([c, c_small], axis=1))
-        bands = _stacked_bands([bars for pair in sets for bars in pair])
-        low, high = (band.reshape(len(rows), 2, -1) for band in bands)
-        xi = np.stack([big.xi for big, _ in sets])[:, None]
-        out = _backward(lats, drv, xi, low, high, (len(rows), 2))
+        _, *packed = _stacked_sets([bars for pair in sets for bars in pair])
+        batch = (len(rows), 2)
+        xi, low, high = (part.reshape(batch + (-1,)) for part in packed)
+        out = _backward(lats, drv, xi, low, high, batch)
         for k, big, small in zip(rows, out[0::2], out[1::2]):
             sols[k] = big, small
 

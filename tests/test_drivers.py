@@ -9,6 +9,7 @@ from rbsdelab.drivers import (
     InconsistentSemimartingale,
     NonMonotonePhi,
     SemimartingaleSpec,
+    _dominated_driver,
     _running_max_envelope,
     build_dominated_driver,
     dominate_growth,
@@ -236,7 +237,7 @@ def test_dominated_driver_rows_stack_the_single_drivers():
         )
         for k, r in enumerate(lats)
     ]
-    rows = build_dominated_driver(*zip(*pairs))
+    rows = _dominated_driver(*zip(*pairs), (3, 1, 1, -1))
     assert rows.bounds == tuple(b for b, _ in pairs)
     singles = [build_dominated_driver(b, s) for b, s in pairs]
     for i in range(4):

@@ -156,3 +156,43 @@ def test_every_public_function_is_reached():
         if name not in reached and not re.search(rf"\b{name}\b", readme)
     ]
     assert not unreached, f"public names only tests reach: {unreached}"
+
+
+def private_helpers(source):
+    """Module-level functions and classes of ``source`` with a single
+    leading underscore."""
+    return sorted(
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    )
+
+
+def test_private_helper_scan_sees_module_level_functions_and_classes():
+    source = (
+        "def _helper():\n"
+        "    def _inner():\n"
+        "        pass\n"
+        "class _Record:\n"
+        "    def _method(self):\n"
+        "        pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "def public():\n"
+        "    pass\n"
+    )
+    assert private_helpers(source) == ["_Record", "_helper"]
+
+
+def test_every_private_helper_is_read_by_package_code():
+    """Each module-level ``_name`` function and class of the package is
+    read by package code; a helper only the tests reach (a wrapper kept
+    alive for them) is code to delete."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    reached = set().union(*(loaded_names(source) for source in sources))
+    helpers = [name for source in sources for name in private_helpers(source)]
+    assert len(helpers) > 60
+    unread = sorted(set(helpers) - reached)
+    assert not unread, f"private helpers only tests reach: {unread}"

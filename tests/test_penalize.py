@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from rbsdelab.penalize import (
     ReductionDisagreement,
     SandwichViolation,
     ScheduleExhausted,
-    _solve_penalized,
+    _one_sided_pair,
     build_family,
     exact_squeeze_barriers,
     reduce_and_solve,
@@ -106,7 +107,7 @@ def penalized(lat, bounds, spec, bars, n):
     """Both penalized solves at weight ``n``: the lower equation's and
     the upper one's."""
     spec2, _ = spec.retarget(bars.xi)
-    (low,), (high,) = _solve_penalized(lat, bounds, spec2, bars, [n])
+    (low,), (high,) = _one_sided_pair([lat], [bounds], [spec2], [bars], [n])
     return low, high
 
 
@@ -142,11 +143,18 @@ def test_one_sided_solves_have_one_sided_reflection():
 
 
 def test_negative_weight_rejected():
+    from rbsdelab.penalize import PenalizedFamily
+
     lat, bounds, spec, bars = witness_instance()
     with pytest.raises(ValueError):
         penalized(lat, bounds, spec, bars, -1)
     with pytest.raises(ValueError):
         build_family(lat, bounds, spec, bars, schedule=(-2, 0))
+    # the first weight of an empty family enters through extend
+    spec2, S = spec.retarget(bars.xi)
+    empty = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S)
+    with pytest.raises(ValueError, match="penalty weight must be >= 0"):
+        empty.extend(-1)
 
 
 def test_obstacles_on_another_grid_are_rejected():
@@ -332,8 +340,9 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
 
     monkeypatch.setattr(penalize, "_backward", counted)
     fam = build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
-    # one pass, the whole schedule and then the side as the batch
-    assert passes == [(len(DEFAULT_SCHEDULE), 2)]
+    # one pass, the instance, the whole schedule and then the side as
+    # the batch
+    assert passes == [(1, len(DEFAULT_SCHEDULE), 2)]
     # the implicit step decides per node, so every rung is bitwise its
     # single-weight solve
     for k, n in enumerate(DEFAULT_SCHEDULE):
@@ -343,7 +352,7 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
     # the exact squeeze solves both sides in one pass too
     passes.clear()
     exact_squeeze_barriers(lat, bounds, spec, bars)
-    assert passes == [(2,)]
+    assert passes == [(1, 1, 2)]
 
 
 def test_squeeze_converges_on_loose_tolerance():
@@ -456,13 +465,41 @@ def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(penalize, "_backward", counted)
-    sol, direct = penalize._reduce_and_direct(lat, drv, bars, 1e-6)
-    assert passes == [(2,), (2,)]
+    ((sol, direct),) = penalize._reduce_pass([lat], drv, [bars])
+    penalize._check_reduction(sol, direct, bars, 1e-6)
+    assert passes == [(1, 1, 2), (1, 2)]
     assert same_solution(direct, solve_rbsde(lat, drv, bars))
     Ybar, Yunder = exact_squeeze_barriers(lat, bounds, spec, bars)
     reduced = BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar)
     assert same_solution(sol, solve_rbsde(lat, drv, reduced))
     assert same_solution(reduce_and_solve(lat, drv, bars), sol)
+
+
+def test_one_instance_squeeze_and_reduction_keep_their_memory():
+    # one instance is a batch of one row whose packed parts are adopted
+    # as views (a[None]), not copied: a copy would turn the zero-stride
+    # constant growth bounds into full buffers.  Before one instance and
+    # rows shared this code path, the squeeze and the reduction of this
+    # depth-500 instance each peaked at 23.2 MiB (24,341,842 and
+    # 24,341,340 bytes) under tracemalloc; the bound allows 1 MiB more
+    from rbsdelab.verify import random_witness_instance
+
+    lat, bounds, spec, bars = random_witness_instance(
+        np.random.default_rng(24), 500
+    )
+    assert bounds.eta.values.strides == (0,)
+    drv = Driver.zero(bounds=bounds)
+    for run in (
+        lambda: exact_squeeze_barriers(lat, bounds, spec, bars),
+        lambda: reduce_and_solve(lat, drv, bars),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24_341_842 + 2**20
 
 
 def counted_passes(monkeypatch):
@@ -507,7 +544,7 @@ def test_every_rung_of_a_cross_instance_pass_is_its_own_family(monkeypatch):
                     assert a.lattice is inst[0]
                     assert same_solution(a, b)
     # one pass per depth, then one per family alone
-    assert passes == [(3, 5, 2)] + [(5, 2)] * 3 + [(2, 5, 2)] + [(5, 2)] * 2
+    assert passes == [(3, 5, 2)] + [(1, 5, 2)] * 3 + [(2, 5, 2)] + [(1, 5, 2)] * 2
 
 
 def test_every_row_of_the_batched_reduction_is_its_own_reduction(monkeypatch):
@@ -527,8 +564,8 @@ def test_every_row_of_the_batched_reduction_is_its_own_reduction(monkeypatch):
     assert passes == [(4, 1, 2), (4, 2)]
     for lat, bars, b, abc, (sol, direct) in zip(lats, sets, bounds, coef, rows):
         penalize._check_reduction(sol, direct, bars, 1e-6)
-        alone = penalize._reduce_and_direct(
-            lat, Driver.linear(*abc, bounds=b), bars, 1e-6
+        (alone,) = penalize._reduce_pass(
+            [lat], Driver.linear(*abc, bounds=b), [bars]
         )
         assert sol.lattice is lat and direct.lattice is lat
         assert same_solution(sol, alone[0]) and same_solution(direct, alone[1])
@@ -629,7 +666,7 @@ def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
     lat, bounds, _, bars = witness_instance()
     lifted = AdaptedProcess.constant(lat, 5.0).with_terminal(bars.xi)
     monkeypatch.setattr(
-        penalize, "exact_squeeze_barriers", lambda *args: (lifted, lifted)
+        penalize, "_exact_limits", lambda *args: [(lifted, lifted)]
     )
     drv = Driver.zero(bounds=bounds)
     with pytest.raises(ReductionDisagreement) as info:
@@ -670,7 +707,7 @@ def test_verify_dynkin_takes_one_pass_per_depth(monkeypatch):
     from rbsdelab import verify
 
     passes, stacked = [], []
-    backward, stack = verify._backward, verify._stacked_bands
+    backward, stack = verify._backward, verify._stacked_sets
 
     def counted(*args, **kwargs):
         out = backward(*args, **kwargs)
@@ -682,7 +719,7 @@ def test_verify_dynkin_takes_one_pass_per_depth(monkeypatch):
         return stack(sets)
 
     monkeypatch.setattr(verify, "_backward", counted)
-    monkeypatch.setattr(verify, "_stacked_bands", recorded)
+    monkeypatch.setattr(verify, "_stacked_sets", recorded)
     log = verify.CertificateLog()
     report = verify.verify_dynkin(cases=40, seed=3, log=log)
     assert report["passed"] and report["cases"] == 40

@@ -418,7 +418,7 @@ def penalized_evaluations(monkeypatch):
     from rbsdelab import penalize
 
     levels = []
-    build = penalize.build_dominated_driver
+    build = penalize._dominated_driver
 
     def counted(*args):
         drv = build(*args)
@@ -429,7 +429,7 @@ def penalized_evaluations(monkeypatch):
 
         return dataclasses.replace(drv, f_rest=f_rest)
 
-    monkeypatch.setattr(penalize, "build_dominated_driver", counted)
+    monkeypatch.setattr(penalize, "_dominated_driver", counted)
     return levels
 
 
@@ -497,8 +497,7 @@ def test_rows_on_their_own_horizons_are_their_separate_solves(kind):
     else:
         drivers = [Driver.quadratic(1.5)] * 3
         batched = drivers[0]
-    xi = np.stack([bars.xi for bars in sets])
-    sols = solver._backward(lats, batched, xi, *solver._stacked_bands(sets), (3,))
+    sols = solver._backward(lats, batched, *solver._stacked_sets(sets)[1:], (3,))
     for sol, lat, drv, bars in zip(sols, lats, drivers, sets):
         alone = solve_rbsde(lat, drv, bars)
         assert sol.lattice is lat
@@ -544,7 +543,7 @@ def test_row_bounds_are_checked_against_their_own_rows():
     with pytest.raises(ValueError, match="one per row lattice"):
         solver._backward(lats, Driver.zero(bounds=own[:1]), bars.xi, *bands, (2,))
     with pytest.raises(ValueError, match="one per row lattice"):
-        solver._backward(lats[0], Driver.zero(bounds=own[:1]), bars.xi, *bands)
+        solve_rbsde(lats[0], Driver.zero(bounds=own), bars)
 
 
 def test_row_clocks_are_read_per_row():
@@ -565,8 +564,7 @@ def test_row_clocks_are_read_per_row():
         band_barriers(r, np.sin(2.0 * r.brownian(r.steps)), 0.3) for r in lats
     ]
     batched = Driver.zero(g=rate, bounds=[d.bounds for d in drivers])
-    xi = np.stack([bars.xi for bars in sets])
-    sols = solver._backward(lats, batched, xi, *solver._stacked_bands(sets), (3,))
+    sols = solver._backward(lats, batched, *solver._stacked_sets(sets)[1:], (3,))
     for sol, lat, drv, bars in zip(sols, lats, drivers, sets):
         alone = solve_rbsde(lat, drv, bars)
         for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
@@ -577,8 +575,7 @@ def test_row_clocks_are_read_per_row():
 def test_outputs_of_a_batched_pass_are_read_only():
     lats = row_lattices([0.5, 1.0])
     sets = [band_barriers(r, np.sin(r.brownian(r.steps)), 0.3) for r in lats]
-    xi = np.stack([bars.xi for bars in sets])[:, None]
-    low, high = (b[:, None] for b in solver._stacked_bands(sets))
+    xi, low, high = (a[:, None] for a in solver._stacked_sets(sets)[1:])
     drv = Driver.linear(0.2, -0.3, np.array([[[0.1], [0.4]]]))
     sols = solver._backward(lats, drv, xi, low, high, (2, 2))
     assert len(sols) == 4
@@ -737,6 +734,26 @@ def test_comparison_orders_nested_drivers(lat):
     assert not swapped.drift_domination_ok
     assert not swapped.ordered
     assert swapped.max_order_violation > 0.0
+
+
+def test_clock_rate_needs_the_bounds_that_carry_its_clock():
+    # the clock A that g integrates against lives on the growth bounds,
+    # so a driver without them cannot carry g: solving on would drop it
+    # silently (g = 100 on a depth-8 lattice would read Y0 = 0.6, as
+    # without g, where a Lebesgue clock gives 100.6)
+    lat = Lattice(TimeGrid(1.0, 8))
+    g = lambda j, y_left, y: np.full_like(y, 100.0)  # noqa: E731
+    with pytest.raises(ValueError, match="clock rate g needs bounds"):
+        Driver.constant(0.6, g=g)
+    with pytest.raises(ValueError, match="clock rate g needs bounds"):
+        dataclasses.replace(Driver.zero(), g=g)
+    clock = GrowthBounds.constants(
+        lat, eta=0.0, C=0.0, beta=100.0, A=IncreasingProcess.lebesgue(lat)
+    )
+    bars = free_barriers(lat, np.zeros(lat.steps + 1))
+    sol = solve_rbsde(lat, Driver.constant(0.6, g=g, bounds=clock), bars)
+    assert abs(sol.value() - 100.6) < 1e-9
+    assert solve_rbsde(lat, Driver.constant(0.6), bars).value() == pytest.approx(0.6)
 
 
 def test_comparison_rate_counts_source_and_clock_terms(lat):
