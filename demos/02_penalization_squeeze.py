@@ -14,6 +14,8 @@ against the exact ones, and check the fully reduced solve against the
 direct one.  The growth bounds of the penalized generators are raw
 constants rescaled by a nondecreasing function of the obstacles'
 running size, which is how growth of any order in y is dominated.
+The problem is stated once: the obstacle set carries its lattice and
+the witness, and every penalization call takes it with the bounds.
 
 Run:  python3 demos/02_penalization_squeeze.py
 """
@@ -89,8 +91,8 @@ def main():
     bounds = dominate_growth(phi, 0.5, 0.2, 0.0, L, U)
 
     schedule = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
-    family = build_family(lat, bounds, spec, bars, schedule=schedule)
-    exact_hi, exact_lo = exact_squeeze_barriers(lat, bounds, spec, bars)
+    family = build_family(bounds, bars, schedule=schedule)
+    exact_hi, exact_lo = exact_squeeze_barriers(bounds, bars)
 
     def sup_dist(Y, limit):
         return float(np.max(np.abs(Y.values - limit.values)))

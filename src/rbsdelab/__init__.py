@@ -53,7 +53,6 @@ from .drivers import (
     InconsistentSemimartingale,
     NonMonotonePhi,
     dominate_growth,
-    build_dominated_driver,
 )
 from .solver import (
     Solution,
@@ -87,8 +86,6 @@ from .oracle import (
     exhaustive_stopping_value,
     exhaustive_dynkin_value,
     quadratic_closed_form,
-    quadratic_continuous_value,
-    linear_continuous_value,
 )
 from .verify import (
     CertificateLog,
@@ -124,7 +121,6 @@ __all__ = [
     "InconsistentSemimartingale",
     "NonMonotonePhi",
     "dominate_growth",
-    "build_dominated_driver",
     "Solution",
     "SkorokhodReport",
     "ComparisonReport",
@@ -150,8 +146,6 @@ __all__ = [
     "exhaustive_stopping_value",
     "exhaustive_dynkin_value",
     "quadratic_closed_form",
-    "quadratic_continuous_value",
-    "linear_continuous_value",
     "CertificateLog",
     "run_all",
     "verify_envelope",

@@ -201,8 +201,9 @@ class BarrierSet:
     one from raw pieces; it applies the terminal normalization for you.
 
     ``witness`` optionally carries the decomposition data of a process
-    known to satisfy all four constraints (consumed by the penalization
-    scheme); it is stored as-is and never interpreted here.
+    known to satisfy all four constraints; the penalization scheme and
+    the envelope's audit read it from here.  A witness with a lattice
+    must live on the obstacles' grid; it is otherwise stored as-is.
 
     The merged interval of every node is computed here, once: ``low``
     and ``high`` are the merged (effective) bands, as adapted
@@ -230,6 +231,8 @@ class BarrierSet:
         for other in (U, l, u, delta, alpha):
             if other.lattice.grid != lattice.grid:
                 raise ValueError("barrier pieces live on different grids")
+        if getattr(witness, "lattice", lattice).grid != lattice.grid:
+            raise ValueError("witness lives on a different grid")
         if not (
             isinstance(L, AdaptedProcess)
             and isinstance(U, AdaptedProcess)

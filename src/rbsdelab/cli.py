@@ -383,14 +383,13 @@ def _build_witness(cfg, lat):
 
 
 class ScenarioConfig:
-    """Parsed scenario: lattice, generator, obstacle set and knobs."""
+    """Parsed scenario: lattice, generator (``driver.bounds`` its growth
+    bounds), obstacle set (``barriers.witness`` its witness) and knobs."""
 
     __slots__ = (
         "lattice",
         "driver",
-        "bounds",
         "barriers",
-        "witness",
         "schedule",
         "outputs",
     )
@@ -435,8 +434,6 @@ class ScenarioConfig:
             raise ConfigError(f"barriers: {exc}") from exc
         self.lattice = lat
         self.driver = _build_driver(cfg, bounds)
-        self.bounds = bounds
-        self.witness = witness
 
         pen = cfg.get("penalization", {})
         _check_keys(pen, {"schedule"}, "penalization")
@@ -615,16 +612,10 @@ def run_solve(scn, outdir, laps):
 
 
 def run_penalize(scn, outdir, laps, schedule_max=None):
-    if scn.witness is None:
-        raise ConfigError("penalize needs a witness in the scenario")
-    if scn.bounds is None:
-        raise ConfigError("penalize needs growth bounds in the scenario")
     schedule = scn.schedule
     if schedule_max is not None:
         schedule = tuple(n for n in schedule if n <= schedule_max)
-    family = build_family(
-        scn.lattice, scn.bounds, scn.witness, scn.barriers, schedule=schedule
-    )
+    family = build_family(scn.driver.bounds, scn.barriers, schedule=schedule)
     conv_path = outdir / scn.outputs["convergence"]
     laps.write(write_convergence_csv, conv_path, family)
     sol = reduce_and_solve(scn.lattice, scn.driver, scn.barriers)
@@ -638,13 +629,8 @@ def run_penalize(scn, outdir, laps, schedule_max=None):
 
 
 def run_snell(scn, outdir, laps):
-    inst = SnellInstance(
-        scn.barriers.L,
-        scn.barriers.l,
-        scn.barriers.delta,
-        scn.barriers.xi,
-        witness=scn.witness,
-    )
+    bars = scn.barriers
+    inst = SnellInstance(bars.L, bars.l, bars.delta, bars.xi, witness=bars.witness)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _NO_WITNESS, UserWarning)
         sol = snell_envelope(inst)

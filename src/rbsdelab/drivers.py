@@ -31,7 +31,7 @@ and the bounds feed the construction of the dominating generator whose
 drift beats every generator within them after recentering the slope.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "SemimartingaleSpec",
     "Driver",
     "dominate_growth",
-    "build_dominated_driver",
 ]
 
 # largest relative gap at which two routes to a node still recombine
@@ -77,10 +76,14 @@ class NonMonotonePhi(Exception):
     """Scaling function decreased between two probe points."""
 
 
-def _as_adapted(lattice, x):
-    if isinstance(x, AdaptedProcess):
-        return x
-    return AdaptedProcess.constant(lattice, float(x))
+def _as_adapted(lattice, x, name):
+    """``x`` as a process on ``lattice``: a number becomes the constant
+    process, and a process on another grid is rejected by ``name``."""
+    if not isinstance(x, AdaptedProcess):
+        return AdaptedProcess.constant(lattice, float(x))
+    if x.lattice.grid != lattice.grid:
+        raise ValueError(f"{name} lives on a different grid")
+    return x
 
 
 class GrowthBounds:
@@ -88,7 +91,8 @@ class GrowthBounds:
 
     ``eta + C * z**2`` bounds ``|f|`` (with the first argument clamped
     between the node obstacles), ``beta`` bounds ``|g|``, and ``A`` is
-    the clock ``g`` integrates against.
+    the clock ``g`` integrates against.  Every piece lives on the grid
+    of ``eta``; a process on another grid is rejected by name.
     """
 
     __slots__ = ("lattice", "eta", "C", "beta", "A")
@@ -97,8 +101,11 @@ class GrowthBounds:
         lattice = eta.lattice
         self.lattice = lattice
         self.eta = eta
-        self.C = _as_adapted(lattice, C)
-        self.beta = _as_adapted(lattice, beta)
+        self.C = _as_adapted(lattice, C, "C")
+        self.beta = _as_adapted(lattice, beta, "beta")
+        if A is not None and A.lattice.grid != lattice.grid:
+            # on another grid a clock slot stands for another time
+            raise ValueError("A lives on a different grid")
         self.A = A if A is not None else IncreasingProcess.zero(lattice)
         for name in ("eta", "C", "beta"):
             v = getattr(self, name).values
@@ -382,6 +389,8 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     nondecreasing (probed, not proved).
     """
     lattice = L.lattice
+    if U.lattice.grid != lattice.grid:
+        raise ValueError("U lives on a different grid")
     size = AdaptedProcess(
         lattice,
         2.0 * (np.maximum(U.values, 0.0) + np.maximum(-L.values, 0.0)),
@@ -395,9 +404,9 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
         )
     _probe_monotone(phi, probe_pts)
 
-    eta_tilde = _as_adapted(lattice, eta_tilde)
-    C_tilde = _as_adapted(lattice, C_tilde)
-    eta_hat = _as_adapted(lattice, eta_hat)
+    eta_tilde = _as_adapted(lattice, eta_tilde, "eta_tilde")
+    C_tilde = _as_adapted(lattice, C_tilde, "C_tilde")
+    eta_hat = _as_adapted(lattice, eta_hat, "eta_hat")
 
     def scaled(proc):
         return AdaptedProcess(
@@ -409,8 +418,9 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     )
 
 
-def build_dominated_driver(bounds, spec):
-    """Generator of both one-sided penalized equations, without the penalty.
+def _dominated_driver(bounds, specs, shape):
+    """Generator of both one-sided penalized equations, without the
+    penalty, for pairs ``(bounds, specs)`` of one depth, one per row.
 
     Drift rate ``eta + 4*C*gamma**2 + (m/2)*(z - gamma)**2`` with ``m``
     one plus eight times the running maximum (node envelope) of ``|C|``,
@@ -418,27 +428,20 @@ def build_dominated_driver(bounds, spec):
     witness and the clock term ``beta * dA``.  Only the squared-slope
     part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
     the node alone, so it enters ``source`` times ``dt`` with the
-    increments, and ``f_rest`` is zero.  ``f``, ``quad`` and ``source``
-    lead with a side axis: row 1 is the downward-pushing equation solved
-    below the upper obstacle, row 0 the lower one with every sign flipped.
-    The squared-slope part is declared exact (see the module docstring),
-    so the one-sided solves stay monotone at any step size.
+    increments, and ``f_rest`` is zero.  The squared-slope part is
+    declared exact (see the module docstring), so the one-sided solves
+    stay monotone at any step size.
+
+    Every packed part stacks the rows and takes ``shape``, such as
+    ``(B, 1, 1, -1)`` to broadcast against a batch ``(B, W, 2)``: the
+    instance, a weight (one without a penalty), then the side.  Row 1
+    of the side axis is the downward-pushing equation solved below the
+    upper obstacle, row 0 the lower one with every sign flipped.  The
+    driver's ``bounds`` are the rows' bounds, in order.
     """
-    return replace(_dominated_driver([bounds], [spec], (-1,)), bounds=bounds)
-
-
-def _dominated_driver(bounds, specs, shape):
-    """:func:`build_dominated_driver` of pairs ``(bounds, specs)``, one
-    per row lattice, all of one depth.  Every packed part stacks the
-    rows and takes ``shape``, such as ``(B, 1, 1, -1)`` to broadcast
-    against a batch ``(B, W, 2)``: the instance, a weight (one without
-    a penalty), then the side.  The driver's ``bounds`` are the rows'
-    bounds, in order."""
     parts = []
     for b, s in zip(bounds, specs, strict=True):
         lattice = b.lattice
-        if s.lattice.grid != lattice.grid:
-            raise ValueError("bounds and witness decomposition on different grids")
         n = level_offset(lattice.steps)
         # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
         m = 1.0 + 8.0 * _running_max(np.abs(b.C.values), lattice.steps)

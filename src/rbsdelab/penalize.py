@@ -1,6 +1,10 @@
 """Penalized one-sided equations, their monotone squeeze, and the
 reduction of the predictable-obstacle problem to a plain one.
 
+A penalized problem is stated once: an obstacle set, which carries its
+lattice and the witness decomposition, and the generator's growth
+bounds.  Every entry point takes that pair and nothing beside it.
+
 The two penalized equations replace the predictable constraints by
 penalty terms with weight ``n``.  Each is solved one-sided:
 
@@ -142,24 +146,35 @@ class _Penalty:
         return self.signed * push * self.masses[..., at]
 
 
-def _one_sided_pair(lattices, bounds, specs, sets, weights=None):
+def _stated(bounds, sets):
+    """The growth bounds of obstacle sets of one depth, one per set,
+    from one for every set or one per set already.  Raises
+    ``ValueError`` for a set without a witness decomposition, for
+    missing bounds, and for bounds on another grid than their set."""
+    if not all(isinstance(s.witness, SemimartingaleSpec) for s in sets):
+        raise ValueError("penalization needs the obstacle set's witness decomposition")
+    if bounds is None:
+        raise ValueError("penalization needs the generator's growth bounds")
+    return _row_bounds(bounds, [s.lattice for s in sets])
+
+
+def _one_sided_pair(families, weights=None):
     """The lower equation reflected at its lower band only and the upper
     one at its upper band only, in one backward pass.
 
     Without ``weights`` the bands are the merged ones (the exact
     squeeze); with them they are the node obstacles, and the predictable
-    obstacles enter as penalties at every weight.  ``lattices``,
-    ``bounds``, ``specs`` (the normalized witnesses) and ``sets`` hold
-    one instance per row, all of one depth.  The batch is the instance,
+    obstacles enter as penalties at every weight.  ``families`` state
+    one instance each, all of one depth: the growth bounds, the
+    normalized witness and the obstacle set.  The batch is the instance,
     the weight (one without weights), then the side.  Returns the lower
     and the upper solutions, each in (instance, weight) order.
     """
     if weights is not None and any(n < 0 for n in weights):
         raise ValueError("penalty weight must be >= 0")
+    sets = [family.barriers for family in families]
     names = ("low", "high") if weights is None else ("L", "U")
-    own, xi, lo, hi = _stacked_sets(sets, names)
-    if any(lat.grid != their.grid for lat, their in zip(lattices, own)):
-        raise ValueError("obstacles live on a different grid")
+    lattices, xi, lo, hi = _stacked_sets(sets, names)
     penalty = None
     if weights is not None:
         # row 0 pushes the lower equation up to l, row 1 the upper one
@@ -182,9 +197,9 @@ def _one_sided_pair(lattices, bounds, specs, sets, weights=None):
     low = np.stack([lo, -inf], axis=1)[:, None]
     high = np.stack([inf, hi], axis=1)[:, None]
     batch = (len(sets), 1 if weights is None else len(weights), 2)
-    driver = replace(
-        _dominated_driver(bounds, specs, (len(sets), 1, 1, -1)), penalty=penalty
-    )
+    bounds, specs = zip(*[(family.bounds, family.spec) for family in families])
+    driver = _dominated_driver(bounds, specs, (len(sets), 1, 1, -1))
+    driver = replace(driver, penalty=penalty)
     sols = _backward(lattices, driver, xi[:, None, None], low, high, batch)
     lows, highs = sols[0::2], sols[1::2]
     assert not np.any([s.Kminus.values for s in lows])
@@ -193,14 +208,16 @@ def _one_sided_pair(lattices, bounds, specs, sets, weights=None):
 
 
 class PenalizedFamily:
-    """Monotone family of one-sided penalized solves.
+    """Monotone family of one-sided penalized solves of one problem.
 
+    ``PenalizedFamily(bounds, barriers)`` starts an empty family of the
+    obstacle set ``barriers``, whose witness decomposition it reads,
+    under the growth bounds ``bounds``; :meth:`extend` adds weights.
     ``lower_solutions[k]`` / ``upper_solutions[k]`` correspond to
     ``n_schedule[k]``; ``Yunder`` / ``Ybar`` are the current limit
-    estimates (largest weight solved).  The construction context is
-    kept so the schedule can be extended in place by the squeeze;
-    ``spec`` is the witness decomposition normalized to the terminal
-    values, and ``witness`` the process it rebuilds.
+    estimates (largest weight solved).  ``spec`` is the witness
+    decomposition normalized to the terminal values, and ``witness``
+    the process it rebuilds.
     """
 
     __slots__ = (
@@ -214,25 +231,12 @@ class PenalizedFamily:
         "barriers",
     )
 
-    def __init__(
-        self,
-        lattice,
-        bounds,
-        spec,
-        barriers,
-        n_schedule,
-        lower_solutions,
-        upper_solutions,
-        witness,
-    ):
-        self.lattice = lattice
-        self.bounds = bounds
-        self.spec = spec
+    def __init__(self, bounds, barriers):
+        (self.bounds,) = _stated(bounds, [barriers])
+        self.spec, self.witness = barriers.witness.retarget(barriers.xi)
+        self.lattice = barriers.lattice
         self.barriers = barriers
-        self.n_schedule = list(n_schedule)
-        self.lower_solutions = list(lower_solutions)
-        self.upper_solutions = list(upper_solutions)
-        self.witness = witness
+        self.n_schedule, self.lower_solutions, self.upper_solutions = [], [], []
 
     @property
     def Yunder(self):
@@ -263,8 +267,7 @@ class PenalizedFamily:
         """
         if self.n_schedule and n <= self.n_schedule[-1]:
             raise ValueError("schedule must increase")
-        rows = ([self.lattice], [self.bounds], [self.spec], [self.barriers])
-        self._grow([n], *_one_sided_pair(*rows, [n]))
+        self._grow([n], *_one_sided_pair([self], [n]))
 
     def _grow(self, weights, lows, highs):
         """Check the ladder of the rungs solved at ``weights`` from the
@@ -316,40 +319,30 @@ def _check_ladder(lows, highs, S, barriers, weights):
     _first_break(weights, ((steps + 1, chains), (steps, obstacles)))
 
 
-def build_family(lattice, bounds, spec, barriers, schedule=DEFAULT_SCHEDULE):
-    """Solve both penalized equations along a weight schedule, in one
+def build_family(bounds, barriers, schedule=DEFAULT_SCHEDULE):
+    """Solve both penalized equations of the obstacle set ``barriers``,
+    under the growth bounds ``bounds``, along a weight schedule, in one
     backward pass, then verify the full ordering ladder between
     the node obstacles, the two monotone chains and the witness; a
     break raises :class:`SandwichViolation` at the first offending
     weight, then level and node.  Solver errors come before any ladder
     check, whichever weight they occur at.
     """
-    ((family, rungs),) = _families([(lattice, bounds, spec, barriers)], schedule)
+    ((family, rungs),) = _families([(bounds, barriers)], schedule)
     family._grow(*rungs)
     return family
 
 
 def _families(instances, schedule):
-    """:func:`build_family` of instances ``(lattice, bounds, spec,
-    barriers)`` of one depth, every rung of every instance in one
-    backward pass, with each ladder left to check.  Returns one
-    ``(family, rungs)`` pair per instance: an empty family and its
-    solved rungs, which ``family._grow(*rungs)`` checks and appends.
+    """:func:`build_family` of instances ``(bounds, barriers)`` of one
+    depth, every rung of every instance in one backward pass, with each
+    ladder left to check.  Returns one ``(family, rungs)`` pair per
+    instance: an empty family and its solved rungs, which
+    ``family._grow(*rungs)`` checks and appends.
     """
     schedule = _checked_schedule(schedule)
-    families = []
-    for lattice, bounds, spec, barriers in instances:
-        spec2, S = spec.retarget(barriers.xi)
-        families.append(
-            PenalizedFamily(lattice, bounds, spec2, barriers, [], [], [], S)
-        )
-    lows, highs = _one_sided_pair(
-        *(
-            [getattr(family, name) for family in families]
-            for name in ("lattice", "bounds", "spec", "barriers")
-        ),
-        schedule,
-    )
+    families = [PenalizedFamily(bounds, barriers) for bounds, barriers in instances]
+    lows, highs = _one_sided_pair(families, schedule)
     w = len(schedule)
     return [
         (family, (schedule, lows[k * w : (k + 1) * w], highs[k * w : (k + 1) * w]))
@@ -371,12 +364,15 @@ def squeeze_limits(family, *, tol, n_max=2 ** 16):
 
     Returns ``(Ybar, Yunder)`` once the last consecutive sup-norm
     movement of both chains is at most ``tol``, extending the family by
-    doubling up to ``n_max``.  There is no default ``tol``: a binding
-    penalty moves like ``1/n``, so the reachable tolerance depends on
-    the instance (the demo 02 chains still move by 8.3e-6 at n = 65,536).
-    An unreachable one raises :class:`ScheduleExhausted`, and the family
-    keeps every weight solved so far.
+    doubling up to ``n_max``; a movement needs two weights solved.
+    There is no default ``tol``: a binding penalty moves like ``1/n``,
+    so the reachable tolerance depends on the instance (the demo 02
+    chains still move by 8.3e-6 at n = 65,536).  An unreachable one
+    raises :class:`ScheduleExhausted`, and the family keeps every
+    weight solved so far.
     """
+    if len(family.n_schedule) < 2:
+        raise ValueError("the squeeze needs a family of two weights at least")
 
     def last_gap():
         rows = family.gaps()
@@ -393,8 +389,9 @@ def squeeze_limits(family, *, tol, n_max=2 ** 16):
     return family.Ybar, family.Yunder
 
 
-def exact_squeeze_barriers(lattice, bounds, spec, barriers):
-    """The two limits computed exactly, as hard-constraint solves.
+def exact_squeeze_barriers(bounds, barriers):
+    """The two limits of the penalized family of ``(bounds, barriers)``
+    computed exactly, as hard-constraint solves.
 
     Per backward step, the penalized root increases to the unpenalized
     root when that already clears the constraint and to the constraint
@@ -403,17 +400,16 @@ def exact_squeeze_barriers(lattice, bounds, spec, barriers):
     with the lower predictable obstacle enforced exactly, and the
     upper limit mirrors it.  Returns ``(Ybar, Yunder)``.
     """
-    return _exact_limits([lattice], [bounds], [spec], [barriers])[0]
+    return _exact_limits([PenalizedFamily(bounds, barriers)])[0]
 
 
-def _exact_limits(lattices, bounds, specs, sets):
-    """:func:`exact_squeeze_barriers` of sequences with one instance per
-    row, all of one depth, in one backward pass; one ``(Ybar, Yunder)``
-    pair per instance."""
-    targets = [spec.retarget(bars.xi) for spec, bars in zip(specs, sets)]
-    lows, highs = _one_sided_pair(lattices, bounds, [t[0] for t in targets], sets)
+def _exact_limits(families):
+    """:func:`exact_squeeze_barriers` of empty families of one depth, in
+    one backward pass; one ``(Ybar, Yunder)`` pair per family."""
+    lows, highs = _one_sided_pair(families)
     limits = []
-    for (_, S), lower, upper in zip(targets, lows, highs):
+    for family, lower, upper in zip(families, lows, highs):
+        S = family.witness
         rows = (
             ("lower limit below witness", lower.Y.values - S.values),
             ("witness below upper limit", S.values - upper.Y.values),
@@ -429,49 +425,49 @@ def _exact_limits(lattices, bounds, specs, sets):
 def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     """Solve the predictable-obstacle problem through its reduction.
 
-    Builds the squeeze pair exactly (:func:`exact_squeeze_barriers`),
-    then solves the plain two-obstacle problem between the pair with
-    the original generator.  The result is cross-checked against the
-    original constraints and against the direct merged-obstacle solve;
-    a failed check raises :class:`ReductionDisagreement`, since it
-    would mean the two routes diverged.
+    Builds the squeeze pair exactly (:func:`exact_squeeze_barriers`
+    under the driver's growth bounds), then solves the plain
+    two-obstacle problem between the pair with the original generator.
+    The result is cross-checked against the original constraints and
+    against the direct merged-obstacle solve; a failed check raises
+    :class:`ReductionDisagreement`, since it would mean the two routes
+    diverged.
     """
-    ((sol, direct),) = _reduce_pass([lattice], driver, [barriers])
+    if barriers.lattice.grid != lattice.grid:
+        raise ValueError("obstacles live on a different grid")
+    ((sol, direct),) = _reduce_pass(driver, [barriers])
     _check_reduction(sol, direct, barriers, agreement_tol)
     return sol
 
 
-def _reduce_pass(lattices, driver, sets):
-    """The reduced and the direct solve of sequences with one instance
-    per row, all of one depth, unchecked.
+def _reduce_pass(driver, sets):
+    """The reduced and the direct solve of obstacle sets of one depth,
+    one instance per row, unchecked.
 
     ``driver`` is batched over the rows, with one growth bound for
     every row or one per row.  After the squeeze's pass, one pass holds
     the reduced problem and the direct one as the last batch axis.
     Returns one ``(reduced, direct)`` pair per instance.
     """
-    if driver.bounds is None:
-        raise ValueError("reduction needs the generator's growth bounds")
-    specs = [bars.witness for bars in sets]
-    if not all(isinstance(spec, SemimartingaleSpec) for spec in specs):
-        raise ValueError(
-            "reduction needs a witness decomposition on the obstacle set"
-        )
-    bounds = _row_bounds(driver.bounds, lattices)
-    limits = _exact_limits(lattices, bounds, specs, sets)
+    families = [
+        PenalizedFamily(bounds, bars)
+        for bounds, bars in zip(_stated(driver.bounds, sets), sets)
+    ]
+    limits = _exact_limits(families)
+    del families
     # the reduced problem and the direct one of every row; the reduced
     # obstacle sets live only until their bands are stacked
     _, xi, low, high = _stacked_sets(
         [
             s
-            for lat, bars, (Ybar, Yunder) in zip(lattices, sets, limits)
-            for s in (BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar), bars)
+            for bars, (Ybar, Yunder) in zip(sets, limits)
+            for s in (BarrierSet.build(bars.lattice, bars.xi, L=Yunder, U=Ybar), bars)
         ]
     )
     del limits
     batch = (len(sets), 2)
     xi, low, high = (a.reshape(batch + (-1,)) for a in (xi, low, high))
-    sols = _backward(lattices, driver, xi, low, high, batch)
+    sols = _backward([s.lattice for s in sets], driver, xi, low, high, batch)
     return list(zip(sols[0::2], sols[1::2]))
 
 

@@ -11,11 +11,11 @@ written out here rather than delegated to the general solver: the
 equality of the two routes is one of the package's cross-checks, and a
 shared implementation would make it vacuous.
 
-The instance optionally carries a martingale witness dominating both
-obstacles.  When present it is audited (martingale structure and
-domination node by node); when absent the audit is skipped with a
-warning, since the recursion itself needs no witness on a finite
-lattice.
+The instance's obstacle set optionally carries a martingale witness
+dominating both obstacles.  When present it is audited (martingale
+structure and domination node by node); when absent the audit is
+skipped with a warning, since the recursion itself needs no witness on
+a finite lattice.
 """
 
 import warnings
@@ -81,38 +81,18 @@ class SnellInstance:
     ``L`` acts on the solution at every node before the terminal time,
     ``l`` on its left limit wherever the clock ``delta`` charges, and
     ``xi`` closes the recursion.  ``witness``, when given, must be the
-    decomposition of a martingale dominating all of it.
+    decomposition of a martingale dominating all of it.  Everything is
+    held by one obstacle set, ``barriers``, the witness included.
     """
 
-    __slots__ = ("barriers", "witness")
+    __slots__ = ("barriers",)
 
     def __init__(self, L, l, delta, xi, witness=None):
         if witness is not None and not isinstance(witness, SemimartingaleSpec):
             raise TypeError("witness must be a SemimartingaleSpec")
         self.barriers = BarrierSet.build(
-            L.lattice, xi, L=L, l=l, delta=delta
+            L.lattice, xi, L=L, l=l, delta=delta, witness=witness
         )
-        self.witness = witness
-
-    @property
-    def lattice(self):
-        return self.barriers.lattice
-
-    @property
-    def L(self):
-        return self.barriers.L
-
-    @property
-    def l(self):
-        return self.barriers.l
-
-    @property
-    def delta(self):
-        return self.barriers.delta
-
-    @property
-    def xi(self):
-        return self.barriers.xi
 
     def audit(self):
         """Check the witness: a martingale above both obstacles.
@@ -121,11 +101,12 @@ class SnellInstance:
         warning) when no witness was supplied.  Raises
         :class:`HypothesisAViolated` on any failure.
         """
-        if self.witness is None:
+        bars = self.barriers
+        spec = bars.witness
+        if spec is None:
             warnings.warn(_NO_WITNESS, stacklevel=2)
             return None
-        spec = self.witness
-        steps = self.lattice.steps
+        steps = bars.lattice.steps
         # both parts are >= 0, so their sum is positive wherever either
         # is nonzero; the mass of slot i acts at time t_{i+1}
         _raise_first_gap(
@@ -136,13 +117,13 @@ class SnellInstance:
         )
         M = spec.reconstruct()
         _raise_first_gap(
-            "witness below the node obstacle", self.L.values - M.values, steps + 1
+            "witness below the node obstacle", bars.L.values - M.values, steps + 1
         )
         _raise_first_gap(
             "witness left limit below the predictable obstacle",
             np.where(
-                self.delta.values > 0.0,
-                self.l.values - M.values[: level_offset(steps)],
+                bars.delta.values > 0.0,
+                bars.l.values - M.values[: level_offset(steps)],
                 -np.inf,
             ),
             steps,
@@ -150,8 +131,9 @@ class SnellInstance:
         return M
 
     def __repr__(self):
-        w = "with witness" if self.witness is not None else "no witness"
-        return f"SnellInstance(steps={self.lattice.steps}, {w})"
+        bars = self.barriers
+        w = "with witness" if bars.witness is not None else "no witness"
+        return f"SnellInstance(steps={bars.lattice.steps}, {w})"
 
 
 def snell_envelope(inst):
@@ -165,9 +147,9 @@ def snell_envelope(inst):
     identically zero.
     """
     inst.audit()
-    lat = inst.lattice
-    steps = lat.steps
     bars = inst.barriers
+    lat = bars.lattice
+    steps = lat.steps
     low = bars.low.values
     # packed buffers, each level written in place
     n = level_offset(steps)

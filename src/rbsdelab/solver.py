@@ -497,9 +497,7 @@ def _row_bounds(bounds, rows):
     bounds = tuple(bounds)
     if len(bounds) != len(rows):
         raise ValueError("growth bounds must be one per row lattice")
-    if any(p.lattice.grid != r.grid for b, r in zip(bounds, rows) for p in (b, b.A)):
-        # the clock's mass is read slot by slot, and on another grid a
-        # slot stands for another time
+    if any(b.lattice.grid != r.grid for b, r in zip(bounds, rows)):
         raise ValueError("growth bounds live on a different grid")
     return bounds
 

@@ -474,6 +474,18 @@ def test_barrier_grid_mismatch(lat):
         )
 
 
+def test_witness_on_another_grid_is_rejected(lat):
+    # equal steps, another horizon: every slot stands for another time
+    other = Lattice(TimeGrid(2.0, lat.steps))
+    spec = SemimartingaleSpec.from_levels(
+        other, np.zeros(level_offset(lat.steps + 1))
+    )
+    with pytest.raises(ValueError, match="^witness lives on a different grid"):
+        BarrierSet.build(lat, np.zeros(lat.steps + 1), witness=spec)
+    own = SemimartingaleSpec.from_levels(lat, np.zeros(level_offset(lat.steps + 1)))
+    assert BarrierSet.build(lat, np.zeros(lat.steps + 1), witness=own).witness is own
+
+
 def test_effective_barriers_merge(lat):
     xi = np.zeros(lat.steps + 1)
     L = AdaptedProcess.constant(lat, -1.0)

@@ -11,7 +11,6 @@ from rbsdelab.drivers import (
     SemimartingaleSpec,
     _dominated_driver,
     _running_max_envelope,
-    build_dominated_driver,
     dominate_growth,
 )
 from rbsdelab.lattice import (
@@ -75,6 +74,31 @@ def test_growth_bounds_validation(lat):
     assert np.all(gb.eta.level(3) == 0.5)
     assert np.all(gb.C.level(0) == 2.0)
     assert not (gb.A.atom(0) > 0.0).any()
+
+
+def test_growth_bounds_reject_pieces_on_another_grid(lat):
+    # equal steps, another horizon: every slot stands for another time
+    other = Lattice(TimeGrid(2.0, lat.steps))
+    eta = AdaptedProcess.constant(lat, 0.1)
+    off = AdaptedProcess.constant(other, 0.5)
+    for name, args in (("C", (off, 0.0)), ("beta", (0.5, off))):
+        with pytest.raises(ValueError, match=f"^{name} lives on a different"):
+            GrowthBounds(eta, *args)
+    with pytest.raises(ValueError, match="^A lives on a different grid"):
+        GrowthBounds(eta, 0.5, 0.0, A=IncreasingProcess.lebesgue(other))
+
+
+def test_dominate_growth_rejects_pieces_on_another_grid(lat):
+    other = Lattice(TimeGrid(2.0, lat.steps))
+    L = AdaptedProcess.constant(lat, -2.0)
+    U = AdaptedProcess.constant(lat, 3.0)
+    phi = lambda r: 1.0 + r  # noqa: E731
+    with pytest.raises(ValueError, match="^U lives on a different grid"):
+        dominate_growth(phi, 0.5, 0.25, 0.1, L, AdaptedProcess.constant(other, 3.0))
+    with pytest.raises(ValueError, match="^eta_tilde lives on a different grid"):
+        dominate_growth(phi, AdaptedProcess.constant(other, 0.5), 0.25, 0.1, L, U)
+    with pytest.raises(ValueError, match="^A lives on a different grid"):
+        dominate_growth(phi, 0.5, 0.25, 0.1, L, U, IncreasingProcess.lebesgue(other))
 
 
 def test_constant_growth_bounds_keep_no_buffer():
@@ -182,9 +206,15 @@ def test_dominate_growth_scales_by_phi(lat):
         dominate_growth(lambda r: -r, 0.5, 0.25, 0.1, L, U)
 
 
+def dominated(bounds, spec):
+    """The dominated driver of one pair: the one-row case of
+    ``_dominated_driver``, each part leading with the side axis."""
+    return _dominated_driver([bounds], [spec], (-1,))
+
+
 def test_dominated_driver_beats_quadratic_bound(lat):
     # eta + 4*C*gamma^2 + (m/2)(z - gamma)^2 >= eta + C z^2 for all z
-    # needs m >= 8C; build_dominated_driver uses m = 1 + 8 * running max
+    # needs m >= 8C; the dominated driver uses m = 1 + 8 * running max
     # of |C|.  The witness has no drift and the clock is empty, so the
     # per-step drift f dt + source is that rate times dt.  Row 1 is the
     # upper equation, whose drift carries the rate's own sign
@@ -196,7 +226,7 @@ def test_dominated_driver_beats_quadratic_bound(lat):
         AdaptedProcess.constant(lat, 0.0),
     )
     spec = constant_spec(lat, slope=1.5)
-    drv = build_dominated_driver(bounds, spec)
+    drv = dominated(bounds, spec)
     zs = np.linspace(-30.0, 30.0, 61)
     for i in range(lat.steps):
         y = np.zeros(i + 1)
@@ -211,7 +241,7 @@ def test_dominated_driver_orientation_mirror(lat):
     # sign flipped, in each part that carries the side axis
     bounds = GrowthBounds.constants(lat, eta=0.2, C=0.5)
     spec = constant_spec(lat, slope=0.7, drift_up=0.05, drift_down=0.02)
-    drv = build_dominated_driver(bounds, spec)
+    drv = dominated(bounds, spec)
     y = np.zeros(3)
     z = np.array([-1.0, 0.0, 2.0])
     for rows in (drv.f(2, y, z), drv.quad(2)[0], drv.source(2)):
@@ -239,7 +269,7 @@ def test_dominated_driver_rows_stack_the_single_drivers():
     ]
     rows = _dominated_driver(*zip(*pairs), (3, 1, 1, -1))
     assert rows.bounds == tuple(b for b, _ in pairs)
-    singles = [build_dominated_driver(b, s) for b, s in pairs]
+    singles = [dominated(b, s) for b, s in pairs]
     for i in range(4):
         y = np.zeros((3, 1, 2, i + 1))
         z = rng.normal(0.0, 2.0, (3, 1, 2, i + 1))
@@ -260,7 +290,7 @@ def test_dominated_driver_structure_consistent(lat):
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,
                                     A=IncreasingProcess.lebesgue(lat))
     spec = constant_spec(lat, slope=0.3, drift_up=0.01)
-    drv = build_dominated_driver(bounds, spec)
+    drv = dominated(bounds, spec)
     rng = np.random.default_rng(1)
     for i in range(lat.steps):
         y = rng.normal(0, 1, i + 1)

@@ -1,10 +1,9 @@
 """Source hygiene: every name a package module, demo or test imports
-is used there, and every public function and method is reached from
-outside the tests."""
+is used there, and every public function and method is read by package
+code or a demo."""
 
 import ast
 import inspect
-import re
 import types
 from pathlib import Path
 
@@ -129,13 +128,12 @@ def test_public_member_scan_sees_methods_classmethods_and_properties():
 def test_every_public_function_is_reached():
     """Each function in ``rbsdelab.__all__``, and each public method,
     classmethod and property of its classes other than exceptions, is
-    read by package code outside ``__init__.py``, read by a demo, or
-    named in the README; a name only its tests reach is surface to
+    read by package code outside ``__init__.py`` or by a demo; a name
+    only its tests reach, or that only the README names, is surface to
     delete, not to export."""
     import rbsdelab
 
     root = SRC.parent.parent
-    readme = (root / "README.md").read_text()
     reached = set().union(
         *(
             loaded_names(p.read_text())
@@ -150,11 +148,7 @@ def test_every_public_function_is_reached():
             surface.append((name, name))
         elif inspect.isclass(obj) and not issubclass(obj, BaseException):
             surface += [(f"{name}.{m}", m) for m in public_members(obj)]
-    unreached = [
-        shown
-        for shown, name in surface
-        if name not in reached and not re.search(rf"\b{name}\b", readme)
-    ]
+    unreached = [shown for shown, name in surface if name not in reached]
     assert not unreached, f"public names only tests reach: {unreached}"
 
 

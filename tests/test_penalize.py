@@ -12,7 +12,7 @@ from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
     SemimartingaleSpec,
-    build_dominated_driver,
+    _dominated_driver,
 )
 from rbsdelab.lattice import (
     AdaptedProcess,
@@ -24,6 +24,7 @@ from rbsdelab.lattice import (
 )
 from rbsdelab.penalize import (
     DEFAULT_SCHEDULE,
+    PenalizedFamily,
     ReductionDisagreement,
     SandwichViolation,
     ScheduleExhausted,
@@ -45,7 +46,9 @@ def witness_instance(steps=5, seed=3, tight=True):
     Level-constant decomposition data keep the candidate on the
     recombining lattice.  ``tight`` pins the predictable floors and
     caps to the candidate at their charged times so the penalties have
-    something to do.
+    something to do.  Returns the growth bounds and the obstacle set,
+    which carries its lattice and the candidate's decomposition as its
+    witness.
     """
     lat = Lattice(TimeGrid(1.0, steps))
     rng = np.random.default_rng(seed)
@@ -100,14 +103,13 @@ def witness_instance(steps=5, seed=3, tight=True):
         witness=spec,
     )
     bounds = GrowthBounds.constants(lat, eta=0.2, C=0.5)
-    return lat, bounds, spec, bars
+    return bounds, bars
 
 
-def penalized(lat, bounds, spec, bars, n):
+def penalized(bounds, bars, n):
     """Both penalized solves at weight ``n``: the lower equation's and
     the upper one's."""
-    spec2, _ = spec.retarget(bars.xi)
-    (low,), (high,) = _one_sided_pair([lat], [bounds], [spec2], [bars], [n])
+    (low,), (high,) = _one_sided_pair([PenalizedFamily(bounds, bars)], [n])
     return low, high
 
 
@@ -134,50 +136,77 @@ def same_solution(a, b):
 
 
 def test_one_sided_solves_have_one_sided_reflection():
-    lat, bounds, spec, bars = witness_instance()
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1, 8))
+    bounds, bars = witness_instance()
+    fam = build_family(bounds, bars, schedule=(0, 1, 8))
+    steps = bars.lattice.steps
     for low in fam.lower_solutions:
-        assert all(not low.Kminus.atom(j).any() for j in range(lat.steps))
+        assert all(not low.Kminus.atom(j).any() for j in range(steps))
     for high in fam.upper_solutions:
-        assert all(not high.Kplus.atom(j).any() for j in range(lat.steps))
+        assert all(not high.Kplus.atom(j).any() for j in range(steps))
 
 
 def test_negative_weight_rejected():
-    from rbsdelab.penalize import PenalizedFamily
-
-    lat, bounds, spec, bars = witness_instance()
+    bounds, bars = witness_instance()
     with pytest.raises(ValueError):
-        penalized(lat, bounds, spec, bars, -1)
+        penalized(bounds, bars, -1)
     with pytest.raises(ValueError):
-        build_family(lat, bounds, spec, bars, schedule=(-2, 0))
+        build_family(bounds, bars, schedule=(-2, 0))
     # the first weight of an empty family enters through extend
-    spec2, S = spec.retarget(bars.xi)
-    empty = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S)
+    empty = PenalizedFamily(bounds, bars)
     with pytest.raises(ValueError, match="penalty weight must be >= 0"):
         empty.extend(-1)
 
 
 def test_obstacles_on_another_grid_are_rejected():
     # equal steps, another horizon: every slot stands for another time
-    lat, bounds, spec, bars = witness_instance()
-    other = Lattice(TimeGrid(2.0, lat.steps))
+    bounds, bars = witness_instance()
+    other = Lattice(TimeGrid(2.0, bars.lattice.steps))
     moved = BarrierSet.build(
         other,
         bars.xi,
         L=AdaptedProcess(other, bars.L.values),
         U=AdaptedProcess(other, bars.U.values),
+        witness=SemimartingaleSpec.from_levels(
+            other, bars.witness.reconstruct().values
+        ),
     )
-    with pytest.raises(ValueError):
-        build_family(lat, bounds, spec, moved, schedule=(0, 1))
-    with pytest.raises(ValueError):
-        exact_squeeze_barriers(lat, bounds, spec, moved)
+    for call in (
+        lambda: build_family(bounds, moved, schedule=(0, 1)),
+        lambda: exact_squeeze_barriers(bounds, moved),
+        lambda: reduce_and_solve(other, Driver.zero(bounds=bounds), moved),
+        lambda: reduce_and_solve(bars.lattice, Driver.zero(bounds=bounds), moved),
+    ):
+        with pytest.raises(ValueError, match="live on a different grid"):
+            call()
+
+
+def test_a_missing_witness_or_missing_bounds_is_named():
+    bounds, bars = witness_instance()
+    plain = BarrierSet.build(bars.lattice, bars.xi, L=bars.L, U=bars.U)
+    for call in (
+        lambda: PenalizedFamily(bounds, plain),
+        lambda: build_family(bounds, plain),
+        lambda: exact_squeeze_barriers(bounds, plain),
+        lambda: reduce_and_solve(bars.lattice, Driver.zero(bounds=bounds), plain),
+    ):
+        with pytest.raises(ValueError, match="witness decomposition"):
+            call()
+    for call in (
+        lambda: PenalizedFamily(None, bars),
+        lambda: build_family(None, bars),
+        lambda: exact_squeeze_barriers(None, bars),
+        lambda: reduce_and_solve(bars.lattice, Driver.zero(), bars),
+    ):
+        with pytest.raises(ValueError, match="needs the generator's growth bounds"):
+            call()
 
 
 def test_zero_weight_is_the_unpenalized_solve():
-    lat, bounds, spec, bars = witness_instance()
-    pair = penalized(lat, bounds, spec, bars, 0)
-    spec2, _ = spec.retarget(bars.xi)
-    drv = build_dominated_driver(bounds, spec2)
+    bounds, bars = witness_instance()
+    lat = bars.lattice
+    pair = penalized(bounds, bars, 0)
+    spec2, _ = bars.witness.retarget(bars.xi)
+    drv = _dominated_driver([bounds], [spec2], (-1,))
     plain = (
         solve_rbsde(lat, one_side(drv, 0), BarrierSet.build(lat, bars.xi, L=bars.L)),
         solve_rbsde(lat, one_side(drv, 1), BarrierSet.build(lat, bars.xi, U=bars.U)),
@@ -202,8 +231,8 @@ def test_penalty_root_formula_single_step():
 
 
 def test_family_is_monotone_and_tightens():
-    lat, bounds, spec, bars = witness_instance()
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1, 2, 4, 8, 16))
+    bounds, bars = witness_instance()
+    fam = build_family(bounds, bars, schedule=(0, 1, 2, 4, 8, 16))
     rows = fam.gaps()
     assert len(rows) == 5
     # movement per rung shrinks once the penalty regime sets in
@@ -215,26 +244,24 @@ def test_family_is_monotone_and_tightens():
 
 
 def test_family_schedule_validation():
-    lat, bounds, spec, bars = witness_instance()
+    bounds, bars = witness_instance()
     with pytest.raises(ValueError):
-        build_family(lat, bounds, spec, bars, schedule=(4,))
+        build_family(bounds, bars, schedule=(4,))
     with pytest.raises(ValueError):
-        build_family(lat, bounds, spec, bars, schedule=(0, 4, 4))
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 2))
+        build_family(bounds, bars, schedule=(0, 4, 4))
+    fam = build_family(bounds, bars, schedule=(0, 2))
     with pytest.raises(ValueError):
         fam.extend(2)
 
 
 def test_empty_family_grows_one_weight_at_a_time():
-    from rbsdelab.penalize import PenalizedFamily
-
-    lat, bounds, spec, bars = witness_instance()
-    spec2, S = spec.retarget(bars.xi)
-    fam = PenalizedFamily(lat, bounds, spec2, bars, [], [], [], S)
+    bounds, bars = witness_instance()
+    fam = PenalizedFamily(bounds, bars)
+    assert fam.lattice is bars.lattice
     assert fam.gaps() == []
     for n in (0, 4, 16):
         fam.extend(n)
-    batched = build_family(lat, bounds, spec, bars, schedule=(0, 4, 16))
+    batched = build_family(bounds, bars, schedule=(0, 4, 16))
     assert fam.n_schedule == batched.n_schedule
     for (n, lo, hi), (m, lo2, hi2) in zip(fam.gaps(), batched.gaps()):
         assert n == m
@@ -244,7 +271,8 @@ def test_empty_family_grows_one_weight_at_a_time():
 def test_sandwich_violation_names_the_break():
     # a node obstacle pushed above the candidate forces the lower
     # chain over the witness, which the ladder must reject
-    lat, bounds, spec, bars = witness_instance()
+    bounds, bars = witness_instance()
+    lat, spec = bars.lattice, bars.witness
     S = spec.reconstruct()
     bad_L = AdaptedProcess(
         lat,
@@ -260,7 +288,7 @@ def test_sandwich_violation_names_the_break():
         witness=spec,
     )
     with pytest.raises(SandwichViolation) as info:
-        build_family(lat, bounds, spec, bad, schedule=(0, 1))
+        build_family(bounds, bad, schedule=(0, 1))
     assert "witness" in str(info.value)
 
 
@@ -269,7 +297,8 @@ def test_first_broken_rung_is_raised_before_later_ones():
     # the lower chain from weight 8 at level 1, and by 0.04 at time 1,
     # which breaks it from weight 16 at level 0.  The family must name
     # the lightest broken weight, not the earliest level.
-    lat, bounds, spec, bars = witness_instance()
+    bounds, bars = witness_instance()
+    lat, spec = bars.lattice, bars.witness
     S = spec.reconstruct()
     slots = [np.full(i + 1, -np.inf) for i in range(lat.steps)]
     slots[0] = S.level(0) + 0.04
@@ -291,7 +320,7 @@ def test_first_broken_rung_is_raised_before_later_ones():
         ((0, 16), (what, 16, 0, 0)),
     ):
         with pytest.raises(SandwichViolation) as info:
-            build_family(lat, bounds, spec, bad, schedule=schedule)
+            build_family(bounds, bad, schedule=schedule)
         e = info.value
         assert (e.what, e.n, e.level, e.node) == first
 
@@ -301,7 +330,8 @@ def test_overflowing_weight_names_its_node_within_the_level():
     # the lower equation at level 1.  With a heavy atom on the binding
     # cap too, the upper equation overflows first, at level 2: one pass
     # over both sides reports the first failure in backward order
-    lat, bounds, spec, bars = witness_instance(tight=True)
+    bounds, bars = witness_instance(tight=True)
+    lat, spec = bars.lattice, bars.witness
     caps = {
         "u": bars.u,
         "alpha": IncreasingProcess.from_time_atoms(lat, {lat.steps - 2: 100.0}),
@@ -319,9 +349,9 @@ def test_overflowing_weight_names_its_node_within_the_level():
         )
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteDriver) as single:
-                penalized(lat, bounds, spec, heavy, 2**1023)
+                penalized(bounds, heavy, 2**1023)
             with pytest.raises(NonFiniteDriver) as family:
-                build_family(lat, bounds, spec, heavy, schedule=(0, 2**1023))
+                build_family(bounds, heavy, schedule=(0, 2**1023))
         e = family.value
         assert (e.level, e.node) == (single.value.level, single.value.node)
         assert e.level == level and 0 <= e.node <= e.level
@@ -330,7 +360,7 @@ def test_overflowing_weight_names_its_node_within_the_level():
 def test_batched_family_matches_single_rung_solves(monkeypatch):
     from rbsdelab import penalize
 
-    lat, bounds, spec, bars = witness_instance()
+    bounds, bars = witness_instance()
     passes = []
     backward = penalize._backward
 
@@ -339,25 +369,26 @@ def test_batched_family_matches_single_rung_solves(monkeypatch):
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(penalize, "_backward", counted)
-    fam = build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
+    fam = build_family(bounds, bars, DEFAULT_SCHEDULE)
     # one pass, the instance, the whole schedule and then the side as
     # the batch
     assert passes == [(1, len(DEFAULT_SCHEDULE), 2)]
     # the implicit step decides per node, so every rung is bitwise its
     # single-weight solve
     for k, n in enumerate(DEFAULT_SCHEDULE):
-        pair = penalized(lat, bounds, spec, bars, n)
+        pair = penalized(bounds, bars, n)
         for single, sols in zip(pair, (fam.lower_solutions, fam.upper_solutions)):
             assert same_solution(sols[k], single)
     # the exact squeeze solves both sides in one pass too
     passes.clear()
-    exact_squeeze_barriers(lat, bounds, spec, bars)
+    exact_squeeze_barriers(bounds, bars)
     assert passes == [(1, 1, 2)]
 
 
 def test_squeeze_converges_on_loose_tolerance():
-    lat, bounds, spec, bars = witness_instance()
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1))
+    bounds, bars = witness_instance()
+    lat = bars.lattice
+    fam = build_family(bounds, bars, schedule=(0, 1))
     Ybar, Yunder = squeeze_limits(fam, tol=1e-3, n_max=2**20)
     rows = fam.gaps()
     assert max(rows[-1][1], rows[-1][2]) <= 1e-3
@@ -365,9 +396,23 @@ def test_squeeze_converges_on_loose_tolerance():
         assert np.all(Yunder.level(i) <= Ybar.level(i) + 1e-9)
 
 
+def test_squeeze_needs_two_weights():
+    # a movement needs two weights: an empty family and a one-rung one
+    # have no gaps, which the squeeze reports by name
+    bounds, bars = witness_instance()
+    fam = PenalizedFamily(bounds, bars)
+    for n in (None, 0):
+        if n is not None:
+            fam.extend(n)
+        with pytest.raises(ValueError, match="two weights at least"):
+            squeeze_limits(fam, tol=1e-3)
+    fam.extend(1)
+    squeeze_limits(fam, tol=1e-3)
+
+
 def test_squeeze_tolerance_has_no_default():
-    lat, bounds, spec, bars = witness_instance()
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1))
+    bounds, bars = witness_instance()
+    fam = build_family(bounds, bars, schedule=(0, 1))
     with pytest.raises(TypeError):
         squeeze_limits(fam)
     with pytest.raises(TypeError):
@@ -376,8 +421,8 @@ def test_squeeze_tolerance_has_no_default():
 
 
 def test_squeeze_exhaustion_is_loud_or_soft():
-    lat, bounds, spec, bars = witness_instance()
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 1))
+    bounds, bars = witness_instance()
+    fam = build_family(bounds, bars, schedule=(0, 1))
     with pytest.raises(ScheduleExhausted) as info:
         squeeze_limits(fam, tol=1e-14, n_max=64)
     assert info.value.gap > 0.0
@@ -390,11 +435,12 @@ def test_squeeze_exhaustion_is_loud_or_soft():
 
 
 def test_binding_penalty_moves_like_one_over_n():
-    lat, bounds, spec, bars = witness_instance(tight=True)
+    bounds, bars = witness_instance(tight=True)
+    lat = bars.lattice
     sols = {
-        n: penalized(lat, bounds, spec, bars, n)[0] for n in (256, 512, 1024)
+        n: penalized(bounds, bars, n)[0] for n in (256, 512, 1024)
     }
-    exact_bar, exact_under = exact_squeeze_barriers(lat, bounds, spec, bars)
+    exact_bar, exact_under = exact_squeeze_barriers(bounds, bars)
     errs = {
         n: max(
             float(np.max(np.abs(sols[n].Y.level(i) - exact_under.level(i))))
@@ -409,9 +455,10 @@ def test_binding_penalty_moves_like_one_over_n():
 
 
 def test_exact_limits_agree_with_the_large_weight_chain():
-    lat, bounds, spec, bars = witness_instance()
-    fam = build_family(lat, bounds, spec, bars, schedule=(0, 2**12, 2**14))
-    exact_bar, exact_under = exact_squeeze_barriers(lat, bounds, spec, bars)
+    bounds, bars = witness_instance()
+    lat = bars.lattice
+    fam = build_family(bounds, bars, schedule=(0, 2**12, 2**14))
+    exact_bar, exact_under = exact_squeeze_barriers(bounds, bars)
     for i in range(lat.steps + 1):
         assert np.all(fam.Yunder.level(i) <= exact_under.level(i) + 1e-9)
         assert np.all(exact_under.level(i) - fam.Yunder.level(i) < 1e-3)
@@ -420,7 +467,8 @@ def test_exact_limits_agree_with_the_large_weight_chain():
 
 
 def test_reduction_matches_the_direct_solve():
-    lat, _, spec, bars = witness_instance()
+    _, bars = witness_instance()
+    lat, spec = bars.lattice, bars.witness
     a, b, c = 0.2, -0.4, 0.3
     S = spec.reconstruct()
     ymax = 1.0 + max(
@@ -449,7 +497,8 @@ def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
     # the direct one; each row is bitwise its own solve_rbsde
     from rbsdelab import penalize
 
-    lat, _, spec, bars = witness_instance()
+    _, bars = witness_instance()
+    lat, spec = bars.lattice, bars.witness
     a, b, c = 0.2, -0.4, 0.3
     ymax = 1.0 + float(np.max(np.abs(spec.reconstruct().values)))
     # bounds that dominate the linear rate on that range
@@ -465,11 +514,11 @@ def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(penalize, "_backward", counted)
-    ((sol, direct),) = penalize._reduce_pass([lat], drv, [bars])
+    ((sol, direct),) = penalize._reduce_pass(drv, [bars])
     penalize._check_reduction(sol, direct, bars, 1e-6)
     assert passes == [(1, 1, 2), (1, 2)]
     assert same_solution(direct, solve_rbsde(lat, drv, bars))
-    Ybar, Yunder = exact_squeeze_barriers(lat, bounds, spec, bars)
+    Ybar, Yunder = exact_squeeze_barriers(bounds, bars)
     reduced = BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar)
     assert same_solution(sol, solve_rbsde(lat, drv, reduced))
     assert same_solution(reduce_and_solve(lat, drv, bars), sol)
@@ -484,13 +533,12 @@ def test_one_instance_squeeze_and_reduction_keep_their_memory():
     # 24,341,340 bytes) under tracemalloc; the bound allows 1 MiB more
     from rbsdelab.verify import random_witness_instance
 
-    lat, bounds, spec, bars = random_witness_instance(
-        np.random.default_rng(24), 500
-    )
+    bounds, bars = random_witness_instance(np.random.default_rng(24), 500)
+    lat = bars.lattice
     assert bounds.eta.values.strides == (0,)
     drv = Driver.zero(bounds=bounds)
     for run in (
-        lambda: exact_squeeze_barriers(lat, bounds, spec, bars),
+        lambda: exact_squeeze_barriers(bounds, bars),
         lambda: reduce_and_solve(lat, drv, bars),
     ):
         tracemalloc.start()
@@ -531,17 +579,17 @@ def test_every_rung_of_a_cross_instance_pass_is_its_own_family(monkeypatch):
 
     schedule = (0, 1, 8, 64, 2**12)
     drawn = drawn_instances([3, 4, 3, 4, 3])
-    assert len({inst[0].grid.horizon for inst in drawn}) == 5
+    assert len({bars.lattice.grid.horizon for _, bars in drawn}) == 5
     passes = counted_passes(monkeypatch)
     for depth in (3, 4):
-        group = [inst for inst in drawn if inst[0].steps == depth]
+        group = [inst for inst in drawn if inst[1].lattice.steps == depth]
         for inst, (fam, rungs) in zip(group, penalize._families(group, schedule)):
             fam._grow(*rungs)
             alone = build_family(*inst, schedule=schedule)
             assert fam.n_schedule == alone.n_schedule == list(schedule)
             for side in ("lower_solutions", "upper_solutions"):
                 for a, b in zip(getattr(fam, side), getattr(alone, side)):
-                    assert a.lattice is inst[0]
+                    assert a.lattice is inst[1].lattice
                     assert same_solution(a, b)
     # one pass per depth, then one per family alone
     assert passes == [(3, 5, 2)] + [(1, 5, 2)] * 3 + [(2, 5, 2)] + [(1, 5, 2)] * 2
@@ -553,21 +601,19 @@ def test_every_row_of_the_batched_reduction_is_its_own_reduction(monkeypatch):
     drawn = drawn_instances([4, 4, 4, 4])
     rng = np.random.default_rng(6)
     coef = rng.uniform(-0.4, 0.4, (4, 3))
+    sets = [bars for _, bars in drawn]
     bounds = [
-        GrowthBounds.constants(lat, eta=2.0 + rng.uniform(), C=0.5)
-        for lat, *_ in drawn
+        GrowthBounds.constants(bars.lattice, eta=2.0 + rng.uniform(), C=0.5)
+        for bars in sets
     ]
-    lats, sets = [inst[0] for inst in drawn], [inst[3] for inst in drawn]
     drv = Driver.linear(*coef.T[..., None, None], bounds=bounds)
     passes = counted_passes(monkeypatch)
-    rows = penalize._reduce_pass(lats, drv, sets)
+    rows = penalize._reduce_pass(drv, sets)
     assert passes == [(4, 1, 2), (4, 2)]
-    for lat, bars, b, abc, (sol, direct) in zip(lats, sets, bounds, coef, rows):
+    for bars, b, abc, (sol, direct) in zip(sets, bounds, coef, rows):
         penalize._check_reduction(sol, direct, bars, 1e-6)
-        (alone,) = penalize._reduce_pass(
-            [lat], Driver.linear(*abc, bounds=b), [bars]
-        )
-        assert sol.lattice is lat and direct.lattice is lat
+        (alone,) = penalize._reduce_pass(Driver.linear(*abc, bounds=b), [bars])
+        assert sol.lattice is bars.lattice and direct.lattice is bars.lattice
         assert same_solution(sol, alone[0]) and same_solution(direct, alone[1])
 
 
@@ -627,10 +673,11 @@ def test_reduction_numeric_route_agrees_with_exact_route():
     # inert predictable obstacles: the chains converge immediately, so
     # solving between the numerical squeeze limits must give the
     # reduction's value
-    lat, bounds, spec, bars = witness_instance(tight=False)
+    bounds, bars = witness_instance(tight=False)
+    lat = bars.lattice
     drv = Driver.linear(0.0, 0.3, -0.2, bounds=bounds)
     via_exact = reduce_and_solve(lat, drv, bars)
-    family = build_family(lat, bounds, spec, bars, schedule=(0, 1, 2))
+    family = build_family(bounds, bars, schedule=(0, 1, 2))
     Ybar, Yunder = squeeze_limits(family, tol=1e-4, n_max=2)
     between = BarrierSet.build(lat, bars.xi, L=Yunder, U=Ybar)
     via_chain = solve_rbsde(lat, drv, between)
@@ -638,7 +685,8 @@ def test_reduction_numeric_route_agrees_with_exact_route():
 
 
 def test_reduction_validation():
-    lat, bounds, spec, bars = witness_instance()
+    bounds, bars = witness_instance()
+    lat = bars.lattice
     with pytest.raises(ValueError):
         reduce_and_solve(lat, Driver.zero(), bars)
     plain = BarrierSet.build(lat, bars.xi, L=bars.L, U=bars.U)
@@ -649,7 +697,8 @@ def test_reduction_validation():
 def test_reduction_under_bounds_that_do_not_dominate_is_named():
     # zero growth bounds cannot dominate a drift of 1, so the reduced
     # solve and the direct one disagree at the root
-    lat, _, _, bars = witness_instance()
+    _, bars = witness_instance()
+    lat = bars.lattice
     weak = GrowthBounds.constants(lat, eta=0.0, C=0.0)
     drv = Driver.linear(0.0, 0.0, 1.0, bounds=weak)
     with pytest.raises(ReductionDisagreement) as info:
@@ -663,7 +712,8 @@ def test_reduced_solve_outside_the_obstacles_is_named(monkeypatch):
     # the membership check, with the excursion as the gap
     from rbsdelab import penalize
 
-    lat, bounds, _, bars = witness_instance()
+    bounds, bars = witness_instance()
+    lat = bars.lattice
     lifted = AdaptedProcess.constant(lat, 5.0).with_terminal(bars.xi)
     monkeypatch.setattr(
         penalize, "_exact_limits", lambda *args: [(lifted, lifted)]

@@ -67,9 +67,9 @@ def dominated_instance(steps=6, seed=11, with_witness=True):
 
 
 def test_audit_rejects_bounded_variation_mass():
-    inst = dominated_instance()
-    lat = inst.lattice
-    spec = inst.witness
+    bars = dominated_instance().barriers
+    lat = bars.lattice
+    spec = bars.witness
     bumped = SemimartingaleSpec(
         spec.s0,
         spec.vplus,
@@ -82,7 +82,7 @@ def test_audit_rejects_bounded_variation_mass():
         ),
         spec.gamma,
     )
-    bad = SnellInstance(inst.L, inst.l, inst.delta, inst.xi, witness=bumped)
+    bad = SnellInstance(bars.L, bars.l, bars.delta, bars.xi, witness=bumped)
     with pytest.raises(HypothesisAViolated) as info:
         snell_envelope(bad)
     assert "martingale" in str(info.value)
@@ -90,15 +90,15 @@ def test_audit_rejects_bounded_variation_mass():
 
 def test_audit_rejects_obstacle_above_witness():
     inst = dominated_instance()
-    lat = inst.lattice
-    levels = [inst.L.level(i).copy() for i in range(lat.steps + 1)]
+    lat = inst.barriers.lattice
+    levels = [inst.barriers.L.level(i).copy() for i in range(lat.steps + 1)]
     levels[3][1] += 5.0
     bad = SnellInstance(
         AdaptedProcess(lat, levels),
-        inst.l,
-        inst.delta,
-        inst.xi,
-        witness=inst.witness,
+        inst.barriers.l,
+        inst.barriers.delta,
+        inst.barriers.xi,
+        witness=inst.barriers.witness,
     )
     with pytest.raises(HypothesisAViolated) as info:
         bad.audit()
@@ -108,16 +108,16 @@ def test_audit_rejects_obstacle_above_witness():
 
 def test_audit_rejects_left_limit_above_witness():
     inst = dominated_instance()
-    lat = inst.lattice
+    lat = inst.barriers.lattice
     k = max(1, lat.steps // 2)
-    slots = [inst.l.atom(i).copy() for i in range(lat.steps)]
+    slots = [inst.barriers.l.atom(i).copy() for i in range(lat.steps)]
     slots[k - 1][0] += 5.0
     bad = SnellInstance(
-        inst.L,
+        inst.barriers.L,
         PredictableProcess(lat, slots),
-        inst.delta,
-        inst.xi,
-        witness=inst.witness,
+        inst.barriers.delta,
+        inst.barriers.xi,
+        witness=inst.barriers.witness,
     )
     with pytest.raises(HypothesisAViolated) as info:
         bad.audit()
@@ -134,10 +134,10 @@ def test_missing_witness_warns_and_proceeds():
 def test_envelope_equals_the_general_solver_bitwise():
     inst = dominated_instance()
     sol = snell_envelope(inst)
-    general = solve_rbsde(inst.lattice, Driver.zero(), inst.barriers)
-    for i in range(inst.lattice.steps + 1):
+    general = solve_rbsde(inst.barriers.lattice, Driver.zero(), inst.barriers)
+    for i in range(inst.barriers.lattice.steps + 1):
         assert np.array_equal(sol.Y.level(i), general.Y.level(i))
-    for j in range(inst.lattice.steps):
+    for j in range(inst.barriers.lattice.steps):
         assert np.array_equal(sol.Z.atom(j), general.Z.atom(j))
         assert np.array_equal(sol.Kplus.atom(j), general.Kplus.atom(j))
 
@@ -145,7 +145,7 @@ def test_envelope_equals_the_general_solver_bitwise():
 def test_envelope_is_a_flat_off_supermartingale():
     inst = dominated_instance(seed=5)
     sol = snell_envelope(inst)
-    lat = inst.lattice
+    lat = inst.barriers.lattice
     for j in range(lat.steps):
         E = expectation_level(sol.Y.level(j + 1))
         y = sol.Y.level(j)
@@ -204,12 +204,12 @@ def test_envelope_agrees_with_exhaustive_stopping(seed):
 
 def test_envelope_is_smallest_among_dominating_supermartingales():
     inst = dominated_instance(seed=7)
-    lat = inst.lattice
+    lat = inst.barriers.lattice
     sol = snell_envelope(inst)
     rng = np.random.default_rng(17)
     for _ in range(20):
         slack = [rng.uniform(0.0, 0.4, i + 1) for i in range(lat.steps + 1)]
-        d = np.asarray(inst.xi, dtype=float) + slack[lat.steps]
+        d = np.asarray(inst.barriers.xi, dtype=float) + slack[lat.steps]
         dominating = [d]
         for j in range(lat.steps - 1, -1, -1):
             low = inst.barriers.low.level(j)

@@ -444,8 +444,7 @@ def test_penalized_ladder_generator_calls_per_level(monkeypatch):
     levels = penalized_evaluations(monkeypatch)
     rng = np.random.default_rng(22)
     for _ in range(6):
-        lat, bounds, spec, bars = random_witness_instance(rng, 8)
-        build_family(lat, bounds, spec, bars, DEFAULT_SCHEDULE)
+        build_family(*random_witness_instance(rng, 8), DEFAULT_SCHEDULE)
         assert max(collections.Counter(levels).values()) <= 8
         levels.clear()
 
