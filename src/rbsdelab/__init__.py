@@ -35,8 +35,6 @@ from .lattice import (
     AdaptedProcess,
     PredictableProcess,
     IncreasingProcess,
-    all_paths,
-    path_nodes,
 )
 from .barriers import (
     BarrierSet,
@@ -51,7 +49,6 @@ from .drivers import (
     GrowthBounds,
     SemimartingaleSpec,
     InconsistentSemimartingale,
-    NonMonotonePhi,
     dominate_growth,
 )
 from .solver import (
@@ -87,19 +84,7 @@ from .oracle import (
     exhaustive_dynkin_value,
     quadratic_closed_form,
 )
-from .verify import (
-    CertificateLog,
-    run_all,
-    verify_envelope,
-    verify_constraint_equivalence,
-    verify_snell,
-    verify_dynkin,
-    verify_quadratic,
-    verify_sandwich,
-    verify_reduction,
-    verify_comparison,
-    verify_budget,
-)
+from .verify import run_all
 
 __all__ = [
     "TimeGrid",
@@ -107,8 +92,6 @@ __all__ = [
     "AdaptedProcess",
     "PredictableProcess",
     "IncreasingProcess",
-    "all_paths",
-    "path_nodes",
     "BarrierSet",
     "EnvelopeResult",
     "InfeasibleBarriers",
@@ -119,7 +102,6 @@ __all__ = [
     "GrowthBounds",
     "SemimartingaleSpec",
     "InconsistentSemimartingale",
-    "NonMonotonePhi",
     "dominate_growth",
     "Solution",
     "SkorokhodReport",
@@ -146,17 +128,7 @@ __all__ = [
     "exhaustive_stopping_value",
     "exhaustive_dynkin_value",
     "quadratic_closed_form",
-    "CertificateLog",
     "run_all",
-    "verify_envelope",
-    "verify_constraint_equivalence",
-    "verify_snell",
-    "verify_dynkin",
-    "verify_quadratic",
-    "verify_sandwich",
-    "verify_reduction",
-    "verify_comparison",
-    "verify_budget",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ import json
 import platform
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +44,7 @@ from .lattice import (
     PredictableProcess,
     TimeGrid,
     _varying_level,
+    _walk_and_times,
     entry_levels,
     level_offset,
 )
@@ -52,15 +52,11 @@ from .penalize import (
     DEFAULT_SCHEDULE,
     ReductionDisagreement,
     SandwichViolation,
+    _schedule,
     build_family,
     reduce_and_solve,
 )
-from .snell import (
-    _NO_WITNESS,
-    HypothesisAViolated,
-    SnellInstance,
-    snell_envelope,
-)
+from .snell import HypothesisAViolated, SnellInstance, snell_envelope
 from .solver import (
     ImplicitStepDivergence,
     NonFiniteDriver,
@@ -236,7 +232,7 @@ def _shape_levels(node, lat, path):
                 )
             out.append(arr)
         return np.concatenate(out)
-    walk = np.concatenate([lat.brownian(i) for i in range(count)])
+    walk, t = _walk_and_times(lat)
     if kind == "payoff":
         form = node.get("form")
         strike = _number(node, "strike", path, required=True)
@@ -250,7 +246,6 @@ def _shape_levels(node, lat, path):
     b = _number(node, "linear", path, default=0.0)
     c = _number(node, "time", path, default=0.0)
     d = _number(node, "offset", path, default=0.0)
-    t = lat.times[entry_levels(count)]
     return a * np.sin(w * walk) + b * walk + c * t + d
 
 
@@ -438,24 +433,12 @@ class ScenarioConfig:
         pen = cfg.get("penalization", {})
         _check_keys(pen, {"schedule"}, "penalization")
         schedule = pen.get("schedule")
-        if schedule is None:
-            self.schedule = DEFAULT_SCHEDULE
-        else:
-            if not isinstance(schedule, list) or not all(
-                isinstance(n, int) and not isinstance(n, bool)
-                for n in schedule
-            ):
-                raise ConfigError(
-                    "penalization.schedule must be a list of integers"
-                )
-            if any(n < 0 for n in schedule) or any(
-                b <= a for a, b in zip(schedule, schedule[1:])
-            ):
-                raise ConfigError(
-                    "penalization.schedule must be nonnegative and "
-                    "strictly increasing"
-                )
-            self.schedule = tuple(schedule)
+        try:
+            self.schedule = _schedule(
+                DEFAULT_SCHEDULE if schedule is None else schedule
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"penalization.schedule: {exc}") from exc
         self.outputs = _output_names(cfg)
 
 
@@ -612,9 +595,7 @@ def run_solve(scn, outdir, laps):
 
 
 def run_penalize(scn, outdir, laps, schedule_max=None):
-    schedule = scn.schedule
-    if schedule_max is not None:
-        schedule = tuple(n for n in schedule if n <= schedule_max)
+    schedule = _schedule(scn.schedule, schedule_max)
     family = build_family(scn.driver.bounds, scn.barriers, schedule=schedule)
     conv_path = outdir / scn.outputs["convergence"]
     laps.write(write_convergence_csv, conv_path, family)
@@ -631,9 +612,7 @@ def run_penalize(scn, outdir, laps, schedule_max=None):
 def run_snell(scn, outdir, laps):
     bars = scn.barriers
     inst = SnellInstance(bars.L, bars.l, bars.delta, bars.xi, witness=bars.witness)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _NO_WITNESS, UserWarning)
-        sol = snell_envelope(inst)
+    sol = snell_envelope(inst)
     path = outdir / scn.outputs["solution"]
     laps.write(write_solution_csv, path, sol, inst.barriers)
     print(f"snell: Y0 = {sol.value()!r} -> {path}")
@@ -667,7 +646,6 @@ def run_verify(args, report_name, outdir, laps):
         **seed,
         cases=args.cases,
         max_depth=args.depth,
-        tol=args.tol,
         schedule_max=args.schedule_max,
     )
     path = outdir / report_name
@@ -709,7 +687,6 @@ def _parser():
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--depth", type=int, default=None)
             p.add_argument("--cases", type=int, default=None)
-            p.add_argument("--tol", type=float, default=None)
         if name in ("penalize", "verify"):
             p.add_argument("--schedule-max", type=int, default=None)
     return parser

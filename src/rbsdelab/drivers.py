@@ -47,7 +47,6 @@ from .lattice import (
 
 __all__ = [
     "InconsistentSemimartingale",
-    "NonMonotonePhi",
     "GrowthBounds",
     "SemimartingaleSpec",
     "Driver",
@@ -70,10 +69,6 @@ class InconsistentSemimartingale(Exception):
             f"(level {self.level}, node {self.node}); the decomposition "
             f"does not recombine"
         )
-
-
-class NonMonotonePhi(Exception):
-    """Scaling function decreased between two probe points."""
 
 
 def _as_adapted(lattice, x, name):
@@ -375,7 +370,7 @@ def _probe_monotone(phi, samples):
     drops = np.where(np.diff(vals) < 0.0)[0]
     if drops.size:
         k = int(drops[0])
-        raise NonMonotonePhi(
+        raise ValueError(
             f"scaling function decreases between {xs[k]!r} and {xs[k + 1]!r}"
         )
 
@@ -386,7 +381,8 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     The scale process is twice the running maximum (node envelope) of
     the positive part of ``U`` plus the negative part of ``L``; the raw
     bounds are multiplied by ``phi`` of that scale.  ``phi`` must be
-    nondecreasing (probed, not proved).
+    nondecreasing (probed, not proved): a decrease found between two
+    probe points raises ``ValueError``.
     """
     lattice = L.lattice
     if U.lattice.grid != lattice.grid:

@@ -147,6 +147,13 @@ def entry_levels(count):
     return np.repeat(np.arange(count), np.arange(1, count + 1))
 
 
+def _walk_and_times(lattice):
+    """Walk value and time of every node of levels 0..N, packed."""
+    count = lattice.steps + 1
+    walk = np.concatenate([lattice.brownian(i) for i in range(count)])
+    return walk, lattice.times[entry_levels(count)]
+
+
 def _varying_level(values, count):
     """First of ``count`` packed levels whose nodes differ, or ``None``."""
     levels = entry_levels(count)

@@ -170,8 +170,8 @@ def _one_sided_pair(families, weights=None):
     the weight (one without weights), then the side.  Returns the lower
     and the upper solutions, each in (instance, weight) order.
     """
-    if weights is not None and any(n < 0 for n in weights):
-        raise ValueError("penalty weight must be >= 0")
+    if weights is not None:
+        weights = _weights(weights)
     sets = [family.barriers for family in families]
     names = ("low", "high") if weights is None else ("L", "U")
     lattices, xi, lo, hi = _stacked_sets(sets, names)
@@ -265,9 +265,8 @@ class PenalizedFamily:
 
         The first weight of an empty family is checked against itself.
         """
-        if self.n_schedule and n <= self.n_schedule[-1]:
-            raise ValueError("schedule must increase")
-        self._grow([n], *_one_sided_pair([self], [n]))
+        weights = _weights(self.n_schedule[-1:] + [n])[-1:]
+        self._grow(weights, *_one_sided_pair([self], weights))
 
     def _grow(self, weights, lows, highs):
         """Check the ladder of the rungs solved at ``weights`` from the
@@ -340,7 +339,7 @@ def _families(instances, schedule):
     instance: an empty family and its solved rungs, which
     ``family._grow(*rungs)`` checks and appends.
     """
-    schedule = _checked_schedule(schedule)
+    schedule = _schedule(schedule)
     families = [PenalizedFamily(bounds, barriers) for bounds, barriers in instances]
     lows, highs = _one_sided_pair(families, schedule)
     w = len(schedule)
@@ -350,13 +349,38 @@ def _families(instances, schedule):
     ]
 
 
-def _checked_schedule(schedule):
-    schedule = [int(n) for n in schedule]
-    if len(schedule) < 2:
-        raise ValueError("schedule needs at least two entries")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    return schedule
+def _weights(weights):
+    """Penalty weights as a list of ints, each a Python or numpy integer
+    (a bool is not one) and >= 0, strictly increasing; raises
+    ``ValueError`` naming the first weight that breaks the rule."""
+    checked = []
+    for n in weights:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(
+                f"penalty weight {n} is a {type(n).__name__}, not an integer"
+            )
+        if n < 0:
+            raise ValueError(f"penalty weight must be >= 0, got {n}")
+        if checked and n <= checked[-1]:
+            raise ValueError(
+                f"penalty weights must be strictly increasing, got {n} "
+                f"after {checked[-1]}"
+            )
+        checked.append(int(n))
+    return checked
+
+
+def _schedule(schedule, cap=None):
+    """A family's weight schedule: :func:`_weights` of ``schedule``, cut
+    to the weights at most ``cap`` when one is given.  A family needs
+    at least two weights; fewer raise ``ValueError``."""
+    weights = _weights(schedule)
+    if cap is not None:
+        weights = [n for n in weights if n <= cap]
+    if len(weights) < 2:
+        kept = "" if cap is None else f" of those at most {cap}"
+        raise ValueError(f"a family needs at least two weights, got {weights}{kept}")
+    return weights
 
 
 def squeeze_limits(family, *, tol, n_max=2 ** 16):

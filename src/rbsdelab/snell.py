@@ -14,11 +14,9 @@ shared implementation would make it vacuous.
 The instance's obstacle set optionally carries a martingale witness
 dominating both obstacles.  When present it is audited (martingale
 structure and domination node by node); when absent the audit is
-skipped with a warning, since the recursion itself needs no witness on
-a finite lattice.
+skipped, since the recursion itself needs no witness on a finite
+lattice.
 """
-
-import warnings
 
 import numpy as np
 
@@ -40,11 +38,6 @@ __all__ = [
     "SnellInstance",
     "snell_envelope",
 ]
-
-# the warning of an instance without a witness; callers that know they
-# gave none ignore this message alone
-_NO_WITNESS = "no martingale witness supplied; domination audit skipped"
-
 
 class HypothesisAViolated(Exception):
     """The supplied witness fails the domination audit."""
@@ -97,14 +90,13 @@ class SnellInstance:
     def audit(self):
         """Check the witness: a martingale above both obstacles.
 
-        Returns the reconstructed witness process, or ``None`` (with a
-        warning) when no witness was supplied.  Raises
-        :class:`HypothesisAViolated` on any failure.
+        Returns the reconstructed witness process, or ``None`` when no
+        witness was supplied.  Raises :class:`HypothesisAViolated` on
+        any failure.
         """
         bars = self.barriers
         spec = bars.witness
         if spec is None:
-            warnings.warn(_NO_WITNESS, stacklevel=2)
             return None
         steps = bars.lattice.steps
         # both parts are >= 0, so their sum is positive wherever either
@@ -139,7 +131,7 @@ class SnellInstance:
 def snell_envelope(inst):
     """The envelope by direct backward recursion.
 
-    Audits the witness first (or warns when there is none), then runs
+    Audits the witness first (when there is one), then runs
     ``Y_j = max(E, merged obstacle)`` down to the root.  A non-finite
     expectation or slope raises :class:`NonFiniteDriver` at its first
     node in backward order.  The upward reflection increment is

@@ -9,11 +9,11 @@ shares one log across the whole run, so the certificate report covers
 every solve rather than a private batch.
 
 Each suite's signature defaults are the package's acceptance gate.
-:func:`run_all` forwards only the overrides it is given, so the command
+The tolerances are fixed module constants, which no caller overrides;
+:func:`run_all` forwards only the sizes it is given, so the command
 line can run cheaper or deeper sweeps of the same checks.
 """
 
-import warnings
 import zlib
 
 import numpy as np
@@ -31,8 +31,8 @@ from .lattice import (
     Lattice,
     PredictableProcess,
     TimeGrid,
+    _walk_and_times,
     all_paths,
-    entry_levels,
     level_offset,
     path_nodes,
 )
@@ -51,8 +51,9 @@ from .penalize import (
     _check_reduction,
     _families,
     _reduce_pass,
+    _schedule,
 )
-from .snell import _NO_WITNESS, SnellInstance, snell_envelope
+from .snell import SnellInstance, snell_envelope
 from .solver import (
     _backward,
     _stacked_sets,
@@ -80,6 +81,14 @@ __all__ = [
 # sizes and tolerances of the gate that no caller varies
 _ENVELOPE_POINTS = 200
 _ENVELOPE_ULPS = 4.0
+_STOPPING_TOL = 1e-12
+_STRIKE_TOL = 1e-10  # the strike recursion of criterion 3
+_GAME_TOL = 1e-12
+_CLOSED_FORM_TOL = 1e-10
+_REDUCTION_TOL = 1e-6
+_CERTIFICATE_TOL = 1e-12
+_COMPARISON_TOL = 1e-9
+_BUDGET_TOL = 1e-10
 _ENVELOPE_WINDOW = 250  # profiles drawn before one is checked
 _ENVELOPE_BLOCK = 2 ** 18  # rows x padded points squared checked at once
 _EQUIVALENCE_CHUNK = 2 ** 14  # row x path x level entries checked at once
@@ -178,13 +187,6 @@ def _random_lattice(rng, max_depth, min_depth=1):
     steps = int(rng.integers(min_depth, max_depth + 1))
     horizon = float(rng.uniform(0.5, 2.0))
     return Lattice(TimeGrid(horizon, steps))
-
-
-def _walk_and_times(lat):
-    """Walk value and time of every node of levels 0..N, packed."""
-    count = lat.steps + 1
-    walk = np.concatenate([lat.brownian(i) for i in range(count)])
-    return walk, lat.times[entry_levels(count)]
 
 
 def random_witness_instance(rng, steps, tight=True):
@@ -391,13 +393,11 @@ def verify_constraint_equivalence(cases=1000, max_depth=8, seed=7):
     return _report(2, "left-limit constraint equivalence", tally)
 
 
-def verify_snell(
-    cases=100, max_depth=4, seed=7, tol=1e-12, put_tol=1e-10, *, log
-):
+def verify_snell(cases=100, max_depth=4, seed=7, *, log):
     """Criterion 3: envelope root value vs exhaustive stopping, and the
     early-exercise recursion on strike payoffs."""
     rng = _rng(seed, "snell")
-    stopping = _Tally(tol)
+    stopping = _Tally(_STOPPING_TOL)
     for _ in range(cases):
         lat = _random_lattice(rng, min(max_depth, _ORACLE_MAX_DEPTH))
         steps = lat.steps
@@ -414,16 +414,13 @@ def verify_snell(
         sol = log.add(snell_envelope(inst))
         stopping.add(abs(sol.value() - exhaustive_stopping_value(L, xi)))
 
-    recursion = _Tally(put_tol)
+    recursion = _Tally(_STRIKE_TOL)
     for steps in _PUT_DEPTHS:
         lat = Lattice(TimeGrid(1.0, steps))
         strike = float(rng.uniform(0.8, 1.3))
         walk, _ = _walk_and_times(lat)
         L = AdaptedProcess(lat, np.maximum(strike - np.exp(walk), 0.0))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _NO_WITNESS, UserWarning)
-            sol = snell_envelope(SnellInstance(L, None, None, L.terminal()))
-        log.add(sol)
+        sol = log.add(snell_envelope(SnellInstance(L, None, None, L.terminal())))
         v = L.terminal()
         for i in range(steps - 1, -1, -1):
             v = np.maximum(0.5 * (v[:-1] + v[1:]), L.level(i))
@@ -438,7 +435,7 @@ def verify_snell(
     )
 
 
-def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
+def verify_dynkin(cases=100, max_depth=4, seed=7, *, log):
     """Criterion 4: the driverless double-obstacle solve against the
     enumerated two-player game.  A game without a value is a failure,
     its error the gap between the two one-sided optima, and is not
@@ -446,7 +443,7 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
     depth with a value are then solved in one backward pass, and all
     are checked in the order drawn."""
     rng = _rng(seed, "dynkin")
-    tally = _Tally(tol)
+    tally = _Tally(_GAME_TOL)
     games = []
     for _ in range(cases):
         lat = _random_lattice(rng, min(max_depth, _ORACLE_MAX_DEPTH))
@@ -488,11 +485,11 @@ def verify_dynkin(cases=100, max_depth=4, seed=7, tol=1e-12, *, log):
     return _report(4, "two-player stopping game identification", tally)
 
 
-def verify_quadratic(seed=7, tol=1e-10, *, log):
+def verify_quadratic(seed=7, *, log):
     """Criterion 5: squared-slope drivers against the exponential
     closed form."""
     rng = _rng(seed, "quadratic")
-    tally = _Tally(tol)
+    tally = _Tally(_CLOSED_FORM_TOL)
     for steps in _QUAD_DEPTHS:
         lat = Lattice(TimeGrid(1.0, steps))
         a = float(rng.uniform(0.5, 2.0))
@@ -541,7 +538,7 @@ def verify_sandwich(
     )
 
 
-def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
+def verify_reduction(cases=50, max_depth=8, seed=7, *, log):
     """Criterion 7: the squeeze-and-reduce route against the direct
     merged-obstacle solve, at the root, at depth ``max_depth``.  Every
     instance is drawn first, then all are solved together: one pass for
@@ -550,7 +547,7 @@ def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
     routes at any node, over ``Y``, ``Z`` and both reflections of every
     instance; the check itself stays at the root."""
     rng = _rng(seed, "reduction")
-    tally = _Tally(tol)
+    tally = _Tally(_REDUCTION_TOL)
     sets, bounds, coefs = [], [], []
     for _ in range(cases):
         _, bars = random_witness_instance(rng, max_depth)
@@ -578,7 +575,7 @@ def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
             diff = getattr(sol, name).values - getattr(direct, name).values
             gap = max(gap, float(np.max(np.abs(diff))))
         try:
-            _check_reduction(sol, direct, bars, tol)
+            _check_reduction(sol, direct, bars, _REDUCTION_TOL)
         except ReductionDisagreement as exc:
             # a failed case, reported by how far the reduced solve missed
             tally.add(exc.gap, ok=False)
@@ -590,9 +587,9 @@ def verify_reduction(cases=50, max_depth=8, seed=7, tol=1e-6, *, log):
     return _report(7, name, tally, max_process_gap=gap)
 
 
-def certificate_report(log, tol=1e-12):
+def certificate_report(log):
     """Criterion 8: reflection certificates over every recorded solve."""
-    tally = _Tally(tol)
+    tally = _Tally(_CERTIFICATE_TOL)
     tally.add(log.worst())
     tally.cases = log.solves
     return _report(
@@ -605,14 +602,14 @@ def certificate_report(log, tol=1e-12):
     )
 
 
-def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
+def verify_comparison(cases=200, max_depth=6, seed=7, *, log):
     """Criterion 9: ordering of solutions and of upper reflection
     increments on constructed dominating/dominated pairs of depth 3 at
     least.  Every pair is drawn first; the pairs of one depth are then
     solved in one backward pass, row 0 of each the dominating problem
     and row 1 the dominated one, and checked in the order drawn."""
     rng = _rng(seed, "comparison")
-    tally = _Tally(tol)
+    tally = _Tally(_COMPARISON_TOL)
     pairs = []
     for _ in range(cases):
         lat = _random_lattice(rng, max(max_depth, 3), min_depth=3)
@@ -651,7 +648,7 @@ def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
     for (_, sets, drivers, _), pair in zip(pairs, sols):
         for sol in pair:
             log.add(sol)
-        report = comparison_check(*pair, *drivers, *sets, tol=tol)
+        report = comparison_check(*pair, *drivers, *sets, tol=_COMPARISON_TOL)
         tally.add(
             max(report.max_order_violation, report.max_kminus_violation),
             ok=report.passed,
@@ -661,11 +658,11 @@ def verify_comparison(cases=200, max_depth=6, seed=7, tol=1e-9, *, log):
     )
 
 
-def verify_budget(seed=7, tol=1e-10, *, log):
+def verify_budget(seed=7, *, log):
     """Criterion 10: the per-path telescoping identity at depth 12 on a
     mixed batch of solves."""
     rng = _rng(seed, "budget")
-    tally = _Tally(tol)
+    tally = _Tally(_BUDGET_TOL)
     lat = Lattice(TimeGrid(1.0, _BUDGET_DEPTH))
     n = level_offset(_BUDGET_DEPTH)
     for k in range(_BUDGET_CASES):
@@ -692,42 +689,36 @@ def verify_budget(seed=7, tol=1e-10, *, log):
     return _report(10, "per-path telescoping budget", tally)
 
 
-def run_all(seed=7, cases=None, max_depth=None, tol=None, schedule_max=None):
-    """Run every suite at its full acceptance scale unless overridden.
+def run_all(seed=7, cases=None, max_depth=None, schedule_max=None):
+    """Run every suite at its full acceptance scale unless resized.
 
     Returns ``(reports, log)`` with the reports in criterion order.
     ``cases`` rescales every randomized suite; ``max_depth`` caps the
     random depths where a suite draws them (the suites state their own
-    depth rules); ``tol`` overrides every comparison tolerance, the
-    strike recursion's and the certificates' included (the ulp,
-    equivalence and ladder suites keep their own); ``schedule_max``
-    truncates the penalization weight schedule.
+    depth rules); ``schedule_max`` drops the penalization weights above
+    it.  The tolerances are the module's fixed constants: no argument
+    loosens the gate.
     """
 
-    def given(**overrides):
-        return {k: v for k, v in overrides.items() if v is not None}
+    def given(**sizes):
+        return {k: v for k, v in sizes.items() if v is not None}
 
     sized = given(cases=cases, max_depth=max_depth)
     for name, value in sized.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    tols = given(tol=tol)
-    schedule = DEFAULT_SCHEDULE
-    if schedule_max is not None:
-        schedule = tuple(n for n in DEFAULT_SCHEDULE if n <= schedule_max)
-        if len(schedule) < 2:
-            raise ValueError("schedule_max leaves fewer than two weights")
+    schedule = _schedule(DEFAULT_SCHEDULE, schedule_max)
     log = CertificateLog()
     reports = [
         verify_envelope(seed=seed, **given(cases=cases)),
         verify_constraint_equivalence(seed=seed, **sized),
-        verify_snell(seed=seed, log=log, **sized, **given(tol=tol, put_tol=tol)),
-        verify_dynkin(seed=seed, log=log, **sized, **tols),
-        verify_quadratic(seed=seed, log=log, **tols),
+        verify_snell(seed=seed, log=log, **sized),
+        verify_dynkin(seed=seed, log=log, **sized),
+        verify_quadratic(seed=seed, log=log),
         verify_sandwich(seed=seed, log=log, schedule=schedule, **sized),
-        verify_reduction(seed=seed, log=log, **sized, **tols),
-        verify_comparison(seed=seed, log=log, **sized, **tols),
-        verify_budget(seed=seed, log=log, **tols),
+        verify_reduction(seed=seed, log=log, **sized),
+        verify_comparison(seed=seed, log=log, **sized),
+        verify_budget(seed=seed, log=log),
     ]
-    reports.insert(7, certificate_report(log, **tols))
+    reports.insert(7, certificate_report(log))
     return reports, log

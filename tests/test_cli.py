@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +165,9 @@ def test_terminal_blank_step_columns(tmp_path):
         lambda d: d["barriers"]["l"][0].update(values=[-1.5, -1.4, -1.3]),
         lambda d: d.pop("terminal"),
         lambda d: d.update(terminal={"kind": "table", "values": [0.0, 1.0]}),
+        # the penalty weights' rule holds for every subcommand
+        lambda d: d.update(penalization={"schedule": [4]}),
+        lambda d: d.update(penalization={"schedule": [0, 1.5, 3]}),
     ],
 )
 def test_bad_configs_exit_1(tmp_path, mangle, capsys):
@@ -256,7 +258,7 @@ _ACTING_FLAGS = {
     "penalize": ("--schedule-max",),
     "snell": (),
     "envelope": (),
-    "verify": ("--seed", "--depth", "--cases", "--tol", "--schedule-max"),
+    "verify": ("--seed", "--depth", "--cases", "--schedule-max"),
 }
 
 
@@ -264,6 +266,7 @@ _ACTING_FLAGS = {
 def test_flags_only_where_they_act(tmp_path, subcommand, capsys):
     cfg = write_config(tmp_path, base_scenario())
     head = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    # no subcommand takes --tol: the gate's tolerances are fixed
     for flag in ("--seed", "--depth", "--cases", "--tol", "--schedule-max"):
         if flag in _ACTING_FLAGS[subcommand]:
             _parser().parse_args(head + [flag, "3"])
@@ -618,6 +621,26 @@ def test_verify_rejects_sizes_below_one(tmp_path, capsys, sizes, says):
     assert not out.exists()
 
 
+def test_failed_gate_exits_3(tmp_path, capsys, monkeypatch):
+    # a tolerance no error can meet fails criterion 5 alone: the run
+    # still writes every row, marks the failure and exits 3
+    from rbsdelab import verify
+
+    monkeypatch.setattr(verify, "_CLOSED_FORM_TOL", -1.0)
+    out = tmp_path / "run"
+    code = main([
+        "verify", "--out", str(out), "--cases", "2", "--depth", "3",
+        "--schedule-max", "8", "--seed", "3",
+    ])
+    assert code == EXIT_NUMERICAL
+    printed = capsys.readouterr()
+    assert "[FAIL] criterion 5:" in printed.out
+    assert printed.out.count("[FAIL]") == 1
+    assert "verification failed" in printed.err
+    _, rows = read_csv(out / "verify.csv")
+    assert [row[-1] for row in rows] == ["pass"] * 4 + ["fail"] + ["pass"] * 5
+
+
 def test_verify_reads_seed_from_config(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -793,9 +816,7 @@ def test_block_writer_is_byte_identical_to_one_string(tmp_path, subcommand):
     else:
         inst = SnellInstance(bars.L, bars.l, bars.delta, bars.xi)
         bars = inst.barriers
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            sol = snell_envelope(inst)
+        sol = snell_envelope(inst)
     want = one_string_solution_csv(sol, bars)
     assert want.count("\n") > _BLOCK + 1
     assert (out / "solution.csv").read_bytes() == want.encode()

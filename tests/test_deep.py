@@ -9,6 +9,8 @@ two one-sided recursions.  Two drivers without obstacles are checked against
 the continuous-time equation: the lattice converges at first order.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,7 +243,8 @@ def test_american_put_matches_the_early_exercise_recursion():
     inst = SnellInstance(
         AdaptedProcess(lat, payoff), None, None, payoff[STEPS]
     )
-    with pytest.warns(UserWarning, match="witness"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sol = snell_envelope(inst)
     v = payoff[STEPS]
     for i in range(STEPS - 1, -1, -1):

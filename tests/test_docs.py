@@ -1,7 +1,9 @@
 """The documented examples run: every demo script, the README's
 Quick start block and the demos' CLI scenario commands, each in a
-fresh interpreter."""
+fresh interpreter.  The README's command line usage lists the flags
+the parser accepts."""
 
+import argparse
 import os
 import re
 import shlex
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rbsdelab
+from rbsdelab.cli import _parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -46,6 +49,40 @@ def _cli_scenario_commands():
     section = text.split("\n## CLI scenarios\n", 1)[1]
     block = re.search(r"```sh\n(.*?)\n```", section, re.DOTALL).group(1)
     return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def _readme_usage_flags():
+    """Flags of each subcommand in README.md's "Command line" usage
+    block: a line starting ``rbsdelab <subcommand>`` and the lines
+    continuing it, comments left out."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)\n```", section, re.DOTALL).group(1)
+    flags, current = {}, None
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["rbsdelab"]:
+            current = flags.setdefault(words[1], set())
+        if current is not None:
+            current.update(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+    return flags
+
+
+def test_readme_usage_lists_the_parser_flags():
+    # a flag the parser dropped, or one it gained, shows up here first
+    (sub,) = [
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    accepted = {
+        name: {
+            flag
+            for action in p._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, p in sub.choices.items()
+    }
+    assert _readme_usage_flags() == accepted
 
 
 def test_demo_scripts_are_found():

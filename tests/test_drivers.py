@@ -7,7 +7,6 @@ from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
     InconsistentSemimartingale,
-    NonMonotonePhi,
     SemimartingaleSpec,
     _dominated_driver,
     _running_max_envelope,
@@ -202,7 +201,7 @@ def test_dominate_growth_scales_by_phi(lat):
     assert np.all(gb.eta.level(2) == 0.5 * 11.0)
     assert np.all(gb.C.level(4) == 0.25 * 11.0)
     assert np.all(gb.beta.level(0) == 0.1 * 11.0)
-    with pytest.raises(NonMonotonePhi):
+    with pytest.raises(ValueError, match="scaling function decreases"):
         dominate_growth(lambda r: -r, 0.5, 0.25, 0.1, L, U)
 
 

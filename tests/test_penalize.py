@@ -29,6 +29,7 @@ from rbsdelab.penalize import (
     SandwichViolation,
     ScheduleExhausted,
     _one_sided_pair,
+    _schedule,
     build_family,
     exact_squeeze_barriers,
     reduce_and_solve,
@@ -252,6 +253,43 @@ def test_family_schedule_validation():
     fam = build_family(bounds, bars, schedule=(0, 2))
     with pytest.raises(ValueError):
         fam.extend(2)
+
+
+@pytest.mark.parametrize(
+    "schedule, says",
+    [
+        ((0, 1.5, 2.9), "penalty weight 1.5 is a float"),
+        ((0, True, 2), "penalty weight True is a bool"),
+        ((0, float("nan")), "penalty weight nan is a float"),
+        ((0, np.float64(2.0)), "penalty weight 2.0 is a float64"),
+    ],
+    ids=["float", "bool", "nan", "numpy-float"],
+)
+def test_weights_that_are_not_integers_are_rejected(schedule, says):
+    # these were once cut to integers and solved at other weights
+    bounds, bars = witness_instance()
+    with pytest.raises(ValueError, match=says):
+        build_family(bounds, bars, schedule=schedule)
+
+
+def test_extend_rejects_a_weight_that_is_not_an_integer():
+    bounds, bars = witness_instance()
+    fam = build_family(bounds, bars, schedule=(0, 2))
+    with pytest.raises(ValueError, match="penalty weight 2.5 is a float"):
+        fam.extend(2.5)
+    assert fam.n_schedule == [0, 2]
+    # numpy integers are integers
+    fam.extend(np.int64(4))
+    assert fam.n_schedule == [0, 2, 4]
+    assert type(fam.n_schedule[-1]) is int
+
+
+def test_schedule_cap_leaves_two_weights_at_least():
+    assert _schedule(DEFAULT_SCHEDULE, 4) == [0, 1, 2, 4]
+    with pytest.raises(ValueError, match=r"got \[0\] of those at most 0"):
+        _schedule(DEFAULT_SCHEDULE, 0)
+    with pytest.raises(ValueError, match="at least two weights, got"):
+        _schedule((7,))
 
 
 def test_empty_family_grows_one_weight_at_a_time():
@@ -830,8 +868,9 @@ def test_verify_dynkin_fails_a_game_without_value(monkeypatch):
         raise NoValue(0.0, 1e-15)
 
     monkeypatch.setattr(verify, "exhaustive_dynkin_value", no_value)
+    monkeypatch.setattr(verify, "_GAME_TOL", 1.0)
     log = verify.CertificateLog()
-    report = verify.verify_dynkin(cases=3, tol=1.0, log=log)
+    report = verify.verify_dynkin(cases=3, log=log)
     assert (report["cases"], report["failures"]) == (3, 3)
     assert report["max_err"] == 1e-15
     assert not report["passed"]

@@ -21,6 +21,14 @@ from rbsdelab.snell import (
 from rbsdelab.solver import budget_defect, solve_rbsde
 
 
+def silent_envelope(inst):
+    """The envelope of ``inst`` with every warning raised as an error:
+    an instance without a witness skips its audit without a word."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return snell_envelope(inst)
+
+
 def martingale_spec(lat, terminal):
     """Decomposition of the martingale closing at ``terminal``."""
     levels = [np.asarray(terminal, dtype=float)]
@@ -124,10 +132,12 @@ def test_audit_rejects_left_limit_above_witness():
     assert "left limit" in str(info.value)
 
 
-def test_missing_witness_warns_and_proceeds():
+def test_missing_witness_skips_the_audit_silently():
     inst = dominated_instance(with_witness=False)
-    with pytest.warns(UserWarning, match="witness"):
-        sol = snell_envelope(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inst.audit() is None
+    sol = silent_envelope(inst)
     assert np.isfinite(sol.value())
 
 
@@ -163,8 +173,7 @@ def test_constant_floor_by_hand():
     L = AdaptedProcess.constant(lat, 0.5)
     xi = np.array([2.0, 0.0, 2.0])
     inst = SnellInstance(L, None, None, xi)
-    with pytest.warns(UserWarning):
-        sol = snell_envelope(inst)
+    sol = silent_envelope(inst)
     # level 1: max(mean children, 0.5) = (1, 1); root: max(1, 0.5)
     assert np.array_equal(sol.Y.level(1), [1.0, 1.0])
     assert sol.value() == 1.0
@@ -180,8 +189,7 @@ def test_early_exercise_value_matches_plain_recursion(steps):
 
     L = AdaptedProcess(lat, [payoff(i) for i in range(steps + 1)])
     inst = SnellInstance(L, None, None, payoff(steps))
-    with pytest.warns(UserWarning):
-        sol = snell_envelope(inst)
+    sol = silent_envelope(inst)
     v = payoff(steps)
     for i in range(steps - 1, -1, -1):
         v = np.maximum(0.5 * (v[:-1] + v[1:]), payoff(i))
@@ -197,8 +205,7 @@ def test_envelope_agrees_with_exhaustive_stopping(seed):
     )
     xi = rng.uniform(-1.0, 1.0, lat.steps + 1)
     inst = SnellInstance(L, None, None, xi)
-    with pytest.warns(UserWarning):
-        sol = snell_envelope(inst)
+    sol = silent_envelope(inst)
     assert abs(sol.value() - exhaustive_stopping_value(L, xi)) < 1e-12
 
 
@@ -226,8 +233,7 @@ def test_lebesgue_floor_binds_at_every_level():
     full = IncreasingProcess(lat, [np.ones(i + 1) for i in range(lat.steps)])
     floor = PredictableProcess.constant(lat, 0.25)
     inst = SnellInstance(L, floor, full, np.zeros(5))
-    with pytest.warns(UserWarning):
-        sol = snell_envelope(inst)
+    sol = silent_envelope(inst)
     for i in range(lat.steps):
         assert np.all(sol.Y.level(i) >= 0.25)
     assert sol.value() == 0.25
@@ -247,8 +253,7 @@ def test_stopping_time_atom_clamps_one_level():
     lat = Lattice(TimeGrid(1.0, 4))
     L = AdaptedProcess.constant(lat, -np.inf).with_terminal(np.zeros(5))
     xi = np.zeros(5)
-    with pytest.warns(UserWarning):
-        sol = snell_envelope(SnellInstance(L, *atom_floor(lat, 3, 0.6), xi))
+    sol = silent_envelope(SnellInstance(L, *atom_floor(lat, 3, 0.6), xi))
     # the floor acts on level 2 only; everything upstream is its plain
     # expectation and downstream the constraint has no force
     assert np.all(sol.Y.level(2) == 0.6)
@@ -261,19 +266,17 @@ def test_stopping_time_atom_inactive_when_low():
     payoff = [np.cos(lat.brownian(i)) for i in range(5)]
     L = AdaptedProcess(lat, payoff)
     xi = payoff[-1]
-    with pytest.warns(UserWarning):
-        plain = snell_envelope(SnellInstance(L, None, None, xi))
-    with pytest.warns(UserWarning):
-        tied = snell_envelope(
-            SnellInstance(L, *atom_floor(lat, 2, np.full(2, -100.0)), xi)
-        )
+    plain = silent_envelope(SnellInstance(L, None, None, xi))
+    tied = silent_envelope(
+        SnellInstance(L, *atom_floor(lat, 2, np.full(2, -100.0)), xi)
+    )
     for i in range(lat.steps + 1):
         assert np.array_equal(plain.Y.level(i), tied.Y.level(i))
 
 
-def test_verify_snell_hides_only_the_missing_witness_warning(monkeypatch):
-    # the strike loop gives no witness on purpose; any other warning of
-    # the envelope, a numeric one above all, still reaches the caller
+def test_verify_snell_passes_numeric_warnings_through(monkeypatch):
+    # the strike loop gives no witness on purpose, which is silent; any
+    # warning of the envelope, a numeric one above all, reaches the caller
     from rbsdelab import verify
 
     def noisy(inst):
@@ -286,7 +289,7 @@ def test_verify_snell_hides_only_the_missing_witness_warning(monkeypatch):
         report = verify.verify_snell(cases=0, log=verify.CertificateLog())
     assert report["passed"]
     kinds = [(w.category, str(w.message)) for w in seen]
-    # one numeric warning per strike depth, and no missing-witness one
+    # one numeric warning per strike depth, and nothing else
     assert kinds.count((RuntimeWarning, "overflow in a test envelope")) == 10
     assert len(kinds) == 10
 
