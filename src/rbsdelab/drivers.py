@@ -10,15 +10,18 @@ generator may carry structural hints the backward solver exploits:
   by its exact one-step exponential average instead of an Euler term
   (this is what makes pure squared-slope generators land on their
   log-expectation closed form to machine precision);
-- ``source``: a per-node increment independent of the unknown and the
-  slope (bounded variation and clock terms of the penalized equations,
+- ``slope``: the exact slope in ``y`` of the stepped rate (``f``, or
+  ``f_rest`` under ``quad``), a number or an array like the columns of
+  :meth:`Driver.linear`, for the implicit step's closed form;
+- ``source``: a per-node increment independent of the unknown and of
+  ``z`` (bounded variation and clock terms of the penalized equations,
   and any rate that depends on the node alone, times ``dt``);
 - ``penalty``: a per-node increment, nonincreasing in the unknown, for
-  constraint penalties.  A penalty may also declare where it bends: a
-  ``kink(j)`` method giving, per node, the value of the unknown at its
-  kink, which the implicit step probes first.  The penalized equations
-  pass a record of that kind, holding the predictable obstacles (the
-  kinks), their clock masses, the signed weights and the side.
+  constraint penalties.  A penalty may also declare its two affine
+  pieces, for the closed form: a ``pieces(j)`` method giving, per node,
+  the kink ``k``, weight ``w`` and side of ``side w (side (k - y))^+``.
+  The penalized equations pass such a record: the predictable
+  obstacles (the kinks), their clock masses, the weights and the side.
 
 Per step from level ``j``, the drift is
 ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``.
@@ -269,7 +272,8 @@ class Driver:
     the clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.  The
     optional structural fields are described in the module docstring;
     when ``quad`` is given, ``f_rest`` must hold the remainder so that
-    ``f == f_rest + q * (z - center)**2`` at every node.
+    ``f == f_rest + q * (z - center)**2`` at every node.  A declared
+    ``slope`` must be exact, or the roots are silently wrong.
     """
 
     f: object
@@ -277,6 +281,7 @@ class Driver:
     bounds: object = None
     quad: object = None
     f_rest: object = None
+    slope: object = None
     source: object = None
     penalty: object = None
     label: str = "custom"
@@ -295,13 +300,14 @@ class Driver:
 
     @classmethod
     def zero(cls, **kw):
-        return cls(f=lambda j, y, z: np.zeros_like(y), label="zero", **kw)
+        return cls(f=lambda j, y, z: np.zeros_like(y), slope=0.0, label="zero", **kw)
 
     @classmethod
     def constant(cls, value, **kw):
         value = float(value)
         return cls(
             f=lambda j, y, z: np.full_like(y, value),
+            slope=0.0,
             label=f"constant({value!r})",
             **kw,
         )
@@ -320,7 +326,7 @@ class Driver:
             if all(isinstance(v, float) for v in (a, b, c))
             else "linear(batched)"
         )
-        return cls(f=lambda j, y, z: a * y + b * z + c, label=label, **kw)
+        return cls(f=lambda j, y, z: a * y + b * z + c, slope=a, label=label, **kw)
 
     @classmethod
     def quadratic(cls, c, **kw):
@@ -330,6 +336,7 @@ class Driver:
             f=lambda j, y, z: c * z * z,
             quad=lambda level: (c, 0.0),
             f_rest=lambda j, y, z: np.zeros_like(y),
+            slope=0.0,
             label=f"quadratic({c!r})",
             **kw,
         )
@@ -480,6 +487,7 @@ def _dominated_driver(bounds, specs, shape):
         bounds=tuple(bounds),
         quad=quad,
         f_rest=f_rest,
+        slope=0.0,
         source=source,
         label="dominated",
     )

@@ -122,28 +122,28 @@ def _first_break(weights, groups):
 @dataclass(frozen=True, eq=False)
 class _Penalty:
     """The penalty of both one-sided equations at every weight,
-    ``signed * mass * (side * (kink - y))^+`` per node.
+    ``side * weight * mass * (side * (kink - y))^+`` per node.
 
     ``kinks`` and ``masses`` are the packed predictable obstacles
     (``l``, ``u``) and their clocks (``delta``, ``alpha``), side by
-    side; ``signed`` is the side times each weight.  Called as
-    ``penalty(level, y)``, it is a driver's penalty; :meth:`kink`
-    declares where each node's penalty bends, which the implicit step
-    probes first.
+    side, and ``weights`` a column.  Called as ``penalty(level, y)``,
+    it is a driver's penalty; :meth:`pieces` declares its two affine
+    pieces for the implicit step's closed form.
     """
 
     kinks: np.ndarray
     masses: np.ndarray
-    signed: np.ndarray
+    weights: np.ndarray
     side: np.ndarray
 
-    def kink(self, level):
-        return self.kinks[..., level_offset(level) : level_offset(level + 1)]
+    def pieces(self, level):
+        """Per node of ``level``: the kink, weight times mass, and side."""
+        at = slice(level_offset(level), level_offset(level + 1))
+        return self.kinks[..., at], self.weights * self.masses[..., at], self.side
 
     def __call__(self, level, y):
-        at = slice(level_offset(level), level_offset(level + 1))
-        push = np.maximum(self.side * (self.kinks[..., at] - y), 0.0)
-        return self.signed * push * self.masses[..., at]
+        k, w, side = self.pieces(level)
+        return side * w * np.maximum(side * (k - y), 0.0)
 
 
 def _stated(bounds, sets):
@@ -190,7 +190,7 @@ def _one_sided_pair(families, weights=None):
         penalty = _Penalty(
             kinks=kinks,
             masses=masses,
-            signed=side * np.asarray(weights, dtype=float)[:, None, None],
+            weights=np.asarray(weights, dtype=float)[:, None, None],
             side=side,
         )
     inf = np.full_like(lo, np.inf)

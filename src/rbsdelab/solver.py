@@ -6,7 +6,8 @@ One backward step at level ``j`` does three things, per node:
    martingale slope (both exact two-point formulas);
 2. solves the scalar implicit equation
    ``y = E + f(j, y, Z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``
-   (every generator part takes the level ``j``, not the time) by
+   (every generator part takes the level ``j``, not the time), in
+   closed form where the rate declares its slope in ``y``, otherwise by
    monotone bracketing and a safeguarded secant; a generator's declared
    squared-slope component is not frozen into an Euler term but
    integrated by its exact one-step exponential average, which keeps
@@ -75,14 +76,14 @@ _SANE_SPAN = 1e12
 class ImplicitStepDivergence(Exception):
     """The implicit step has no reachable root.
 
-    Raised when bracketing fails, when the root lies so far from the
-    base value that float cancellation erases the drift, or when the
-    root finder reaches its step cap with the bracket still open.
-    Usually means the drift grows at least linearly in ``y`` with
-    ``rate * dt >= 1`` (too coarse a grid) or a clock rate violating
-    the monotonicity requirement.  ``span`` is the distance the message
-    names: the last expansion step, the root's distance from the base
-    value, or the width of the open bracket.
+    Raised when a declared slope leaves ``1 - slope*dt <= 0``, when
+    bracketing fails, when the root lies so far from the base value that
+    float cancellation erases the drift, or when the root finder reaches
+    its step cap with the bracket still open: a drift growing at least
+    linearly in ``y`` with ``rate * dt >= 1`` (too coarse a grid) or a
+    clock rate violating the monotonicity requirement.  ``span`` is the
+    value the message names: ``1 - slope*dt``, the last expansion step,
+    the root's distance from the base, or the open bracket's width.
     """
 
     def __init__(self, level, node, span, what=None):
@@ -217,7 +218,47 @@ def _check_finite(a, level):
             raise NonFiniteDriver(level, np.argmin(finite) % a.shape[-1])
 
 
-def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
+def _check_span(gap, base, level, where):
+    """Raise :class:`ImplicitStepDivergence` at the first node of ``where``
+    whose root lies ``gap`` from ``base``, over ``_SANE_SPAN (|base| + 1)``."""
+    runaway = gap > (np.abs(base) + 1.0) * _SANE_SPAN
+    runaway &= where
+    if runaway.any():
+        k = int(np.argmax(runaway))
+        span = float(gap.flat[k])
+        what = f"root {span!r} away from the base value"
+        raise ImplicitStepDivergence(level, k % gap.shape[-1], span, what)
+
+
+def _affine_step(base, Z, dt, level, f_drift, slope, pieces):
+    """:func:`_implicit_core` from one evaluation: with ``G = f_drift(level,
+    base, Z) dt`` and ``d = 1 - slope*dt``, the free root ``y = base + G / d``,
+    or ``y + w (k - y) / (d + w)`` where the penalty's ``pieces`` are
+    active at it.  The root is held to ``_SANE_SPAN`` wherever it is not
+    the exact fixed-point image ``base + G``, as in the root finder."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        G = np.asarray(f_drift(level, base, Z), dtype=float) * dt
+        if G.shape != base.shape:
+            G = np.broadcast_to(G, base.shape)
+        _check_finite(G, level)
+        d = 1.0 - slope * dt
+        moved = np.broadcast_to(d != 1.0, base.shape)
+        y = base + G / d if moved.any() else base + G
+        if pieces is not None:
+            k, w, side = pieces(level)
+            active = side * (k - y) > 0.0
+            if active.any():
+                # k is infinite where a row has no predictable obstacle
+                k = np.where(active, k, y)
+                y = np.where(active, y + w * (k - y) / (d + w), y)
+                moved = moved | active
+        if moved.any():
+            _check_span(np.abs(y - base), base, level, moved)
+        _check_finite(y, level)
+    return y
+
+
+def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
     """Vectorized solve of ``y = base + F(y)`` per node.
 
     ``F(y) = f_drift(level, y, Z) dt + g_fn(level, y, y) dA +
@@ -226,6 +267,10 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     of the level are the last axis of ``base``, leading axes a batch,
     and errors name the node within its level.  Returns the root array;
     raises :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
+
+    A declared ``slope`` of ``f_drift`` in ``y`` with no live clock
+    term, and a penalty absent or declaring its ``pieces``, takes
+    :func:`_affine_step`; the root finder below solves the rest.
 
     Every decision is made per node, so a node's root does not depend
     on which nodes share its array: solving two arrays at once gives,
@@ -238,17 +283,12 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     fixed-point image ``y0 = base + F(base)``) brackets the root.  A
     node where ``F`` takes the same value at both points has the exact
     root ``y0`` and takes it; when every node does, the step returns
-    there.  A penalty that declares its kinks (``penalty.kink(level)``)
-    gets one probe at each node's kink that lies strictly inside the
-    node's open bracket, narrowing those nodes only.  For a penalty of
-    two affine pieces on an affine rest, every bracket then lies on one
-    piece, and the first secant is exact to rounding.  The bracket is
-    then shrunk by Illinois steps (regula falsi that halves the value
-    kept at an end retained twice running; Dowell and Jarratt, BIT
-    1971), replaced by a bisection step wherever the last two steps did
-    not halve the bracket.  No step lands closer than half the stopping
-    width to either end.  A node is done when its
-    bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
+    there.  The bracket is then shrunk by Illinois steps (regula falsi
+    that halves the value kept at an end retained twice running; Dowell
+    and Jarratt, BIT 1971), replaced by a bisection step wherever the
+    last two steps did not halve the bracket.  No step lands closer
+    than half the stopping width to either end.  A node is done when
+    its bracket is at most ``_ULPS * (|y| + |base|)`` wide; ``phi == 0``
     closes it outright.  A done node keeps its ``y`` from then on: the
     steps the other nodes still take probe it again at the same point,
     which changes nothing it returns.
@@ -259,26 +299,18 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
     the polished value's residual.  Each node keeps the candidate with
     the smaller residual.
 
-    Which array passes run when: each finite check is one sum, with a
-    per-node scan only when the sum is not finite.  ``F`` at the second
-    known point is checked only when some node misses the exact exit,
-    since to take it that ``F`` must equal the checked ``F(base)``.  The
-    expansion walk and its ``np.where`` setup run only when some
-    node's root lies outside the known pair; otherwise that pair is
-    the bracket, and a walk probe narrows only the nodes that walk.  The
-    kink probe costs an evaluation only when some kink is inside.  A
-    root-finding step builds the stopping width, the secant point and
-    the residual in one buffer each, freezes the done nodes with one
-    ``np.where``, and narrows the bracket in place.  The test against
-    the width two steps back starts at the third step, the bisection
-    midpoint is formed only when some node bisects, and the Illinois
-    halving starts at the second step (at the first, only an exact root
-    matches the zero start sign, and both of its ends are replaced).
-    Floating-point warnings are silenced for the whole step, generator
-    evaluations included: a non-finite value raises instead.
+    Each finite check is one sum, with a per-node scan only when the
+    sum is not finite; ``F(y0)`` is checked, the expansion walk set up
+    and the bisection midpoint formed only when some node needs them,
+    and each step narrows the bracket in place.  Floating-point
+    warnings are silenced for the whole step, generator evaluations
+    included: a non-finite value raises instead.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
+    pieces = getattr(penalty, "pieces", None)
+    if slope is not None and not use_g and (penalty is None or pieces is not None):
+        return _affine_step(base, Z, dt, level, f_drift, slope, pieces)
 
     def F(y, check=True):
         out = np.asarray(f_drift(level, y, Z), dtype=float) * dt
@@ -318,8 +350,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         # Every probe either closes the bracket or becomes its new near
         # end.  The first step is floored at the stopping width: q == p
         # wherever Fb is below half an ulp of base.
-        abs_base = np.abs(base)
-        floor = abs_base + _TINY
+        floor = np.abs(base) + _TINY
         swap = y0 < base
         p = np.minimum(base, y0)
         q = np.maximum(base, y0)
@@ -359,16 +390,6 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
                 up = f_hi < 0.0
                 walk = down | up
                 span = 2.0 * span
-
-        kink = getattr(penalty, "kink", None)
-        if kink is not None:
-            # probe the penalty's kink where it splits a bracket, so
-            # that the penalty is affine on every bracket
-            k = kink(level)
-            inside = (lo < k) & (k < hi)
-            if inside.any():
-                y = np.where(inside, k, lo)
-                _narrow(y, phi(y), lo, f_lo, hi, f_hi, inside)
 
         width = hi - lo
         y = lo + 0.5 * width
@@ -437,19 +458,10 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty):
         y = np.where(res < gap, yp, y)
         gap = y - base
         np.abs(gap, out=gap)
-        bound = abs_base + 1.0
-        bound *= _SANE_SPAN
-        runaway = gap > bound
+        # the exact nodes return y0 unchecked, as they do alone
+        _check_span(gap, base, level, ~exact)
         if some_exact:
-            # the exact nodes return y0 unchecked, as they do alone
-            runaway &= ~exact
             np.copyto(y, y0, where=exact)
-    if runaway.any():
-        k = int(np.argmax(runaway))
-        span = float(gap.flat[k])
-        raise ImplicitStepDivergence(
-            level, k % y.shape[-1], span, f"root {span!r} away from the base value"
-        )
     return y
 
 
@@ -520,6 +532,12 @@ def _backward(lattices, driver, xi, low, high, batch=()):
     column = (-1,) + (1,) * len(batch)
     dt = np.reshape([r.dt for r in rows], column)
     sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
+    if driver.slope is not None:
+        d = np.asarray(1.0 - driver.slope * dt)
+        if not (d > 0.0).all():
+            at = np.unravel_index(int(np.argmin(d > 0.0)), d.shape)
+            what = f"1 - slope*dt is {float(d[at])!r}, not positive, in row {at[0]}"
+            raise ImplicitStepDivergence(steps - 1, at[-1], d[at], what)
     bounds = None if driver.bounds is None else _row_bounds(driver.bounds, rows)
     clock = None
     if driver.g is not None:
@@ -555,15 +573,9 @@ def _backward(lattices, driver, xi, low, high, batch=()):
                 src = np.broadcast_to(src, E.shape)
             base = base + src
         level = slice(level_offset(j), level_offset(j + 1))
+        dA = None if clock is None else clock[..., level]
         y_raw = _implicit_core(
-            base,
-            z,
-            dt,
-            level=j,
-            f_drift=f_drift,
-            g_fn=driver.g,
-            dA=None if clock is None else clock[..., level],
-            penalty=driver.penalty,
+            base, z, dt, j, f_drift, driver.g, dA, driver.penalty, driver.slope
         )
         y_raw.clip(lows[..., level], highs[..., level], out=Y[..., level])
         Z[..., level] = z

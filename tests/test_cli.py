@@ -337,16 +337,18 @@ def test_drift_summing_past_the_largest_float_exits_3(tmp_path, capsys):
     assert "non-finite drift value at (level 0, node 0)" in capsys.readouterr().err
 
 
-def test_root_finder_at_its_step_cap_exits_3(tmp_path, capsys, monkeypatch):
-    # a step cap reached with the bracket still open is a failure, not
-    # an answer
-    from rbsdelab import solver
-
-    monkeypatch.setattr(solver, "_SECANT_MAX", 1)
-    cfg = write_config(tmp_path, base_scenario())
+def test_slope_past_one_over_dt_exits_3(tmp_path, capsys):
+    # a = 6 at dt = 0.2 leaves 1 - a dt negative: the step has no root,
+    # which is named before the first step, as a numerical failure
+    doc = base_scenario(
+        driver={"name": "linear", "params": {"a": 6.0, "b": 0.2, "c": 0.1}}
+    )
+    cfg = write_config(tmp_path, doc)
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_NUMERICAL
-    assert "after 1 steps at (level 4, node 0)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1 - slope*dt is" in err
+    assert "not positive, in row 0 at (level 4, node 0)" in err
 
 
 def test_drifting_witness_fails_snell_audit_with_exit_3(tmp_path, capsys):

@@ -284,6 +284,35 @@ def test_dominated_driver_rows_stack_the_single_drivers():
         assert np.array_equal(center[:, 0, 0], np.stack([d.quad(i)[1] for d in singles]))
 
 
+def test_declared_slopes_are_the_rates_slopes(lat):
+    # a wrong declaration would give wrong roots silently: every catalog
+    # constructor's slope is the difference quotient of its stepped rate
+    # (f_rest under quad), to rounding, at random points
+    bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4)
+    column = np.array([[0.5], [-3.0]])
+    drivers = {
+        "zero": [Driver.zero()],
+        "constant": [Driver.constant(-1.3)],
+        "linear": [Driver.linear(2.0, -1.0, 0.25), Driver.linear(column, 0.7, column)],
+        "quadratic": [Driver.quadratic(0.5)],
+        "dominated": [dominated(bounds, constant_spec(lat, slope=0.3, drift_up=0.01))],
+    }
+    catalog = {name for name, v in vars(Driver).items() if isinstance(v, classmethod)}
+    assert catalog | {"dominated"} == set(drivers)
+    rng = np.random.default_rng(28)
+    for drv in (d for group in drivers.values() for d in group):
+        rate = drv.f if drv.quad is None else drv.f_rest
+        for i in range(lat.steps):
+            y = rng.normal(0.0, 3.0, (2, i + 1))
+            z = rng.normal(0.0, 2.0, (2, i + 1))
+            h = rng.uniform(0.1, 2.0)
+            at, past = rate(i, y, z), rate(i, y + h, z)
+            quotient = (past - at) / h
+            scale = 1.0 + np.maximum(np.abs(at), np.abs(past)) / h
+            gap = np.abs(quotient - drv.slope)
+            assert np.all(gap <= 8.0 * np.finfo(float).eps * scale), drv
+
+
 def test_dominated_driver_structure_consistent(lat):
     # declared split must reproduce f: f == f_rest + q * (z - center)^2
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,

@@ -15,6 +15,7 @@ from rbsdelab.lattice import (
     TimeGrid,
     all_paths,
     expectation_level,
+    level_offset,
     path_nodes,
 )
 from rbsdelab.oracle import quadratic_closed_form
@@ -62,15 +63,16 @@ def band_barriers(lattice, xi, width):
     )
 
 
-def implicit_step(E, f, dt, g=None, dA=None, penalty=None):
+def implicit_step(E, f, dt, g=None, dA=None, penalty=None, slope=None):
     """One node's implicit step ``y = E + f(j, y, 0) dt + g(j, y, y) dA``
     at level ``j = -1``, which the errors name; with a ``penalty``, plus
-    ``penalty(j, y)`` at level ``j = 0``, where its packed data start."""
+    ``penalty(j, y)`` at level ``j = 0``, where its packed data start.
+    ``slope`` is the declared slope of ``f``, if any."""
     if dA is not None:
         dA = np.array([dA])
     level = -1 if penalty is None else 0
     y = solver._implicit_core(
-        np.array([E]), np.zeros(1), dt, level, f, g, dA, penalty
+        np.array([E]), np.zeros(1), dt, level, f, g, dA, penalty, slope
     )
     return float(y[0])
 
@@ -151,10 +153,43 @@ def test_implicit_step_reaches_float_resolution_at_any_scale(E):
 def test_step_cap_raises_instead_of_returning_an_open_bracket(monkeypatch):
     monkeypatch.setattr(solver, "_SECANT_MAX", 1)
     with pytest.raises(ImplicitStepDivergence) as info:
-        implicit_step(1.0, Driver.linear(0.5, 0.0, 0.0).f, 0.1)
+        implicit_step(1.0, lambda j, y, z: 0.5 * y, 0.1)
     assert (info.value.level, info.value.node) == (-1, 0)
     assert 0.0 < info.value.span < 1.0
-    assert "after 1 steps" in str(info.value)
+    assert "after 1 steps at (level -1, node 0)" in str(info.value)
+
+
+def test_step_cap_of_a_solve_names_its_first_level(lat, monkeypatch):
+    # a rate that declares no slope takes the root finder at every level
+    monkeypatch.setattr(solver, "_SECANT_MAX", 1)
+    xi = np.sin(2.0 * lat.brownian(lat.steps))
+    with pytest.raises(ImplicitStepDivergence, match="after 1 steps at") as info:
+        solve_rbsde(lat, Driver(f=lambda j, y, z: 0.5 * y), free_barriers(lat, xi))
+    assert (info.value.level, info.value.node) == (lat.steps - 1, 0)
+
+
+@pytest.mark.parametrize("a", [6.0, 8.0, np.nan])
+def test_a_slope_at_or_past_one_over_dt_is_named_before_the_first_step(lat, a):
+    # dt = 1/6: 1 - a dt is 0, negative or NaN, and no root is reachable
+    xi = np.zeros(lat.steps + 1)
+    calls = counting(lambda j, y, z: a * y)
+    drv = Driver(f=calls, slope=a)
+    with pytest.raises(ImplicitStepDivergence, match=r"1 - slope\*dt is") as info:
+        solve_rbsde(lat, drv, free_barriers(lat, xi))
+    assert (info.value.level, info.value.node) == (lat.steps - 1, 0)
+    assert "in row 0 at (level 5, node 0)" in str(info.value)
+    assert calls.calls == 0
+
+
+def test_a_bad_slope_names_its_row():
+    # rows at dt 0.1, 0.2 and 0.34: only the last has a dt >= 1
+    lats = row_lattices([0.5, 1.0, 1.7])
+    sets = [free_barriers(r, np.zeros(6)) for r in lats]
+    xi, low, high = (a[:, None] for a in solver._stacked_sets(sets)[1:])
+    drv = Driver.linear(np.array([1.0, 3.0, 3.0])[:, None, None], 0.0, 0.0)
+    with pytest.raises(ImplicitStepDivergence, match="in row 2 at") as info:
+        solver._backward(lats, drv, xi, low, high, (3, 1))
+    assert info.value.level == 4
 
 
 def test_drift_below_half_an_ulp_of_base_is_bracketed():
@@ -280,6 +315,24 @@ def test_exact_nodes_of_a_mixed_level_return_their_fixed_point():
     assert abs(Fraction(y[1]) - root) <= np.spacing(float(root))
 
 
+def test_the_closed_form_holds_moved_roots_to_the_runaway_bound():
+    # as in the root finder: node 0's exact fixed-point image 1e13 is
+    # returned unchecked; node 1's root lies 1 / (1 - a dt) from its
+    # base, fine at a dt = 0.5 and named at 1 - a dt = 1e-13
+    dt = 0.01
+    base = np.array([0.0, 1.0])
+    for a1, runaway in ((0.5 / dt, False), ((1.0 - 1e-13) / dt, True)):
+        a = np.array([0.0, a1])
+        c = np.array([1e15, 0.0])
+        args = (base, np.zeros(2), dt, 0, lambda j, y, z: a * y + c, None, None, None)
+        if runaway:
+            with pytest.raises(ImplicitStepDivergence, match="away from the base") as info:
+                solver._implicit_core(*args, a)
+            assert (info.value.level, info.value.node) == (0, 1)
+        else:
+            assert solver._implicit_core(*args, a)[0] == 1e13
+
+
 @pytest.mark.parametrize(
     "driver",
     [Driver.constant(1.7e308), Driver.linear(0.0, 0.0, 1.7e308)],
@@ -323,7 +376,7 @@ def test_non_finite_step_inputs_raise_at_their_step(driver):
     assert (info.value.level, info.value.node) == (2, 1)
 
 
-def _affine_case(rng, dt):
+def _affine_case(rng, dt, declared=False):
     a = rng.uniform(-0.5, 0.5) / dt
     c = rng.normal()
     E = rng.normal() * 10.0 ** rng.uniform(-3.0, 6.0)
@@ -332,66 +385,98 @@ def _affine_case(rng, dt):
         return a * y + c
 
     qE, qc, qa, qdt = map(Fraction, (E, c, a, dt))
-    return E, rate, None, (qE + qc * qdt) / (1 - qa * qdt)
+    root = (qE + qc * qdt) / (1 - qa * qdt)
+    return E, rate, None, a if declared else None, root
 
 
-def _kink_parts(rng, dt):
-    """Rate ``c`` plus a penalty ``k * (kink - y)^+`` (``side`` 1) or its
-    upper mirror (``side`` -1), as in the penalized ladder, ``k dt`` up
-    to 2**17; returns ``E``, ``c``, ``k``, ``kink``, ``side`` and the
-    exact root."""
+def _declared_affine_case(rng, dt):
+    # the same rate, with its slope declared
+    return _affine_case(rng, dt, declared=True)
+
+
+def _kink_parts(rng, dt, a=0.0):
+    """Rate ``a y + c`` plus a penalty ``k * (kink - y)^+`` (``side`` 1)
+    or its upper mirror (``side`` -1), as in the penalized ladder, ``k
+    dt`` up to 2**17; returns ``E``, ``c``, ``k``, ``kink``, ``side`` and
+    the exact root."""
     k = 2.0 ** rng.integers(0, 17) * rng.uniform(0.5, 2.0) / dt
     c = rng.normal()
     E = rng.normal() * 10.0 ** rng.uniform(-3.0, 6.0)
     kink = E + rng.normal() * max(1.0, abs(E))
     side = 1.0 if rng.uniform() < 0.5 else -1.0
-    free = Fraction(E) + Fraction(c) * Fraction(dt)
+    qa, qdt = Fraction(a), Fraction(dt)
+    pushed = Fraction(E) + Fraction(c) * qdt
+    free = pushed / (1 - qa * qdt)
     if side * (Fraction(kink) - free) <= 0:
         root = free  # penalty inactive at the root
     else:
-        kdt = Fraction(k) * Fraction(dt)
-        root = (free + kdt * Fraction(kink)) / (1 + kdt)
+        kdt = Fraction(k) * qdt
+        root = (pushed + kdt * Fraction(kink)) / (1 - qa * qdt + kdt)
     return E, c, k, kink, side, root
 
 
 def _kinked_case(rng, dt):
-    # the penalty inside the rate, where the step cannot see its kink
+    # the penalty inside the rate, where the step cannot see its pieces
     E, c, k, kink, side, root = _kink_parts(rng, dt)
 
     def rate(j, y, z):
         return c + side * k * np.maximum(side * (kink - y), 0.0)
 
-    return E, rate, None, root
+    return E, rate, None, None, root
+
+
+def _ladder_penalty(k, kink, side, dt):
+    """The penalty ``k dt (kink - y)^+`` or its mirror as the ladder's
+    record, which declares its pieces: weight ``dt``, clock mass ``k``."""
+    from rbsdelab.penalize import _Penalty
+
+    one = np.ones(1)
+    return _Penalty(
+        kinks=kink * one, masses=k * one, weights=dt * one, side=side * one
+    )
 
 
 def _declared_kink_case(rng, dt):
-    # the same penalty as the ladder's record, which declares its kink
-    from rbsdelab.penalize import _Penalty
-
     E, c, k, kink, side, root = _kink_parts(rng, dt)
-    one = np.ones(1)
-    penalty = _Penalty(
-        kinks=kink * one, masses=k * one, signed=side * dt * one, side=side * one
-    )
-    return E, lambda j, y, z: np.full_like(y, c), penalty, root
+    penalty = _ladder_penalty(k, kink, side, dt)
+    return E, lambda j, y, z: np.full_like(y, c), penalty, 0.0, root
 
 
-@pytest.mark.parametrize("case", [_affine_case, _kinked_case, _declared_kink_case])
+def _declared_kinked_case(rng, dt):
+    # a declared affine rate under the declared penalty: the kinked
+    # case's twin, with 1 - a dt away from 1
+    a = rng.uniform(-0.5, 0.5) / dt
+    E, c, k, kink, side, root = _kink_parts(rng, dt, a)
+    penalty = _ladder_penalty(k, kink, side, dt)
+    return E, lambda j, y, z: a * y + c, penalty, a, root
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _affine_case,
+        _kinked_case,
+        _declared_affine_case,
+        _declared_kink_case,
+        _declared_kinked_case,
+    ],
+)
 def test_root_finder_property(case):
-    """Closed-form roots to 4 ulps of the scale ``|E| + |root|``, in no
-    more calls than bisection of the former bracket needs to reach
-    that width, or than 8 where a penalty declares its kink."""
+    """Closed-form roots to 4 ulps of the scale ``|E| + |root|``: where
+    the rate declares its slope, from one call; otherwise in no more
+    calls than bisection of the former bracket needs to reach that
+    width."""
     rng = np.random.default_rng(2020)
     dt = 0.01
     for _ in range(200):
-        E, rate, penalty, root = case(rng, dt)
+        E, rate, penalty, slope, root = case(rng, dt)
         f = counting(rate)
-        y = implicit_step(E, f, dt, penalty=penalty)
+        y = implicit_step(E, f, dt, penalty=penalty, slope=slope)
         scale = abs(E) + abs(float(root))
         width = 4.0 * np.spacing(scale)
         assert abs(Fraction(y) - root) <= width, (E, y, float(root))
-        bound = 8
-        if penalty is None:
+        bound = 1
+        if slope is None:
             y0 = E + float(rate(-1, np.array([E]), 0.0)[0]) * dt
             bracket = abs(y0 - E) + 2.0
             bound = 2 + max(0, math.ceil(math.log2(bracket / width)))
@@ -407,8 +492,23 @@ def test_linear_solve_generator_calls_per_level(a, calls):
     xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
     drv = Driver.linear(a, -0.5, 0.3)
     f = counting(drv.f)
-    solve_rbsde(lat, dataclasses.replace(drv, f=f), band_barriers(lat, xi, 0.3))
+    undeclared = dataclasses.replace(drv, f=f, slope=None)
+    solve_rbsde(lat, undeclared, band_barriers(lat, xi, 0.3))
     assert f.calls <= calls * lat.steps
+
+
+def test_declared_linear_solve_takes_one_generator_call_per_level():
+    lat = Lattice(TimeGrid(1.0, 50))
+    xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
+    drv = Driver.linear(0.4, -0.5, 0.3)
+    f = counting(drv.f)
+    bars = band_barriers(lat, xi, 0.3)
+    sol = solve_rbsde(lat, dataclasses.replace(drv, f=f), bars)
+    assert f.calls == lat.steps
+    # the root finder's roots, to a few ulps of the largest value
+    found = solve_rbsde(lat, dataclasses.replace(drv, slope=None), bars)
+    scale = np.max(np.abs(found.Y.values))
+    assert np.max(np.abs(sol.Y.values - found.Y.values)) <= 4.0 * np.spacing(scale)
 
 
 def penalized_evaluations(monkeypatch):
@@ -434,10 +534,10 @@ def penalized_evaluations(monkeypatch):
 
 
 def test_penalized_ladder_generator_calls_per_level(monkeypatch):
-    # the penalty n mass (l - y)^+ bends only at its declared kink: one
-    # probe there leaves each bracket on one affine piece, so a level of
-    # the ladder up to weight 2**16 takes at most 8 evaluations (about
-    # 60 without the probe)
+    # the penalty n mass (l - y)^+ declares its two affine pieces, and
+    # the dominated rate its zero slope: each level of the ladder's one
+    # pass, up to weight 2**16, is solved in closed form from one
+    # evaluation (about 60 with the root finder alone)
     from rbsdelab.penalize import DEFAULT_SCHEDULE, build_family
     from rbsdelab.verify import random_witness_instance
 
@@ -445,18 +545,19 @@ def test_penalized_ladder_generator_calls_per_level(monkeypatch):
     rng = np.random.default_rng(22)
     for _ in range(6):
         build_family(*random_witness_instance(rng, 8), DEFAULT_SCHEDULE)
-        assert max(collections.Counter(levels).values()) <= 8
+        assert max(collections.Counter(levels).values()) == 1
         levels.clear()
 
 
 def test_criterion_6_generator_evaluations(monkeypatch):
-    # criterion 6 at its acceptance scale, seed 7: 4 passes over 18
-    # levels, 1,111 evaluations without the kink probe
+    # criterion 6 at its acceptance scale, seed 7: one evaluation per
+    # level of its passes, where the root finder took 119 with a probe
+    # at each kink and 1,111 without
     from rbsdelab.verify import CertificateLog, verify_sandwich
 
     levels = penalized_evaluations(monkeypatch)
     assert verify_sandwich(log=CertificateLog())["passed"]
-    assert len(levels) <= 150
+    assert len(levels) <= 18
 
 
 @pytest.mark.parametrize("steps", [10, 2], ids=["finer", "coarser"])
@@ -503,6 +604,39 @@ def test_rows_on_their_own_horizons_are_their_separate_solves(kind):
         for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
             assert bitwise(getattr(sol, name).values, getattr(alone, name).values)
         assert sol.residuals == alone.residuals
+
+
+def test_slope_columns_under_a_penalty_are_the_rows_separate_solves():
+    # a (3, 1, 1) slope column under the ladder's penalty record, which
+    # binds at every node of row 0, at some of row 2 and at none of row 1
+    from rbsdelab.penalize import _Penalty
+
+    lats = row_lattices([0.5, 1.0, 1.7])
+    sets = [
+        band_barriers(r, np.sin(2.0 * r.brownian(r.steps)) + 0.1 * k, 0.3)
+        for k, r in enumerate(lats)
+    ]
+    xi, low, high = (a[:, None] for a in solver._stacked_sets(sets)[1:])
+    rng = np.random.default_rng(28)
+    coef = rng.uniform(-0.8, 0.8, (3, 3))
+    n = level_offset(lats[0].steps)
+    kinks = np.stack([np.full(n, 5.0), np.full(n, -np.inf), np.zeros(n)])
+    masses = rng.uniform(0.5, 2.0, (3, n))
+    weight, side = np.array(4.0), np.array(1.0)
+    penalty = _Penalty(kinks[:, None], masses[:, None], weight, side)
+    batched = Driver.linear(*coef.T[:, :, None, None], penalty=penalty)
+    sols = solver._backward(lats, batched, xi, low, high, (3, 1))
+    for k, (sol, lat, bars) in enumerate(zip(sols, lats, sets)):
+        drv = Driver.linear(
+            *coef[k], penalty=_Penalty(kinks[k], masses[k], weight, side)
+        )
+        alone = solve_rbsde(lat, drv, bars)
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            assert bitwise(getattr(sol, name).values, getattr(alone, name).values)
+        assert sol.residuals == alone.residuals
+        free = solve_rbsde(lat, Driver.linear(*coef[k]), bars)
+        moved = sol.drift.values != free.drift.values
+        assert moved.all() if k == 0 else moved.any() == (k == 2)
 
 
 def test_row_lattices_must_match_the_batch_rows_and_depth():
