@@ -15,11 +15,12 @@ Layout:
   conditional expectation and martingale-coefficient operators.
 - ``barriers``  -- obstacle quadruples, penalization envelopes of a
   function along a clock, effective (merged) obstacles, admissibility.
-- ``drivers``   -- generator objects, growth bounds, structural
-  domination used by the penalization scheme.
+- ``drivers``   -- generator objects, growth bounds and their
+  rescaling by the obstacles' running size.
 - ``solver``    -- backward solver for the doubly reflected equation,
   flat-off certificates, comparison and budget diagnostics.
-- ``penalize``  -- one-sided penalized families, monotone squeeze,
+- ``penalize``  -- the dominating generator of the one-sided penalized
+  pair, with its penalty; penalized families, monotone squeeze,
   reduction of the irregular problem to a standard one.
 - ``snell``     -- reflected equations with only a lower obstacle
   (generalized optimal stopping) and their martingale hypotheses.

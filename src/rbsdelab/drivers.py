@@ -29,9 +29,10 @@ Per step from level ``j``, the drift is
 Growth data consists of node-indexed processes bounding the generator
 (slope-quadratic bound for ``f``, flat bound for ``g``) plus the clock.
 :func:`dominate_growth` rescales raw bounds by a nondecreasing function
-of the obstacles' running size (growth of any order in the unknown),
-and the bounds feed the construction of the dominating generator whose
-drift beats every generator within them after recentering the slope.
+of the obstacles' running size (growth of any order in the unknown).
+The bounds feed the dominating generator of the penalized equations,
+whose drift beats every generator within them after recentering the
+slope; :mod:`rbsdelab.penalize` builds it with its penalty.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ from .lattice import (
     IncreasingProcess,
     PredictableProcess,
     _packed,
-    _stack_rows,
     entry_levels,
     level_offset,
 )
@@ -345,21 +345,17 @@ class Driver:
         return f"Driver({self.label})"
 
 
-def _running_max_envelope(X):
-    """Tightest node-indexed process dominating the running maximum.
+def _running_max(values, steps):
+    """Tightest node-indexed process dominating the running maximum, of
+    packed values over ``steps + 1`` levels, any leading axes a batch;
+    returns a new array.
 
     Forward recursion: a node's value is its own sample joined with the
     values at both parents.  Along every path this dominates the
-    pathwise running maximum of ``X`` (paths through a node may differ
-    in their history, so a node-indexed majorant cannot do better) and
-    it is nondecreasing along every path.
+    pathwise running maximum (paths through a node may differ in their
+    history, so a node-indexed majorant cannot do better) and it is
+    nondecreasing along every path.
     """
-    return AdaptedProcess(X.lattice, _running_max(X.values, X.lattice.steps))
-
-
-def _running_max(values, steps):
-    """:func:`_running_max_envelope` of packed values over ``steps + 1``
-    levels, any leading axes a batch; returns a new array."""
     out = np.array(values, dtype=float)
     for i in range(steps):
         prev = out[..., level_offset(i) : level_offset(i + 1)]
@@ -394,12 +390,9 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     lattice = L.lattice
     if U.lattice.grid != lattice.grid:
         raise ValueError("U lives on a different grid")
-    size = AdaptedProcess(
-        lattice,
-        2.0 * (np.maximum(U.values, 0.0) + np.maximum(-L.values, 0.0)),
-    )
-    D = _running_max_envelope(size)
-    probe_pts = D.values[np.isfinite(D.values)]
+    size = 2.0 * (np.maximum(U.values, 0.0) + np.maximum(-L.values, 0.0))
+    D = _running_max(size, lattice.steps)
+    probe_pts = D[np.isfinite(D)]
     # realized sizes may all coincide; spread the probe over [0, max]
     if probe_pts.size:
         probe_pts = np.concatenate(
@@ -413,81 +406,10 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
 
     def scaled(proc):
         return AdaptedProcess(
-            lattice, np.asarray(phi(D.values), dtype=float) * proc.values
+            lattice, np.asarray(phi(D), dtype=float) * proc.values
         )
 
     return GrowthBounds(
         scaled(eta_tilde), scaled(C_tilde), scaled(eta_hat), A=A
     )
 
-
-def _dominated_driver(bounds, specs, shape):
-    """Generator of both one-sided penalized equations, without the
-    penalty, for pairs ``(bounds, specs)`` of one depth, one per row.
-
-    Drift rate ``eta + 4*C*gamma**2 + (m/2)*(z - gamma)**2`` with ``m``
-    one plus eight times the running maximum (node envelope) of ``|C|``,
-    plus the per-step increments of both bounded-variation parts of the
-    witness and the clock term ``beta * dA``.  Only the squared-slope
-    part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
-    the node alone, so it enters ``source`` times ``dt`` with the
-    increments, and ``f_rest`` is zero.  The squared-slope part is
-    declared exact (see the module docstring), so the one-sided solves
-    stay monotone at any step size.
-
-    Every packed part stacks the rows and takes ``shape``, such as
-    ``(B, 1, 1, -1)`` to broadcast against a batch ``(B, W, 2)``: the
-    instance, a weight (one without a penalty), then the side.  Row 1
-    of the side axis is the downward-pushing equation solved below the
-    upper obstacle, row 0 the lower one with every sign flipped.  The
-    driver's ``bounds`` are the rows' bounds, in order.
-    """
-    parts = []
-    for b, s in zip(bounds, specs, strict=True):
-        lattice = b.lattice
-        n = level_offset(lattice.steps)
-        # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
-        m = 1.0 + 8.0 * _running_max(np.abs(b.C.values), lattice.steps)
-        parts.append(
-            (
-                m,
-                s.gamma.values,
-                s.vplus.values + s.vminus.values,
-                b.eta.values[:n],
-                b.C.values[:n],
-                b.beta.values[:n] * b.A.values,
-            )
-        )
-    m, gamma, dv, eta, C, clock = (
-        _stack_rows(rows).reshape(shape) for rows in zip(*parts)
-    )
-    dt = np.reshape([b.lattice.dt for b in bounds], shape[:-1] + (1,))
-    sgn = np.array([[-1.0], [1.0]])
-
-    def f(j, y, z):
-        at = slice(level_offset(j), level_offset(j + 1))
-        return sgn * 0.5 * m[..., at] * (z - gamma[..., at]) ** 2
-
-    def f_rest(j, y, z):
-        return np.zeros_like(y)
-
-    def quad(level):
-        at = slice(level_offset(level), level_offset(level + 1))
-        return sgn * 0.5 * m[..., at], gamma[..., at]
-
-    def source(level):
-        at = slice(level_offset(level), level_offset(level + 1))
-        g = gamma[..., at]
-        rate = eta[..., at] + 4.0 * C[..., at] * g * g
-        return sgn * (dv[..., at] + clock[..., at] + rate * dt)
-
-    return Driver(
-        f=f,
-        g=None,
-        bounds=tuple(bounds),
-        quad=quad,
-        f_rest=f_rest,
-        slope=0.0,
-        source=source,
-        label="dominated",
-    )

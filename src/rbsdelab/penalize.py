@@ -17,9 +17,10 @@ penalty terms with weight ``n``.  Each is solved one-sided:
 - the upper equation mirrors this below the upper node obstacle.
 
 Both equations along a weight schedule take one backward pass, batched
-over instance, weight and side.  Containment by the witness (lower
-solutions below it, upper ones above) and monotonicity in ``n`` are
-then verified for every weight at once, not assumed, with a small
+over instance, weight and side, under one dominating generator that
+this module builds with its penalty.  Containment by the witness
+(lower solutions below it, upper ones above) and monotonicity in ``n``
+are then verified for every weight at once, not assumed, with a small
 tolerance absorbing the rounding left in the implicit steps.
 The squeeze estimates the two monotone limits along a doubling
 schedule; since a binding penalty converges only like ``1/n``, the
@@ -31,12 +32,12 @@ reduction uses those hard-constraint solves and the finite-n family
 stays an exhibit of the convergence.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .barriers import BarrierSet
-from .drivers import SemimartingaleSpec, _dominated_driver
+from .drivers import Driver, SemimartingaleSpec, _running_max
 from .lattice import _stack_rows, level_offset
 from .solver import _backward, _row_bounds, _stacked_sets
 
@@ -56,6 +57,10 @@ DEFAULT_SCHEDULE = (0,) + tuple(2 ** k for k in range(17))
 
 # slack absorbing the implicit steps' rounding in ordering checks
 _ORDER_TOL = 1e-9
+
+# side axis of the one-sided pair: the penalty pushes row 0 (the lower
+# equation) up to its floor and row 1 down to its cap, the drift back
+_SIDE = np.array([[1.0], [-1.0]])
 
 
 class ScheduleExhausted(Exception):
@@ -146,6 +151,78 @@ class _Penalty:
         return side * w * np.maximum(side * (k - y), 0.0)
 
 
+def _dominated_driver(bounds, specs, penalty=None):
+    """Generator of both one-sided penalized equations, with ``penalty``
+    (none for the exact squeeze), for pairs ``(bounds, specs)`` of one
+    depth, one per row.
+
+    Drift rate ``eta + 4*C*gamma**2 + (m/2)*(z - gamma)**2`` with ``m``
+    one plus eight times the running maximum (node envelope) of ``|C|``,
+    plus the per-step increments of both bounded-variation parts of the
+    witness and the clock term ``beta * dA``.  Only the squared-slope
+    part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
+    the node alone, so it enters ``source`` times ``dt`` with the
+    increments, and ``f_rest`` is zero.  The squared-slope part is
+    declared exact (see :mod:`rbsdelab.drivers`), so the one-sided
+    solves stay monotone at any step size.
+
+    Every packed part is shaped ``(B, 1, 1, nodes)`` to broadcast
+    against a batch ``(B, W, 2)``: the instance, a weight (one without
+    a penalty), then the side of :data:`_SIDE`, whose opposite is the
+    drift's sign.  The driver's ``bounds`` are the rows' bounds, in
+    order.
+    """
+    parts = []
+    for b, s in zip(bounds, specs, strict=True):
+        lattice = b.lattice
+        n = level_offset(lattice.steps)
+        # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
+        m = 1.0 + 8.0 * _running_max(np.abs(b.C.values), lattice.steps)
+        parts.append(
+            (
+                m,
+                s.gamma.values,
+                s.vplus.values + s.vminus.values,
+                b.eta.values[:n],
+                b.C.values[:n],
+                b.beta.values[:n] * b.A.values,
+            )
+        )
+    m, gamma, dv, eta, C, clock = (
+        _stack_rows(rows).reshape(len(parts), 1, 1, -1) for rows in zip(*parts)
+    )
+    dt = np.reshape([b.lattice.dt for b in bounds], (-1, 1, 1, 1))
+    sgn = -_SIDE
+
+    def f(j, y, z):
+        at = slice(level_offset(j), level_offset(j + 1))
+        return sgn * 0.5 * m[..., at] * (z - gamma[..., at]) ** 2
+
+    def f_rest(j, y, z):
+        return np.zeros_like(y)
+
+    def quad(level):
+        at = slice(level_offset(level), level_offset(level + 1))
+        return sgn * 0.5 * m[..., at], gamma[..., at]
+
+    def source(level):
+        at = slice(level_offset(level), level_offset(level + 1))
+        g = gamma[..., at]
+        rate = eta[..., at] + 4.0 * C[..., at] * g * g
+        return sgn * (dv[..., at] + clock[..., at] + rate * dt)
+
+    return Driver(
+        f=f,
+        bounds=tuple(bounds),
+        quad=quad,
+        f_rest=f_rest,
+        slope=0.0,
+        source=source,
+        penalty=penalty,
+        label="dominated",
+    )
+
+
 def _stated(bounds, sets):
     """The growth bounds of obstacle sets of one depth, one per set,
     from one for every set or one per set already.  Raises
@@ -177,9 +254,6 @@ def _one_sided_pair(families, weights=None):
     lattices, xi, lo, hi = _stacked_sets(sets, names)
     penalty = None
     if weights is not None:
-        # row 0 pushes the lower equation up to l, row 1 the upper one
-        # down to u
-        side = np.array([[1.0], [-1.0]])
         # the instance leads, then a weight axis of one and the side
         kinks, masses = (
             _stack_rows(
@@ -191,15 +265,14 @@ def _one_sided_pair(families, weights=None):
             kinks=kinks,
             masses=masses,
             weights=np.asarray(weights, dtype=float)[:, None, None],
-            side=side,
+            side=_SIDE,
         )
     inf = np.full_like(lo, np.inf)
     low = np.stack([lo, -inf], axis=1)[:, None]
     high = np.stack([inf, hi], axis=1)[:, None]
     batch = (len(sets), 1 if weights is None else len(weights), 2)
     bounds, specs = zip(*[(family.bounds, family.spec) for family in families])
-    driver = _dominated_driver(bounds, specs, (len(sets), 1, 1, -1))
-    driver = replace(driver, penalty=penalty)
+    driver = _dominated_driver(bounds, specs, penalty)
     sols = _backward(lattices, driver, xi[:, None, None], low, high, batch)
     lows, highs = sols[0::2], sols[1::2]
     assert not np.any([s.Kminus.values for s in lows])

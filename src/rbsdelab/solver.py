@@ -71,6 +71,8 @@ _SECANT_MAX = 300
 # float cancellation erases the drift term entirely, so a vanishing
 # residual there proves nothing: treat them as divergence
 _SANE_SPAN = 1e12
+# slack of every inequality that comparison_check audits
+_COMPARISON_TOL = 1e-9
 
 
 class ImplicitStepDivergence(Exception):
@@ -300,11 +302,9 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
     the smaller residual.
 
     Each finite check is one sum, with a per-node scan only when the
-    sum is not finite; ``F(y0)`` is checked, the expansion walk set up
-    and the bisection midpoint formed only when some node needs them,
-    and each step narrows the bracket in place.  Floating-point
-    warnings are silenced for the whole step, generator evaluations
-    included: a non-finite value raises instead.
+    sum is not finite, and each step narrows the bracket in place.
+    Floating-point warnings are silenced for the whole step, generator
+    evaluations included: a non-finite value raises instead.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
@@ -312,7 +312,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
     if slope is not None and not use_g and (penalty is None or pieces is not None):
         return _affine_step(base, Z, dt, level, f_drift, slope, pieces)
 
-    def F(y, check=True):
+    def F(y):
         out = np.asarray(f_drift(level, y, Z), dtype=float) * dt
         if use_g:
             out = out + np.asarray(g_fn(level, y, y), dtype=float) * dA
@@ -321,8 +321,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
         if out.shape != base.shape:
             # a part returned a broadcastable shape, say a scalar
             out = np.broadcast_to(out, base.shape)
-        if check:
-            _check_finite(out, level)
+        _check_finite(out, level)
         return out
 
     def phi(y):
@@ -334,14 +333,11 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
         y0 = base + Fb
         # finite parts can still sum past the largest float
         _check_finite(y0, level)
-        F0 = F(y0, check=False)
-        # where the drift does not depend on the unknown, y0 is the
-        # exact root (and F0, equal to the checked Fb, is finite)
+        F0 = F(y0)
+        # where the drift does not depend on the unknown, y0 is the exact root
         exact = F0 == Fb
         if exact.all():
             return y0
-        _check_finite(F0, level)
-        some_exact = exact.any()
 
         # phi is known at base (-Fb) and at y0 = base + Fb; call them
         # p < q.  A node with phi(p) > 0 has its root below p, one with
@@ -359,37 +355,32 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
         f_b = -Fb
         f_p = np.where(swap, f_y0, f_b)
         f_q = np.where(swap, f_b, f_y0)
-        if some_exact:
-            # an exact node's bracket is closed at y0, a root at both
-            # ends: it neither walks nor steps
-            for a, v in ((p, y0), (q, y0), (f_p, 0.0), (f_q, 0.0)):
-                np.copyto(a, v, where=exact)
+        # an exact node's bracket is closed at y0, a root at both ends:
+        # it neither walks nor steps
+        for a, v in ((p, y0), (q, y0), (f_p, 0.0), (f_q, 0.0)):
+            np.copyto(a, v, where=exact)
         down = f_p > 0.0
-        up = f_q < 0.0
-        if not (down.any() or up.any()):
-            lo, f_lo, hi, f_hi = p, f_p, q, f_q
-        else:
-            up &= ~down
-            lo = np.where(up, q, p)
-            f_lo = np.where(up, f_q, f_p)
-            hi = np.where(down, p, q)
-            f_hi = np.where(down, f_p, f_q)
-            span = np.maximum(q - p, _ULPS * floor)
-            probes = 0
+        up = (f_q < 0.0) & ~down
+        lo = np.where(up, q, p)
+        f_lo = np.where(up, f_q, f_p)
+        hi = np.where(down, p, q)
+        f_hi = np.where(down, f_p, f_q)
+        span = np.maximum(q - p, _ULPS * floor)
+        probes = 0
+        walk = down | up
+        while walk.any():
+            if probes == _EXPAND_MAX:
+                k = int(np.argmax(walk))
+                raise ImplicitStepDivergence(
+                    level, k % span.shape[-1], float(span.flat[k])
+                )
+            probes += 1
+            y = np.where(down, hi - span, np.where(up, lo + span, lo))
+            _narrow(y, phi(y), lo, f_lo, hi, f_hi, walk)
+            down = f_lo > 0.0
+            up = f_hi < 0.0
             walk = down | up
-            while walk.any():
-                if probes == _EXPAND_MAX:
-                    k = int(np.argmax(walk))
-                    raise ImplicitStepDivergence(
-                        level, k % span.shape[-1], float(span.flat[k])
-                    )
-                probes += 1
-                y = np.where(down, hi - span, np.where(up, lo + span, lo))
-                _narrow(y, phi(y), lo, f_lo, hi, f_hi, walk)
-                down = f_lo > 0.0
-                up = f_hi < 0.0
-                walk = down | up
-                span = 2.0 * span
+            span = 2.0 * span
 
         width = hi - lo
         y = lo + 0.5 * width
@@ -418,9 +409,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
             if step >= 2:
                 # bisect wherever the last two steps did not halve the
                 # bracket
-                bisect = width > shrunk
-                if bisect.any():
-                    x = np.where(bisect, lo + 0.5 * width, x)
+                x = np.where(width > shrunk, lo + 0.5 * width, x)
             y = np.where(done, y, x)
             F_y = F(y)
             f_y = y - base
@@ -460,8 +449,7 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
         np.abs(gap, out=gap)
         # the exact nodes return y0 unchecked, as they do alone
         _check_span(gap, base, level, ~exact)
-        if some_exact:
-            np.copyto(y, y0, where=exact)
+        np.copyto(y, y0, where=exact)
     return y
 
 
@@ -648,7 +636,7 @@ class ComparisonReport:
 
 
 def comparison_check(
-    sol_big, sol_small, driver_big, driver_small, bars_big, bars_small, tol=1e-9
+    sol_big, sol_small, driver_big, driver_small, bars_big, bars_small
 ):
     """Audit the ordering relations between two solves.
 
@@ -656,15 +644,20 @@ def comparison_check(
     dominate.  The crossed obstacle and rate-domination hypotheses are
     audited first (report fields, not preconditions): both generators'
     per-step drifts ``f dt + g dA + source`` are evaluated at the small
-    solution's realized state, never at different points.  Then the node-wise ordering of the solutions
-    and of the upper reflection increments on the set where the
-    effective upper obstacles agree.
+    solution's realized state, never at different points.  Then the
+    node-wise ordering of the solutions and of the upper reflection
+    increments on the set where the effective upper obstacles agree.
+    Every inequality holds up to ``_COMPARISON_TOL``.
     """
     lat = sol_big.lattice
     steps = lat.steps
     n = level_offset(steps)
-    up_ok = not np.any(sol_small.Y.values[:n] > bars_big.U.values[:n] + tol)
-    low_ok = not np.any(bars_small.L.values[:n] > sol_big.Y.values[:n] + tol)
+    up_ok = not np.any(
+        sol_small.Y.values[:n] > bars_big.U.values[:n] + _COMPARISON_TOL
+    )
+    low_ok = not np.any(
+        bars_small.L.values[:n] > sol_big.Y.values[:n] + _COMPARISON_TOL
+    )
 
     def rate(driver, j, y, z):
         out = np.asarray(driver.f(j, y, z), dtype=float) * lat.dt
@@ -687,7 +680,7 @@ def comparison_check(
             )
         )
         max_drift = max(max_drift, gap)
-        if gap > tol:
+        if gap > _COMPARISON_TOL:
             drift_ok = False
 
     max_order = float(np.max(sol_small.Y.values - sol_big.Y.values))
@@ -704,8 +697,8 @@ def comparison_check(
         upper_envelope_ok=up_ok,
         lower_envelope_ok=low_ok,
         drift_domination_ok=drift_ok,
-        ordered=not max_order > tol,
-        kminus_ok=not max_km > tol,
+        ordered=not max_order > _COMPARISON_TOL,
+        kminus_ok=not max_km > _COMPARISON_TOL,
         max_order_violation=max(0.0, max_order),
         max_kminus_violation=max(0.0, max_km),
         max_drift_violation=max(max_drift, 0.0),

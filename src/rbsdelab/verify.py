@@ -55,6 +55,7 @@ from .penalize import (
 )
 from .snell import SnellInstance, snell_envelope
 from .solver import (
+    _COMPARISON_TOL,
     _backward,
     _stacked_sets,
     budget_defect,
@@ -87,7 +88,6 @@ _GAME_TOL = 1e-12
 _CLOSED_FORM_TOL = 1e-10
 _REDUCTION_TOL = 1e-6
 _CERTIFICATE_TOL = 1e-12
-_COMPARISON_TOL = 1e-9
 _BUDGET_TOL = 1e-10
 _ENVELOPE_WINDOW = 250  # profiles drawn before one is checked
 _ENVELOPE_BLOCK = 2 ** 18  # rows x padded points squared checked at once
@@ -648,7 +648,7 @@ def verify_comparison(cases=200, max_depth=6, seed=7, *, log):
     for (_, sets, drivers, _), pair in zip(pairs, sols):
         for sol in pair:
             log.add(sol)
-        report = comparison_check(*pair, *drivers, *sets, tol=_COMPARISON_TOL)
+        report = comparison_check(*pair, *drivers, *sets)
         tally.add(
             max(report.max_order_violation, report.max_kminus_violation),
             ok=report.passed,

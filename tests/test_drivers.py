@@ -8,8 +8,7 @@ from rbsdelab.drivers import (
     GrowthBounds,
     InconsistentSemimartingale,
     SemimartingaleSpec,
-    _dominated_driver,
-    _running_max_envelope,
+    _running_max,
     dominate_growth,
 )
 from rbsdelab.lattice import (
@@ -23,6 +22,7 @@ from rbsdelab.lattice import (
     increment_level,
     path_nodes,
 )
+from rbsdelab.penalize import _dominated_driver
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ def test_running_max_envelope_dominates_paths(lat):
     X = AdaptedProcess(
         lat, [rng.normal(0, 1, i + 1) for i in range(lat.steps + 1)]
     )
-    D = _running_max_envelope(X)
+    D = AdaptedProcess(lat, _running_max(X.values, lat.steps))
     for ups in all_paths(lat.steps):
         nodes = path_nodes(ups)
         run = -np.inf
@@ -186,7 +186,7 @@ def test_running_max_envelope_exact_for_time_indexed(lat):
     X = AdaptedProcess(
         lat, [np.full(i + 1, seq[i]) for i in range(lat.steps + 1)]
     )
-    D = _running_max_envelope(X)
+    D = AdaptedProcess(lat, _running_max(X.values, lat.steps))
     run = np.maximum.accumulate(seq)
     for i in range(lat.steps + 1):
         assert np.all(D.level(i) == run[i])
@@ -205,97 +205,19 @@ def test_dominate_growth_scales_by_phi(lat):
         dominate_growth(lambda r: -r, 0.5, 0.25, 0.1, L, U)
 
 
-def dominated(bounds, spec):
-    """The dominated driver of one pair: the one-row case of
-    ``_dominated_driver``, each part leading with the side axis."""
-    return _dominated_driver([bounds], [spec], (-1,))
-
-
-def test_dominated_driver_beats_quadratic_bound(lat):
-    # eta + 4*C*gamma^2 + (m/2)(z - gamma)^2 >= eta + C z^2 for all z
-    # needs m >= 8C; the dominated driver uses m = 1 + 8 * running max
-    # of |C|.  The witness has no drift and the clock is empty, so the
-    # per-step drift f dt + source is that rate times dt.  Row 1 is the
-    # upper equation, whose drift carries the rate's own sign
-    rng = np.random.default_rng(8)
-    C_levels = [rng.uniform(0.0, 2.0, i + 1) for i in range(lat.steps + 1)]
-    bounds = GrowthBounds(
-        AdaptedProcess.constant(lat, 0.3),
-        AdaptedProcess(lat, C_levels),
-        AdaptedProcess.constant(lat, 0.0),
-    )
-    spec = constant_spec(lat, slope=1.5)
-    drv = dominated(bounds, spec)
-    zs = np.linspace(-30.0, 30.0, 61)
-    for i in range(lat.steps):
-        y = np.zeros(i + 1)
-        for z in zs:
-            step = drv.f(i, y, np.full(i + 1, z))[1] * lat.dt + drv.source(i)[1]
-            cap = (0.3 + C_levels[i] * z * z) * lat.dt
-            assert np.all(step >= cap - 1e-12 * lat.dt)
-
-
-def test_dominated_driver_orientation_mirror(lat):
-    # row 0 (the lower equation) is row 1 (the upper one) with every
-    # sign flipped, in each part that carries the side axis
-    bounds = GrowthBounds.constants(lat, eta=0.2, C=0.5)
-    spec = constant_spec(lat, slope=0.7, drift_up=0.05, drift_down=0.02)
-    drv = dominated(bounds, spec)
-    y = np.zeros(3)
-    z = np.array([-1.0, 0.0, 2.0])
-    for rows in (drv.f(2, y, z), drv.quad(2)[0], drv.source(2)):
-        assert rows.shape == (2, 3)
-        assert np.array_equal(rows[0], -rows[1])
-        assert np.all(rows[1] > 0.0)
-
-
-def test_dominated_driver_rows_stack_the_single_drivers():
-    # one pair per row lattice: each part leads with the instance axis,
-    # shaped (B, 1, 2, nodes), and row k is bitwise the single driver k
-    lats = [Lattice(TimeGrid(h, 4)) for h in (0.5, 1.0, 1.5)]
-    rng = np.random.default_rng(5)
-    pairs = [
-        (
-            GrowthBounds(
-                AdaptedProcess(r, rng.uniform(0.0, 1.0, 15)),
-                AdaptedProcess(r, rng.uniform(0.0, 2.0, 15)),
-                AdaptedProcess.constant(r, 0.3),
-                A=IncreasingProcess.lebesgue(r),
-            ),
-            constant_spec(r, slope=k - 0.5, drift_up=0.01 * k),
-        )
-        for k, r in enumerate(lats)
-    ]
-    rows = _dominated_driver(*zip(*pairs), (3, 1, 1, -1))
-    assert rows.bounds == tuple(b for b, _ in pairs)
-    singles = [dominated(b, s) for b, s in pairs]
-    for i in range(4):
-        y = np.zeros((3, 1, 2, i + 1))
-        z = rng.normal(0.0, 2.0, (3, 1, 2, i + 1))
-        parts = (
-            (rows.f(i, y, z), [d.f(i, y[k, 0], z[k, 0]) for k, d in enumerate(singles)]),
-            (rows.quad(i)[0], [d.quad(i)[0] for d in singles]),
-            (rows.source(i), [d.source(i) for d in singles]),
-        )
-        for got, alone in parts:
-            assert got.shape == (3, 1, 2, i + 1)
-            assert np.array_equal(got[:, 0], np.stack(alone))
-        center = rows.quad(i)[1]
-        assert np.array_equal(center[:, 0, 0], np.stack([d.quad(i)[1] for d in singles]))
-
-
 def test_declared_slopes_are_the_rates_slopes(lat):
     # a wrong declaration would give wrong roots silently: every catalog
     # constructor's slope is the difference quotient of its stepped rate
     # (f_rest under quad), to rounding, at random points
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4)
     column = np.array([[0.5], [-3.0]])
+    spec = constant_spec(lat, slope=0.3, drift_up=0.01)
     drivers = {
         "zero": [Driver.zero()],
         "constant": [Driver.constant(-1.3)],
         "linear": [Driver.linear(2.0, -1.0, 0.25), Driver.linear(column, 0.7, column)],
         "quadratic": [Driver.quadratic(0.5)],
-        "dominated": [dominated(bounds, constant_spec(lat, slope=0.3, drift_up=0.01))],
+        "dominated": [_dominated_driver([bounds], [spec])],
     }
     catalog = {name for name, v in vars(Driver).items() if isinstance(v, classmethod)}
     assert catalog | {"dominated"} == set(drivers)
@@ -311,24 +233,3 @@ def test_declared_slopes_are_the_rates_slopes(lat):
             scale = 1.0 + np.maximum(np.abs(at), np.abs(past)) / h
             gap = np.abs(quotient - drv.slope)
             assert np.all(gap <= 8.0 * np.finfo(float).eps * scale), drv
-
-
-def test_dominated_driver_structure_consistent(lat):
-    # declared split must reproduce f: f == f_rest + q * (z - center)^2
-    bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,
-                                    A=IncreasingProcess.lebesgue(lat))
-    spec = constant_spec(lat, slope=0.3, drift_up=0.01)
-    drv = dominated(bounds, spec)
-    rng = np.random.default_rng(1)
-    for i in range(lat.steps):
-        y = rng.normal(0, 1, i + 1)
-        z = rng.normal(0, 2, i + 1)
-        q, center = drv.quad(i)
-        recomposed = np.asarray(drv.f_rest(i, y, z)) + q[1] * (z - center) ** 2
-        assert np.allclose(drv.f(i, y, z)[1], recomposed, atol=1e-12)
-    # source carries total variation, the clock term and the constant
-    # rate eta + 4 C gamma^2 over the step
-    dv = 0.01  # vminus mass per step
-    for i in range(lat.steps):
-        expect = dv + 0.2 * lat.dt + (0.1 + 4.0 * 0.4 * 0.3**2) * lat.dt
-        assert np.allclose(drv.source(i)[1], expect)

@@ -12,7 +12,6 @@ from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
     SemimartingaleSpec,
-    _dominated_driver,
 )
 from rbsdelab.lattice import (
     AdaptedProcess,
@@ -28,6 +27,8 @@ from rbsdelab.penalize import (
     ReductionDisagreement,
     SandwichViolation,
     ScheduleExhausted,
+    _SIDE,
+    _dominated_driver,
     _one_sided_pair,
     _schedule,
     build_family,
@@ -39,6 +40,7 @@ from rbsdelab.solver import (
     NonFiniteDriver,
     solve_rbsde,
 )
+from test_drivers import constant_spec
 
 
 def witness_instance(steps=5, seed=3, tight=True):
@@ -114,14 +116,20 @@ def penalized(bounds, bars, n):
     return low, high
 
 
+def dominated(bounds, spec):
+    """The dominated driver of one pair: the one-row case of
+    ``_dominated_driver``, its parts shaped ``(1, 1, 2, nodes)``."""
+    return _dominated_driver([bounds], [spec])
+
+
 def one_side(driver, row):
-    """The dominated driver's equation ``row`` alone: 0 the lower, 1 the
-    upper."""
+    """The one-pair dominated driver's equation ``row`` alone, for an
+    unbatched solve: 0 the lower, 1 the upper."""
     return replace(
         driver,
-        f=lambda j, y, z: driver.f(j, y, z)[row],
-        quad=lambda j: (driver.quad(j)[0][row], driver.quad(j)[1]),
-        source=lambda j: driver.source(j)[row],
+        f=lambda j, y, z: driver.f(j, y, z)[0, 0, row],
+        quad=lambda j: (driver.quad(j)[0][0, 0, row], driver.quad(j)[1][0, 0, 0]),
+        source=lambda j: driver.source(j)[0, 0, row],
     )
 
 
@@ -134,6 +142,112 @@ def same_solution(a, b):
             for name in ("Y", "Z", "Kplus", "Kminus", "drift")
         )
     )
+
+
+@pytest.fixture
+def lat():
+    return Lattice(TimeGrid(1.0, 5))
+
+
+def test_dominated_driver_beats_quadratic_bound(lat):
+    # eta + 4*C*gamma^2 + (m/2)(z - gamma)^2 >= eta + C z^2 for all z
+    # needs m >= 8C; the dominated driver uses m = 1 + 8 * running max
+    # of |C|.  The witness has no drift and the clock is empty, so the
+    # per-step drift f dt + source is that rate times dt.  Row 1 is the
+    # upper equation, whose drift carries the rate's own sign
+    rng = np.random.default_rng(8)
+    C_levels = [rng.uniform(0.0, 2.0, i + 1) for i in range(lat.steps + 1)]
+    bounds = GrowthBounds(
+        AdaptedProcess.constant(lat, 0.3),
+        AdaptedProcess(lat, C_levels),
+        AdaptedProcess.constant(lat, 0.0),
+    )
+    spec = constant_spec(lat, slope=1.5)
+    drv = dominated(bounds, spec)
+    zs = np.linspace(-30.0, 30.0, 61)
+    for i in range(lat.steps):
+        y = np.zeros(i + 1)
+        for z in zs:
+            f = drv.f(i, y, np.full(i + 1, z))
+            step = f[0, 0, 1] * lat.dt + drv.source(i)[0, 0, 1]
+            cap = (0.3 + C_levels[i] * z * z) * lat.dt
+            assert np.all(step >= cap - 1e-12 * lat.dt)
+
+
+def test_dominated_driver_orientation_mirror(lat):
+    # row 0 (the lower equation) is row 1 (the upper one) with every
+    # sign flipped, in each part that carries the side axis, and each
+    # row's drift pushes against the side of its penalty
+    bounds = GrowthBounds.constants(lat, eta=0.2, C=0.5)
+    spec = constant_spec(lat, slope=0.7, drift_up=0.05, drift_down=0.02)
+    drv = dominated(bounds, spec)
+    y = np.zeros(3)
+    z = np.array([-1.0, 0.0, 2.0])
+    for rows in (drv.f(2, y, z), drv.quad(2)[0], drv.source(2)):
+        assert rows.shape == (1, 1, 2, 3)
+        rows = rows[0, 0]
+        assert np.array_equal(rows[0], -rows[1])
+        assert np.all(rows[1] > 0.0)
+        assert np.all(np.sign(rows) == -_SIDE)
+
+
+def test_dominated_driver_rows_stack_the_single_drivers():
+    # one pair per row lattice: each part leads with the instance axis,
+    # shaped (B, 1, 2, nodes), and row k is bitwise the single driver k
+    lats = [Lattice(TimeGrid(h, 4)) for h in (0.5, 1.0, 1.5)]
+    rng = np.random.default_rng(5)
+    pairs = [
+        (
+            GrowthBounds(
+                AdaptedProcess(r, rng.uniform(0.0, 1.0, 15)),
+                AdaptedProcess(r, rng.uniform(0.0, 2.0, 15)),
+                AdaptedProcess.constant(r, 0.3),
+                A=IncreasingProcess.lebesgue(r),
+            ),
+            constant_spec(r, slope=k - 0.5, drift_up=0.01 * k),
+        )
+        for k, r in enumerate(lats)
+    ]
+    rows = _dominated_driver(*zip(*pairs))
+    assert rows.bounds == tuple(b for b, _ in pairs)
+    singles = [dominated(b, s) for b, s in pairs]
+    for i in range(4):
+        y = np.zeros((3, 1, 2, i + 1))
+        z = rng.normal(0.0, 2.0, (3, 1, 2, i + 1))
+        parts = (
+            (
+                rows.f(i, y, z),
+                [d.f(i, y[k : k + 1], z[k : k + 1]) for k, d in enumerate(singles)],
+            ),
+            (rows.quad(i)[0], [d.quad(i)[0] for d in singles]),
+            (rows.source(i), [d.source(i) for d in singles]),
+        )
+        for got, alone in parts:
+            assert got.shape == (3, 1, 2, i + 1)
+            assert np.array_equal(got, np.concatenate(alone))
+        center = rows.quad(i)[1]
+        assert np.array_equal(center, np.concatenate([d.quad(i)[1] for d in singles]))
+
+
+def test_dominated_driver_structure_consistent(lat):
+    # declared split must reproduce f: f == f_rest + q * (z - center)^2
+    bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,
+                                    A=IncreasingProcess.lebesgue(lat))
+    spec = constant_spec(lat, slope=0.3, drift_up=0.01)
+    drv = dominated(bounds, spec)
+    rng = np.random.default_rng(1)
+    for i in range(lat.steps):
+        y = rng.normal(0, 1, i + 1)
+        z = rng.normal(0, 2, i + 1)
+        q, center = drv.quad(i)
+        recomposed = np.asarray(drv.f_rest(i, y, z)) + q * (z - center) ** 2
+        assert np.allclose(drv.f(i, y, z), recomposed, atol=1e-12)
+    # source carries total variation, the clock term and the constant
+    # rate eta + 4 C gamma^2 over the step
+    dv = 0.01  # vminus mass per step
+    for i in range(lat.steps):
+        expect = dv + 0.2 * lat.dt + (0.1 + 4.0 * 0.4 * 0.3**2) * lat.dt
+        assert np.allclose(drv.source(i)[0, 0, 1], expect)
 
 
 def test_one_sided_solves_have_one_sided_reflection():
@@ -207,7 +321,7 @@ def test_zero_weight_is_the_unpenalized_solve():
     lat = bars.lattice
     pair = penalized(bounds, bars, 0)
     spec2, _ = bars.witness.retarget(bars.xi)
-    drv = _dominated_driver([bounds], [spec2], (-1,))
+    drv = dominated(bounds, spec2)
     plain = (
         solve_rbsde(lat, one_side(drv, 0), BarrierSet.build(lat, bars.xi, L=bars.L)),
         solve_rbsde(lat, one_side(drv, 1), BarrierSet.build(lat, bars.xi, U=bars.U)),
