@@ -383,9 +383,9 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
 
     The scale process is twice the running maximum (node envelope) of
     the positive part of ``U`` plus the negative part of ``L``; the raw
-    bounds are multiplied by ``phi`` of that scale.  ``phi`` must be
-    nondecreasing (probed, not proved): a decrease found between two
-    probe points raises ``ValueError``.
+    bounds are multiplied by ``phi`` of that scale, evaluated once.
+    ``phi`` must be nondecreasing (probed, not proved): a decrease found
+    between two probe points raises ``ValueError``.
     """
     lattice = L.lattice
     if U.lattice.grid != lattice.grid:
@@ -404,12 +404,7 @@ def dominate_growth(phi, eta_tilde, C_tilde, eta_hat, L, U, A=None):
     C_tilde = _as_adapted(lattice, C_tilde, "C_tilde")
     eta_hat = _as_adapted(lattice, eta_hat, "eta_hat")
 
-    def scaled(proc):
-        return AdaptedProcess(
-            lattice, np.asarray(phi(D), dtype=float) * proc.values
-        )
-
-    return GrowthBounds(
-        scaled(eta_tilde), scaled(C_tilde), scaled(eta_hat), A=A
-    )
+    scale = np.asarray(phi(D), dtype=float)
+    raw = (eta_tilde, C_tilde, eta_hat)
+    return GrowthBounds(*(AdaptedProcess(lattice, scale * p.values) for p in raw), A=A)
 

@@ -448,15 +448,16 @@ def expectation_level(values_next):
     return 0.5 * (v[..., :-1] + v[..., 1:])
 
 
-def increment_level(values_next, sqrt_dt):
+def increment_level(values_next, sqrt_dt, out=None):
     """Martingale coefficients at every node: level ``i+1`` -> level ``i``.
 
     With children ``d`` (down) and ``u`` (up), the unique integrand
     making ``X_{i+1} - E[X_{i+1}]`` a walk increment is
-    ``(u - d) / (2 sqrt(dt))``.  Batched like :func:`expectation_level`.
+    ``(u - d) / (2 sqrt(dt))``.  Batched like :func:`expectation_level`;
+    written into ``out`` when one is given.
     """
     v = np.asarray(values_next, dtype=float)
-    return (v[..., 1:] - v[..., :-1]) / (2.0 * sqrt_dt)
+    return np.divide(v[..., 1:] - v[..., :-1], 2.0 * sqrt_dt, out=out)
 
 
 def all_paths(steps):

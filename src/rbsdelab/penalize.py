@@ -162,7 +162,8 @@ def _dominated_driver(bounds, specs, penalty=None):
     witness and the clock term ``beta * dA``.  Only the squared-slope
     part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
     the node alone, so it enters ``source`` times ``dt`` with the
-    increments, and ``f_rest`` is zero.  The squared-slope part is
+    increments, all built once as one packed node-only step, and
+    ``f_rest`` is zero.  The squared-slope part is
     declared exact (see :mod:`rbsdelab.drivers`), so the one-sided
     solves stay monotone at any step size.
 
@@ -178,20 +179,15 @@ def _dominated_driver(bounds, specs, penalty=None):
         n = level_offset(lattice.steps)
         # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
         m = 1.0 + 8.0 * _running_max(np.abs(b.C.values), lattice.steps)
-        parts.append(
-            (
-                m,
-                s.gamma.values,
-                s.vplus.values + s.vminus.values,
-                b.eta.values[:n],
-                b.C.values[:n],
-                b.beta.values[:n] * b.A.values,
-            )
-        )
-    m, gamma, dv, eta, C, clock = (
+        g = s.gamma.values
+        rate = b.eta.values[:n] + 4.0 * b.C.values[:n] * g * g
+        step = s.vplus.values + s.vminus.values
+        step += b.beta.values[:n] * b.A.values
+        step += rate * lattice.dt
+        parts.append((m, g, step))
+    m, gamma, step = (
         _stack_rows(rows).reshape(len(parts), 1, 1, -1) for rows in zip(*parts)
     )
-    dt = np.reshape([b.lattice.dt for b in bounds], (-1, 1, 1, 1))
     sgn = -_SIDE
 
     def f(j, y, z):
@@ -206,10 +202,7 @@ def _dominated_driver(bounds, specs, penalty=None):
         return sgn * 0.5 * m[..., at], gamma[..., at]
 
     def source(level):
-        at = slice(level_offset(level), level_offset(level + 1))
-        g = gamma[..., at]
-        rate = eta[..., at] + 4.0 * C[..., at] * g * g
-        return sgn * (dv[..., at] + clock[..., at] + rate * dt)
+        return sgn * step[..., level_offset(level) : level_offset(level + 1)]
 
     return Driver(
         f=f,

@@ -232,20 +232,23 @@ def _check_span(gap, base, level, where):
         raise ImplicitStepDivergence(level, k % gap.shape[-1], span, what)
 
 
-def _affine_step(base, Z, dt, level, f_drift, slope, pieces):
+def _affine_step(base, Z, dt, level, f_drift, d, pieces):
     """:func:`_implicit_core` from one evaluation: with ``G = f_drift(level,
-    base, Z) dt`` and ``d = 1 - slope*dt``, the free root ``y = base + G / d``,
-    or ``y + w (k - y) / (d + w)`` where the penalty's ``pieces`` are
-    active at it.  The root is held to ``_SANE_SPAN`` wherever it is not
-    the exact fixed-point image ``base + G``, as in the root finder."""
+    base, Z) dt`` and the pass's ``d = 1 - slope*dt``, the free root
+    ``y = base + G / d`` (``base + G`` exactly where ``d`` is 1), or
+    ``y + w (k - y) / (d + w)`` where the penalty's ``pieces`` are active
+    at it.  One reduction settles every check: ``|y - base| <= _SANE_SPAN``
+    at every node means ``G`` and ``y`` are finite (a non-finite ``G``
+    reaches ``y``) and no root runs away.  Only when it fails are ``G``,
+    the span and ``y`` checked node by node, in that order; the span
+    holds the moved roots (``d != 1`` or a piece active), not the exact
+    fixed-point image ``base + G``, as in the root finder."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         G = np.asarray(f_drift(level, base, Z), dtype=float) * dt
         if G.shape != base.shape:
             G = np.broadcast_to(G, base.shape)
-        _check_finite(G, level)
-        d = 1.0 - slope * dt
-        moved = np.broadcast_to(d != 1.0, base.shape)
-        y = base + G / d if moved.any() else base + G
+        y = base + G / d
+        active = False
         if pieces is not None:
             k, w, side = pieces(level)
             active = side * (k - y) > 0.0
@@ -253,14 +256,16 @@ def _affine_step(base, Z, dt, level, f_drift, slope, pieces):
                 # k is infinite where a row has no predictable obstacle
                 k = np.where(active, k, y)
                 y = np.where(active, y + w * (k - y) / (d + w), y)
-                moved = moved | active
-        if moved.any():
-            _check_span(np.abs(y - base), base, level, moved)
-        _check_finite(y, level)
+        gap = y - base
+        np.abs(gap, out=gap)
+        if not gap.max() <= _SANE_SPAN:
+            _check_finite(G, level)
+            _check_span(gap, base, level, (d != 1.0) | active)
+            _check_finite(y, level)
     return y
 
 
-def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
+def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, d=None):
     """Vectorized solve of ``y = base + F(y)`` per node.
 
     ``F(y) = f_drift(level, y, Z) dt + g_fn(level, y, y) dA +
@@ -270,9 +275,10 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
     and errors name the node within its level.  Returns the root array;
     raises :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
 
-    A declared ``slope`` of ``f_drift`` in ``y`` with no live clock
-    term, and a penalty absent or declaring its ``pieces``, takes
-    :func:`_affine_step`; the root finder below solves the rest.
+    A declared slope of ``f_drift`` in ``y``, given as ``d = 1 -
+    slope*dt``, with no live clock term, and a penalty absent or
+    declaring its ``pieces``, takes :func:`_affine_step`; the root
+    finder below solves the rest.
 
     Every decision is made per node, so a node's root does not depend
     on which nodes share its array: solving two arrays at once gives,
@@ -309,8 +315,8 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, slope=None):
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
     pieces = getattr(penalty, "pieces", None)
-    if slope is not None and not use_g and (penalty is None or pieces is not None):
-        return _affine_step(base, Z, dt, level, f_drift, slope, pieces)
+    if d is not None and not use_g and (penalty is None or pieces is not None):
+        return _affine_step(base, Z, dt, level, f_drift, d, pieces)
 
     def F(y):
         out = np.asarray(f_drift(level, y, Z), dtype=float) * dt
@@ -520,6 +526,8 @@ def _backward(lattices, driver, xi, low, high, batch=()):
     column = (-1,) + (1,) * len(batch)
     dt = np.reshape([r.dt for r in rows], column)
     sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
+    # 1 - slope*dt, for every level's closed-form step
+    d = None
     if driver.slope is not None:
         d = np.asarray(1.0 - driver.slope * dt)
         if not (d > 0.0).all():
@@ -546,8 +554,9 @@ def _backward(lattices, driver, xi, low, high, batch=()):
 
     for j in range(steps - 1, -1, -1):
         nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
+        level = slice(level_offset(j), level_offset(j + 1))
         E = expectation_level(nxt)
-        z = increment_level(nxt, sqrt_dt)
+        z = increment_level(nxt, sqrt_dt, out=Z[..., level])
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
@@ -560,13 +569,9 @@ def _backward(lattices, driver, xi, low, high, batch=()):
             if src.shape != E.shape:
                 src = np.broadcast_to(src, E.shape)
             base = base + src
-        level = slice(level_offset(j), level_offset(j + 1))
         dA = None if clock is None else clock[..., level]
-        y_raw = _implicit_core(
-            base, z, dt, j, f_drift, driver.g, dA, driver.penalty, driver.slope
-        )
+        y_raw = _implicit_core(base, z, dt, j, f_drift, driver.g, dA, driver.penalty, d)
         y_raw.clip(lows[..., level], highs[..., level], out=Y[..., level])
-        Z[..., level] = z
         np.subtract(y_raw, E, out=drift[..., level])
         Kminus[..., level] = y_raw
 
@@ -575,11 +580,14 @@ def _backward(lattices, driver, xi, low, high, batch=()):
     np.maximum(Kplus, 0.0, out=Kplus)
     np.subtract(Kminus, highs, out=Kminus)
     np.maximum(Kminus, 0.0, out=Kminus)
-    # reflection certificates, maxima per batch entry
+    # reflection certificates, maxima per batch entry, in one scratch
+    # that is gone before the solutions are built
     y = Y[..., :n]
-    fplus = _flat_off(Kplus, y - lows)
-    fminus = _flat_off(Kminus, highs - y)
-    defect = np.max(Kplus * Kminus, axis=-1, initial=0.0)
+    scratch = y - lows
+    fplus = _flat_off(Kplus, scratch)
+    fminus = _flat_off(Kminus, np.subtract(highs, y, out=scratch))
+    defect = np.max(np.multiply(Kplus, Kminus, out=scratch), axis=-1, initial=0.0)
+    del scratch
 
     # row k of the flattened batch lives on the lattice of its first index
     per_lattice = math.prod(batch[1:])

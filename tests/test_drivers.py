@@ -205,6 +205,36 @@ def test_dominate_growth_scales_by_phi(lat):
         dominate_growth(lambda r: -r, 0.5, 0.25, 0.1, L, U)
 
 
+def test_dominate_growth_evaluates_phi_on_the_envelope_once():
+    # phi sees the monotonicity probe, then the node envelope exactly
+    # once, and each bound is the envelope's one scale times its raw value
+    lat = Lattice(TimeGrid(1.0, 200))
+    rng = np.random.default_rng(30)
+
+    def drawn():
+        return AdaptedProcess(
+            lat, [rng.normal(size=i + 1) for i in range(lat.steps + 1)]
+        )
+
+    L, U = drawn(), drawn()
+    eta, C, beta = (AdaptedProcess(lat, np.abs(drawn().values)) for _ in range(3))
+    seen = []
+
+    def phi(r):
+        seen.append(np.array(r))
+        return 1.0 + r * r
+
+    gb = dominate_growth(phi, eta, C, beta, L, U)
+    size = 2.0 * (np.maximum(U.values, 0.0) + np.maximum(-L.values, 0.0))
+    D = _running_max(size, lat.steps)
+    probe = np.unique(np.concatenate([D, np.linspace(0.0, D.max(), 17)]))
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], probe) and np.array_equal(seen[1], D)
+    scale = 1.0 + D * D
+    for got, raw in ((gb.eta, eta), (gb.C, C), (gb.beta, beta)):
+        assert np.array_equal(got.values, scale * raw.values)
+
+
 def test_declared_slopes_are_the_rates_slopes(lat):
     # a wrong declaration would give wrong roots silently: every catalog
     # constructor's slope is the difference quotient of its stepped rate

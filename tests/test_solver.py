@@ -67,12 +67,14 @@ def implicit_step(E, f, dt, g=None, dA=None, penalty=None, slope=None):
     """One node's implicit step ``y = E + f(j, y, 0) dt + g(j, y, y) dA``
     at level ``j = -1``, which the errors name; with a ``penalty``, plus
     ``penalty(j, y)`` at level ``j = 0``, where its packed data start.
-    ``slope`` is the declared slope of ``f``, if any."""
+    ``slope`` is the declared slope of ``f``, if any, which the step
+    takes as ``d = 1 - slope*dt``."""
     if dA is not None:
         dA = np.array([dA])
     level = -1 if penalty is None else 0
+    d = None if slope is None else 1.0 - slope * dt
     y = solver._implicit_core(
-        np.array([E]), np.zeros(1), dt, level, f, g, dA, penalty, slope
+        np.array([E]), np.zeros(1), dt, level, f, g, dA, penalty, d
     )
     return float(y[0])
 
@@ -327,10 +329,128 @@ def test_the_closed_form_holds_moved_roots_to_the_runaway_bound():
         args = (base, np.zeros(2), dt, 0, lambda j, y, z: a * y + c, None, None, None)
         if runaway:
             with pytest.raises(ImplicitStepDivergence, match="away from the base") as info:
-                solver._implicit_core(*args, a)
+                solver._implicit_core(*args, 1.0 - a * dt)
             assert (info.value.level, info.value.node) == (0, 1)
         else:
-            assert solver._implicit_core(*args, a)[0] == 1e13
+            assert solver._implicit_core(*args, 1.0 - a * dt)[0] == 1e13
+
+
+# a deep lattice at dt = 1, and the node inside it where the drivers
+# below break
+DEEP = Lattice(TimeGrid(200.0, 200))
+AT = (120, 37)
+
+
+def at_node(j, shape, value, node=AT[1]):
+    """``value`` at ``node`` of level ``AT[0]``, 0 elsewhere."""
+    out = np.zeros(shape)
+    if j == AT[0]:
+        out[..., node] = value
+    return out
+
+
+def deep_solve_error(f, slope, xi, penalty=None):
+    drv = Driver(f=f, slope=slope, penalty=penalty)
+    with pytest.raises((NonFiniteDriver, ImplicitStepDivergence)) as info:
+        solve_rbsde(DEEP, drv, free_barriers(DEEP, xi))
+    return info.value
+
+
+def named(error):
+    return type(error), error.level, error.node, str(error)
+
+
+# each driver breaks a closed-form step at AT; the error is the one the
+# node-by-node checks raise there: (rate, slope, xi, class, message)
+DEEP_ERRORS = {
+    # a NaN rate is named where it is read
+    "nan_rate": (
+        lambda j, y, z: 0.5 * y + at_node(j, y.shape, np.nan),
+        0.5,
+        np.sin(DEEP.brownian(200)),
+        NonFiniteDriver,
+        "non-finite drift value at (level 120, node 37)",
+    ),
+    # so is an infinite one, before the runaway bound of its moved root
+    "inf_rate": (
+        lambda j, y, z: 0.5 * y + at_node(j, y.shape, np.inf),
+        0.5,
+        np.sin(DEEP.brownian(200)),
+        NonFiniteDriver,
+        "non-finite drift value at (level 120, node 37)",
+    ),
+    # a finite rate whose root base + G / d overflows: a moved root is
+    # held to the runaway bound first
+    "overflow_moved": (
+        lambda j, y, z: 0.5 * y + at_node(j, y.shape, 1.7e308),
+        0.5,
+        np.sin(DEEP.brownian(200)),
+        ImplicitStepDivergence,
+        "root inf away from the base value at (level 120, node 37)",
+    ),
+    # under slope 0, base + G is the exact image: only its finiteness
+    "overflow_exact": (
+        lambda j, y, z: at_node(j, y.shape, 1.7e308),
+        0.0,
+        np.full(201, 8e307),
+        NonFiniteDriver,
+        "non-finite drift value at (level 120, node 37)",
+    ),
+    # 1 - a dt = 1e-13 sends the root of a unit rate past the bound
+    "runaway": (
+        lambda j, y, z: (1.0 - 1e-13) * y + at_node(j, y.shape, 1.0),
+        1.0 - 1e-13,
+        np.zeros(201),
+        ImplicitStepDivergence,
+        "root 9996891514695.885 away from the base value at (level 120, node 37)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_ERRORS)
+def test_a_closed_form_step_names_its_failure_deep_in_the_lattice(case):
+    f, slope, xi, cls, message = DEEP_ERRORS[case]
+    assert named(deep_solve_error(f, slope, xi)) == (cls, *AT, message)
+
+
+def test_a_slope_column_holds_only_its_moved_rows_to_the_runaway_bound():
+    # row 0 (slope 0) takes its exact image 1e15 at node 10 unchecked;
+    # row 1 (slope 0.5) moves its root 2e15 from the base at node 37
+    a = np.array([[0.0], [0.5]])
+
+    def f(j, y, z):
+        big = at_node(j, y.shape, 1e15)
+        big[0] = at_node(j, y.shape[-1:], 1e15, node=10)
+        return a * y + big
+
+    sets = [free_barriers(DEEP, np.zeros(201))] * 2
+    _, xi, low, high = solver._stacked_sets(sets)
+    with pytest.raises(ImplicitStepDivergence) as info:
+        solver._backward([DEEP, DEEP], Driver(f=f, slope=a), xi, low, high, (2,))
+    assert named(info.value) == (
+        ImplicitStepDivergence,
+        *AT,
+        "root 2000000000000000.0 away from the base value at (level 120, node 37)",
+    )
+
+
+@pytest.mark.parametrize("weight", [0.0, 4.0])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_infinite_rate_under_a_ladder_penalty_is_named(sign, side, weight):
+    # G = +-inf reaches the root as +-inf or NaN, through an active
+    # piece of weight 0 too
+    from rbsdelab.penalize import _Penalty
+
+    n = level_offset(DEEP.steps)
+    penalty = _Penalty(
+        kinks=np.zeros(n), masses=np.ones(n), weights=np.array(weight), side=side
+    )
+    f = lambda j, y, z: at_node(j, y.shape, sign * np.inf)
+    error = deep_solve_error(f, 0.0, np.zeros(201), penalty)
+    assert named(error) == (
+        NonFiniteDriver, *AT, "non-finite drift value at (level 120, node 37)"
+    )
 
 
 @pytest.mark.parametrize(
