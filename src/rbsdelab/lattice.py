@@ -438,14 +438,17 @@ class IncreasingProcess:
         )
 
 
-def expectation_level(values_next):
+def expectation_level(values_next, out=None):
     """One-step expectation at every node: level ``i+1`` -> level ``i``.
 
     Entry ``j`` is the midpoint of the children ``j`` and ``j + 1``;
-    the nodes are the last axis, any leading axes are a batch.
+    the nodes are the last axis, any leading axes are a batch.  Written
+    into ``out`` when one is given.
     """
     v = np.asarray(values_next, dtype=float)
-    return 0.5 * (v[..., :-1] + v[..., 1:])
+    out = np.add(v[..., :-1], v[..., 1:], out=out)
+    out *= 0.5
+    return out
 
 
 def increment_level(values_next, sqrt_dt, out=None):

@@ -38,8 +38,8 @@ import numpy as np
 
 from .barriers import BarrierSet
 from .drivers import Driver, SemimartingaleSpec, _running_max
-from .lattice import _stack_rows, level_offset
-from .solver import _backward, _row_bounds, _stacked_sets
+from .lattice import _process_rows, _stack_rows, level_offset
+from .solver import Solution, _backward, _row_bounds, _stacked_sets
 
 __all__ = [
     "ScheduleExhausted",
@@ -178,9 +178,14 @@ def _dominated_driver(bounds, specs, penalty=None):
         lattice = b.lattice
         n = level_offset(lattice.steps)
         # m >= 8*sup|C| makes (m/2)(z-g)^2 + 4*C*g^2 dominate C*z^2 pointwise
-        m = 1.0 + 8.0 * _running_max(np.abs(b.C.values), lattice.steps)
+        C = b.C.values
+        if C.strides == (0,):
+            # a constant's running maximum is the constant
+            m = np.broadcast_to(1.0 + 8.0 * abs(float(C[0])), C.shape)
+        else:
+            m = 1.0 + 8.0 * _running_max(np.abs(C), lattice.steps)
         g = s.gamma.values
-        rate = b.eta.values[:n] + 4.0 * b.C.values[:n] * g * g
+        rate = b.eta.values[:n] + 4.0 * C[:n] * g * g
         step = s.vplus.values + s.vminus.values
         step += b.beta.values[:n] * b.A.values
         step += rate * lattice.dt
@@ -228,7 +233,7 @@ def _stated(bounds, sets):
     return _row_bounds(bounds, [s.lattice for s in sets])
 
 
-def _one_sided_pair(families, weights=None):
+def _one_sided_pair(families, weights=None, *, y_only=False):
     """The lower equation reflected at its lower band only and the upper
     one at its upper band only, in one backward pass.
 
@@ -238,7 +243,12 @@ def _one_sided_pair(families, weights=None):
     one instance each, all of one depth: the growth bounds, the
     normalized witness and the obstacle set.  The batch is the instance,
     the weight (one without weights), then the side.  Returns the lower
-    and the upper solutions, each in (instance, weight) order.
+    and the upper solutions, each in (instance, weight) order, or with
+    ``y_only`` their ``Y`` processes alone.
+
+    Each side's free band is infinite on every row, and the step keeps
+    every root finite, so the reflection at that band is zero: the
+    lower solutions' ``Kminus`` and the upper ones' ``Kplus`` vanish.
     """
     if weights is not None:
         weights = _weights(weights)
@@ -263,14 +273,14 @@ def _one_sided_pair(families, weights=None):
     inf = np.full_like(lo, np.inf)
     low = np.stack([lo, -inf], axis=1)[:, None]
     high = np.stack([inf, hi], axis=1)[:, None]
+    assert np.isposinf(high[..., 0, :]).all() and np.isneginf(low[..., 1, :]).all()
     batch = (len(sets), 1 if weights is None else len(weights), 2)
     bounds, specs = zip(*[(family.bounds, family.spec) for family in families])
     driver = _dominated_driver(bounds, specs, penalty)
-    sols = _backward(lattices, driver, xi[:, None, None], low, high, batch)
-    lows, highs = sols[0::2], sols[1::2]
-    assert not np.any([s.Kminus.values for s in lows])
-    assert not np.any([s.Kplus.values for s in highs])
-    return lows, highs
+    sols = _backward(
+        lattices, driver, xi[:, None, None], low, high, batch, y_only=y_only
+    )
+    return sols[0::2], sols[1::2]
 
 
 class PenalizedFamily:
@@ -495,20 +505,21 @@ def exact_squeeze_barriers(bounds, barriers):
 
 def _exact_limits(families):
     """:func:`exact_squeeze_barriers` of empty families of one depth, in
-    one backward pass; one ``(Ybar, Yunder)`` pair per family."""
-    lows, highs = _one_sided_pair(families)
+    one backward pass, which builds their ``Y`` alone; one ``(Ybar,
+    Yunder)`` pair per family."""
+    lows, highs = _one_sided_pair(families, y_only=True)
     limits = []
     for family, lower, upper in zip(families, lows, highs):
         S = family.witness
         rows = (
-            ("lower limit below witness", lower.Y.values - S.values),
-            ("witness below upper limit", S.values - upper.Y.values),
+            ("lower limit below witness", lower.values - S.values),
+            ("witness below upper limit", S.values - upper.values),
         )
         levels = S.lattice.steps + 1
         _first_break(
             ("inf",), [(levels, [(w, g[None], _ORDER_TOL)]) for w, g in rows]
         )
-        limits.append((upper.Y, lower.Y))
+        limits.append((upper, lower))
     return limits
 
 
@@ -521,13 +532,19 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     The result is cross-checked against the original constraints and
     against the direct merged-obstacle solve; a failed check raises
     :class:`ReductionDisagreement`, since it would mean the two routes
-    diverged.
+    diverged.  The returned solution owns its memory: it is copied out
+    of the pass that solved it beside the direct problem.
     """
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
     ((sol, direct),) = _reduce_pass(driver, [barriers])
     _check_reduction(sol, direct, barriers, agreement_tol)
-    return sol
+    parts = [
+        (type(p), p.values.copy())
+        for p in (sol.Y, sol.Z, sol.Kplus, sol.Kminus, sol.drift)
+    ]
+    ((Y, Z, Kplus, Kminus, drift),) = _process_rows([sol.lattice], parts)
+    return Solution(Y, Z, Kplus, Kminus, sol.residuals, drift)
 
 
 def _reduce_pass(driver, sets):

@@ -40,7 +40,6 @@ from .lattice import (
     _stack_rows,
     all_paths,
     expectation_level,
-    increment_level,
     level_offset,
     path_nodes,
 )
@@ -459,14 +458,6 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, d=None):
     return y
 
 
-def _flat_off(dk, gap):
-    """Largest ``dk * gap`` over the nodes where ``dk > 0``, per batch
-    entry; ``gap`` is overwritten.  The gap is masked before the
-    product, since ``0 * inf`` is NaN."""
-    gap[dk <= 0.0] = 0.0
-    return np.max(np.multiply(dk, gap, out=gap), axis=-1, initial=0.0)
-
-
 def solve_rbsde(lattice, driver, barriers):
     """Backward induction over the whole lattice.
 
@@ -508,7 +499,7 @@ def _row_bounds(bounds, rows):
     return bounds
 
 
-def _backward(lattices, driver, xi, low, high, batch=()):
+def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     """:func:`solve_rbsde` over a batch, from the terminal values ``xi``
     and packed merged bands: each level has shape ``batch + (i + 1,)``,
     which the driver's callables see and the bands' leading axes
@@ -518,7 +509,18 @@ def _backward(lattices, driver, xi, low, high, batch=()):
     each row's solutions live on its own lattice.  ``driver.bounds`` is
     one :class:`GrowthBounds` for every row or a sequence of them, one
     per row, each on its row's grid.  One solution per entry, built
-    from the output buffers checked once."""
+    from the output buffers checked once.
+
+    Each level writes its expectation into ``drift`` and its unclamped
+    root into ``Kminus``; after the loop, one subtraction makes the
+    drift and two the reflection increments.  The certificates are
+    products that vanish where their reflection did not move, so their
+    maxima are taken over the nodes where it did, across the whole
+    batch at once.  With ``y_only`` the pass builds ``Y`` alone: the
+    level's expectation and slope go to one-level scratch buffers, no
+    drift, reflection or certificate is formed, and it returns one
+    :class:`AdaptedProcess` per entry, with the same values and errors
+    as the full pass."""
     rows = tuple(lattices)
     steps = rows[0].steps
     if (batch[:1] or (1,)) != (len(rows),) or any(r.steps != steps for r in rows):
@@ -526,6 +528,7 @@ def _backward(lattices, driver, xi, low, high, batch=()):
     column = (-1,) + (1,) * len(batch)
     dt = np.reshape([r.dt for r in rows], column)
     sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
+    twice_sqrt_dt = 2.0 * sqrt_dt
     # 1 - slope*dt, for every level's closed-form step
     d = None
     if driver.slope is not None:
@@ -547,16 +550,22 @@ def _backward(lattices, driver, xi, low, high, batch=()):
     n = level_offset(steps)
     Y = np.empty(batch + (level_offset(steps + 1),))
     Y[..., n:] = xi
-    # Kminus holds the unclamped roots until the loop is done
-    Z, drift, Kplus, Kminus = (np.empty(batch + (n,)) for _ in range(4))
+    if y_only:
+        E_buf, Z = (np.empty(batch + (steps,)) for _ in range(2))
+    else:
+        Z, drift, Kplus, Kminus = (np.empty(batch + (n,)) for _ in range(4))
+        E_buf = drift
     lows = low[..., :n]
     highs = high[..., :n]
 
     for j in range(steps - 1, -1, -1):
         nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
         level = slice(level_offset(j), level_offset(j + 1))
-        E = expectation_level(nxt)
-        z = increment_level(nxt, sqrt_dt, out=Z[..., level])
+        at = slice(j + 1) if y_only else level
+        E = expectation_level(nxt, out=E_buf[..., at])
+        # the martingale slope, increment_level's formula
+        z = np.subtract(nxt[..., 1:], nxt[..., :-1], out=Z[..., at])
+        z /= twice_sqrt_dt
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
@@ -571,27 +580,26 @@ def _backward(lattices, driver, xi, low, high, batch=()):
             base = base + src
         dA = None if clock is None else clock[..., level]
         y_raw = _implicit_core(base, z, dt, j, f_drift, driver.g, dA, driver.penalty, d)
-        y_raw.clip(lows[..., level], highs[..., level], out=Y[..., level])
-        np.subtract(y_raw, E, out=drift[..., level])
-        Kminus[..., level] = y_raw
+        # ndarray.clip's order, ties to the band included
+        y = np.maximum(y_raw, lows[..., level], out=Y[..., level])
+        np.minimum(y, highs[..., level], out=y)
+        if not y_only:
+            Kminus[..., level] = y_raw
 
+    # row k of the flattened batch lives on the lattice of its first index
+    per_lattice = math.prod(batch[1:])
+    lats = [r for r in rows for _ in range(per_lattice)]
+    if y_only:
+        return [y for (y,) in _process_rows(lats, ((AdaptedProcess, Y),))]
+
+    np.subtract(Kminus, drift, out=drift)
     # the projection residuals are the reflection increments
     np.subtract(lows, Kminus, out=Kplus)
     np.maximum(Kplus, 0.0, out=Kplus)
     np.subtract(Kminus, highs, out=Kminus)
     np.maximum(Kminus, 0.0, out=Kminus)
-    # reflection certificates, maxima per batch entry, in one scratch
-    # that is gone before the solutions are built
-    y = Y[..., :n]
-    scratch = y - lows
-    fplus = _flat_off(Kplus, scratch)
-    fminus = _flat_off(Kminus, np.subtract(highs, y, out=scratch))
-    defect = np.max(np.multiply(Kplus, Kminus, out=scratch), axis=-1, initial=0.0)
-    del scratch
+    reports = zip(*_certificates(Y[..., :n], lows, highs, Kplus, Kminus).tolist())
 
-    # row k of the flattened batch lives on the lattice of its first index
-    per_lattice = math.prod(batch[1:])
-    lats = [r for r in rows for _ in range(per_lattice)]
     parts = (
         (AdaptedProcess, Y),
         (PredictableProcess, Z),
@@ -599,11 +607,32 @@ def _backward(lattices, driver, xi, low, high, batch=()):
         (IncreasingProcess, Kminus),
         (PredictableProcess, drift),
     )
-    reports = zip(*(np.ravel(r).tolist() for r in (fplus, fminus, defect)))
     return [
         Solution(y, z, kp, km, SkorokhodReport(*report), d)
         for (y, z, kp, km, d), report in zip(_process_rows(lats, parts), reports)
     ]
+
+
+def _certificates(y, lows, highs, Kplus, Kminus):
+    """The reflection certificates of every batch entry, as the rows of
+    a ``(3, entries)`` array: the largest ``Kplus (y - lows)``,
+    ``Kminus (highs - y)`` and ``Kplus Kminus``, each at least 0.  Each
+    product vanishes where its first factor is zero, so it is formed
+    only at the nodes where that reflection moved, and an infinite gap
+    at a free band never meets a zero factor (their product is NaN).
+    The bands broadcast against the batch."""
+    nodes = Kplus.shape[-1]
+    out = np.zeros((3, Kplus.size // nodes))
+    for row, k, near, far in ((0, Kplus, y, lows), (1, Kminus, highs, y)):
+        flat = np.flatnonzero(k > 0.0)
+        at = np.unravel_index(flat, k.shape)
+        moved = k.reshape(-1)[flat]
+        gap = np.broadcast_to(near, k.shape)[at] - np.broadcast_to(far, k.shape)[at]
+        entry = flat // nodes
+        np.maximum.at(out[row], entry, moved * gap)
+        if row == 0:
+            np.maximum.at(out[2], entry, moved * Kminus.reshape(-1)[flat])
+    return out
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from rbsdelab.penalize import (
     _SIDE,
     _dominated_driver,
     _one_sided_pair,
+    _reduce_pass,
     _schedule,
     build_family,
     exact_squeeze_barriers,
@@ -227,6 +228,33 @@ def test_dominated_driver_rows_stack_the_single_drivers():
             assert np.array_equal(got, np.concatenate(alone))
         center = rows.quad(i)[1]
         assert np.array_equal(center, np.concatenate([d.quad(i)[1] for d in singles]))
+
+
+def test_a_constant_C_is_its_own_running_maximum(lat, monkeypatch):
+    # a zero-stride C takes m = 1 + 8|C| as one broadcast value, bitwise
+    # what the running-max recursion gives for the same C stored in full
+    from rbsdelab import penalize
+
+    spec = constant_spec(lat, slope=0.3, drift_up=0.01)
+    const = GrowthBounds.constants(lat, eta=0.1, C=0.37)
+    assert const.C.values.strides == (0,)
+    full = GrowthBounds(const.eta, AdaptedProcess(lat, const.C.values.copy()), const.beta)
+    recursions = []
+    running_max = penalize._running_max
+
+    def counted(*args):
+        recursions.append(args)
+        return running_max(*args)
+
+    monkeypatch.setattr(penalize, "_running_max", counted)
+    a = dominated(const, spec)
+    assert not recursions
+    b = dominated(full, spec)
+    assert len(recursions) == 1
+    for j in range(lat.steps):
+        (qa, ca), (qb, cb) = a.quad(j), b.quad(j)
+        assert qa.shape == qb.shape and qa.tobytes() == qb.tobytes()
+        assert ca.tobytes() == cb.tobytes()
 
 
 def test_dominated_driver_structure_consistent(lat):
@@ -679,21 +707,22 @@ def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
 def test_one_instance_squeeze_and_reduction_keep_their_memory():
     # one instance is a batch of one row whose packed parts are adopted
     # as views (a[None]), not copied: a copy would turn the zero-stride
-    # constant growth bounds into full buffers.  The squeeze and the
-    # reduction of this depth-500 instance peak at 23,343,322 and
-    # 23,341,716 bytes under tracemalloc: one packed buffer (1,002,000
-    # bytes) less than when the dominated driver kept its node-only
-    # drift in four parts (24,346,772).  The bound allows 512 KiB more,
-    # less than that buffer, so it cannot come back unseen
+    # constant growth bounds into full buffers.  The squeeze builds its
+    # two Y rows alone, and the reduction copies its row out of the pass
+    # that also holds the direct solve.  Under tracemalloc this
+    # depth-500 instance peaks at 12,140,048 bytes for the squeeze and
+    # 15,051,760 for the reduction.  Each bound allows 512 KiB more,
+    # less than one packed buffer (1,006,008 bytes), so no buffer can
+    # come back unseen
     from rbsdelab.verify import random_witness_instance
 
     bounds, bars = random_witness_instance(np.random.default_rng(24), 500)
     lat = bars.lattice
     assert bounds.eta.values.strides == (0,)
     drv = Driver.zero(bounds=bounds)
-    for run in (
-        lambda: exact_squeeze_barriers(bounds, bars),
-        lambda: reduce_and_solve(lat, drv, bars),
+    for run, peak_seen in (
+        (lambda: exact_squeeze_barriers(bounds, bars), 12_140_048),
+        (lambda: reduce_and_solve(lat, drv, bars), 15_051_760),
     ):
         tracemalloc.start()
         try:
@@ -701,7 +730,26 @@ def test_one_instance_squeeze_and_reduction_keep_their_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 23_343_322 + 2**19
+        assert peak <= peak_seen + 2**19
+
+
+def test_the_returned_reduction_owns_its_memory():
+    # the pass solves the reduced and the direct problem as two rows of
+    # each buffer; the returned solution holds its own row only, so the
+    # direct solve is freed with the pass
+    from rbsdelab.verify import random_witness_instance
+
+    bounds, bars = random_witness_instance(np.random.default_rng(24), 60)
+    lat = bars.lattice
+    drv = Driver.zero(bounds=bounds)
+    sol = reduce_and_solve(lat, drv, bars)
+    ((reduced, _),) = _reduce_pass(drv, [bars])
+    assert same_solution(sol, reduced)
+    for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+        values = getattr(sol, name).values
+        owner = values if values.base is None else values.base
+        assert owner.nbytes == values.nbytes, name
+        assert not values.flags.writeable
 
 
 def counted_passes(monkeypatch):

@@ -938,6 +938,86 @@ def test_lower_obstacle_flat_off_is_exact(lat):
         assert np.all((dkp == 0.0) | (y == low))
 
 
+def old_certificates(y, lows, highs, Kplus, Kminus):
+    """The certificates as every node's masked products: the largest
+    ``Kplus (y - lows)``, ``Kminus (highs - y)`` and ``Kplus Kminus``
+    per batch entry, each gap zeroed where its reflection is not
+    positive (``0 * inf`` is NaN)."""
+
+    def flat_off(dk, gap):
+        gap[dk <= 0.0] = 0.0
+        return np.max(dk * gap, axis=-1, initial=0.0)
+
+    return (
+        flat_off(Kplus, np.broadcast_to(y - lows, Kplus.shape).copy()),
+        flat_off(Kminus, np.broadcast_to(highs - y, Kminus.shape).copy()),
+        np.max(Kplus * Kminus, axis=-1, initial=0.0),
+    )
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3, 2)], ids=str)
+def test_clamp_reflections_and_certificates_match_their_node_formulas(
+    monkeypatch, batch
+):
+    # random unclamped roots against random bands: infinite bands,
+    # crossed bands (both reflections move at one node), signed zeros
+    # on both sides of a tie, and bands of one row per instance that
+    # broadcast over the weight axis, as the penalized family's do
+    rng = np.random.default_rng(31)
+    lat = Lattice(TimeGrid(1.0, 40))
+    n = level_offset(lat.steps)
+    total = level_offset(lat.steps + 1)
+    shape = batch + (total,)
+    band_shape = batch[:1] + (1,) * (len(batch) > 1) + batch[2:] + (total,)
+
+    def draw(values, size):
+        pick = rng.choice(np.asarray(values), size)
+        mixed = rng.random(size) < 0.5
+        return np.where(mixed, rng.normal(0.0, 1.0, size), pick)
+
+    low = draw([0.0, -0.0, -np.inf], band_shape)
+    high = draw([0.0, -0.0, np.inf], band_shape)
+    raw = draw([0.0, -0.0], batch + (n,))
+    xi = rng.normal(0.0, 1.0, batch + (lat.steps + 1,))
+
+    def fixed_roots(base, Z, dt, level, *args):
+        return raw[..., level_offset(level) : level_offset(level + 1)].copy()
+
+    monkeypatch.setattr(solver, "_implicit_core", fixed_roots)
+    rows = [lat] * (batch[:1] or (1,))[0]
+    sols = solver._backward(rows, Driver.zero(), xi, low, high, batch)
+    Ys = solver._backward(rows, Driver.zero(), xi, low, high, batch, y_only=True)
+
+    lows = np.broadcast_to(low[..., :n], batch + (n,))
+    highs = np.broadcast_to(high[..., :n], batch + (n,))
+    Y = raw.clip(lows, highs)
+    Kplus = np.maximum(lows - raw, 0.0)
+    Kminus = np.maximum(raw - highs, 0.0)
+    assert np.any((Kplus > 0.0) & (Kminus > 0.0))
+    assert np.any((raw == 0.0) & (lows == 0.0) & np.signbit(raw) & ~np.signbit(lows))
+    assert np.any((raw == 0.0) & (highs == 0.0) & ~np.signbit(raw) & np.signbit(highs))
+    certificates = old_certificates(Y, lows, highs, Kplus, Kminus)
+    assert np.all(np.isfinite(certificates)) and np.max(certificates[2]) > 0.0
+
+    def bits(a):
+        return np.ascontiguousarray(a).reshape(-1, a.shape[-1]).view(np.int64)
+
+    got = {
+        name: np.stack([getattr(s, name).values for s in sols])
+        for name in ("Y", "Kplus", "Kminus")
+    }
+    assert np.array_equal(bits(got["Y"][:, :n]), bits(Y))
+    assert np.array_equal(bits(got["Y"][:, n:]), bits(xi))
+    assert np.array_equal(bits(got["Kplus"]), bits(Kplus))
+    assert np.array_equal(bits(got["Kminus"]), bits(Kminus))
+    assert np.array_equal(bits(np.stack([y.values for y in Ys])), bits(got["Y"]))
+    reports = [s.residuals for s in sols]
+    for name, want in zip(
+        ("flat_off_plus", "flat_off_minus", "singularity_defect"), certificates
+    ):
+        assert [getattr(r, name) for r in reports] == np.ravel(want).tolist()
+
+
 def test_two_sided_clamp_keeps_increments_apart(lat):
     xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
     bars = band_barriers(lat, xi, width=0.05)
