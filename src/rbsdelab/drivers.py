@@ -137,23 +137,6 @@ def _one_step(x, down, up, sqrt_dt):
     )
 
 
-def _next_level(i, cur, drift, g, nxt):
-    """Level ``i + 1`` of :meth:`SemimartingaleSpec.reconstruct`, written
-    into and returned as ``nxt``, from level ``i``'s values ``cur`` and
-    the step's ``drift`` and slope increment ``g``, with its
-    recombination check."""
-    x = cur + drift
-    np.subtract(x, g, out=nxt[: i + 1])
-    up = np.add(x, g, out=x)
-    nxt[i + 1] = up[i]
-    gap = np.abs(nxt[1 : i + 1] - up[:i])
-    scale = max(1.0, np.abs(nxt).max())
-    if gap.size and gap.max() > _RECOMBINE_TOL * scale:
-        node = int(np.argmax(gap)) + 1
-        raise InconsistentSemimartingale(i + 1, node, gap.max())
-    return nxt
-
-
 class SemimartingaleSpec:
     """Decomposition of a candidate process: start value, two
     nondecreasing parts (added, subtracted), and the slope of its
@@ -216,15 +199,10 @@ class SemimartingaleSpec:
         reachable with two different values (the data does not live on
         the recombining lattice).
         """
-        steps = self.lattice.steps
-        out = np.empty(level_offset(steps + 1))
-        out[0] = self.s0
-        drift, g = self._increments()
-        for i in range(steps):
-            at = slice(level_offset(i), level_offset(i + 1))
-            nxt = out[level_offset(i + 1) : level_offset(i + 2)]
-            _next_level(i, out[at], drift[at], g[at], nxt)
-        return AdaptedProcess(self.lattice, out)
+        levels = [np.array([self.s0])]
+        for i in range(self.lattice.steps):
+            levels.append(self._next_level(i, levels[i]))
+        return AdaptedProcess(self.lattice, levels)
 
     def retarget(self, xi):
         """The decomposition with its last step aimed at the terminal
@@ -252,15 +230,26 @@ class SemimartingaleSpec:
             PredictableProcess(lat, gamma),
         )
         head = S.values[: level_offset(steps)]
-        drift, g = spec._increments(slice(last, None))
-        nxt = _next_level(steps - 1, prev, drift, g, np.empty(steps + 1))
+        nxt = spec._next_level(steps - 1, prev)
         return spec, AdaptedProcess(lat, np.concatenate([head, nxt]))
 
-    def _increments(self, at=slice(None)):
-        """Each step's drift ``vminus - vplus`` and slope increment
-        ``gamma * sqrt_dt``, packed, over the slice ``at`` of slots."""
-        drift = self.vminus.values[at] - self.vplus.values[at]
-        return drift, self.gamma.values[at] * self.lattice.sqrt_dt
+    def _next_level(self, i, cur):
+        """Level ``i + 1`` of the forward build, from level ``i``'s
+        values ``cur``, with the recombination check of
+        :meth:`reconstruct`."""
+        drift = self.vminus.atom(i) - self.vplus.atom(i)
+        g = self.gamma.atom(i) * self.lattice.sqrt_dt
+        down = cur + drift - g
+        up = cur + drift + g
+        nxt = np.empty(i + 2)
+        nxt[: i + 1] = down
+        nxt[i + 1] = up[i]
+        gap = np.abs(nxt[1 : i + 1] - up[:i])
+        scale = max(1.0, np.abs(nxt).max())
+        if gap.size and gap.max() > _RECOMBINE_TOL * scale:
+            node = int(np.argmax(gap)) + 1
+            raise InconsistentSemimartingale(i + 1, node, gap.max())
+        return nxt
 
     def __repr__(self):
         return (

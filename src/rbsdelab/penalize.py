@@ -273,7 +273,6 @@ def _one_sided_pair(families, weights=None, *, y_only=False):
     inf = np.full_like(lo, np.inf)
     low = np.stack([lo, -inf], axis=1)[:, None]
     high = np.stack([inf, hi], axis=1)[:, None]
-    assert np.isposinf(high[..., 0, :]).all() and np.isneginf(low[..., 1, :]).all()
     batch = (len(sets), 1 if weights is None else len(weights), 2)
     bounds, specs = zip(*[(family.bounds, family.spec) for family in families])
     driver = _dominated_driver(bounds, specs, penalty)

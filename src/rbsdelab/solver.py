@@ -40,6 +40,7 @@ from .lattice import (
     _stack_rows,
     all_paths,
     expectation_level,
+    increment_level,
     level_offset,
     path_nodes,
 )
@@ -528,7 +529,6 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     column = (-1,) + (1,) * len(batch)
     dt = np.reshape([r.dt for r in rows], column)
     sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
-    twice_sqrt_dt = 2.0 * sqrt_dt
     # 1 - slope*dt, for every level's closed-form step
     d = None
     if driver.slope is not None:
@@ -563,9 +563,7 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
         level = slice(level_offset(j), level_offset(j + 1))
         at = slice(j + 1) if y_only else level
         E = expectation_level(nxt, out=E_buf[..., at])
-        # the martingale slope, increment_level's formula
-        z = np.subtract(nxt[..., 1:], nxt[..., :-1], out=Z[..., at])
-        z /= twice_sqrt_dt
+        z = increment_level(nxt, sqrt_dt, out=Z[..., at])
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
