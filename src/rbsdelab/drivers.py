@@ -269,7 +269,9 @@ class Driver:
     ladder add leading batch axes (``(1, 2, nodes)`` for one reduction).
     Per step from level ``j`` the drift is
     ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``, with
-    the clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.  The
+    the clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.
+    ``bounds`` is one :class:`GrowthBounds` or ``None``, for every row
+    of a batch; anything else raises ``ValueError``.  The
     optional structural fields are described in the module docstring;
     when ``quad`` is given, ``f_rest`` must hold the remainder so that
     ``f == f_rest + q * (z - center)**2`` at every node.  A declared
@@ -287,6 +289,9 @@ class Driver:
     label: str = "custom"
 
     def __post_init__(self):
+        if not (self.bounds is None or isinstance(self.bounds, GrowthBounds)):
+            kind = type(self.bounds).__name__
+            raise ValueError(f"bounds must be one GrowthBounds or None, not a {kind}")
         if self.g is not None and self.bounds is None:
             raise ValueError(
                 "a driver with a clock rate g needs bounds: the clock A "

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import BarrierSet
-from .drivers import Driver, SemimartingaleSpec, _running_max
+from .drivers import Driver, GrowthBounds, SemimartingaleSpec, _running_max
 from .lattice import _process_rows, _stack_rows, level_offset
-from .solver import Solution, _backward, _row_bounds, _stacked_sets
+from .solver import Solution, _backward, _stacked_sets
 
 __all__ = [
     "ScheduleExhausted",
@@ -170,8 +170,9 @@ def _dominated_driver(bounds, specs, penalty=None):
     Every packed part is shaped ``(B, 1, 1, nodes)`` to broadcast
     against a batch ``(B, W, 2)``: the instance, a weight (one without
     a penalty), then the side of :data:`_SIDE`, whose opposite is the
-    drift's sign.  The driver's ``bounds`` are the rows' bounds, in
-    order.
+    drift's sign.  The rows' bounds are folded into ``m``, ``gamma``
+    and the step, and the driver has no clock rate ``g``, so it carries
+    no ``bounds`` of its own.
     """
     parts = []
     for b, s in zip(bounds, specs, strict=True):
@@ -211,7 +212,6 @@ def _dominated_driver(bounds, specs, penalty=None):
 
     return Driver(
         f=f,
-        bounds=tuple(bounds),
         quad=quad,
         f_rest=f_rest,
         slope=0.0,
@@ -221,19 +221,23 @@ def _dominated_driver(bounds, specs, penalty=None):
     )
 
 
-def _stated(bounds, sets):
-    """The growth bounds of obstacle sets of one depth, one per set,
-    from one for every set or one per set already.  Raises
-    ``ValueError`` for a set without a witness decomposition, for
-    missing bounds, and for bounds on another grid than their set."""
-    if not all(isinstance(s.witness, SemimartingaleSpec) for s in sets):
+def _stated(bounds, barriers):
+    """Check one penalized instance: raise ``ValueError`` for an
+    obstacle set without a witness decomposition, for missing bounds,
+    for bounds that are not one :class:`GrowthBounds`, and for bounds
+    on another grid than the set."""
+    if not isinstance(barriers.witness, SemimartingaleSpec):
         raise ValueError("penalization needs the obstacle set's witness decomposition")
     if bounds is None:
         raise ValueError("penalization needs the generator's growth bounds")
-    return _row_bounds(bounds, [s.lattice for s in sets])
+    if not isinstance(bounds, GrowthBounds):
+        kind = type(bounds).__name__
+        raise ValueError(f"growth bounds must be one GrowthBounds, not a {kind}")
+    if bounds.lattice.grid != barriers.lattice.grid:
+        raise ValueError("growth bounds live on a different grid")
 
 
-def _one_sided_pair(families, weights=None, *, y_only=False):
+def _one_sided_pair(families, weights=None):
     """The lower equation reflected at its lower band only and the upper
     one at its upper band only, in one backward pass.
 
@@ -243,8 +247,8 @@ def _one_sided_pair(families, weights=None, *, y_only=False):
     one instance each, all of one depth: the growth bounds, the
     normalized witness and the obstacle set.  The batch is the instance,
     the weight (one without weights), then the side.  Returns the lower
-    and the upper solutions, each in (instance, weight) order, or with
-    ``y_only`` their ``Y`` processes alone.
+    and the upper solutions, each in (instance, weight) order; without
+    weights, their ``Y`` processes alone.
 
     Each side's free band is infinite on every row, and the step keeps
     every root finite, so the reflection at that band is zero: the
@@ -270,14 +274,16 @@ def _one_sided_pair(families, weights=None, *, y_only=False):
             weights=np.asarray(weights, dtype=float)[:, None, None],
             side=_SIDE,
         )
-    inf = np.full_like(lo, np.inf)
-    low = np.stack([lo, -inf], axis=1)[:, None]
-    high = np.stack([inf, hi], axis=1)[:, None]
+    # each side reflects at its own band, the other band free
+    low = np.full((len(sets), 1, 2, lo.shape[-1]), -np.inf)
+    high = np.full_like(low, np.inf)
+    low[:, 0, 0] = lo
+    high[:, 0, 1] = hi
     batch = (len(sets), 1 if weights is None else len(weights), 2)
     bounds, specs = zip(*[(family.bounds, family.spec) for family in families])
     driver = _dominated_driver(bounds, specs, penalty)
     sols = _backward(
-        lattices, driver, xi[:, None, None], low, high, batch, y_only=y_only
+        lattices, driver, xi[:, None, None], low, high, batch, y_only=weights is None
     )
     return sols[0::2], sols[1::2]
 
@@ -307,7 +313,8 @@ class PenalizedFamily:
     )
 
     def __init__(self, bounds, barriers):
-        (self.bounds,) = _stated(bounds, [barriers])
+        _stated(bounds, barriers)
+        self.bounds = bounds
         self.spec, self.witness = barriers.witness.retarget(barriers.xi)
         self.lattice = barriers.lattice
         self.barriers = barriers
@@ -506,7 +513,7 @@ def _exact_limits(families):
     """:func:`exact_squeeze_barriers` of empty families of one depth, in
     one backward pass, which builds their ``Y`` alone; one ``(Ybar,
     Yunder)`` pair per family."""
-    lows, highs = _one_sided_pair(families, y_only=True)
+    lows, highs = _one_sided_pair(families)
     limits = []
     for family, lower, upper in zip(families, lows, highs):
         S = family.witness
@@ -536,7 +543,7 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     """
     if barriers.lattice.grid != lattice.grid:
         raise ValueError("obstacles live on a different grid")
-    ((sol, direct),) = _reduce_pass(driver, [barriers])
+    ((sol, direct),) = _reduce_pass(driver, [barriers], [driver.bounds])
     _check_reduction(sol, direct, barriers, agreement_tol)
     parts = [
         (type(p), p.values.copy())
@@ -546,18 +553,18 @@ def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
     return Solution(Y, Z, Kplus, Kminus, sol.residuals, drift)
 
 
-def _reduce_pass(driver, sets):
+def _reduce_pass(driver, sets, bounds):
     """The reduced and the direct solve of obstacle sets of one depth,
     one instance per row, unchecked.
 
-    ``driver`` is batched over the rows, with one growth bound for
-    every row or one per row.  After the squeeze's pass, one pass holds
-    the reduced problem and the direct one as the last batch axis.
-    Returns one ``(reduced, direct)`` pair per instance.
+    ``driver`` is batched over the rows; ``bounds`` holds one
+    :class:`GrowthBounds` per set, under which the squeeze builds that
+    set's pair.  After the squeeze's pass, one pass holds the reduced
+    problem and the direct one as the last batch axis.  Returns one
+    ``(reduced, direct)`` pair per instance.
     """
     families = [
-        PenalizedFamily(bounds, bars)
-        for bounds, bars in zip(_stated(driver.bounds, sets), sets)
+        PenalizedFamily(b, bars) for b, bars in zip(bounds, sets, strict=True)
     ]
     limits = _exact_limits(families)
     del families

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import GrowthBounds
 from .lattice import (
     AdaptedProcess,
     IncreasingProcess,
@@ -486,20 +485,6 @@ def _stacked_sets(sets, bands=("low", "high")):
     )
 
 
-def _row_bounds(bounds, rows):
-    """A driver's ``bounds`` as one :class:`GrowthBounds` per lattice of
-    ``rows``, each checked to live on its row's grid: ``bounds`` is one
-    for every row, or one per row already."""
-    if isinstance(bounds, GrowthBounds):
-        bounds = (bounds,) * len(rows)
-    bounds = tuple(bounds)
-    if len(bounds) != len(rows):
-        raise ValueError("growth bounds must be one per row lattice")
-    if any(b.lattice.grid != r.grid for b, r in zip(bounds, rows)):
-        raise ValueError("growth bounds live on a different grid")
-    return bounds
-
-
 def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     """:func:`solve_rbsde` over a batch, from the terminal values ``xi``
     and packed merged bands: each level has shape ``batch + (i + 1,)``,
@@ -507,10 +492,10 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     broadcast against.  ``lattices`` are of equal depth, one per entry
     of the first batch axis, and an empty batch is one row on one
     lattice; ``dt`` and ``sqrt_dt`` are columns over that axis, and
-    each row's solutions live on its own lattice.  ``driver.bounds`` is
-    one :class:`GrowthBounds` for every row or a sequence of them, one
-    per row, each on its row's grid.  One solution per entry, built
-    from the output buffers checked once.
+    each row's solutions live on its own lattice.  ``driver.bounds``, when
+    given, is one :class:`GrowthBounds`, checked against the grid of
+    every row; its clock is read only when ``driver.g`` is set.  One
+    solution per entry, built from the output buffers checked once.
 
     Each level writes its expectation into ``drift`` and its unclamped
     root into ``Kminus``; after the loop, one subtraction makes the
@@ -537,14 +522,10 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
             at = np.unravel_index(int(np.argmin(d > 0.0)), d.shape)
             what = f"1 - slope*dt is {float(d[at])!r}, not positive, in row {at[0]}"
             raise ImplicitStepDivergence(steps - 1, at[-1], d[at], what)
-    bounds = None if driver.bounds is None else _row_bounds(driver.bounds, rows)
-    clock = None
-    if driver.g is not None:
-        # the clock's atoms, one row per lattice row when they differ
-        clock = bounds[0].A.values
-        if any(b is not bounds[0] for b in bounds):
-            clock = np.stack([b.A.values for b in bounds])
-            clock = clock.reshape(column[:-1] + clock.shape[-1:])
+    bounds = driver.bounds
+    if bounds is not None and any(bounds.lattice.grid != r.grid for r in rows):
+        raise ValueError("growth bounds live on a different grid")
+    clock = None if driver.g is None else bounds.A.values
     # packed buffers: each level is written in place, and each buffer
     # is checked and frozen once at the end
     n = level_offset(steps)

@@ -566,9 +566,10 @@ def verify_reduction(cases=50, max_depth=8, seed=7, *, log):
         coefs.append((a, b, c))
     solved = []
     if sets:
-        # (B, 1, 1) coefficient columns, one growth bound per row
-        drv = Driver.linear(*np.array(coefs).T[..., None, None], bounds=bounds)
-        solved = _reduce_pass(drv, sets)
+        # (B, 1, 1) coefficient columns; the squeeze takes each
+        # instance's own growth bounds
+        drv = Driver.linear(*np.array(coefs).T[..., None, None])
+        solved = _reduce_pass(drv, sets, bounds)
     gap = 0.0
     for bars, (sol, direct) in zip(sets, solved):
         for name in ("Y", "Z", "Kplus", "Kminus"):

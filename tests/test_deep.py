@@ -225,7 +225,7 @@ def test_the_reduction_is_the_direct_solve_at_every_node(band):
     ymax = 1.0 + float(np.max(np.abs(bars.witness.reconstruct().values)))
     eta = abs(a) * ymax + abs(c) + b * b / (4.0 * C) + 0.1
     drv = Driver.linear(a, b, c, bounds=GrowthBounds.constants(lat, eta=eta, C=C))
-    ((reduced, direct),) = _reduce_pass(drv, [bars])
+    ((reduced, direct),) = _reduce_pass(drv, [bars], [drv.bounds])
     for name in ("Y", "Z", "Kplus", "Kminus"):
         got, want = (getattr(sol, name).values for sol in (reduced, direct))
         assert np.array_equal(got, want)

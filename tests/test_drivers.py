@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,24 @@ def test_driver_catalog(lat):
 def test_driver_quad_requires_remainder():
     with pytest.raises(ValueError):
         Driver(f=lambda j, y, z: z * z, quad=lambda level: (1.0, 0.0))
+
+
+def test_driver_bounds_are_one_growth_bounds_or_none(lat):
+    # a sequence of bounds raises where it enters, not later in a solve
+    bounds = GrowthBounds.constants(lat, eta=0.1, C=0.2)
+    for wrong in ([bounds], (bounds, bounds)):
+        kind = type(wrong).__name__
+        with pytest.raises(ValueError, match=f"one GrowthBounds or None, not a {kind}"):
+            Driver.zero(bounds=wrong)
+    # replace reruns the checks: a driver rebuilt around a wrapped rate,
+    # as a tracer rebuilds it, keeps its bounds
+    rate = lambda j, y_left, y: 0.3 - 0.2 * y  # noqa: E731
+    for drv in (
+        Driver.linear(0.1, 0.2, 0.3, bounds=bounds),
+        Driver.zero(g=rate, bounds=bounds),
+    ):
+        wrapped = dataclasses.replace(drv, f=lambda j, y, z, f=drv.f: f(j, y, z))
+        assert wrapped.bounds is bounds and wrapped.g is drv.g
 
 
 def test_growth_bounds_validation(lat):

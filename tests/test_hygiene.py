@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module, demo or test imports
-is used there, and every public function and method is read by package
-code or a demo."""
+is used there, every public function and method is read by package
+code or a demo, and every default of a private function is passed by
+some package call."""
 
 import ast
 import inspect
@@ -190,3 +191,93 @@ def test_every_private_helper_is_read_by_package_code():
     assert len(helpers) > 60
     unread = sorted(set(helpers) - reached)
     assert not unread, f"private helpers only tests reach: {unread}"
+
+
+def unbound_defaults(sources):
+    """``(function, parameter)`` pairs of the ``_name`` functions and
+    methods defined in ``sources`` whose parameter has a default that no
+    call in ``sources`` binds.
+
+    A call reaches a function by its name, bare or as an attribute, and
+    binds a parameter by keyword or by position; a method called as an
+    attribute has its first parameter bound already.  A starred
+    argument binds every position, and a ``**`` mapping every keyword.
+    """
+    trees = [ast.parse(source) for source in sources]
+    defaulted = {}  # name -> {parameter: position, or None if keyword-only}
+    for tree in trees:
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = int(id(node) in methods)
+            params = defaulted.setdefault(node.name, {})
+            first = len(positional) - len(a.defaults)
+            for k, arg in enumerate(positional[first:], start=first):
+                params[arg.arg] = k - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    params[arg.arg] = None
+    bound = {name: set() for name in defaulted}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in defaulted:
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            for param, position in defaulted[name].items():
+                if (
+                    param in keywords
+                    or None in keywords
+                    or (position is not None and (starred or position < len(node.args)))
+                ):
+                    bound[name].add(param)
+    return sorted(
+        (name, param)
+        for name, params in defaulted.items()
+        for param in params
+        if param not in bound[name]
+    )
+
+
+def test_unbound_default_scan_sees_positions_keywords_and_methods():
+    source = (
+        "def _solve(x, tol=1.0, *, fast=False):\n"
+        "    pass\n"
+        "def _step(x, n=1, m=2):\n"
+        "    pass\n"
+        "class _Box:\n"
+        "    def _grow(self, k=0, j=0):\n"
+        "        pass\n"
+        "def public(y=0):\n"
+        "    pass\n"
+        "_solve(1, fast=True)\n"
+        "_step(*(1, 2))\n"
+        "_Box()._grow(3)\n"
+    )
+    assert unbound_defaults([source]) == [("_grow", "j"), ("_solve", "tol")]
+
+
+def test_every_private_default_is_passed():
+    """Each defaulted parameter of a ``_name`` function or method of the
+    package is bound by some package call, by position or by keyword; a
+    default no call overrides is an option with one value in use, code
+    to fold into its function."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    unbound = unbound_defaults(sources)
+    assert not unbound, f"defaults no package call passes: {unbound}"

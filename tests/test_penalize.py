@@ -194,7 +194,8 @@ def test_dominated_driver_orientation_mirror(lat):
 
 def test_dominated_driver_rows_stack_the_single_drivers():
     # one pair per row lattice: each part leads with the instance axis,
-    # shaped (B, 1, 2, nodes), and row k is bitwise the single driver k
+    # shaped (B, 1, 2, nodes), and row k is bitwise the single driver k;
+    # the bounds are folded into the parts, so the driver carries none
     lats = [Lattice(TimeGrid(h, 4)) for h in (0.5, 1.0, 1.5)]
     rng = np.random.default_rng(5)
     pairs = [
@@ -210,7 +211,7 @@ def test_dominated_driver_rows_stack_the_single_drivers():
         for k, r in enumerate(lats)
     ]
     rows = _dominated_driver(*zip(*pairs))
-    assert rows.bounds == tuple(b for b, _ in pairs)
+    assert rows.bounds is None
     singles = [dominated(b, s) for b, s in pairs]
     for i in range(4):
         y = np.zeros((3, 1, 2, i + 1))
@@ -342,6 +343,26 @@ def test_a_missing_witness_or_missing_bounds_is_named():
     ):
         with pytest.raises(ValueError, match="needs the generator's growth bounds"):
             call()
+
+
+def test_a_sequence_of_bounds_is_named_where_it_enters():
+    # a penalized instance takes one GrowthBounds: a sequence raises at
+    # once, not as an AttributeError inside the squeeze
+    bounds, bars = witness_instance()
+    for wrong in ([bounds], (bounds, bounds)):
+        kind = type(wrong).__name__
+        for call in (
+            lambda: PenalizedFamily(wrong, bars),
+            lambda: build_family(wrong, bars),
+            lambda: exact_squeeze_barriers(wrong, bars),
+        ):
+            with pytest.raises(ValueError, match=f"one GrowthBounds, not a {kind}"):
+                call()
+    # one GrowthBounds on another grid than the instance's set
+    lat = bars.lattice
+    other = Lattice(TimeGrid(2.0 * lat.grid.horizon, lat.steps))
+    with pytest.raises(ValueError, match="growth bounds live on a different grid"):
+        build_family(GrowthBounds.constants(other, eta=0.2, C=0.5), bars)
 
 
 def test_zero_weight_is_the_unpenalized_solve():
@@ -694,7 +715,7 @@ def test_reduction_solves_both_problems_in_one_pass(monkeypatch):
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(penalize, "_backward", counted)
-    ((sol, direct),) = penalize._reduce_pass(drv, [bars])
+    ((sol, direct),) = penalize._reduce_pass(drv, [bars], [bounds])
     penalize._check_reduction(sol, direct, bars, 1e-6)
     assert passes == [(1, 1, 2), (1, 2)]
     assert same_solution(direct, solve_rbsde(lat, drv, bars))
@@ -710,7 +731,7 @@ def test_one_instance_squeeze_and_reduction_keep_their_memory():
     # constant growth bounds into full buffers.  The squeeze builds its
     # two Y rows alone, and the reduction copies its row out of the pass
     # that also holds the direct solve.  Under tracemalloc this
-    # depth-500 instance peaks at 12,140,048 bytes for the squeeze and
+    # depth-500 instance peaks at 11,133,264 bytes for the squeeze and
     # 15,051,760 for the reduction.  Each bound allows 512 KiB more,
     # less than one packed buffer (1,006,008 bytes), so no buffer can
     # come back unseen
@@ -721,7 +742,7 @@ def test_one_instance_squeeze_and_reduction_keep_their_memory():
     assert bounds.eta.values.strides == (0,)
     drv = Driver.zero(bounds=bounds)
     for run, peak_seen in (
-        (lambda: exact_squeeze_barriers(bounds, bars), 12_140_048),
+        (lambda: exact_squeeze_barriers(bounds, bars), 11_133_264),
         (lambda: reduce_and_solve(lat, drv, bars), 15_051_760),
     ):
         tracemalloc.start()
@@ -743,7 +764,7 @@ def test_the_returned_reduction_owns_its_memory():
     lat = bars.lattice
     drv = Driver.zero(bounds=bounds)
     sol = reduce_and_solve(lat, drv, bars)
-    ((reduced, _),) = _reduce_pass(drv, [bars])
+    ((reduced, _),) = _reduce_pass(drv, [bars], [bounds])
     assert same_solution(sol, reduced)
     for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
         values = getattr(sol, name).values
@@ -808,13 +829,13 @@ def test_every_row_of_the_batched_reduction_is_its_own_reduction(monkeypatch):
         GrowthBounds.constants(bars.lattice, eta=2.0 + rng.uniform(), C=0.5)
         for bars in sets
     ]
-    drv = Driver.linear(*coef.T[..., None, None], bounds=bounds)
+    drv = Driver.linear(*coef.T[..., None, None])
     passes = counted_passes(monkeypatch)
-    rows = penalize._reduce_pass(drv, sets)
+    rows = penalize._reduce_pass(drv, sets, bounds)
     assert passes == [(4, 1, 2), (4, 2)]
     for bars, b, abc, (sol, direct) in zip(sets, bounds, coef, rows):
         penalize._check_reduction(sol, direct, bars, 1e-6)
-        (alone,) = penalize._reduce_pass(Driver.linear(*abc, bounds=b), [bars])
+        (alone,) = penalize._reduce_pass(Driver.linear(*abc), [bars], [b])
         assert sol.lattice is bars.lattice and direct.lattice is bars.lattice
         assert same_solution(sol, alone[0]) and same_solution(direct, alone[1])
 

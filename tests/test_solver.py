@@ -783,46 +783,19 @@ def test_growth_bounds_on_another_grid_raise_for_row_lattices():
 
 
 def test_row_bounds_are_checked_against_their_own_rows():
+    # one set of bounds serves every row and is checked against each
+    # row's grid: rows on the bounds' grid solve, and bounds on the
+    # second row's grid fail at the first
     lats = row_lattices([1.0, 2.0])
     bars = free_barriers(lats[0], np.zeros(6))
     bands = bars.low.values, bars.high.values
-    own = [GrowthBounds.constants(r, eta=0.0, C=0.0) for r in lats]
-    sols = solver._backward(lats, Driver.zero(bounds=own), bars.xi, *bands, (2,))
-    assert [s.lattice for s in sols] == lats
-    # row 1's bounds on row 0's grid
-    crossed = Driver.zero(bounds=[own[0], own[0]])
+    same = row_lattices([1.0, 1.0])
+    shared = Driver.zero(bounds=GrowthBounds.constants(same[0], eta=0.0, C=0.0))
+    sols = solver._backward(same, shared, bars.xi, *bands, (2,))
+    assert [s.lattice for s in sols] == same
+    other = Driver.zero(bounds=GrowthBounds.constants(lats[1], eta=0.0, C=0.0))
     with pytest.raises(ValueError, match="growth bounds live on a different grid"):
-        solver._backward(lats, crossed, bars.xi, *bands, (2,))
-    with pytest.raises(ValueError, match="one per row lattice"):
-        solver._backward(lats, Driver.zero(bounds=own[:1]), bars.xi, *bands, (2,))
-    with pytest.raises(ValueError, match="one per row lattice"):
-        solve_rbsde(lats[0], Driver.zero(bounds=own), bars)
-
-
-def test_row_clocks_are_read_per_row():
-    # one clock per row under a clock rate: each row is its own solve
-    lats = row_lattices([0.5, 1.0, 1.7])
-    rate = lambda j, y_left, y: 0.3 - 0.2 * y  # noqa: E731
-    drivers = [
-        Driver.zero(
-            g=rate,
-            bounds=GrowthBounds.constants(
-                r, eta=0.0, C=0.0, beta=1.0,
-                A=IncreasingProcess.from_time_atoms(r, {k + 1: 0.5 + k, 4: 1.0}),
-            ),
-        )
-        for k, r in enumerate(lats)
-    ]
-    sets = [
-        band_barriers(r, np.sin(2.0 * r.brownian(r.steps)), 0.3) for r in lats
-    ]
-    batched = Driver.zero(g=rate, bounds=[d.bounds for d in drivers])
-    sols = solver._backward(lats, batched, *solver._stacked_sets(sets)[1:], (3,))
-    for sol, lat, drv, bars in zip(sols, lats, drivers, sets):
-        alone = solve_rbsde(lat, drv, bars)
-        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
-            assert bitwise(getattr(sol, name).values, getattr(alone, name).values)
-        assert sol.residuals == alone.residuals
+        solver._backward(lats, other, bars.xi, *bands, (2,))
 
 
 def test_outputs_of_a_batched_pass_are_read_only():
