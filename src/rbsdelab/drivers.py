@@ -199,10 +199,10 @@ class SemimartingaleSpec:
         reachable with two different values (the data does not live on
         the recombining lattice).
         """
-        levels = [np.array([self.s0])]
-        for i in range(self.lattice.steps):
-            levels.append(self._next_level(i, levels[i]))
-        return AdaptedProcess(self.lattice, levels)
+        out = np.empty(level_offset(self.lattice.steps + 1))
+        out[0] = self.s0
+        self._forward(out, 0)
+        return AdaptedProcess(self.lattice, out)
 
     def retarget(self, xi):
         """The decomposition with its last step aimed at the terminal
@@ -229,27 +229,39 @@ class SemimartingaleSpec:
             IncreasingProcess(lat, vminus),
             PredictableProcess(lat, gamma),
         )
-        head = S.values[: level_offset(steps)]
-        nxt = spec._next_level(steps - 1, prev)
-        return spec, AdaptedProcess(lat, np.concatenate([head, nxt]))
+        out = np.empty(level_offset(steps + 1))
+        out[: level_offset(steps)] = S.values[: level_offset(steps)]
+        spec._forward(out, steps - 1)
+        return spec, AdaptedProcess(lat, out)
 
-    def _next_level(self, i, cur):
-        """Level ``i + 1`` of the forward build, from level ``i``'s
-        values ``cur``, with the recombination check of
-        :meth:`reconstruct`."""
-        drift = self.vminus.atom(i) - self.vplus.atom(i)
-        g = self.gamma.atom(i) * self.lattice.sqrt_dt
-        down = cur + drift - g
-        up = cur + drift + g
-        nxt = np.empty(i + 2)
-        nxt[: i + 1] = down
-        nxt[i + 1] = up[i]
-        gap = np.abs(nxt[1 : i + 1] - up[:i])
-        scale = max(1.0, np.abs(nxt).max())
-        if gap.size and gap.max() > _RECOMBINE_TOL * scale:
-            node = int(np.argmax(gap)) + 1
-            raise InconsistentSemimartingale(i + 1, node, gap.max())
-        return nxt
+    def _forward(self, out, first):
+        """Write levels ``first + 1..N`` of the forward build into the
+        packed ``out``, which holds level ``first``, with the
+        recombination check of :meth:`reconstruct`.  The steps' drifts
+        and slope increments are formed once, for every level."""
+        start = level_offset(first)
+        drift = self.vminus.values[start:] - self.vplus.values[start:]
+        g = self.gamma.values[start:] * self.lattice.sqrt_dt
+        k = 0  # level i's first slot in drift and g
+        for i in range(first, self.lattice.steps):
+            end = start + i + 1
+            at = slice(k, k + i + 1)
+            nxt = out[end : end + i + 2]
+            up = out[start:end] + drift[at]
+            np.subtract(up, g[at], out=nxt[: i + 1])
+            up += g[at]
+            nxt[i + 1] = up[i]
+            if i:
+                gap = nxt[1 : i + 1] - up[:i]
+                np.abs(gap, out=gap)
+                top = gap.max()
+                # the gap is relative to a scale of at least 1, so one
+                # within the tolerance passes without the scale
+                tol = _RECOMBINE_TOL
+                if top > tol and top > tol * max(1.0, np.abs(nxt).max()):
+                    node = int(np.argmax(gap)) + 1
+                    raise InconsistentSemimartingale(i + 1, node, top)
+            start, k = end, k + i + 1
 
     def __repr__(self):
         return (

@@ -29,6 +29,8 @@ two children, and the integrand of the martingale part is the exact
 divided difference; no quadrature error enters anywhere.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -200,9 +202,9 @@ def _admissible(values, clock=False):
     is NaN if any entry is."""
     if not values.size:
         return True
-    low = values.min()
+    low = np.minimum.reduce(values, axis=None)
     if clock:
-        return low >= 0.0 and values.max() < np.inf
+        return low >= 0.0 and np.maximum.reduce(values, axis=None) < np.inf
     return not np.isnan(low)
 
 
@@ -257,11 +259,18 @@ def _adopted(cls):
 
 def _constant(cls, lattice, value):
     """A ``cls`` process equal to ``value`` everywhere, stored as one
-    read-only zero-stride view; a value the class's rule rejects goes
-    through the checking constructor, which raises its usual error."""
+    read-only zero-stride view of a one-entry array; a value the class's
+    rule (:func:`_admissible`, checked here on the one value) rejects
+    goes through the checking constructor, which raises its usual
+    error."""
     count = lattice.steps + (cls is AdaptedProcess)
-    values = np.broadcast_to(float(value), (level_offset(count),))
-    ok = _admissible(values[:1], cls is IncreasingProcess)
+    value = float(value)
+    values = np.ndarray((level_offset(count),), float, np.array([value]), 0, (0,))
+    values.setflags(write=False)
+    if cls is IncreasingProcess:
+        ok = 0.0 <= value < math.inf
+    else:
+        ok = not math.isnan(value)
     return (_adopted(cls) if ok else cls)(lattice, values)
 
 
@@ -460,7 +469,8 @@ def increment_level(values_next, sqrt_dt, out=None):
     written into ``out`` when one is given.
     """
     v = np.asarray(values_next, dtype=float)
-    return np.divide(v[..., 1:] - v[..., :-1], 2.0 * sqrt_dt, out=out)
+    diff = np.subtract(v[..., 1:], v[..., :-1], out=out)
+    return np.divide(diff, 2.0 * sqrt_dt, out=out)
 
 
 def all_paths(steps):

@@ -195,17 +195,19 @@ def _dominated_driver(bounds, specs, penalty=None):
         _stack_rows(rows).reshape(len(parts), 1, 1, -1) for rows in zip(*parts)
     )
     sgn = -_SIDE
+    # the signed half: sgn * 0.5 * m evaluates as half * m
+    half = sgn * 0.5
 
     def f(j, y, z):
         at = slice(level_offset(j), level_offset(j + 1))
-        return sgn * 0.5 * m[..., at] * (z - gamma[..., at]) ** 2
+        return half * m[..., at] * (z - gamma[..., at]) ** 2
 
     def f_rest(j, y, z):
         return np.zeros_like(y)
 
     def quad(level):
         at = slice(level_offset(level), level_offset(level + 1))
-        return sgn * 0.5 * m[..., at], gamma[..., at]
+        return half * m[..., at], gamma[..., at]
 
     def source(level):
         return sgn * step[..., level_offset(level) : level_offset(level + 1)]

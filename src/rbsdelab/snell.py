@@ -145,15 +145,20 @@ def snell_envelope(inst):
     low = bars.low.values
     # packed buffers, each level written in place
     n = level_offset(steps)
-    Y = np.empty(level_offset(steps + 1))
+    top = level_offset(steps + 1)
+    Y = np.empty(top)
     Y[n:] = bars.xi
     E, Z = np.empty(n), np.empty(n)
+    # level j spans [start, end) and level j + 1 spans [end, top)
+    end = n
     for j in range(steps - 1, -1, -1):
-        at = slice(level_offset(j), level_offset(j + 1))
-        nxt = Y[level_offset(j + 1) : level_offset(j + 2)]
-        E[at] = expectation_level(nxt)
-        Z[at] = increment_level(nxt, lat.sqrt_dt)
-        np.maximum(E[at], low[at], out=Y[at])
+        start = end - j - 1
+        at = slice(start, end)
+        nxt = Y[end:top]
+        top, end = end, start
+        e = expectation_level(nxt, out=E[at])
+        increment_level(nxt, lat.sqrt_dt, out=Z[at])
+        np.maximum(e, low[at], out=Y[at])
     # obstacles near the largest float overflow the expectation: name
     # the first non-finite node in backward order, as the solver does
     bad = ~(np.isfinite(E) & np.isfinite(Z))

@@ -178,19 +178,25 @@ def _tilt_increment(coef, w, sqrt_dt):
     the closed one-step increment ``lncosh(2 coef w sqrt_dt)/(2 coef)``
     (any sign of ``coef``; zero contributes nothing).  Its derivative
     in ``Z`` is ``sqrt_dt * tanh(...)``, bounded by ``sqrt_dt``, which
-    is what keeps the step monotone unconditionally.  The zero-rate
-    masks are applied only where some ``coef`` is zero.
+    is what keeps the step monotone unconditionally.  A nonzero float
+    ``coef`` takes the formula as it stands; an array takes the
+    zero-rate masks only where some entry is zero.
     """
-    coef = np.asarray(coef, dtype=float)
-    w = np.asarray(w, dtype=float)
-    live = coef != 0.0
-    every = live.all()
-    twice = 2.0 * (coef if every else np.where(live, coef, 1.0))
+    live = None
+    if isinstance(coef, float) and coef != 0.0:
+        twice = 2.0 * coef
+    else:
+        coef = np.asarray(coef, dtype=float)
+        w = np.asarray(w, dtype=float)
+        if np.count_nonzero(coef) < coef.size:
+            live = coef != 0.0
+            coef = np.where(live, coef, 1.0)
+        twice = 2.0 * coef
     x = twice * w
     x *= sqrt_dt
     out = _lncosh(x)
     out /= twice
-    return out if every else np.where(live, out, 0.0)
+    return out if live is None else np.where(live, out, 0.0)
 
 
 def _narrow(y, f_y, lo, f_lo, hi, f_hi, only=None):
@@ -257,7 +263,7 @@ def _affine_step(base, Z, dt, level, f_drift, d, pieces):
                 y = np.where(active, y + w * (k - y) / (d + w), y)
         gap = y - base
         np.abs(gap, out=gap)
-        if not gap.max() <= _SANE_SPAN:
+        if not np.maximum.reduce(gap, axis=None) <= _SANE_SPAN:
             _check_finite(G, level)
             _check_span(gap, base, level, (d != 1.0) | active)
             _check_finite(y, level)
@@ -491,8 +497,9 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     which the driver's callables see and the bands' leading axes
     broadcast against.  ``lattices`` are of equal depth, one per entry
     of the first batch axis, and an empty batch is one row on one
-    lattice; ``dt`` and ``sqrt_dt`` are columns over that axis, and
-    each row's solutions live on its own lattice.  ``driver.bounds``, when
+    lattice; ``dt`` and ``sqrt_dt`` are columns over that axis (Python
+    floats when every row has one step size), and each row's solutions
+    live on its own lattice.  ``driver.bounds``, when
     given, is one :class:`GrowthBounds`, checked against the grid of
     every row; its clock is read only when ``driver.g`` is set.  One
     solution per entry, built from the output buffers checked once.
@@ -514,14 +521,21 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     column = (-1,) + (1,) * len(batch)
     dt = np.reshape([r.dt for r in rows], column)
     sqrt_dt = np.reshape([r.sqrt_dt for r in rows], column)
+    # rows on one step size take dt and sqrt_dt as Python floats, as a
+    # one-entry d does: the same products, with no broadcast per call
+    if (dt == dt.flat[0]).all():
+        dt, sqrt_dt = dt.item(0), sqrt_dt.item(0)
     # 1 - slope*dt, for every level's closed-form step
     d = None
     if driver.slope is not None:
         d = np.asarray(1.0 - driver.slope * dt)
         if not (d > 0.0).all():
             at = np.unravel_index(int(np.argmin(d > 0.0)), d.shape)
-            what = f"1 - slope*dt is {float(d[at])!r}, not positive, in row {at[0]}"
-            raise ImplicitStepDivergence(steps - 1, at[-1], d[at], what)
+            row, node = (at[0], at[-1]) if at else (0, 0)
+            what = f"1 - slope*dt is {float(d[at])!r}, not positive, in row {row}"
+            raise ImplicitStepDivergence(steps - 1, node, d[at], what)
+        if d.size == 1:
+            d = d.item()
     bounds = driver.bounds
     if bounds is not None and any(bounds.lattice.grid != r.grid for r in rows):
         raise ValueError("growth bounds live on a different grid")
@@ -529,7 +543,8 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     # packed buffers: each level is written in place, and each buffer
     # is checked and frozen once at the end
     n = level_offset(steps)
-    Y = np.empty(batch + (level_offset(steps + 1),))
+    top = level_offset(steps + 1)
+    Y = np.empty(batch + (top,))
     Y[..., n:] = xi
     if y_only:
         E_buf, Z = (np.empty(batch + (steps,)) for _ in range(2))
@@ -539,9 +554,13 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     lows = low[..., :n]
     highs = high[..., :n]
 
+    # level j spans [start, end) and level j + 1 spans [end, top)
+    end = n
     for j in range(steps - 1, -1, -1):
-        nxt = Y[..., level_offset(j + 1) : level_offset(j + 2)]
-        level = slice(level_offset(j), level_offset(j + 1))
+        start = end - j - 1
+        nxt = Y[..., end:top]
+        level = slice(start, end)
+        top, end = end, start
         at = slice(j + 1) if y_only else level
         E = expectation_level(nxt, out=E_buf[..., at])
         z = increment_level(nxt, sqrt_dt, out=Z[..., at])

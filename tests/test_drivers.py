@@ -21,6 +21,7 @@ from rbsdelab.lattice import (
     all_paths,
     expectation_level,
     increment_level,
+    level_offset,
     path_nodes,
 )
 from rbsdelab.penalize import _dominated_driver
@@ -155,6 +156,66 @@ def test_reconstruct_detects_non_recombining(lat):
         spec.reconstruct()
     assert err.value.level >= 1
     assert err.value.gap > 0.0
+
+
+def broken_spec(steps, level, node, by=1e-3):
+    """Decomposition of a smooth process on a depth-``steps`` lattice,
+    its step into ``level`` moved so that ``node`` there no longer
+    recombines: ``by`` more drift and ``by`` less slope increment move
+    the down child by ``2 by`` and leave the up child in place."""
+    lat = Lattice(TimeGrid(1.0, steps))
+    S = np.concatenate(
+        [
+            0.4 * np.sin(1.3 * lat.brownian(i)) + 0.1 * lat.times[i]
+            for i in range(steps + 1)
+        ]
+    )
+    spec = SemimartingaleSpec.from_levels(lat, S)
+    at = level_offset(level - 1) + node
+    vminus = spec.vminus.values.copy()
+    vminus[at] += by
+    gamma = spec.gamma.values.copy()
+    gamma[at] -= by / lat.sqrt_dt
+    return SemimartingaleSpec(
+        spec.s0,
+        spec.vplus,
+        IncreasingProcess(lat, vminus),
+        PredictableProcess(lat, gamma),
+    )
+
+
+def test_a_broken_deep_spec_names_its_level_node_and_gap():
+    spec = broken_spec(200, 151, 7)
+    for rebuild in (spec.reconstruct, lambda: spec.retarget(np.zeros(201))):
+        with pytest.raises(InconsistentSemimartingale) as err:
+            rebuild()
+        assert type(err.value) is InconsistentSemimartingale
+        assert (err.value.level, err.value.node) == (151, 7)
+        assert err.value.gap == 0.002000000000000224
+        assert str(err.value) == (
+            "up and down reconstructions disagree by 0.002000000000000224 at "
+            "(level 151, node 7); the decomposition does not recombine"
+        )
+
+
+def test_reconstruct_is_the_level_by_level_forward_build():
+    rng = np.random.default_rng(12)
+    lat = Lattice(TimeGrid(0.7, 60))
+    freq = rng.uniform(0.5, 2.0)
+    S = np.concatenate(
+        [np.cos(freq * lat.brownian(i)) - 0.3 * lat.times[i] for i in range(61)]
+    )
+    spec = SemimartingaleSpec.from_levels(lat, S)
+    built = spec.reconstruct()
+    cur = np.array([spec.s0])
+    assert np.array_equal(built.level(0), cur)
+    for i in range(lat.steps):
+        drift = spec.vminus.atom(i) - spec.vplus.atom(i)
+        g = spec.gamma.atom(i) * lat.sqrt_dt
+        down = cur + drift - g
+        up = cur + drift + g
+        cur = np.append(down, up[-1])
+        assert np.array_equal(built.level(i + 1), cur)
 
 
 def test_from_levels_reconstructs_the_levels(lat):

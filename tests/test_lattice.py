@@ -7,6 +7,7 @@ from rbsdelab.lattice import (
     Lattice,
     PredictableProcess,
     TimeGrid,
+    _constant,
     _process_rows,
     all_paths,
     expectation_level,
@@ -70,6 +71,13 @@ def test_level_operators_batch_over_leading_axes():
     for idx in np.ndindex(3, 2):
         assert np.array_equal(E[idx], expectation_level(batch[idx]))
         assert np.array_equal(M[idx], increment_level(batch[idx], 0.3))
+    # written in place when given an out buffer; without one, a column
+    # of step sizes broadcasts the result
+    buf = np.empty((3, 2, 5))
+    assert increment_level(batch, 0.3, out=buf) is buf
+    assert np.array_equal(buf, M)
+    h = np.array([[0.3], [0.6]])
+    assert np.array_equal(increment_level(batch[0, 0], h), [M[0, 0], M[0, 0] / 2.0])
 
 
 def test_adapted_shape_checks(lat):
@@ -153,6 +161,22 @@ def test_a_nan_constant_raises_as_its_constructor(lat, cls):
     with pytest.raises(ValueError) as info:
         cls.constant(lat, np.nan)
     assert str(info.value) == f"{cls.__name__} level 0 contains NaN"
+
+
+@pytest.mark.parametrize(
+    "value, says",
+    [(-1.0, "clock mass at slot 0 must be >= 0"),
+     (np.inf, "clock mass at slot 0 must be finite"),
+     (np.nan, "IncreasingProcess level 0 contains NaN")],
+    ids=["negative", "infinite", "nan"],
+)
+def test_a_bad_clock_constant_raises_as_its_constructor(lat, value, says):
+    with pytest.raises(ValueError) as info:
+        _constant(IncreasingProcess, lat, value)
+    assert str(info.value) == says
+    with pytest.raises(ValueError) as alone:
+        IncreasingProcess(lat, np.full(level_offset(lat.steps), value))
+    assert str(alone.value) == says
 
 
 def batch_parts(lat, rng):

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rbsdelab.barriers import (
     BarrierSet,
     check_left_constraint,
 )
+from rbsdelab.cli import ScenarioConfig, load_config
 from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
@@ -41,7 +43,10 @@ from rbsdelab.solver import (
     NonFiniteDriver,
     solve_rbsde,
 )
+from rbsdelab.verify import random_witness_instance
 from test_drivers import constant_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def witness_instance(steps=5, seed=3, tight=True):
@@ -653,6 +658,45 @@ def test_binding_penalty_moves_like_one_over_n():
     # halving per doubling, with slack for the non-asymptotic part
     assert errs[512] <= 0.65 * errs[256]
     assert errs[1024] <= 0.65 * errs[512]
+
+
+def rung_distances(bounds, barriers, schedule):
+    """``e_n`` of every weight ``n`` of ``schedule``: the sup distance,
+    over both rows, from the family's rung to the exact limit."""
+    family = build_family(bounds, barriers, schedule=schedule)
+    Ybar, Yunder = exact_squeeze_barriers(bounds, barriers)
+    return np.array(
+        [
+            max(
+                np.max(np.abs(lower.Y.values - Yunder.values)),
+                np.max(np.abs(upper.Y.values - Ybar.values)),
+            )
+            for lower, upper in zip(family.lower_solutions, family.upper_solutions)
+        ]
+    )
+
+
+def test_a_binding_ladder_tends_to_the_exact_limit_at_first_order():
+    # depth 300, with the predictable floor and cap hugging the witness
+    # at their atoms: the penalties bind (e_0 > 0), and the ladder
+    # reaches the hard-constraint solve like 1/n
+    schedule = [0] + [2**k for k in range(21)]
+    bounds, bars = random_witness_instance(np.random.default_rng(0), 300)
+    e = rung_distances(bounds, bars, schedule)
+    assert e[0] > 0.0 and e[-1] > 0.0
+    assert np.all(np.diff(e) <= 0.0)
+    # e_n / e_2n for n = 1, 2, ..., 2**19; from n = 2**12 on
+    ratios = e[1:-1] / e[2:]
+    assert np.all(np.abs(ratios[12:] - 2.0) <= 0.01), ratios[12:]
+
+
+def test_a_ladder_that_never_binds_is_its_limit_at_every_weight():
+    # the witness_squeeze demo scenario: its penalties never act
+    cfg, _ = load_config(ROOT / "demos" / "scenarios" / "witness_squeeze.json")
+    scn = ScenarioConfig(cfg)
+    e = rung_distances(scn.driver.bounds, scn.barriers, DEFAULT_SCHEDULE)
+    assert e.shape == (len(DEFAULT_SCHEDULE),)
+    assert np.all(e == 0.0)
 
 
 def test_exact_limits_agree_with_the_large_weight_chain():

@@ -726,6 +726,79 @@ def test_rows_on_their_own_horizons_are_their_separate_solves(kind):
         assert sol.residuals == alone.residuals
 
 
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_rows_on_one_grid_are_their_separate_solves(kind, monkeypatch):
+    # one pass over three instances of depth 5 on one horizon: dt and
+    # sqrt_dt are Python floats, and a linear slope column keeps
+    # d = 1 - slope*dt an array
+    lats = row_lattices([1.3, 1.3, 1.3])
+    rng = np.random.default_rng(5)
+    coef = rng.uniform(-0.8, 0.8, (3, 3))
+    sets = [
+        band_barriers(lat, np.sin(2.0 * lat.brownian(lat.steps)) + 0.1 * k, 0.3)
+        for k, lat in enumerate(lats)
+    ]
+    if kind == "linear":
+        drivers = [Driver.linear(*row) for row in coef]
+        batched = Driver.linear(*coef.T[:, :, None])
+    else:
+        drivers = [Driver.quadratic(1.5)] * 3
+        batched = drivers[0]
+    seen = []
+    step = solver._implicit_core
+
+    def recorded(base, Z, dt, level, f_drift, g_fn, dA, penalty, d):
+        seen.append((type(dt), type(d)))
+        return step(base, Z, dt, level, f_drift, g_fn, dA, penalty, d)
+
+    monkeypatch.setattr(solver, "_implicit_core", recorded)
+    sols = solver._backward(lats, batched, *solver._stacked_sets(sets)[1:], (3,))
+    d_type = np.ndarray if kind == "linear" else float
+    assert set(seen) == {(float, d_type)}
+    for sol, lat, drv, bars in zip(sols, lats, drivers, sets):
+        alone = solve_rbsde(lat, drv, bars)
+        assert sol.lattice is lat
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            assert bitwise(getattr(sol, name).values, getattr(alone, name).values)
+        assert sol.residuals == alone.residuals
+
+
+def same_bits(a, b):
+    """Equal float arrays bit for bit, NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def tilt_offsets():
+    """Slope offsets of two rows, NaN and both infinities included."""
+    rng = np.random.default_rng(6)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]
+    w = np.concatenate([rng.normal(0.0, 3.0, 40), special])
+    return np.stack([w, -w])
+
+
+@pytest.mark.parametrize("c", [1.5, -0.25, 1e-12, 3e5])
+def test_a_float_tilt_coefficient_is_its_array_forms(c):
+    w, sqrt_dt = tilt_offsets(), 0.1
+    got = solver._tilt_increment(c, w, sqrt_dt)
+    assert same_bits(got, solver._tilt_increment(np.array(c), w, sqrt_dt))
+    assert same_bits(got, solver._tilt_increment(np.full((2, 1), c), w, sqrt_dt))
+    assert np.isnan(got).any() and np.isinf(got).any()
+
+
+def test_a_zero_tilt_coefficient_contributes_exactly_zero():
+    w, sqrt_dt = tilt_offsets(), 0.1
+    cycle = np.arange(w.shape[1]) % 3
+    coef = np.array([[0.0, -0.0, 1.5], [-0.25, 0.0, 2.0]])[:, cycle]
+    got = solver._tilt_increment(coef, w, sqrt_dt)
+    zero = coef == 0.0
+    assert np.all(got[zero] == 0.0) and not np.signbit(got[zero]).any()
+    for c in (1.5, -0.25, 2.0):
+        at = coef == c
+        assert same_bits(got[at], solver._tilt_increment(c, w, sqrt_dt)[at])
+    assert same_bits(solver._tilt_increment(0.0, w, sqrt_dt), np.zeros_like(w))
+
+
 def test_slope_columns_under_a_penalty_are_the_rows_separate_solves():
     # a (3, 1, 1) slope column under the ladder's penalty record, which
     # binds at every node of row 0, at some of row 2 and at none of row 1
