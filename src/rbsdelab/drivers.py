@@ -2,9 +2,10 @@
 
 A generator is a pair of rate functions of the lattice level ``j``:
 ``f(j, y, z)`` integrated against time, and ``g(j, y_left, y)``
-integrated against an increasing clock.  A generator that needs the
-time reads ``lattice.times[j]``.  Alongside the analytic form, a
-generator may carry structural hints the backward solver exploits:
+integrated against an increasing clock; a zero part is ``None``, and
+costs the step nothing.  A generator that needs the time reads
+``lattice.times[j]``.  Alongside the analytic form, a generator may
+carry structural hints the backward solver exploits:
 
 - ``quad``: a squared-slope component ``q * (z - center)**2``, stepped
   by its exact one-step exponential average instead of an Euler term
@@ -283,11 +284,12 @@ class Driver:
     ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``, with
     the clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.
     ``bounds`` is one :class:`GrowthBounds` or ``None``, for every row
-    of a batch; anything else raises ``ValueError``.  The
-    optional structural fields are described in the module docstring;
-    when ``quad`` is given, ``f_rest`` must hold the remainder so that
-    ``f == f_rest + q * (z - center)**2`` at every node.  A declared
-    ``slope`` must be exact, or the roots are silently wrong.
+    of a batch; anything else raises ``ValueError``.  The optional
+    structural fields are described in the module docstring; under
+    ``quad``, ``f == f_rest + q * (z - center)**2`` at every node.
+    ``f`` or ``f_rest`` may be ``None``, a zero rate that costs no
+    evaluation.  A declared ``slope`` must be exact, or the roots are
+    silently wrong.
     """
 
     f: object
@@ -309,15 +311,10 @@ class Driver:
                 "a driver with a clock rate g needs bounds: the clock A "
                 "that g integrates against lives on the growth bounds"
             )
-        if self.quad is not None and self.f_rest is None:
-            raise ValueError(
-                "a driver with an exact squared-slope part must also "
-                "supply f_rest (the remainder of f)"
-            )
 
     @classmethod
     def zero(cls, **kw):
-        return cls(f=lambda j, y, z: np.zeros_like(y), slope=0.0, label="zero", **kw)
+        return cls(f=None, slope=0.0, label="zero", **kw)
 
     @classmethod
     def constant(cls, value, **kw):
@@ -352,7 +349,6 @@ class Driver:
         return cls(
             f=lambda j, y, z: c * z * z,
             quad=lambda level: (c, 0.0),
-            f_rest=lambda j, y, z: np.zeros_like(y),
             slope=0.0,
             label=f"quadratic({c!r})",
             **kw,

@@ -162,10 +162,10 @@ def _dominated_driver(bounds, specs, penalty=None):
     witness and the clock term ``beta * dA``.  Only the squared-slope
     part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
     the node alone, so it enters ``source`` times ``dt`` with the
-    increments, all built once as one packed node-only step, and
-    ``f_rest`` is zero.  The squared-slope part is
-    declared exact (see :mod:`rbsdelab.drivers`), so the one-sided
-    solves stay monotone at any step size.
+    increments, all built once as one packed node-only step, and there
+    is no ``f_rest``.  The squared-slope part is declared exact (see
+    :mod:`rbsdelab.drivers`), so the one-sided solves stay monotone at
+    any step size.
 
     Every packed part is shaped ``(B, 1, 1, nodes)`` to broadcast
     against a batch ``(B, W, 2)``: the instance, a weight (one without
@@ -202,9 +202,6 @@ def _dominated_driver(bounds, specs, penalty=None):
         at = slice(level_offset(j), level_offset(j + 1))
         return half * m[..., at] * (z - gamma[..., at]) ** 2
 
-    def f_rest(j, y, z):
-        return np.zeros_like(y)
-
     def quad(level):
         at = slice(level_offset(level), level_offset(level + 1))
         return half * m[..., at], gamma[..., at]
@@ -215,7 +212,6 @@ def _dominated_driver(bounds, specs, penalty=None):
     return Driver(
         f=f,
         quad=quad,
-        f_rest=f_rest,
         slope=0.0,
         source=source,
         penalty=penalty,

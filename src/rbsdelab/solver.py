@@ -216,13 +216,11 @@ def _narrow(y, f_y, lo, f_lo, hi, f_hi, only=None):
 
 def _check_finite(a, level):
     """Raise :class:`NonFiniteDriver` at the first non-finite node of
-    ``a``.  One sum settles the common case, since it is finite only
-    when every entry is; a sum that overflowed gets the per-node scan.
-    Call it with overflow and invalid-value warnings silenced."""
-    if not math.isfinite(np.add.reduce(a, axis=None)):
-        finite = np.isfinite(a)
-        if not finite.all():
-            raise NonFiniteDriver(level, np.argmin(finite) % a.shape[-1])
+    ``a``.  Its minimum and maximum settle the common case and warn on
+    no infinity or NaN (a sum would, on ``inf - inf``); only when one is
+    not finite are the nodes scanned."""
+    if not -np.inf < np.minimum.reduce(a, None) <= np.maximum.reduce(a, None) < np.inf:
+        raise NonFiniteDriver(level, np.argmin(np.isfinite(a)) % a.shape[-1])
 
 
 def _check_span(gap, base, level, where):
@@ -239,20 +237,24 @@ def _check_span(gap, base, level, where):
 
 def _affine_step(base, Z, dt, level, f_drift, d, pieces):
     """:func:`_implicit_core` from one evaluation: with ``G = f_drift(level,
-    base, Z) dt`` and the pass's ``d = 1 - slope*dt``, the free root
-    ``y = base + G / d`` (``base + G`` exactly where ``d`` is 1), or
-    ``y + w (k - y) / (d + w)`` where the penalty's ``pieces`` are active
-    at it.  One reduction settles every check: ``|y - base| <= _SANE_SPAN``
-    at every node means ``G`` and ``y`` are finite (a non-finite ``G``
-    reaches ``y``) and no root runs away.  Only when it fails are ``G``,
-    the span and ``y`` checked node by node, in that order; the span
-    holds the moved roots (``d != 1`` or a piece active), not the exact
-    fixed-point image ``base + G``, as in the root finder."""
+    base, Z) dt`` (no ``G`` without a rate) and the pass's ``d = 1 -
+    slope*dt``, the free root ``y = base + G / d`` (``base + G`` exactly
+    where ``d`` is 1, ``base + 0.0`` without ``G``), or ``y + w (k - y) /
+    (d + w)`` where the penalty's ``pieces`` are active at it.  One
+    reduction settles every check: ``|y - base| <= _SANE_SPAN`` at every
+    node means ``G`` and ``y`` are finite (a non-finite ``G`` reaches
+    ``y``) and no root runs away.  Only when it fails are ``G``, the span
+    and ``y`` checked node by node, in that order; the span holds the
+    moved roots (``d != 1`` or a piece active), not the exact fixed-point
+    image ``base + G``, as in the root finder."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        G = np.asarray(f_drift(level, base, Z), dtype=float) * dt
-        if G.shape != base.shape:
-            G = np.broadcast_to(G, base.shape)
-        y = base + G / d
+        if f_drift is None:
+            G, y = None, base + 0.0
+        else:
+            G = np.asarray(f_drift(level, base, Z), dtype=float) * dt
+            if G.shape != base.shape:
+                G = np.broadcast_to(G, base.shape)
+            y = base + G / d
         active = False
         if pieces is not None:
             k, w, side = pieces(level)
@@ -264,7 +266,8 @@ def _affine_step(base, Z, dt, level, f_drift, d, pieces):
         gap = y - base
         np.abs(gap, out=gap)
         if not np.maximum.reduce(gap, axis=None) <= _SANE_SPAN:
-            _check_finite(G, level)
+            if G is not None:
+                _check_finite(G, level)
             _check_span(gap, base, level, (d != 1.0) | active)
             _check_finite(y, level)
     return y
@@ -275,15 +278,17 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, d=None):
 
     ``F(y) = f_drift(level, y, Z) dt + g_fn(level, y, y) dA +
     penalty(level, y)``
-    with the clock and penalty pieces skipped where absent.  The nodes
+    with the rate, clock and penalty pieces skipped where absent.  The nodes
     of the level are the last axis of ``base``, leading axes a batch,
     and errors name the node within its level.  Returns the root array;
     raises :class:`NonFiniteDriver` / :class:`ImplicitStepDivergence`.
 
-    A declared slope of ``f_drift`` in ``y``, given as ``d = 1 -
-    slope*dt``, with no live clock term, and a penalty absent or
-    declaring its ``pieces``, takes :func:`_affine_step`; the root
-    finder below solves the rest.
+    No rate, live clock term or penalty leaves the root at ``base +
+    0.0`` (the signed zeros of a zero drift), checked finite with no
+    floating-point warning to silence.  A declared slope of
+    ``f_drift`` in ``y``, given as ``d = 1 - slope*dt``, with no live
+    clock term, and a penalty absent or declaring its ``pieces``, takes
+    :func:`_affine_step`; the root finder below solves the rest.
 
     Every decision is made per node, so a node's root does not depend
     on which nodes share its array: solving two arrays at once gives,
@@ -312,19 +317,24 @@ def _implicit_core(base, Z, dt, level, f_drift, g_fn, dA, penalty, d=None):
     the polished value's residual.  Each node keeps the candidate with
     the smaller residual.
 
-    Each finite check is one sum, with a per-node scan only when the
-    sum is not finite, and each step narrows the bracket in place.
+    Each finite check is a minimum and a maximum, with a per-node scan
+    only when one is not finite, and each step narrows the bracket in place.
     Floating-point warnings are silenced for the whole step, generator
     evaluations included: a non-finite value raises instead.
     """
     base = np.asarray(base, dtype=float)
     use_g = g_fn is not None and dA is not None and np.any(dA > 0.0)
+    if f_drift is None and not use_g and penalty is None:
+        y = base + 0.0
+        _check_finite(y, level)
+        return y
     pieces = getattr(penalty, "pieces", None)
     if d is not None and not use_g and (penalty is None or pieces is not None):
         return _affine_step(base, Z, dt, level, f_drift, d, pieces)
 
     def F(y):
-        out = np.asarray(f_drift(level, y, Z), dtype=float) * dt
+        out = 0.0 if f_drift is None else f_drift(level, y, Z)
+        out = np.asarray(out, dtype=float) * dt
         if use_g:
             out = out + np.asarray(g_fn(level, y, y), dtype=float) * dA
         if penalty is not None:
@@ -540,6 +550,7 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     if bounds is not None and any(bounds.lattice.grid != r.grid for r in rows):
         raise ValueError("growth bounds live on a different grid")
     clock = None if driver.g is None else bounds.A.values
+    f_drift = driver.f if driver.quad is None else driver.f_rest
     # packed buffers: each level is written in place, and each buffer
     # is checked and frozen once at the end
     n = level_offset(steps)
@@ -567,15 +578,11 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
         base = E
         if driver.quad is not None:
             coef, center = driver.quad(j)
-            base = base + _tilt_increment(coef, z - center, sqrt_dt)
-            f_drift = driver.f_rest
-        else:
-            f_drift = driver.f
+            # z - 0.0 is z, and the tilt reads only |z - center|
+            w = z if isinstance(center, float) and center == 0.0 else z - center
+            base = base + _tilt_increment(coef, w, sqrt_dt)
         if driver.source is not None:
-            src = np.asarray(driver.source(j), dtype=float)
-            if src.shape != E.shape:
-                src = np.broadcast_to(src, E.shape)
-            base = base + src
+            base = base + driver.source(j)
         dA = None if clock is None else clock[..., level]
         y_raw = _implicit_core(base, z, dt, j, f_drift, driver.g, dA, driver.penalty, d)
         # ndarray.clip's order, ties to the band included
@@ -695,7 +702,8 @@ def comparison_check(
     )
 
     def rate(driver, j, y, z):
-        out = np.asarray(driver.f(j, y, z), dtype=float) * lat.dt
+        f = driver.f
+        out = 0.0 if f is None else np.asarray(f(j, y, z), dtype=float) * lat.dt
         if driver.source is not None:
             out = out + np.asarray(driver.source(j), dtype=float)
         if driver.g is not None:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rbsdelab.barriers import BarrierSet
 from rbsdelab.drivers import (
     Driver,
     GrowthBounds,
@@ -25,6 +26,7 @@ from rbsdelab.lattice import (
     path_nodes,
 )
 from rbsdelab.penalize import _dominated_driver
+from rbsdelab.solver import solve_rbsde
 
 
 @pytest.fixture
@@ -48,7 +50,8 @@ def constant_spec(lat, s0=0.0, drift_up=0.0, drift_down=0.0, slope=1.0):
 def test_driver_catalog(lat):
     y = np.array([1.0, -2.0])
     z = np.array([0.5, 3.0])
-    assert np.array_equal(Driver.zero().f(1, y, z), [0.0, 0.0])
+    # a zero part is left out: the zero rate and quadratic's remainder
+    assert Driver.zero().f is None
     assert np.array_equal(Driver.constant(2.5).f(1, y, z), [2.5, 2.5])
     lin = Driver.linear(2.0, -1.0, 0.25)
     assert np.array_equal(lin.f(1, y, z), 2.0 * y - z + 0.25)
@@ -56,14 +59,22 @@ def test_driver_catalog(lat):
     assert np.array_equal(quad.f(1, y, z), 0.5 * z * z)
     coef, center = quad.quad(3)
     assert coef == 0.5 and center == 0.0
-    assert np.array_equal(quad.f_rest(1, y, z), [0.0, 0.0])
+    assert quad.f_rest is None
     bounds = GrowthBounds.constants(lat, eta=0.5, C=1.0)
     assert Driver.zero(bounds=bounds).bounds is bounds
 
 
-def test_driver_quad_requires_remainder():
-    with pytest.raises(ValueError):
-        Driver(f=lambda j, y, z: z * z, quad=lambda level: (1.0, 0.0))
+def test_driver_quad_without_remainder_steps_as_quadratic(lat):
+    # an absent remainder is a zero one: the driver is accepted, and its
+    # solve is the catalog quadratic's, bit for bit
+    drv = Driver(f=lambda j, y, z: z * z, quad=lambda level: (1.0, 0.0), slope=0.0)
+    assert drv.f_rest is None
+    xi = np.sin(2.0 * lat.brownian(lat.steps))
+    bars = BarrierSet.build(lat, xi)
+    got, want = (solve_rbsde(lat, d, bars) for d in (drv, Driver.quadratic(1.0)))
+    for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+        a, b = getattr(got, name).values, getattr(want, name).values
+        assert a.tobytes() == b.tobytes()
 
 
 def test_driver_bounds_are_one_growth_bounds_or_none(lat):
@@ -334,6 +345,10 @@ def test_declared_slopes_are_the_rates_slopes(lat):
     rng = np.random.default_rng(28)
     for drv in (d for group in drivers.values() for d in group):
         rate = drv.f if drv.quad is None else drv.f_rest
+        if rate is None:
+            # an absent rate is zero, whose slope is exactly 0
+            assert drv.slope == 0.0, drv
+            continue
         for i in range(lat.steps):
             y = rng.normal(0.0, 3.0, (2, i + 1))
             z = rng.normal(0.0, 2.0, (2, i + 1))

@@ -264,7 +264,8 @@ def test_a_constant_C_is_its_own_running_maximum(lat, monkeypatch):
 
 
 def test_dominated_driver_structure_consistent(lat):
-    # declared split must reproduce f: f == f_rest + q * (z - center)^2
+    # declared split must reproduce f: f == f_rest + q * (z - center)^2,
+    # an absent remainder counting as 0
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,
                                     A=IncreasingProcess.lebesgue(lat))
     spec = constant_spec(lat, slope=0.3, drift_up=0.01)
@@ -274,7 +275,8 @@ def test_dominated_driver_structure_consistent(lat):
         y = rng.normal(0, 1, i + 1)
         z = rng.normal(0, 2, i + 1)
         q, center = drv.quad(i)
-        recomposed = np.asarray(drv.f_rest(i, y, z)) + q * (z - center) ** 2
+        rest = 0.0 if drv.f_rest is None else np.asarray(drv.f_rest(i, y, z))
+        recomposed = rest + q * (z - center) ** 2
         assert np.allclose(drv.f(i, y, z), recomposed, atol=1e-12)
     # source carries total variation, the clock term and the constant
     # rate eta + 4 C gamma^2 over the step

@@ -1,6 +1,6 @@
-import collections
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -633,8 +633,8 @@ def test_declared_linear_solve_takes_one_generator_call_per_level():
 
 def penalized_evaluations(monkeypatch):
     """The level of every generator evaluation in the penalized passes
-    that ``penalize`` makes: the dominated driver's ``f_rest`` runs once
-    per evaluation."""
+    that ``penalize`` makes: a call of the dominated driver's rate ``f``,
+    of its remainder ``f_rest`` when it has one, or of its penalty."""
     from rbsdelab import penalize
 
     levels = []
@@ -643,41 +643,51 @@ def penalized_evaluations(monkeypatch):
     def counted(*args):
         drv = build(*args)
 
-        def f_rest(j, y, z):
-            levels.append(j)
-            return drv.f_rest(j, y, z)
+        def wrap(rate):
+            def evaluated(j, y, z):
+                levels.append(j)
+                return rate(j, y, z)
 
-        return dataclasses.replace(drv, f_rest=f_rest)
+            return rate if rate is None else evaluated
 
+        return dataclasses.replace(drv, f=wrap(drv.f), f_rest=wrap(drv.f_rest))
+
+    def penalty(self, level, y):
+        levels.append(level)
+        return call(self, level, y)
+
+    call = penalize._Penalty.__call__
     monkeypatch.setattr(penalize, "_dominated_driver", counted)
+    monkeypatch.setattr(penalize._Penalty, "__call__", penalty)
     return levels
 
 
 def test_penalized_ladder_generator_calls_per_level(monkeypatch):
     # the penalty n mass (l - y)^+ declares its two affine pieces, and
-    # the dominated rate its zero slope: each level of the ladder's one
-    # pass, up to weight 2**16, is solved in closed form from one
-    # evaluation (about 60 with the root finder alone)
+    # the dominated driver has no remainder: each level of the ladder's
+    # one pass, up to weight 2**16, is solved in closed form from no
+    # evaluation at all (one before the remainder was left out, about
+    # 60 with the root finder alone)
     from rbsdelab.penalize import DEFAULT_SCHEDULE, build_family
     from rbsdelab.verify import random_witness_instance
 
     levels = penalized_evaluations(monkeypatch)
     rng = np.random.default_rng(22)
     for _ in range(6):
-        build_family(*random_witness_instance(rng, 8), DEFAULT_SCHEDULE)
-        assert max(collections.Counter(levels).values()) == 1
-        levels.clear()
+        family = build_family(*random_witness_instance(rng, 8), DEFAULT_SCHEDULE)
+        assert len(family.lower_solutions) == len(DEFAULT_SCHEDULE)
+        assert levels == []
 
 
 def test_criterion_6_generator_evaluations(monkeypatch):
-    # criterion 6 at its acceptance scale, seed 7: one evaluation per
-    # level of its passes, where the root finder took 119 with a probe
-    # at each kink and 1,111 without
+    # criterion 6 at its acceptance scale, seed 7: no evaluation in its
+    # passes, where the closed form took 18 with a zero remainder, the
+    # root finder 119 with a probe at each kink and 1,111 without
     from rbsdelab.verify import CertificateLog, verify_sandwich
 
     levels = penalized_evaluations(monkeypatch)
     assert verify_sandwich(log=CertificateLog())["passed"]
-    assert len(levels) <= 18
+    assert levels == []
 
 
 @pytest.mark.parametrize("steps", [10, 2], ids=["finer", "coarser"])
@@ -1192,3 +1202,223 @@ def test_solution_repr_mentions_the_root_value(lat):
     sol = solve_rbsde(lat, Driver.zero(), free_barriers(lat, xi))
     assert sol.value() == 1.0
     assert "1.0" in repr(sol)
+
+
+# ------------------------------------------------- drivers without a rate
+
+
+def zeros(j, y, z):
+    return np.zeros_like(y)
+
+
+def spelled_out(drv):
+    """``drv`` with its absent stepped rate spelled out as zeros."""
+    field = "f" if drv.quad is None else "f_rest"
+    assert getattr(drv, field) is None
+    return dataclasses.replace(drv, **{field: zeros})
+
+
+def same_solutions(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            assert same_bits(getattr(a, name).values, getattr(b, name).values), name
+        assert a.residuals == b.residuals
+
+
+def signed_zero_terminals(lat, k=0):
+    """Terminal values with a run of ``-0.0`` and of ``+0.0`` among them."""
+    xi = np.sin(2.0 * lat.brownian(lat.steps) + k)
+    xi[:3] = -0.0
+    xi[3:5] = 0.0
+    return xi
+
+
+@pytest.mark.parametrize(
+    "drv", [Driver.zero(), Driver.quadratic(0.7), Driver.quadratic(-1.3)]
+)
+def test_a_driver_without_a_rate_is_its_spelled_out_zero(drv, lat):
+    # no generator evaluation, and the bits of the zeros it left out:
+    # a -0.0 expectation steps to +0.0, as base + 0 dt makes it
+    xi = signed_zero_terminals(lat)
+    twin = spelled_out(drv)
+    for bars in (free_barriers(lat, xi), band_barriers(lat, xi, 0.3)):
+        same_solutions([solve_rbsde(lat, drv, bars)], [solve_rbsde(lat, twin, bars)])
+    if drv.quad is None:
+        # the first two nodes of level N - 1 expect -0.0
+        y = solve_rbsde(lat, drv, free_barriers(lat, xi)).Y.level(lat.steps - 1)
+        assert np.all(y[:2] == 0.0) and not np.any(np.signbit(y[:2]))
+
+
+@pytest.mark.parametrize("drv", [Driver.zero(), Driver.quadratic(0.7)])
+def test_a_batched_pass_without_a_rate_is_its_spelled_out_zero(drv):
+    lats = row_lattices([1.3, 1.3, 0.6])
+    sets = [
+        band_barriers(lat, signed_zero_terminals(lat, k), 0.3)
+        for k, lat in enumerate(lats)
+    ]
+    stacked = solver._stacked_sets(sets)[1:]
+    got = solver._backward(lats, drv, *stacked, (3,))
+    same_solutions(got, solver._backward(lats, spelled_out(drv), *stacked, (3,)))
+    Ys = solver._backward(lats, drv, *stacked, (3,), y_only=True)
+    assert all(same_bits(y.values, sol.Y.values) for y, sol in zip(Ys, got))
+
+
+def test_a_penalty_step_without_a_rate_is_its_spelled_out_zero():
+    # the ladder's closed form with no rate starts from base + 0.0, as
+    # base + G / d does from a G of zeros, and moves the active piece
+    from rbsdelab.penalize import _Penalty
+
+    base = np.array([-0.0, 0.0, 0.5, -0.25])
+    kinks = np.full(level_offset(4), -np.inf)
+    kinks[level_offset(3) :] = [-1.0, 0.1, 0.2, -0.5]
+    penalty = _Penalty(
+        kinks=kinks,
+        masses=np.full(kinks.shape, 2.0),
+        weights=np.array(8.0),
+        side=np.array(1.0),
+    )
+    for d in (1.0, 0.9):
+        args = (base, np.zeros(4), 0.1, 3)
+        got = solver._implicit_core(*args, None, None, None, penalty, d)
+        want = solver._implicit_core(*args, zeros, None, None, penalty, d)
+        assert same_bits(got, want)
+        assert got[0] == 0.0 and not np.signbit(got[0]) and got[1] > 0.0
+
+
+def witness_with_signed_zeros(seed, steps):
+    """A random witness instance whose terminal values hold ``-0.0``."""
+    from rbsdelab.verify import random_witness_instance
+
+    bounds, bars = random_witness_instance(np.random.default_rng(seed), steps)
+    xi = bars.xi.copy()
+    xi[::3] = -0.0
+    parts = ("L", "U", "l", "u", "delta", "alpha", "witness")
+    return bounds, BarrierSet.build(
+        bars.lattice, xi, **{name: getattr(bars, name) for name in parts}
+    )
+
+
+@pytest.mark.parametrize("seed, steps", [(3, 1), (4, 7), (5, 30)])
+def test_penalized_passes_without_a_rate_are_their_spelled_out_zero(
+    seed, steps, monkeypatch
+):
+    # the dominated driver has no remainder: the exact squeeze (no
+    # penalty) and the ladder's rungs (a penalty with pieces) step with
+    # no evaluation, and give the bits of a remainder of zeros
+    from rbsdelab import penalize
+
+    bounds, bars = witness_with_signed_zeros(seed, steps)
+
+    def run():
+        family = penalize.build_family(bounds, bars, (0, 1, 8, 2**16))
+        limits = penalize.exact_squeeze_barriers(bounds, bars)
+        return family.lower_solutions + family.upper_solutions, limits
+
+    rungs, limits = run()
+    build = penalize._dominated_driver
+    monkeypatch.setattr(
+        penalize, "_dominated_driver", lambda *args: spelled_out(build(*args))
+    )
+    twin_rungs, twin_limits = run()
+    same_solutions(rungs, twin_rungs)
+    for a, b in zip(limits, twin_limits):
+        assert same_bits(a.values, b.values)
+
+
+def overflowing_terminals(lat):
+    """Terminal values whose expectations overflow to both infinities:
+    at level ``N - 1`` node 1 is ``-inf`` and node 4 is ``+inf``."""
+    big = 1.7e308
+    return np.array([0.0, -big, -big, 0.0, big, big, 0.0])
+
+
+@pytest.mark.parametrize(
+    "drv, at", [(Driver.zero(), (5, 1)), (Driver.quadratic(0.5), (5, 0))]
+)
+def test_overflowing_terminals_raise_at_their_node_and_warn_no_more(drv, at, lat):
+    # the step's finite check meets -inf and +inf in one level; it
+    # raises at the same level and node as the spelled-out zero and adds
+    # no floating-point warning to the expectation's and slope's own
+    bars = free_barriers(lat, overflowing_terminals(lat))
+    seen = []
+    for d in (drv, spelled_out(drv)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteDriver) as info:
+                solve_rbsde(lat, d, bars)
+        assert (info.value.level, info.value.node) == at
+        seen.append([(w.category, str(w.message)) for w in caught])
+    assert seen[0] == seen[1]
+
+
+def test_a_step_without_a_rate_checks_finite_without_warnings():
+    # RuntimeWarnings are errors here: a sum over -inf and +inf would warn
+    base = np.array([[1.0, 2.0, 3.0], [4.0, -np.inf, np.inf]])
+    with pytest.raises(NonFiniteDriver) as info:
+        solver._implicit_core(base, np.zeros(3), 0.1, 4, None, None, None, None, 1.0)
+    assert (info.value.level, info.value.node) == (4, 1)
+    base[1] = [np.nan, 0.0, -0.0]
+    with pytest.raises(NonFiniteDriver) as info:
+        solver._implicit_core(base, np.zeros(3), 0.1, 4, None, None, None, None)
+    assert (info.value.level, info.value.node) == (4, 0)
+    base[1, 0] = 1.7e308
+    y = solver._implicit_core(base, np.zeros(3), 0.1, 4, None, None, None, None)
+    assert same_bits(y, base + 0.0) and not np.signbit(y[1, 2])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [lambda j, y_left, y: -0.3 * y + 0.1, lambda j, y_left, y: -np.tanh(y) - 0.2 * y],
+    ids=["affine", "tanh"],
+)
+def test_a_clock_rate_without_a_rate_takes_the_root_finder(g):
+    # Driver.zero(g=...) has f=None; its live clock levels go through the
+    # root finder, which reads the absent rate as zero
+    lat = Lattice(TimeGrid(1.0, 40))
+    A = IncreasingProcess.from_time_atoms(lat, {6: 1.0, 20: 0.5, 39: 2.0})
+    bounds = GrowthBounds.constants(lat, eta=0.0, C=0.0, A=A)
+    calls = []
+
+    def counted(j, y_left, y):
+        calls.append(j)
+        return g(j, y_left, y)
+
+    drv = Driver.zero(g=counted, bounds=bounds)
+    xi = signed_zero_terminals(lat)
+    for bars in (free_barriers(lat, xi), band_barriers(lat, xi, 0.3)):
+        calls.clear()
+        sol = solve_rbsde(lat, drv, bars)
+        # only the three live levels evaluate, at base, at y0 and beyond
+        assert set(calls) == {5, 19, 38}
+        assert min(calls.count(j) for j in (5, 19, 38)) >= 3
+        same_solutions([sol], [solve_rbsde(lat, spelled_out(drv), bars)])
+
+
+def test_a_plain_penalty_without_a_rate_takes_the_root_finder(lat):
+    # a penalty without pieces leaves the closed form: the root finder
+    # reads the absent rate as zero
+    def penalty(j, y):
+        return 0.5 * np.maximum(0.2 - y, 0.0)
+
+    drv = Driver(f=None, slope=0.0, penalty=penalty)
+    xi = signed_zero_terminals(lat)
+    bars = band_barriers(lat, xi, 0.3)
+    twin = spelled_out(drv)
+    same_solutions([solve_rbsde(lat, drv, bars)], [solve_rbsde(lat, twin, bars)])
+
+
+@pytest.mark.parametrize("center", [0.0, -0.0, 0.25])
+def test_a_float_zero_center_gives_the_bits_of_subtracting_it(center, lat):
+    # the step skips z - 0.0, which is z; z - (-0.0) differs from z only
+    # in the sign of a zero, which the tilt does not read
+    w = tilt_offsets()
+    if center == 0.0:
+        for coef in (0.7, -1.3, 0.0, np.array([[0.7], [0.0]])):
+            want = solver._tilt_increment(coef, w - np.asarray(center), 0.3)
+            assert same_bits(solver._tilt_increment(coef, w, 0.3), want)
+    # a solve with the float center is one with the center as an array
+    bars = band_barriers(lat, signed_zero_terminals(lat), 0.3)
+    drv = dataclasses.replace(Driver.quadratic(0.9), quad=lambda level: (0.9, center))
+    subtracted = dataclasses.replace(drv, quad=lambda level: (0.9, np.array(center)))
+    same_solutions([solve_rbsde(lat, drv, bars)], [solve_rbsde(lat, subtracted, bars)])
