@@ -199,6 +199,15 @@ _KIND_KEYS = {
 }
 
 
+def _numbers(value, where):
+    """``value`` as a float array, or a :class:`ConfigError` naming
+    ``where`` when it does not read as numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must hold numbers: {exc}") from exc
+
+
 def _shape_levels(node, lat, path):
     """Evaluate one obstacle generator to a packed array over levels 0..N."""
     if not isinstance(node, dict):
@@ -225,7 +234,7 @@ def _shape_levels(node, lat, path):
             )
         out = []
         for i, row in enumerate(levels):
-            arr = np.asarray(row, dtype=float)
+            arr = _numbers(row, f"{path}.levels[{i}]")
             if arr.shape != (i + 1,):
                 raise ConfigError(
                     f"{path}.levels[{i}] needs {i + 1} entries"
@@ -258,7 +267,7 @@ def _terminal_values(cfg, lat, witness_levels):
         raise ConfigError("terminal is required when no witness is given")
     if isinstance(node, dict) and node.get("kind") == "table" and "values" in node:
         _check_keys(node, {"kind", "values"}, "terminal")
-        arr = np.asarray(node["values"], dtype=float)
+        arr = _numbers(node["values"], "terminal.values")
         if arr.shape != (lat.steps + 1,):
             raise ConfigError(
                 f"terminal.values needs {lat.steps + 1} entries"

@@ -4,16 +4,17 @@ A generator is a pair of rate functions of the lattice level ``j``:
 ``f(j, y, z)`` integrated against time, and ``g(j, y_left, y)``
 integrated against an increasing clock; a zero part is ``None``, and
 costs the step nothing.  A generator that needs the time reads
-``lattice.times[j]``.  Alongside the analytic form, a generator may
-carry structural hints the backward solver exploits:
+``lattice.times[j]``.  Beside those rates, a generator may declare
+parts and hints the backward solver exploits:
 
-- ``quad``: a squared-slope component ``q * (z - center)**2``, stepped
-  by its exact one-step exponential average instead of an Euler term
+- ``quad``: a squared-slope part ``q * (z - center)**2`` of the time
+  rate, beside ``f`` (which is then the remainder), stepped by its
+  exact one-step exponential average instead of an Euler term
   (this is what makes pure squared-slope generators land on their
   log-expectation closed form to machine precision);
-- ``slope``: the exact slope in ``y`` of the stepped rate (``f``, or
-  ``f_rest`` under ``quad``), a number or an array like the columns of
-  :meth:`Driver.linear`, for the implicit step's closed form;
+- ``slope``: the exact slope in ``y`` of ``f``, a number or an array
+  like the columns of :meth:`Driver.linear`, for the implicit step's
+  closed form;
 - ``source``: a per-node increment independent of the unknown and of
   ``z`` (bounded variation and clock terms of the penalized equations,
   and any rate that depends on the node alone, times ``dt``);
@@ -25,10 +26,12 @@ carry structural hints the backward solver exploits:
   obstacles (the kinks), their clock masses, the weights and the side.
 
 Per step from level ``j``, the drift is
-``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``.
+``(f(j, y, z) + q (z - center)**2) dt + g(j, y, y) dA + source(j) +
+penalty(j, y)``, the squared-slope term only under ``quad``.
 
 Growth data consists of node-indexed processes bounding the generator
-(slope-quadratic bound for ``f``, flat bound for ``g``) plus the clock.
+(slope-quadratic bound for the time rate, flat bound for ``g``) plus
+the clock.
 :func:`dominate_growth` rescales raw bounds by a nondecreasing function
 of the obstacles' running size (growth of any order in the unknown).
 The bounds feed the dominating generator of the penalized equations,
@@ -88,10 +91,11 @@ def _as_adapted(lattice, x, name):
 class GrowthBounds:
     """Node-indexed domination data for a generator.
 
-    ``eta + C * z**2`` bounds ``|f|`` (with the first argument clamped
-    between the node obstacles), ``beta`` bounds ``|g|``, and ``A`` is
-    the clock ``g`` integrates against.  Every piece lives on the grid
-    of ``eta``; a process on another grid is rejected by name.
+    ``eta + C * z**2`` bounds the size of the time rate, squared-slope
+    part included (with the first argument clamped between the node
+    obstacles), ``beta`` bounds ``|g|``, and ``A`` is the clock ``g``
+    integrates against.  Every piece lives on the grid of ``eta``; a
+    process on another grid is rejected by name.
     """
 
     __slots__ = ("lattice", "eta", "C", "beta", "A")
@@ -281,26 +285,27 @@ class Driver:
     passes ``(nodes,)``; :func:`reduce_and_solve` and the penalized
     ladder add leading batch axes (``(1, 2, nodes)`` for one reduction).
     Per step from level ``j`` the drift is
-    ``f(j, y, z) dt + g(j, y, y) dA + source(j) + penalty(j, y)``, with
-    the clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.
-    ``bounds`` is one :class:`GrowthBounds` or ``None``, for every row
-    of a batch; anything else raises ``ValueError``.  The optional
-    structural fields are described in the module docstring; under
-    ``quad``, ``f == f_rest + q * (z - center)**2`` at every node.
-    ``f`` or ``f_rest`` may be ``None``, a zero rate that costs no
-    evaluation.  A declared ``slope`` must be exact, or the roots are
-    silently wrong.
+    ``(f(j, y, z) + q (z - center)**2) dt + g(j, y, y) dA + source(j) +
+    penalty(j, y)``, with the squared-slope term of ``quad`` and the
+    clock ``A`` of ``bounds``, so ``g`` needs ``bounds``.  ``bounds``
+    is one :class:`GrowthBounds` or ``None``, for every row of a batch;
+    anything else raises ``ValueError``.  The optional structural
+    fields are described in the module docstring.  ``f`` may be
+    ``None``, a zero rate that costs no evaluation.  A declared
+    ``slope`` must be exact, or the roots are silently wrong.
     """
 
     f: object
     g: object = None
     bounds: object = None
     quad: object = None
-    f_rest: object = None
     slope: object = None
     source: object = None
     penalty: object = None
     label: str = "custom"
+
+    # not a field: bench/spans.py reads it by name until its repair (ROADMAP 1)
+    f_rest = None
 
     def __post_init__(self):
         if not (self.bounds is None or isinstance(self.bounds, GrowthBounds)):
@@ -347,7 +352,7 @@ class Driver:
         """Rate ``c * z**2``, stepped exactly via its exponential average."""
         c = float(c)
         return cls(
-            f=lambda j, y, z: c * z * z,
+            f=None,
             quad=lambda level: (c, 0.0),
             slope=0.0,
             label=f"quadratic({c!r})",

@@ -57,6 +57,8 @@ DEFAULT_SCHEDULE = (0,) + tuple(2 ** k for k in range(17))
 
 # slack absorbing the implicit steps' rounding in ordering checks
 _ORDER_TOL = 1e-9
+# largest root gap at which the reduction agrees with the direct solve
+_REDUCTION_TOL = 1e-6
 
 # side axis of the one-sided pair: the penalty pushes row 0 (the lower
 # equation) up to its floor and row 1 down to its cap, the drift back
@@ -159,11 +161,11 @@ def _dominated_driver(bounds, specs, penalty=None):
     Drift rate ``eta + 4*C*gamma**2 + (m/2)*(z - gamma)**2`` with ``m``
     one plus eight times the running maximum (node envelope) of ``|C|``,
     plus the per-step increments of both bounded-variation parts of the
-    witness and the clock term ``beta * dA``.  Only the squared-slope
-    part is ``f``; the constant rate ``eta + 4*C*gamma**2`` depends on
-    the node alone, so it enters ``source`` times ``dt`` with the
-    increments, all built once as one packed node-only step, and there
-    is no ``f_rest``.  The squared-slope part is declared exact (see
+    witness and the clock term ``beta * dA``.  The squared-slope part
+    is ``quad``, and there is no ``f``: the constant rate ``eta +
+    4*C*gamma**2`` depends on the node alone, so it enters ``source``
+    times ``dt`` with the increments, all built once as one packed
+    node-only step.  The squared-slope part is stepped exactly (see
     :mod:`rbsdelab.drivers`), so the one-sided solves stay monotone at
     any step size.
 
@@ -198,10 +200,6 @@ def _dominated_driver(bounds, specs, penalty=None):
     # the signed half: sgn * 0.5 * m evaluates as half * m
     half = sgn * 0.5
 
-    def f(j, y, z):
-        at = slice(level_offset(j), level_offset(j + 1))
-        return half * m[..., at] * (z - gamma[..., at]) ** 2
-
     def quad(level):
         at = slice(level_offset(level), level_offset(level + 1))
         return half * m[..., at], gamma[..., at]
@@ -210,7 +208,7 @@ def _dominated_driver(bounds, specs, penalty=None):
         return sgn * step[..., level_offset(level) : level_offset(level + 1)]
 
     return Driver(
-        f=f,
+        f=None,
         quad=quad,
         slope=0.0,
         source=source,
@@ -527,7 +525,7 @@ def _exact_limits(families):
     return limits
 
 
-def reduce_and_solve(lattice, driver, barriers, agreement_tol=1e-6):
+def reduce_and_solve(lattice, driver, barriers, agreement_tol=_REDUCTION_TOL):
     """Solve the predictable-obstacle problem through its reduction.
 
     Builds the squeeze pair exactly (:func:`exact_squeeze_barriers`

@@ -550,7 +550,6 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
     if bounds is not None and any(bounds.lattice.grid != r.grid for r in rows):
         raise ValueError("growth bounds live on a different grid")
     clock = None if driver.g is None else bounds.A.values
-    f_drift = driver.f if driver.quad is None else driver.f_rest
     # packed buffers: each level is written in place, and each buffer
     # is checked and frozen once at the end
     n = level_offset(steps)
@@ -584,7 +583,9 @@ def _backward(lattices, driver, xi, low, high, batch=(), *, y_only=False):
         if driver.source is not None:
             base = base + driver.source(j)
         dA = None if clock is None else clock[..., level]
-        y_raw = _implicit_core(base, z, dt, j, f_drift, driver.g, dA, driver.penalty, d)
+        y_raw = _implicit_core(
+            base, z, dt, j, driver.f, driver.g, dA, driver.penalty, d
+        )
         # ndarray.clip's order, ties to the band included
         y = np.maximum(y_raw, lows[..., level], out=Y[..., level])
         np.minimum(y, highs[..., level], out=y)
@@ -685,7 +686,8 @@ def comparison_check(
     The caller asserts that ``sol_big`` solves the problem meant to
     dominate.  The crossed obstacle and rate-domination hypotheses are
     audited first (report fields, not preconditions): both generators'
-    per-step drifts ``f dt + g dA + source`` are evaluated at the small
+    per-step drifts ``(f + q (z - center)**2) dt + g dA + source``, the
+    squared-slope term from ``quad``, are evaluated at the small
     solution's realized state, never at different points.  Then the
     node-wise ordering of the solutions and of the upper reflection
     increments on the set where the effective upper obstacles agree.
@@ -702,8 +704,12 @@ def comparison_check(
     )
 
     def rate(driver, j, y, z):
-        f = driver.f
-        out = 0.0 if f is None else np.asarray(f(j, y, z), dtype=float) * lat.dt
+        out = 0.0 if driver.f is None else np.asarray(driver.f(j, y, z), dtype=float)
+        if driver.quad is not None:
+            coef, center = driver.quad(j)
+            w = z - center
+            out = out + coef * w * w
+        out = out * lat.dt
         if driver.source is not None:
             out = out + np.asarray(driver.source(j), dtype=float)
         if driver.g is not None:

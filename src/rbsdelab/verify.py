@@ -45,6 +45,7 @@ from .oracle import (
 )
 from .penalize import (
     _ORDER_TOL,
+    _REDUCTION_TOL,
     DEFAULT_SCHEDULE,
     ReductionDisagreement,
     SandwichViolation,
@@ -86,7 +87,6 @@ _STOPPING_TOL = 1e-12
 _STRIKE_TOL = 1e-10  # the strike recursion of criterion 3
 _GAME_TOL = 1e-12
 _CLOSED_FORM_TOL = 1e-10
-_REDUCTION_TOL = 1e-6
 _CERTIFICATE_TOL = 1e-12
 _BUDGET_TOL = 1e-10
 _ENVELOPE_WINDOW = 250  # profiles drawn before one is checked

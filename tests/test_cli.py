@@ -230,6 +230,62 @@ def test_keys_of_another_kind_exit_1(tmp_path, capsys, place, node, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+def _with_table(place, table):
+    """The base scenario with ``table`` as the terminal, the witness or
+    the lower obstacle ``L``, by ``place``."""
+    if place == "witness":
+        return witness_scenario() | {"witness": table}
+    doc = base_scenario()
+    if place == "L":
+        doc["barriers"]["L"] = table
+    else:
+        doc[place] = table
+    return doc
+
+
+@pytest.mark.parametrize(
+    "place, table, says",
+    [
+        ("terminal", {"kind": "table", "values": {"a": 1}},
+         "terminal.values must hold numbers: "),
+        ("terminal", {"kind": "table", "values": [0.0, "x", 0.0, 0.0, 0.0, 0.0]},
+         "terminal.values must hold numbers: "),
+        ("witness", {"kind": "table", "levels": [{"a": 1}] * 6},
+         "witness.levels[0] must hold numbers: "),
+        ("witness", {"kind": "table", "levels": _TABLE_LEVELS[:3]
+                     + [[0.0, 0.1, "x", 0.3]] + _TABLE_LEVELS[4:]},
+         "witness.levels[3] must hold numbers: "),
+        ("L", {"kind": "table", "levels": _TABLE_LEVELS[:1] + [[0.0, [1.0]]]
+               + _TABLE_LEVELS[2:]},
+         "barriers.L.levels[1] must hold numbers: "),
+        ("L", {"kind": "table"}, "barriers.L.levels is required for a table"),
+        ("L", {"kind": "table", "levels": {"0": [0.0]}},
+         "barriers.L.levels must be a list of rows"),
+        ("terminal", {"kind": "table", "levels": _TABLE_LEVELS[:5]},
+         "terminal.levels needs 6 rows, got 5"),
+        ("witness", {"kind": "table", "levels": _TABLE_LEVELS[:2] + [[0.0, 0.1]]
+                     + _TABLE_LEVELS[3:]},
+         "witness.levels[2] needs 3 entries"),
+    ],
+    ids=["values-object", "values-string", "rows-objects", "row-string",
+         "row-ragged", "no-levels", "levels-not-a-list", "row-count",
+         "row-length"],
+)
+def test_tables_that_do_not_read_exit_1_naming_the_row(
+    tmp_path, capsys, place, table, says
+):
+    # every table error is the CLI's config error line, never a traceback,
+    # and names the path and row it found it in
+    cfg = write_config(tmp_path, _with_table(place, table))
+    command = "penalize" if place == "witness" else "solve"
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {says}"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -50,25 +51,34 @@ def constant_spec(lat, s0=0.0, drift_up=0.0, drift_down=0.0, slope=1.0):
 def test_driver_catalog(lat):
     y = np.array([1.0, -2.0])
     z = np.array([0.5, 3.0])
-    # a zero part is left out: the zero rate and quadratic's remainder
+    # a zero part is left out: the zero rate, and the quadratic's rate
+    # beside its squared-slope part, which states c z^2 once, in quad
     assert Driver.zero().f is None
     assert np.array_equal(Driver.constant(2.5).f(1, y, z), [2.5, 2.5])
     lin = Driver.linear(2.0, -1.0, 0.25)
     assert np.array_equal(lin.f(1, y, z), 2.0 * y - z + 0.25)
     quad = Driver.quadratic(0.5)
-    assert np.array_equal(quad.f(1, y, z), 0.5 * z * z)
+    assert quad.f is None
     coef, center = quad.quad(3)
     assert coef == 0.5 and center == 0.0
+    # the rate is stated once: f_rest is no field, only a None that
+    # reads by name, and it can be neither passed nor set
+    assert [f.name for f in dataclasses.fields(Driver)] == [
+        "f", "g", "bounds", "quad", "slope", "source", "penalty", "label"
+    ]
     assert quad.f_rest is None
+    with pytest.raises(TypeError, match="f_rest"):
+        Driver(f=None, f_rest=lambda j, y, z: z)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        quad.f_rest = lambda j, y, z: z
     bounds = GrowthBounds.constants(lat, eta=0.5, C=1.0)
     assert Driver.zero(bounds=bounds).bounds is bounds
 
 
 def test_driver_quad_without_remainder_steps_as_quadratic(lat):
-    # an absent remainder is a zero one: the driver is accepted, and its
-    # solve is the catalog quadratic's, bit for bit
-    drv = Driver(f=lambda j, y, z: z * z, quad=lambda level: (1.0, 0.0), slope=0.0)
-    assert drv.f_rest is None
+    # a squared-slope part without f has a zero remainder: the driver is
+    # accepted, and its solve is the catalog quadratic's, bit for bit
+    drv = Driver(f=None, quad=lambda level: (1.0, 0.0), slope=0.0)
     xi = np.sin(2.0 * lat.brownian(lat.steps))
     bars = BarrierSet.build(lat, xi)
     got, want = (solve_rbsde(lat, d, bars) for d in (drv, Driver.quadratic(1.0)))
@@ -329,7 +339,7 @@ def test_dominate_growth_evaluates_phi_on_the_envelope_once():
 def test_declared_slopes_are_the_rates_slopes(lat):
     # a wrong declaration would give wrong roots silently: every catalog
     # constructor's slope is the difference quotient of its stepped rate
-    # (f_rest under quad), to rounding, at random points
+    # f, to rounding, at random points
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4)
     column = np.array([[0.5], [-3.0]])
     spec = constant_spec(lat, slope=0.3, drift_up=0.01)
@@ -344,7 +354,7 @@ def test_declared_slopes_are_the_rates_slopes(lat):
     assert catalog | {"dominated"} == set(drivers)
     rng = np.random.default_rng(28)
     for drv in (d for group in drivers.values() for d in group):
-        rate = drv.f if drv.quad is None else drv.f_rest
+        rate = drv.f
         if rate is None:
             # an absent rate is zero, whose slope is exactly 0
             assert drv.slope == 0.0, drv
@@ -358,3 +368,56 @@ def test_declared_slopes_are_the_rates_slopes(lat):
             scale = 1.0 + np.maximum(np.abs(at), np.abs(past)) / h
             gap = np.abs(quotient - drv.slope)
             assert np.all(gap <= 8.0 * np.finfo(float).eps * scale), drv
+
+
+# the names a tracer reads from a driver and rebuilds it around
+_READ_BY_NAME = ("f", "f_rest", "g", "penalty", "quad", "source")
+
+
+def wrapped_parts(drv):
+    """``drv`` rebuilt by ``dataclasses.replace`` around a wrapped copy
+    of each part it has, as a tracer that records the calls rebuilds it."""
+
+    def wrap(fn):
+        return functools.wraps(fn)(lambda *args, **kw: fn(*args, **kw))
+
+    parts = {name: getattr(drv, name) for name in _READ_BY_NAME}
+    changes = {name: wrap(fn) for name, fn in parts.items() if fn is not None}
+    assert "f_rest" not in changes
+    return dataclasses.replace(drv, **changes)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_every_name_read_by_name_reads_and_rebuilds_bitwise(lat, monkeypatch):
+    # each catalog driver and the dominated driver answers all six names
+    # (f_rest with None); rebuilt around wrapped parts, each solves as it did
+    from rbsdelab import penalize
+    from rbsdelab.verify import random_witness_instance
+
+    xi = np.sin(2.0 * lat.brownian(lat.steps))
+    xi[:2] = -0.0
+    lo = AdaptedProcess(lat, [np.full(i + 1, -0.4) for i in range(lat.steps)] + [xi])
+    bars = BarrierSet.build(lat, xi, L=lo)
+    for drv in (
+        Driver.zero(),
+        Driver.constant(-1.3),
+        Driver.linear(0.4, -0.5, 0.3),
+        Driver.quadratic(0.7),
+    ):
+        got, want = (solve_rbsde(lat, d, bars) for d in (wrapped_parts(drv), drv))
+        for name in ("Y", "Z", "Kplus", "Kminus", "drift"):
+            assert same_bits(getattr(got, name).values, getattr(want, name).values)
+    # the dominated driver of the exact squeeze, which has no penalty
+    bounds, sets = random_witness_instance(np.random.default_rng(2), 30)
+    drv = _dominated_driver([bounds], [sets.witness])
+    assert drv.f is None and drv.f_rest is None and drv.penalty is None
+    want = penalize.exact_squeeze_barriers(bounds, sets)
+    build = penalize._dominated_driver
+    monkeypatch.setattr(
+        penalize, "_dominated_driver", lambda *args: wrapped_parts(build(*args))
+    )
+    got = penalize.exact_squeeze_barriers(bounds, sets)
+    assert all(same_bits(a.values, b.values) for a, b in zip(got, want))

@@ -128,12 +128,18 @@ def dominated(bounds, spec):
     return _dominated_driver([bounds], [spec])
 
 
+def squared(driver, j, z):
+    """The squared-slope part ``q (z - center)^2`` of ``driver``'s rate
+    at level ``j``, from its ``quad``: the part the step integrates."""
+    q, center = driver.quad(j)
+    return q * (z - center) ** 2
+
+
 def one_side(driver, row):
     """The one-pair dominated driver's equation ``row`` alone, for an
     unbatched solve: 0 the lower, 1 the upper."""
     return replace(
         driver,
-        f=lambda j, y, z: driver.f(j, y, z)[0, 0, row],
         quad=lambda j: (driver.quad(j)[0][0, 0, row], driver.quad(j)[1][0, 0, 0]),
         source=lambda j: driver.source(j)[0, 0, row],
     )
@@ -159,8 +165,9 @@ def test_dominated_driver_beats_quadratic_bound(lat):
     # eta + 4*C*gamma^2 + (m/2)(z - gamma)^2 >= eta + C z^2 for all z
     # needs m >= 8C; the dominated driver uses m = 1 + 8 * running max
     # of |C|.  The witness has no drift and the clock is empty, so the
-    # per-step drift f dt + source is that rate times dt.  Row 1 is the
-    # upper equation, whose drift carries the rate's own sign
+    # per-step drift q (z - center)^2 dt + source is that rate times dt,
+    # from the squared-slope part the step integrates (there is no f).
+    # Row 1 is the upper equation, whose drift carries the rate's own sign
     rng = np.random.default_rng(8)
     C_levels = [rng.uniform(0.0, 2.0, i + 1) for i in range(lat.steps + 1)]
     bounds = GrowthBounds(
@@ -170,12 +177,12 @@ def test_dominated_driver_beats_quadratic_bound(lat):
     )
     spec = constant_spec(lat, slope=1.5)
     drv = dominated(bounds, spec)
+    assert drv.f is None
     zs = np.linspace(-30.0, 30.0, 61)
     for i in range(lat.steps):
-        y = np.zeros(i + 1)
         for z in zs:
-            f = drv.f(i, y, np.full(i + 1, z))
-            step = f[0, 0, 1] * lat.dt + drv.source(i)[0, 0, 1]
+            rate = squared(drv, i, np.full(i + 1, z))
+            step = rate[0, 0, 1] * lat.dt + drv.source(i)[0, 0, 1]
             cap = (0.3 + C_levels[i] * z * z) * lat.dt
             assert np.all(step >= cap - 1e-12 * lat.dt)
 
@@ -187,9 +194,8 @@ def test_dominated_driver_orientation_mirror(lat):
     bounds = GrowthBounds.constants(lat, eta=0.2, C=0.5)
     spec = constant_spec(lat, slope=0.7, drift_up=0.05, drift_down=0.02)
     drv = dominated(bounds, spec)
-    y = np.zeros(3)
     z = np.array([-1.0, 0.0, 2.0])
-    for rows in (drv.f(2, y, z), drv.quad(2)[0], drv.source(2)):
+    for rows in (squared(drv, 2, z), drv.quad(2)[0], drv.source(2)):
         assert rows.shape == (1, 1, 2, 3)
         rows = rows[0, 0]
         assert np.array_equal(rows[0], -rows[1])
@@ -219,12 +225,11 @@ def test_dominated_driver_rows_stack_the_single_drivers():
     assert rows.bounds is None
     singles = [dominated(b, s) for b, s in pairs]
     for i in range(4):
-        y = np.zeros((3, 1, 2, i + 1))
         z = rng.normal(0.0, 2.0, (3, 1, 2, i + 1))
         parts = (
             (
-                rows.f(i, y, z),
-                [d.f(i, y[k : k + 1], z[k : k + 1]) for k, d in enumerate(singles)],
+                squared(rows, i, z),
+                [squared(d, i, z[k : k + 1]) for k, d in enumerate(singles)],
             ),
             (rows.quad(i)[0], [d.quad(i)[0] for d in singles]),
             (rows.source(i), [d.source(i) for d in singles]),
@@ -264,20 +269,10 @@ def test_a_constant_C_is_its_own_running_maximum(lat, monkeypatch):
 
 
 def test_dominated_driver_structure_consistent(lat):
-    # declared split must reproduce f: f == f_rest + q * (z - center)^2,
-    # an absent remainder counting as 0
     bounds = GrowthBounds.constants(lat, eta=0.1, C=0.4, beta=0.2,
                                     A=IncreasingProcess.lebesgue(lat))
     spec = constant_spec(lat, slope=0.3, drift_up=0.01)
     drv = dominated(bounds, spec)
-    rng = np.random.default_rng(1)
-    for i in range(lat.steps):
-        y = rng.normal(0, 1, i + 1)
-        z = rng.normal(0, 2, i + 1)
-        q, center = drv.quad(i)
-        rest = 0.0 if drv.f_rest is None else np.asarray(drv.f_rest(i, y, z))
-        recomposed = rest + q * (z - center) ** 2
-        assert np.allclose(drv.f(i, y, z), recomposed, atol=1e-12)
     # source carries total variation, the clock term and the constant
     # rate eta + 4 C gamma^2 over the step
     dv = 0.01  # vminus mass per step
@@ -699,6 +694,43 @@ def test_a_ladder_that_never_binds_is_its_limit_at_every_weight():
     e = rung_distances(scn.driver.bounds, scn.barriers, DEFAULT_SCHEDULE)
     assert e.shape == (len(DEFAULT_SCHEDULE),)
     assert np.all(e == 0.0)
+
+
+@pytest.mark.parametrize("seed, steps", [(0, 40), (4, 7)])
+def test_a_ladder_without_a_slope_calls_its_penalty_in_the_root_finder(
+    seed, steps, monkeypatch
+):
+    # with slope=None no rung can take the closed form: the root finder
+    # calls the _Penalty as a function, at every level, and lands on the
+    # closed-form rungs to the root finder's resolution at every node
+    from rbsdelab import penalize
+
+    bounds, bars = random_witness_instance(np.random.default_rng(seed), steps)
+    schedule = (0, 1, 8, 64, 2**16)
+    want = build_family(bounds, bars, schedule)
+    levels = []
+    call = penalize._Penalty.__call__
+
+    def counted(self, level, y):
+        levels.append(level)
+        return call(self, level, y)
+
+    build = penalize._dominated_driver
+    monkeypatch.setattr(penalize._Penalty, "__call__", counted)
+    monkeypatch.setattr(
+        penalize, "_dominated_driver", lambda *args: replace(build(*args), slope=None)
+    )
+    got = build_family(bounds, bars, schedule)
+    assert set(levels) == set(range(steps))
+    rungs = zip(
+        got.lower_solutions + got.upper_solutions,
+        want.lower_solutions + want.upper_solutions,
+    )
+    for a, b in rungs:
+        gap = np.abs(a.Y.values - b.Y.values)
+        assert np.all(gap <= 1e-13 * (1.0 + np.abs(b.Y.values)))
+    # the penalties bind: the rungs move with the weight
+    assert not np.array_equal(want.lower_solutions[0].Y.values, want.Yunder.values)
 
 
 def test_exact_limits_agree_with_the_large_weight_chain():

@@ -20,6 +20,7 @@ from rbsdelab.lattice import (
 )
 from rbsdelab.oracle import quadratic_closed_form
 from rbsdelab.solver import (
+    ComparisonReport,
     ImplicitStepDivergence,
     NonFiniteDriver,
     SkorokhodReport,
@@ -631,10 +632,22 @@ def test_declared_linear_solve_takes_one_generator_call_per_level():
     assert np.max(np.abs(sol.Y.values - found.Y.values)) <= 4.0 * np.spacing(scale)
 
 
+@pytest.mark.parametrize("slope", [0.0, None], ids=["closed-form", "root-finder"])
+def test_a_rate_returning_a_float_is_its_full_array_twin(slope):
+    # a rate may return a Python float: each route broadcasts it to the
+    # level and steps it bitwise as the same value spelled out per node
+    lat = Lattice(TimeGrid(1.0, 20))
+    xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
+    scalar = Driver(f=lambda j, y, z: 0.3, slope=slope)
+    full = Driver(f=lambda j, y, z: np.full_like(y, 0.3), slope=slope)
+    for bars in (free_barriers(lat, xi), band_barriers(lat, xi, 0.3)):
+        same_solutions([solve_rbsde(lat, scalar, bars)], [solve_rbsde(lat, full, bars)])
+
+
 def penalized_evaluations(monkeypatch):
     """The level of every generator evaluation in the penalized passes
-    that ``penalize`` makes: a call of the dominated driver's rate ``f``,
-    of its remainder ``f_rest`` when it has one, or of its penalty."""
+    that ``penalize`` makes: a call of the dominated driver's rate ``f``
+    when it has one, or of its penalty."""
     from rbsdelab import penalize
 
     levels = []
@@ -643,14 +656,11 @@ def penalized_evaluations(monkeypatch):
     def counted(*args):
         drv = build(*args)
 
-        def wrap(rate):
-            def evaluated(j, y, z):
-                levels.append(j)
-                return rate(j, y, z)
+        def evaluated(j, y, z):
+            levels.append(j)
+            return drv.f(j, y, z)
 
-            return rate if rate is None else evaluated
-
-        return dataclasses.replace(drv, f=wrap(drv.f), f_rest=wrap(drv.f_rest))
+        return drv if drv.f is None else dataclasses.replace(drv, f=evaluated)
 
     def penalty(self, level, y):
         levels.append(level)
@@ -1174,6 +1184,54 @@ def test_comparison_rate_counts_source_and_clock_terms(lat):
         assert report.passed and report.max_drift_violation == 0.0
 
 
+def test_comparison_rate_counts_the_squared_slope_part(lat):
+    # a quad driver's rate is f + q (z - center)^2: the catalog pair
+    # c z^2 gives, bit for bit, the reports of that rate stated whole as f
+    xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
+    bars = band_barriers(lat, xi, 0.3)
+    small, big = Driver.quadratic(0.3), Driver.quadratic(1.1)
+    sol_small, sol_big = (solve_rbsde(lat, d, bars) for d in (small, big))
+    whole_small, whole_big = (
+        Driver(f=lambda j, y, z, c=c: c * z * z, slope=0.0) for c in (0.3, 1.1)
+    )
+    report = comparison_check(sol_big, sol_small, big, small, bars, bars)
+    assert report == comparison_check(
+        sol_big, sol_small, whole_big, whole_small, bars, bars
+    )
+    assert report == ComparisonReport(
+        *(True,) * 5,
+        max_order_violation=0.0,
+        max_kminus_violation=0.0,
+        max_drift_violation=0.0,
+    )
+    swapped = comparison_check(sol_small, sol_big, small, big, bars, bars)
+    assert swapped == comparison_check(
+        sol_small, sol_big, whole_small, whole_big, bars, bars
+    )
+    assert not (swapped.drift_domination_ok or swapped.ordered or swapped.kminus_ok)
+    assert min(
+        swapped.max_order_violation,
+        swapped.max_kminus_violation,
+        swapped.max_drift_violation,
+    ) > 0.0
+    # a remainder beside a centered squared-slope part: both count, so
+    # the rate stated whole differs by rounding, the remainder alone by
+    # the squared-slope part
+    rest = lambda j, y, z: 0.2 * y - 0.1 * z + 0.05  # noqa: E731
+    parts = Driver(f=rest, quad=lambda j: (0.7, 0.4), slope=0.2)
+    whole = Driver(f=lambda j, y, z: rest(j, y, z) + 0.7 * (z - 0.4) ** 2)
+    sol = solve_rbsde(lat, parts, bars)
+    for a, b in ((parts, whole), (whole, parts)):
+        report = comparison_check(sol, sol, a, b, bars, bars)
+        assert report.drift_domination_ok
+        assert report.max_drift_violation <= 1e-15
+    report = comparison_check(sol, sol, Driver(f=rest), parts, bars, bars)
+    z = np.concatenate([sol.Z.atom(j) for j in range(lat.steps)])
+    assert report.max_drift_violation == pytest.approx(
+        np.max(0.7 * (z - 0.4) ** 2) * lat.dt, rel=1e-12
+    )
+
+
 def test_budget_defect_is_rounding_sized():
     lat = Lattice(TimeGrid(1.0, 8))
     xi = np.sin(2.0 * lat.brownian(lat.steps)) + 0.1
@@ -1213,9 +1271,8 @@ def zeros(j, y, z):
 
 def spelled_out(drv):
     """``drv`` with its absent stepped rate spelled out as zeros."""
-    field = "f" if drv.quad is None else "f_rest"
-    assert getattr(drv, field) is None
-    return dataclasses.replace(drv, **{field: zeros})
+    assert drv.f is None
+    return dataclasses.replace(drv, f=zeros)
 
 
 def same_solutions(got, want):
